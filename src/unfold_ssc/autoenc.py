@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from unfold_ssc.errors import NumericalError
+
 
 @dataclass
 class AeConfig:
@@ -119,7 +121,7 @@ def normalize_latent(H: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(Ht, axis=0)
     if np.any(norms == 0):
         bad = int(np.flatnonzero(norms == 0)[0])
-        raise ValueError(f"sample {bad} has an all-zero latent code")
+        raise NumericalError(f"sample {bad} has an all-zero latent code")
     return Ht / norms
 
 

@@ -42,6 +42,13 @@ PRESETS = {
 
 MODES = ("unfold", "classic", "kmeans-baseline")
 
+# Every name a run may write into out_dir; nothing else there is touched.
+ARTIFACTS = (
+    "labels.csv", "truth.csv", "metrics.json", "loss_history.csv",
+    "pretrain_history.csv", "similarity.sscm", "checkpoint", "label_map.ppm",
+    "run_manifest.json",
+)
+
 # 12 well-separated colors for the cluster map; label color = palette[label % 12].
 PALETTE = (
     (230, 25, 75), (60, 180, 75), (255, 225, 25), (0, 130, 200),
@@ -216,35 +223,29 @@ def _train_config(cfg: RunConfig):
 
 
 def _load_inputs(cfg: RunConfig):
-    """Load either cube or matrix inputs.
+    """Load either cube or matrix inputs, reading each file once.
 
-    Returns (X, truth, coords, scene_shape); the last two are None for
-    matrix data.
+    A 2-D values file counts as a single-band cube when its label file is a
+    same-shaped map rather than a per-column vector. Returns (X, truth,
+    coords, scene_shape); the last two are None for matrix data.
     """
     import numpy as np
 
     from unfold_ssc import container, data
 
     values = container.load_any(cfg.values_path)
-    if values.ndim == 3 or (cfg.labels_path and values.ndim == 2 and _looks_like_map(cfg)):
-        cube = data.load_cube(cfg.values_path, cfg.labels_path)
+    labels = container.load_any(cfg.labels_path) if cfg.labels_path else None
+    is_map = (labels is not None and labels.ndim == 2
+              and labels.shape == values.shape and 1 not in labels.shape)
+    if values.ndim == 3 or is_map:
+        cube = data.load_cube(values, labels)
         if cube.labels is None:
             raise DataError("cube inputs need a label map to pick patch centers")
         patches = data.extract_patches(cube, cfg.patch)
         X = data.flatten_to_matrix(patches)
         return X, np.asarray(patches.center_labels), patches.coords, cube.labels.shape
-    X, truth = data.load_matrix(cfg.values_path, cfg.labels_path)
+    X, truth = data.load_matrix(values, labels)
     return X, truth, None, None
-
-
-def _looks_like_map(cfg: RunConfig) -> bool:
-    """A 2-D values file counts as a single-band cube when its label file
-    is a same-shaped map rather than a per-column vector."""
-    from unfold_ssc import container
-
-    values = container.load_any(cfg.values_path)
-    labels = container.load_any(cfg.labels_path)
-    return labels.ndim == 2 and labels.shape == values.shape and 1 not in labels.shape
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -257,6 +258,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     from unfold_ssc import autoenc, classic, cluster, data, train, unfold
 
+    clash = [name for name in ARTIFACTS if _holds_input(cfg, os.path.join(cfg.out_dir, name))]
+    if clash:
+        raise ConfigError([f"out_dir: input {name} would be overwritten by the run's artifact"
+                           for name in clash])
     X, truth, coords, scene_shape = _load_inputs(cfg)
     n = X.shape[1]
     if cfg.k_clusters > n:
@@ -303,6 +308,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     scores = metrics_mod.report(result.labels, truth) if truth is not None else None
 
+    _clear_artifacts(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     artifacts = {}
     artifacts["labels.csv"] = _write_labels(cfg.out_dir, "labels.csv", result.labels)
@@ -349,6 +355,27 @@ def _config_dict(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------- artifacts
+
+
+def _holds_input(cfg: RunConfig, path: str) -> bool:
+    """True when ``path`` is, or is a directory holding, an input file of ``cfg``."""
+    real = os.path.realpath(path)
+    inputs = [os.path.realpath(p) for p in (cfg.values_path, cfg.labels_path) if p]
+    return any(p == real or p.startswith(real + os.sep) for p in inputs)
+
+
+def _clear_artifacts(cfg: RunConfig) -> None:
+    """Delete every artifact an earlier run may have left in ``cfg.out_dir``,
+    so one run's files never sit next to another's. Input files are kept,
+    even when they carry an artifact's name."""
+    for name in ARTIFACTS:
+        path = os.path.join(cfg.out_dir, name)
+        if _holds_input(cfg, path):
+            continue
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
 
 
 def _atomic_bytes(path: str, payload: bytes) -> str:
@@ -520,6 +547,7 @@ def cmd_pretrain(args) -> int:
                               latent_dim=cfg.latent_dim)
     state = train.init_state(ae_cfg, cfg.seed)
     history = train.pretrain(state, X, tc)
+    _clear_artifacts(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(cfg.out_dir, "pretrain_history.csv", "epoch,l_ae",
                [(i + 1, v) for i, v in enumerate(history)])
@@ -566,6 +594,8 @@ def _read_label_vector(path):
     rounded = np.rint(flat)
     if not np.array_equal(flat, rounded):
         raise DataError(f"{path}: labels must be integers")
+    if (rounded < 0).any():
+        raise DataError(f"{path}: labels must be non-negative")
     return rounded.astype(np.int64)
 
 

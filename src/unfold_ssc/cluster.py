@@ -1,8 +1,8 @@
 """Similarity construction, spectral embedding, and seeded k-means.
 
-All randomness flows through the xoshiro256++ generator so results are
-identical across platforms; k-means restarts consume sequential jump
-substreams of the run seed.
+k-means++ restart r draws from numpy's PCG64 bit generator seeded with the
+run seed and jumped r times, so restarts get reproducible, disjoint
+substreams.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from unfold_ssc.errors import NumericalError
-from unfold_ssc.rng import Xoshiro256pp, substream
 
 DEGREE_GUARD = 1e-12
 
@@ -42,10 +41,10 @@ def _pairwise_sq_dists_rows(points: np.ndarray, centers: np.ndarray) -> np.ndarr
     return np.maximum(d2, 0.0)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: Xoshiro256pp) -> np.ndarray:
+def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Distance-squared-weighted seeding; degenerate mass falls back by index."""
     n = points.shape[0]
-    chosen = [rng.next_below(n)]
+    chosen = [int(rng.integers(n))]
     d2 = _pairwise_sq_dists_rows(points, points[chosen[-1]][np.newaxis, :]).ravel()
     while len(chosen) < k:
         total = float(d2.sum())
@@ -53,7 +52,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: Xoshiro256pp) -> np.ndarray:
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
         else:
-            u = rng.next_double() * total
+            u = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
             idx = min(idx, n - 1)
         chosen.append(idx)
@@ -106,7 +105,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10,
     best_wcss = np.inf
     best_trace = None
     for r in range(restarts):
-        rng = substream(seed, r)
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(r))
         centers = _kmeanspp_init(points, k, rng)
         labels, trace = _lloyd(points, centers, max_iter)
         if trace[-1] < best_wcss:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from unfold_ssc import container
 from unfold_ssc.errors import DataError
 
 
@@ -75,35 +74,31 @@ def _as_label_map(labels) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def load_cube(values_path, labels_path=None) -> HsiCube:
-    """Load a cube (and optionally its label map) from container or CSV files.
+def load_cube(values, labels=None) -> HsiCube:
+    """Build a cube (and optionally its label map) from loaded arrays.
 
-    A 2-D values file is treated as a single-band cube.
+    2-D values are treated as a single-band cube.
     """
-    values = container.load_any(values_path)
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim == 2:
         values = values[:, :, np.newaxis]
-    labels = None
-    if labels_path is not None:
-        labels = container.load_any(labels_path)
-        if labels.ndim != 2:
-            raise DataError(f"label map must be 2-D, got {labels.ndim}-D")
+    if labels is not None and np.ndim(labels) != 2:
+        raise DataError(f"label map must be 2-D, got {np.ndim(labels)}-D")
     return HsiCube(values, labels)
 
 
-def load_matrix(values_path, labels_path=None):
-    """Load a samples-in-columns data matrix and optional per-sample labels.
+def load_matrix(X, labels=None):
+    """Check a samples-in-columns data matrix and optional per-sample labels.
 
     Returns (X, labels) where X is (features, n) and labels is (n,) int64 or
-    None. Label files may be shaped (1, n) or (n, 1).
+    None. Labels may be shaped (1, n) or (n, 1).
     """
-    X = container.load_any(values_path)
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DataError(f"data matrix must be 2-D, got {X.ndim}-D")
     _check_finite(X, "data matrix")
-    labels = None
-    if labels_path is not None:
-        raw = container.load_any(labels_path)
+    if labels is not None:
+        raw = np.asarray(labels)
         if raw.ndim != 2 or 1 not in raw.shape:
             raise DataError(f"matrix labels must be a vector, got shape {raw.shape}")
         labels = _as_label_map(raw).reshape(-1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from unfold_ssc import classic
 
@@ -32,11 +33,6 @@ def softplus_inv(y):
     if np.any(y <= 0):
         raise ValueError("softplus preimage needs a positive value")
     return np.log(np.expm1(y))
-
-
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def relu_soft_threshold(v, theta):
@@ -96,17 +92,27 @@ class UnfoldParams:
 
 @dataclass
 class ForwardTape:
-    """Everything the backward pass needs from one forward evaluation."""
+    """Everything the backward pass needs from one forward evaluation.
+
+    Layer k's input Z is ``Z0`` for the first layer and ``Z_out[k-1]``
+    after it; V and T are recomputed from the stored arrays on demand.
+    ``C[-1]`` is the final C before diagonal zeroing.
+    """
 
     Htilde: np.ndarray
-    Z_in: list = field(default_factory=list)
+    Z0: np.ndarray
+    rho: list = field(default_factory=list)
     mu_in: list = field(default_factory=list)
-    V: list = field(default_factory=list)
     C: list = field(default_factory=list)
-    T: list = field(default_factory=list)
     Z_out: list = field(default_factory=list)
-    C_raw: np.ndarray | None = None   # final C before diagonal zeroing
-    C_out: np.ndarray | None = None
+
+    def Z_in(self, k: int) -> np.ndarray:
+        return self.Z0 if k == 0 else self.Z_out[k - 1]
+
+    @property
+    def T(self) -> list:
+        """Shrinkage input C + mu_in / rho of every layer."""
+        return [C + mu / rho for C, mu, rho in zip(self.C, self.mu_in, self.rho)]
 
 
 def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
@@ -152,7 +158,7 @@ def forward(params: UnfoldParams, Htilde: np.ndarray,
         raise ValueError("Z0 and mu0 must be n x n for n samples")
     if np.any(np.diagonal(Z) != 0):
         raise ValueError("Z0 must have a zero diagonal")
-    tape = ForwardTape(Htilde=Htilde)
+    tape = ForwardTape(Htilde=Htilde, Z0=Z)
     C = None
     for k in range(params.n_layers):
         layer = params.layer(k)
@@ -162,18 +168,14 @@ def forward(params: UnfoldParams, Htilde: np.ndarray,
         T = C + mu / rho
         Zraw = relu_soft_threshold(T, theta)
         np.fill_diagonal(Zraw, 0.0)
-        tape.Z_in.append(Z)
+        tape.rho.append(rho)
         tape.mu_in.append(mu)
-        tape.V.append(V)
         tape.C.append(C)
-        tape.T.append(T)
         Z = Zraw
         mu = mu + rho * (C - Z)
         tape.Z_out.append(Z)
-    tape.C_raw = C
     C_out = C.copy()
     np.fill_diagonal(C_out, 0.0)
-    tape.C_out = C_out
     return C_out, tape
 
 
@@ -201,8 +203,10 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
         layer = params.layer(k)
         name = params.layer_name(k)
         rho, theta = layer.rho, layer.theta
-        Z_in, mu_in = tape.Z_in[k], tape.mu_in[k]
-        V, C, T, Z_out = tape.V[k], tape.C[k], tape.T[k], tape.Z_out[k]
+        Z_in, mu_in = tape.Z_in(k), tape.mu_in[k]
+        C, Z_out = tape.C[k], tape.Z_out[k]
+        V = mu_in - rho * Z_in
+        T = C + mu_in / rho
 
         # mu_out = mu_in + rho (C - Z_out)
         gmu_in = gmu_next.copy()
@@ -230,8 +234,8 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
         gZ_in = -rho * gV
         grho += float(np.sum(gV * (-Z_in)))
 
-        grads[f"{name}.rho_raw"] += grho * sigmoid(layer.rho_raw)
-        grads[f"{name}.theta_raw"] += gtheta * sigmoid(layer.theta_raw)
+        grads[f"{name}.rho_raw"] += grho * expit(layer.rho_raw)
+        grads[f"{name}.theta_raw"] += gtheta * expit(layer.theta_raw)
 
         gC_ext = np.zeros((n, n))
         gZ_next = gZ_in

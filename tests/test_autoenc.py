@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unfold_ssc import autoenc
+from unfold_ssc.errors import NumericalError
 
 from _oracles import fd_gradient, rel_err
 
@@ -125,7 +126,7 @@ class TestNormalizeLatent:
     def test_zero_code_rejected_by_sample(self):
         H = np.ones((3, 4))
         H[2] = 0.0
-        with pytest.raises(ValueError, match="sample 2"):
+        with pytest.raises(NumericalError, match="sample 2"):
             autoenc.normalize_latent(H)
 
     def test_backward_matches_finite_differences(self):

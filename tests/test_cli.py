@@ -197,6 +197,7 @@ class TestRunCommand:
                      "pretrain_history.csv", "similarity.sscm", "label_map.ppm",
                      "run_manifest.json", "checkpoint"):
             assert os.path.exists(os.path.join(out, name)), name
+        assert set(os.listdir(out)) == set(cli.ARTIFACTS)
         rows = open(os.path.join(out, "loss_history.csv")).read().strip().splitlines()
         assert rows[0] == "epoch,l_all,l_ae,l_sr,l_sp,l_st"
         assert len(rows) == 1 + 4
@@ -235,6 +236,66 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "k_clusters" in err and "values_path" in err
+        assert not os.path.exists(out)
+
+    def test_rerun_without_labels_drops_stale_artifacts(self, tmp_path, subspace_data):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("not an artifact\n")
+        values = os.path.join(subspace_data, "values.sscm")
+        with_labels = write_config(tmp_path, {
+            "values_path": values,
+            "labels_path": os.path.join(subspace_data, "labels.csv"),
+            "k_clusters": 3, "mode": "classic", "out_dir": str(out),
+        }, name="with.json")
+        without_labels = write_config(tmp_path, {
+            "values_path": values, "k_clusters": 3, "mode": "classic",
+            "out_dir": str(out),
+        }, name="without.json")
+        assert cli.main(["run", "--config", with_labels]) == 0
+        assert (out / "metrics.json").exists() and (out / "truth.csv").exists()
+        assert cli.main(["run", "--config", without_labels]) == 0
+        assert sorted(os.listdir(out)) == [
+            "labels.csv", "notes.txt", "run_manifest.json", "similarity.sscm",
+        ]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["labels_path"] is None
+
+    def test_inputs_in_out_dir_are_kept(self, tmp_path, subspace_data, capsys):
+        labels = os.path.join(subspace_data, "labels.csv")
+        before = open(labels).read()
+        cfg = write_config(tmp_path, {
+            "values_path": os.path.join(subspace_data, "values.sscm"),
+            "labels_path": labels, "k_clusters": 3, "out_dir": subspace_data,
+            "pretrain_epochs": 2, "knn_init": 5, "knn_struct": 3,
+            "latent_dim": 6, "hidden_dims": [16, 8],
+        })
+        assert cli.main(["pretrain", "--config", cfg]) == 0
+        assert os.path.exists(os.path.join(subspace_data, "pretrain_history.csv"))
+        assert open(labels).read() == before
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert "input labels.csv would be overwritten" in capsys.readouterr().err
+        assert open(labels).read() == before
+
+    def test_all_zero_latent_code_exits_four(self, tmp_path, capsys):
+        values = np.ones((8, 8, 4))
+        values[0, 0, :] = 2.0
+        labels = np.ones((8, 8))
+        labels[4:, :] = 2.0
+        container.write_array(tmp_path / "v.sscm", values)
+        container.write_array(tmp_path / "l.sscm", labels)
+        out = str(tmp_path / "never")
+        cfg = write_config(tmp_path, {
+            "values_path": str(tmp_path / "v.sscm"),
+            "labels_path": str(tmp_path / "l.sscm"),
+            "k_clusters": 2, "patch": 3, "out_dir": out,
+            "pretrain_epochs": 0, "joint_epochs": 1,
+            "knn_init": 5, "knn_struct": 3,
+            "latent_dim": 6, "hidden_dims": [16, 8], "admm_layers": 2,
+        })
+        assert cli.main(["run", "--config", cfg]) == 4
+        assert "numerical failure: sample 2 has an all-zero latent code" in (
+            capsys.readouterr().err)
         assert not os.path.exists(out)
 
     def test_missing_values_file_exits_three(self, tmp_path, capsys):
@@ -295,6 +356,15 @@ class TestEvalCommand:
         truth.write_text("0\n1\n1\n")
         assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
         assert "mismatch" in capsys.readouterr().err
+
+
+    def test_eval_negative_label_exits_three(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        truth = tmp_path / "truth.csv"
+        pred.write_text("0\n-1\n")
+        truth.write_text("0\n1\n")
+        assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
+        assert "data error" in capsys.readouterr().err
 
 
 class TestEntryBasics:

@@ -1,11 +1,10 @@
-"""Tests for the seeded generator, k-means, and spectral clustering."""
+"""Tests for similarity, seeded k-means, and spectral clustering."""
 
 import numpy as np
 import pytest
 
 from unfold_ssc import cluster
 from unfold_ssc.errors import NumericalError
-from unfold_ssc.rng import Xoshiro256pp, splitmix64_next, substream
 
 
 def canonical(labels):
@@ -16,58 +15,6 @@ def canonical(labels):
     for i, v in enumerate(labels):
         out[i] = seen.setdefault(int(v), len(seen))
     return out
-
-
-class TestRng:
-    def test_splitmix64_known_first_output(self):
-        _, out = splitmix64_next(0)
-        assert out == 0xE220A8397B1DCDAF
-
-    def test_splitmix64_chains_state(self):
-        state, first = splitmix64_next(42)
-        state2, second = splitmix64_next(state)
-        assert state != 42 and state2 != state
-        assert first != second
-
-    def test_deterministic_sequence(self):
-        a = Xoshiro256pp(123)
-        b = Xoshiro256pp(123)
-        assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
-
-    def test_distinct_seeds_distinct_streams(self):
-        a = Xoshiro256pp(1)
-        b = Xoshiro256pp(2)
-        assert [a.next_u64() for _ in range(5)] != [b.next_u64() for _ in range(5)]
-
-    def test_doubles_unit_interval(self):
-        gen = Xoshiro256pp(7)
-        draws = [gen.next_double() for _ in range(2000)]
-        assert all(0.0 <= d < 1.0 for d in draws)
-        assert 0.4 < float(np.mean(draws)) < 0.6
-
-    def test_below_respects_bound(self):
-        gen = Xoshiro256pp(9)
-        draws = [gen.next_below(13) for _ in range(3000)]
-        assert set(draws) == set(range(13))
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            Xoshiro256pp(-1)
-
-    def test_substream_is_iterated_jump(self):
-        direct = substream(5, 0)
-        direct.jump()
-        other = substream(5, 1)
-        assert [direct.next_u64() for _ in range(10)] == [
-            other.next_u64() for _ in range(10)
-        ]
-
-    def test_substreams_do_not_collide(self):
-        a_draws = substream(11, 0)
-        b_draws = substream(11, 1)
-        xs = {a_draws.next_u64() for _ in range(200)}
-        ys = {b_draws.next_u64() for _ in range(200)}
-        assert not xs & ys
 
 
 class TestSimilarity:
@@ -135,6 +82,8 @@ class TestKmeans:
             cluster.kmeans(pts, 0, seed=0)
         with pytest.raises(ValueError):
             cluster.kmeans(pts, 5, seed=0)
+        with pytest.raises(ValueError):
+            cluster.kmeans(pts, 2, seed=-1)
 
 
 class TestSpectral:

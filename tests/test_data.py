@@ -23,7 +23,7 @@ def test_load_cube_round_trip(tmp_path):
     vp, lp = tmp_path / "v.sscm", tmp_path / "l.sscm"
     container.write_array(vp, cube.values)
     container.write_array(lp, cube.labels.astype(float))
-    back = data.load_cube(vp, lp)
+    back = data.load_cube(container.load_any(vp), container.load_any(lp))
     assert np.array_equal(back.values, cube.values)
     assert np.array_equal(back.labels, cube.labels)
 
@@ -31,7 +31,7 @@ def test_load_cube_round_trip(tmp_path):
 def test_load_cube_2d_values_become_single_band(tmp_path):
     vp = tmp_path / "v.csv"
     container.write_csv_matrix(vp, np.ones((4, 3)))
-    cube = data.load_cube(vp)
+    cube = data.load_cube(container.load_any(vp))
     assert cube.values.shape == (4, 3, 1)
 
 
@@ -41,7 +41,7 @@ def test_non_finite_entry_named(tmp_path):
     vp = tmp_path / "v.sscm"
     container.write_array(vp, values)
     with pytest.raises(DataError, match=r"\(1, 0, 2\)"):
-        data.load_cube(vp)
+        data.load_cube(container.load_any(vp))
 
 
 def test_label_shape_mismatch():
@@ -64,7 +64,7 @@ def test_load_matrix_with_vector_labels(tmp_path):
     vp, lp = tmp_path / "x.sscm", tmp_path / "y.csv"
     container.write_array(vp, X)
     lp.write_text("1\n1\n2\n2\n")
-    back, labels = data.load_matrix(vp, lp)
+    back, labels = data.load_matrix(container.load_any(vp), container.load_any(lp))
     assert np.array_equal(back, X)
     assert np.array_equal(labels, [1, 1, 2, 2])
 
@@ -74,7 +74,7 @@ def test_load_matrix_label_count_mismatch(tmp_path):
     container.write_array(vp, np.ones((3, 4)))
     lp.write_text("1\n2\n")
     with pytest.raises(DataError, match="labels for"):
-        data.load_matrix(vp, lp)
+        data.load_matrix(container.load_any(vp), container.load_any(lp))
 
 
 # ------------------------------------------------------- band normalization

@@ -81,7 +81,7 @@ def test_forward_single_layer_identity_trace():
     the output then loses to diagonal zeroing."""
     params = unfold.init_params(np.eye(2), 1.0, 1, theta0=0.25)
     C, tape = unfold.forward(params, np.eye(2))
-    assert np.allclose(tape.C_raw, 2.0 / 3.0 * np.eye(2), atol=1e-14)
+    assert np.allclose(tape.C[-1], 2.0 / 3.0 * np.eye(2), atol=1e-14)
     assert np.array_equal(C, np.zeros((2, 2)))
     assert np.all(np.diagonal(tape.Z_out[0]) == 0.0)
 
