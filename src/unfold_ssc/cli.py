@@ -16,10 +16,12 @@ UNFOLD_SSC_THREADS cap can take effect before the numerics stack loads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 
 from unfold_ssc import __version__
@@ -248,17 +250,30 @@ def _load_inputs(cfg: RunConfig):
     return X, truth, None, None
 
 
+def _pretrained_state(cfg: RunConfig, X, tc):
+    """Check the kNN counts against the sample count, build the autoencoder
+    and run phase one. Returns (state, pretrain loss history)."""
+    from unfold_ssc import autoenc, train
+
+    n = X.shape[1]
+    if tc.knn_init >= n or tc.knn_struct >= n:
+        raise ConfigError([f"knn_init/knn_struct: need fewer neighbors than the {n} samples"])
+    ae_cfg = autoenc.AeConfig(input_dim=X.shape[0], hidden_dims=tuple(cfg.hidden_dims),
+                              latent_dim=cfg.latent_dim)
+    state = train.init_state(ae_cfg, cfg.seed)
+    return state, train.pretrain(state, X, tc)
+
+
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute one full batch run and write all artifacts.
 
     Returns a summary dict with the metric values (when ground truth was
-    available) and the artifact paths.
+    available) and the artifact names.
     """
-    import numpy as np
+    from unfold_ssc import autoenc, classic, cluster, container, train, unfold
 
-    from unfold_ssc import autoenc, classic, cluster, data, train, unfold
-
-    clash = [name for name in ARTIFACTS if _holds_input(cfg, os.path.join(cfg.out_dir, name))]
+    inputs = (cfg.values_path, cfg.labels_path)
+    clash = [name for name in ARTIFACTS if _holds_input(inputs, os.path.join(cfg.out_dir, name))]
     if clash:
         raise ConfigError([f"out_dir: input {name} would be overwritten by the run's artifact"
                            for name in clash])
@@ -273,16 +288,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     S = None
     if cfg.mode == "unfold":
         tc = _train_config(cfg)
-        if tc.knn_init >= n or tc.knn_struct >= n:
-            raise ConfigError(
-                [f"knn_init/knn_struct: need fewer neighbors than the {n} samples"]
-            )
-        ae_cfg = autoenc.AeConfig(
-            input_dim=X.shape[0], hidden_dims=tuple(cfg.hidden_dims),
-            latent_dim=cfg.latent_dim,
-        )
-        state = train.init_state(ae_cfg, cfg.seed)
-        pretrain_history = train.pretrain(state, X, tc)
+        state, pretrain_history = _pretrained_state(cfg, X, tc)
         history = train.train_joint(state, X, tc)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
         C, tape = unfold.forward(state.unfold, Ht, state.z0)
@@ -308,43 +314,35 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     scores = metrics_mod.report(result.labels, truth) if truth is not None else None
 
-    _clear_artifacts(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = {}
-    artifacts["labels.csv"] = _write_labels(cfg.out_dir, "labels.csv", result.labels)
-    if truth is not None:
-        artifacts["truth.csv"] = _write_labels(cfg.out_dir, "truth.csv", truth)
-        artifacts["metrics.json"] = _write_json(cfg.out_dir, "metrics.json", scores)
-    if history is not None:
-        rows = [
-            (i + 1, b.total, b.ae, b.sr, b.sp, b.st) for i, b in enumerate(history)
-        ]
-        artifacts["loss_history.csv"] = _write_csv(
-            cfg.out_dir, "loss_history.csv",
-            "epoch,l_all,l_ae,l_sr,l_sp,l_st", rows,
-        )
-    if pretrain_history is not None:
-        artifacts["pretrain_history.csv"] = _write_csv(
-            cfg.out_dir, "pretrain_history.csv", "epoch,l_ae",
-            [(i + 1, v) for i, v in enumerate(pretrain_history)],
-        )
-    if S is not None:
-        artifacts["similarity.sscm"] = _write_container(cfg.out_dir, "similarity.sscm", S)
-    if state is not None:
-        artifacts["checkpoint"] = save_checkpoint(os.path.join(cfg.out_dir, "checkpoint"), state)
-    if coords is not None and scene_shape is not None:
-        artifacts["label_map.ppm"] = _write_ppm(
-            cfg.out_dir, "label_map.ppm", scene_shape, coords, result.labels
-        )
-    manifest = {"config": _config_dict(cfg), "version": __version__}
-    artifacts["run_manifest.json"] = _write_json(cfg.out_dir, "run_manifest.json", manifest)
+    with _publishing(cfg.out_dir, ARTIFACTS, inputs) as stage:
+        _write_labels(stage, "labels.csv", result.labels)
+        if truth is not None:
+            _write_labels(stage, "truth.csv", truth)
+            _write_json(stage, "metrics.json", scores)
+        if history is not None:
+            rows = [
+                (i + 1, b.total, b.ae, b.sr, b.sp, b.st) for i, b in enumerate(history)
+            ]
+            _write_csv(stage, "loss_history.csv", "epoch,l_all,l_ae,l_sr,l_sp,l_st", rows)
+        if pretrain_history is not None:
+            _write_csv(stage, "pretrain_history.csv", "epoch,l_ae",
+                       [(i + 1, v) for i, v in enumerate(pretrain_history)])
+        if S is not None:
+            container.write_array(os.path.join(stage, "similarity.sscm"), S)
+        if state is not None:
+            save_checkpoint(os.path.join(stage, "checkpoint"), state)
+        if coords is not None and scene_shape is not None:
+            _write_ppm(stage, "label_map.ppm", scene_shape, coords, result.labels)
+        _write_json(stage, "run_manifest.json",
+                    {"config": _config_dict(cfg), "version": __version__})
+        artifacts = sorted(os.listdir(stage))
 
     return {
         "mode": cfg.mode,
         "n_samples": int(n),
         "out_dir": cfg.out_dir,
         "metrics": scores,
-        "artifacts": sorted(artifacts),
+        "artifacts": artifacts,
     }
 
 
@@ -357,82 +355,87 @@ def _config_dict(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------- artifacts
 
 
-def _holds_input(cfg: RunConfig, path: str) -> bool:
-    """True when ``path`` is, or is a directory holding, an input file of ``cfg``."""
+def _holds_input(inputs, path: str) -> bool:
+    """True when ``path`` is, or is a directory holding, one of the ``inputs`` paths."""
     real = os.path.realpath(path)
-    inputs = [os.path.realpath(p) for p in (cfg.values_path, cfg.labels_path) if p]
-    return any(p == real or p.startswith(real + os.sep) for p in inputs)
+    found = [os.path.realpath(p) for p in inputs if p]
+    return any(p == real or p.startswith(real + os.sep) for p in found)
 
 
-def _clear_artifacts(cfg: RunConfig) -> None:
-    """Delete every artifact an earlier run may have left in ``cfg.out_dir``,
-    so one run's files never sit next to another's. Input files are kept,
-    even when they carry an artifact's name."""
-    for name in ARTIFACTS:
-        path = os.path.join(cfg.out_dir, name)
-        if _holds_input(cfg, path):
-            continue
-        if os.path.isdir(path):
-            shutil.rmtree(path)
-        elif os.path.lexists(path):
-            os.remove(path)
+@contextlib.contextmanager
+def _publishing(out_dir: str, owned, inputs):
+    """The one way a command writes into ``out_dir``.
+
+    Yields a private staging directory inside ``out_dir`` for the command to
+    write plain files into. When the body finishes, every ``owned`` name in
+    ``out_dir`` is replaced by its staged file, or deleted when nothing was
+    staged under it, so no file of an earlier command is left next to this
+    one's. A staged name that is, or holds, one of ``inputs`` in ``out_dir``
+    is a config error raised before anything changes; an input under an
+    owned name that was not staged is kept. If the body raises, ``out_dir``
+    keeps what it held.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+    try:
+        yield stage
+        staged = set(os.listdir(stage))
+        clash = [name for name in owned
+                 if name in staged and _holds_input(inputs, os.path.join(out_dir, name))]
+        if clash:
+            raise ConfigError([f"out_dir: input {name} would be overwritten by the "
+                               f"command's output" for name in clash])
+        for name in owned:
+            path = os.path.join(out_dir, name)
+            if _holds_input(inputs, path):
+                continue
+            if os.path.isdir(path) and not os.path.islink(path):
+                shutil.rmtree(path)
+            elif os.path.lexists(path):
+                os.remove(path)
+            if name in staged:
+                os.replace(os.path.join(stage, name), path)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
-def _atomic_bytes(path: str, payload: bytes) -> str:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+def _write_bytes(out_dir: str, name: str, payload: bytes) -> None:
+    with open(os.path.join(out_dir, name), "wb") as fh:
         fh.write(payload)
-    os.replace(tmp, path)
-    return path
 
 
-def _write_labels(out_dir: str, name: str, labels) -> str:
-    lines = "".join(f"{int(v)}\n" for v in labels)
-    return _atomic_bytes(os.path.join(out_dir, name), lines.encode())
+def _write_labels(out_dir: str, name: str, labels) -> None:
+    _write_bytes(out_dir, name, "".join(f"{int(v)}\n" for v in labels).encode())
 
 
-def _write_csv(out_dir: str, name: str, header: str, rows) -> str:
+def _write_csv(out_dir: str, name: str, header: str, rows) -> None:
     text = [header]
     for row in rows:
         text.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row))
-    return _atomic_bytes(os.path.join(out_dir, name), ("\n".join(text) + "\n").encode())
+    _write_bytes(out_dir, name, ("\n".join(text) + "\n").encode())
 
 
-def _write_json(out_dir: str, name: str, payload: dict) -> str:
-    data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return _atomic_bytes(os.path.join(out_dir, name), data.encode())
+def _write_json(out_dir: str, name: str, payload: dict) -> None:
+    _write_bytes(out_dir, name, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _write_container(out_dir: str, name: str, array) -> str:
-    from unfold_ssc import container
-
-    path = os.path.join(out_dir, name)
-    tmp = path + ".tmp"
-    container.write_array(tmp, array)
-    os.replace(tmp, path)
-    return path
-
-
-def _write_ppm(out_dir: str, name: str, shape, coords, labels) -> str:
+def _write_ppm(out_dir: str, name: str, shape, coords, labels) -> None:
     import numpy as np
 
     h, w = shape
     img = np.zeros((h, w, 3), dtype=np.uint8)
     palette = np.asarray(PALETTE, dtype=np.uint8)
     img[coords[:, 0], coords[:, 1]] = palette[np.asarray(labels) % len(PALETTE)]
-    payload = f"P6\n{w} {h}\n255\n".encode() + img.tobytes()
-    return _atomic_bytes(os.path.join(out_dir, name), payload)
+    _write_bytes(out_dir, name, f"P6\n{w} {h}\n255\n".encode() + img.tobytes())
 
 
-def save_checkpoint(path: str, state) -> str:
-    """Write AE weights and unfold parameters: one SSCM file per tensor
-    plus a JSON manifest with layer counts, the tying flag, and scalars."""
+def save_checkpoint(path: str, state) -> None:
+    """Write AE weights and unfold parameters into the new directory ``path``:
+    one SSCM file per tensor plus a JSON manifest with layer counts, the
+    tying flag, and scalars."""
     from unfold_ssc import container
 
-    tmp = path + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
+    os.makedirs(path)
     manifest: dict = {"format": 1, "slope": state.ae.slope, "tensors": {}}
 
     def put(tag, arr):
@@ -440,7 +443,7 @@ def save_checkpoint(path: str, state) -> str:
 
         fname = tag.replace(".", "_") + ".sscm"
         a = np.asarray(arr, dtype=float)
-        container.write_array(os.path.join(tmp, fname), a if a.ndim == 2 else a.reshape(1, -1))
+        container.write_array(os.path.join(path, fname), a if a.ndim == 2 else a.reshape(1, -1))
         manifest["tensors"][tag] = {"file": fname, "shape": list(a.shape)}
 
     manifest["ae"] = {"enc_layers": len(state.ae.enc), "dec_layers": len(state.ae.dec)}
@@ -457,13 +460,9 @@ def save_checkpoint(path: str, state) -> str:
                 manifest["unfold"]["scalars"][name] = float(arr)
             else:
                 put(f"unfold.{name}", arr)
-    with open(os.path.join(tmp, "manifest.json"), "w") as fh:
+    with open(os.path.join(path, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if os.path.isdir(path):
-        shutil.rmtree(path)
-    os.replace(tmp, path)
-    return path
 
 
 def load_checkpoint(path: str):
@@ -536,24 +535,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    from unfold_ssc import autoenc, train
-
     cfg = validate_config(args.config, preset=args.preset, overrides=_flag_overrides(args))
     X, _, _, _ = _load_inputs(cfg)
-    tc = _train_config(cfg)
-    if tc.knn_init >= X.shape[1] or tc.knn_struct >= X.shape[1]:
-        raise ConfigError([f"knn_init/knn_struct: need fewer neighbors than the {X.shape[1]} samples"])
-    ae_cfg = autoenc.AeConfig(input_dim=X.shape[0], hidden_dims=tuple(cfg.hidden_dims),
-                              latent_dim=cfg.latent_dim)
-    state = train.init_state(ae_cfg, cfg.seed)
-    history = train.pretrain(state, X, tc)
-    _clear_artifacts(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(cfg.out_dir, "pretrain_history.csv", "epoch,l_ae",
-               [(i + 1, v) for i, v in enumerate(history)])
-    save_checkpoint(os.path.join(cfg.out_dir, "checkpoint"), state)
-    _write_json(cfg.out_dir, "run_manifest.json",
-                {"config": _config_dict(cfg), "version": __version__})
+    state, history = _pretrained_state(cfg, X, _train_config(cfg))
+    with _publishing(cfg.out_dir, ARTIFACTS, (cfg.values_path, cfg.labels_path)) as stage:
+        _write_csv(stage, "pretrain_history.csv", "epoch,l_ae",
+                   [(i + 1, v) for i, v in enumerate(history)])
+        save_checkpoint(os.path.join(stage, "checkpoint"), state)
+        _write_json(stage, "run_manifest.json",
+                    {"config": _config_dict(cfg), "version": __version__})
     final = history[-1] if history else float("nan")
     print(f"pretrained {cfg.pretrain_epochs} epochs, final reconstruction loss {final}")
     print(f"artifacts written to {cfg.out_dir}")
@@ -570,15 +560,18 @@ def cmd_cluster(args) -> int:
         raise DataError(f"coefficient matrix must be square, got shape {C.shape}")
     if not np.all(np.isfinite(C)):
         raise DataError("coefficient matrix has non-finite entries")
+    truth = _read_label_vector(args.truth) if args.truth else None
+    if truth is not None and truth.shape[0] != C.shape[0]:
+        raise DataError(f"{args.truth}: {truth.shape[0]} labels for {C.shape[0]} samples")
     S = cluster.similarity(C)
     result = cluster.spectral_cluster(S, args.k, args.seed,
                                       row_normalize=not args.no_row_norm)
-    os.makedirs(args.out, exist_ok=True)
-    _write_labels(args.out, "labels.csv", result.labels)
-    if args.truth:
-        truth = _read_label_vector(args.truth)
-        scores = metrics_mod.report(result.labels, truth)
-        _write_json(args.out, "metrics.json", scores)
+    scores = metrics_mod.report(result.labels, truth) if truth is not None else None
+    with _publishing(args.out, ("labels.csv", "metrics.json"), (args.from_c, args.truth)) as stage:
+        _write_labels(stage, "labels.csv", result.labels)
+        if scores is not None:
+            _write_json(stage, "metrics.json", scores)
+    if scores is not None:
         print(f"acc={scores['acc']:.4f} nmi={scores['nmi']:.4f} kappa={scores['kappa']:.4f}")
     print(f"artifacts written to {args.out}")
     return 0
@@ -609,8 +602,8 @@ def cmd_eval(args) -> int:
     scores = metrics_mod.report(pred, truth)
     print(json.dumps(scores, indent=2, sort_keys=True))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(args.out, "metrics.json", scores)
+        with _publishing(args.out, ("metrics.json",), (args.pred, args.truth)) as stage:
+            _write_json(stage, "metrics.json", scores)
     return 0
 
 
@@ -619,17 +612,18 @@ def cmd_gen(args) -> int:
 
     from unfold_ssc import container, data
 
-    os.makedirs(args.out, exist_ok=True)
-    if args.kind == "subspaces":
-        X, labels = data.gen_subspaces(args.seed, args.clusters, args.ambient_dim,
-                                       args.sub_dim, args.per_cluster, args.sigma)
-        _write_container(args.out, "values.sscm", X)
-        _write_labels(args.out, "labels.csv", labels)
-    else:
-        cube = data.gen_synthetic_cube(args.seed, args.clusters,
-                                       (args.height, args.width), args.bands, args.sigma)
-        _write_container(args.out, "values.sscm", cube.values)
-        _write_container(args.out, "labels.sscm", cube.labels.astype(np.float64))
+    with _publishing(args.out, ("values.sscm", "labels.csv", "labels.sscm"), ()) as stage:
+        if args.kind == "subspaces":
+            X, labels = data.gen_subspaces(args.seed, args.clusters, args.ambient_dim,
+                                           args.sub_dim, args.per_cluster, args.sigma)
+            container.write_array(os.path.join(stage, "values.sscm"), X)
+            _write_labels(stage, "labels.csv", labels)
+        else:
+            cube = data.gen_synthetic_cube(args.seed, args.clusters,
+                                           (args.height, args.width), args.bands, args.sigma)
+            container.write_array(os.path.join(stage, "values.sscm"), cube.values)
+            container.write_array(os.path.join(stage, "labels.sscm"),
+                                  cube.labels.astype(np.float64))
     print(f"wrote {args.kind} data to {args.out}")
     return 0
 

@@ -87,15 +87,10 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return assign
 
 
-def _best_match(pred, truth):
-    padded, pv, tv = _padded_contingency(pred, truth)
-    assign = hungarian(-padded.astype(np.float64))
-    return padded, pv, tv, assign
-
-
 def accuracy(pred, truth) -> float:
     """Fraction of samples matched under the best cluster-to-class bijection."""
-    padded, _, _, assign = _best_match(pred, truth)
+    padded, _, _ = _padded_contingency(pred, truth)
+    assign = hungarian(-padded.astype(np.float64))
     matched = padded[np.arange(padded.shape[0]), assign].sum()
     return float(matched) / padded.sum()
 
@@ -125,32 +120,21 @@ def nmi(pred, truth) -> float:
 
 
 def kappa(pred, truth) -> float:
-    """Cohen's kappa after remapping clusters through the accuracy-optimal bijection.
+    """Cohen's kappa after remapping clusters through an accuracy-optimal bijection.
 
-    Predicted clusters assigned to a padding column (no real class) are
-    mapped to fresh ids that can never match, so they count as disagreement
-    in both the observed and expected terms.
+    Predicted clusters assigned to a padding column (no real class) count as
+    disagreement in both the observed and expected terms. Among bijections
+    of equal accuracy the one with the least chance agreement is used, so
+    the value does not depend on how either labeling numbers its ids.
     """
-    padded, pv, tv, assign = _best_match(pred, truth)
-    pred = _as_labels(pred, "pred")
-    truth = _as_labels(truth, "truth")
-    sentinel = int(tv.max()) + 1
-    mapping = {}
-    for row, col in enumerate(assign):
-        if row >= len(pv):
-            break
-        if col < len(tv):
-            mapping[int(pv[row])] = int(tv[col])
-        else:
-            mapping[int(pv[row])] = sentinel
-            sentinel += 1
-    mapped = np.array([mapping[int(p)] for p in pred], dtype=np.int64)
-    n = mapped.shape[0]
-    p_o = float(np.mean(mapped == truth))
-    values = np.union1d(mapped, truth)
-    cm = np.array([np.sum(mapped == v) for v in values], dtype=np.float64) / n
-    ct = np.array([np.sum(truth == v) for v in values], dtype=np.float64) / n
-    p_e = float(np.sum(cm * ct))
+    padded, _, _ = _padded_contingency(pred, truth)
+    n = int(padded.sum())
+    chance = np.outer(padded.sum(axis=1), padded.sum(axis=0))
+    # Integer costs keep the solver exact; chance summed over any bijection
+    # is at most n*n, so one more match always outweighs it.
+    rows, cols = linear_sum_assignment(chance - (n * n + 1) * padded)
+    p_o = int(padded[rows, cols].sum()) / n
+    p_e = int(chance[rows, cols].sum()) / (n * n)
     if p_e == 1.0:
         return 1.0 if p_o == 1.0 else 0.0
     return (p_o - p_e) / (1.0 - p_e)

@@ -149,6 +149,18 @@ def subspace_data(tmp_path):
     return out
 
 
+@pytest.fixture()
+def small_c(tmp_path):
+    """A 20-sample two-subspace set and a 20x20 coefficient matrix from it."""
+    out = str(tmp_path / "small")
+    cli.main(["gen", "subspaces", "--clusters", "2", "--ambient-dim", "8",
+              "--sub-dim", "2", "--per-cluster", "10", "--out", out])
+    X = container.load_any(os.path.join(out, "values.sscm"))
+    c_path = os.path.join(out, "c.sscm")
+    container.write_array(c_path, np.abs(X.T @ X))
+    return c_path, os.path.join(out, "labels.csv")
+
+
 class TestRunCommand:
     def test_classic_mode_end_to_end(self, tmp_path, subspace_data, capsys):
         out = str(tmp_path / "out")
@@ -166,7 +178,7 @@ class TestRunCommand:
         scores = json.loads(open(os.path.join(out, "metrics.json")).read())
         assert scores["acc"] >= 0.9
         assert "acc=" in capsys.readouterr().out
-        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+        assert not [f for f in os.listdir(out) if f.startswith(".staging-")]
 
     def test_kmeans_baseline_mode(self, tmp_path, subspace_data):
         out = str(tmp_path / "km")
@@ -277,6 +289,30 @@ class TestRunCommand:
         assert "input labels.csv would be overwritten" in capsys.readouterr().err
         assert open(labels).read() == before
 
+    def test_failed_write_leaves_out_dir_as_it_was(self, tmp_path, subspace_data,
+                                                    monkeypatch):
+        out = tmp_path / "out"
+        base = {
+            "values_path": os.path.join(subspace_data, "values.sscm"),
+            "labels_path": os.path.join(subspace_data, "labels.csv"),
+            "mode": "classic", "out_dir": str(out),
+        }
+        first = write_config(tmp_path, {**base, "k_clusters": 3}, name="first.json")
+        second = write_config(tmp_path, {**base, "k_clusters": 2}, name="second.json")
+        assert cli.main(["run", "--config", first]) == 0
+        names = sorted(os.listdir(out))
+        before = {name: (out / name).read_bytes() for name in names}
+
+        def disk_full(path, array):
+            raise OSError("no space left on device")
+
+        # similarity.sscm is staged after labels.csv, truth.csv and metrics.json
+        monkeypatch.setattr(container, "write_array", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            cli.run_pipeline(cli.validate_config(second))
+        assert sorted(os.listdir(out)) == names    # no .staging-* entry is left
+        assert {name: (out / name).read_bytes() for name in names} == before
+
     def test_all_zero_latent_code_exits_four(self, tmp_path, capsys):
         values = np.ones((8, 8, 4))
         values[0, 0, :] = 2.0
@@ -329,6 +365,36 @@ class TestClusterCommand:
         assert os.path.exists(os.path.join(out, "metrics.json"))
         assert "acc=" in capsys.readouterr().out
 
+    def test_rerun_without_truth_drops_stale_metrics(self, tmp_path, small_c):
+        c_path, truth = small_c
+        out = tmp_path / "o"
+        args = ["cluster", "--from-c", c_path, "--k", "2", "--out", str(out)]
+        assert cli.main(args + ["--truth", truth]) == 0
+        assert (out / "metrics.json").exists()
+        assert cli.main(args) == 0
+        assert sorted(os.listdir(out)) == ["labels.csv"]
+
+    def test_short_truth_exits_three_and_writes_nothing(self, tmp_path, small_c, capsys):
+        c_path, truth = small_c
+        short = tmp_path / "short.csv"
+        short.write_text("".join(open(truth).readlines()[:19]))
+        out = tmp_path / "o"
+        rc = cli.main(["cluster", "--from-c", c_path, "--k", "2", "--truth", str(short),
+                       "--out", str(out)])
+        assert rc == 3
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truth_in_out_dir_is_kept(self, small_c, capsys):
+        c_path, truth = small_c
+        before = open(truth, "rb").read()
+        rc = cli.main(["cluster", "--from-c", c_path, "--k", "2", "--truth", truth,
+                       "--out", os.path.dirname(truth)])
+        assert rc == 2
+        assert "input labels.csv would be overwritten" in capsys.readouterr().err
+        assert open(truth, "rb").read() == before
+        assert not [f for f in os.listdir(os.path.dirname(truth)) if f.startswith(".staging-")]
+
     def test_non_square_matrix_exits_three(self, tmp_path, subspace_data, capsys):
         rc = cli.main(["cluster",
                        "--from-c", os.path.join(subspace_data, "values.sscm"),
@@ -348,6 +414,16 @@ class TestEvalCommand:
         scores = json.loads(capsys.readouterr().out)
         assert scores["acc"] == 0.75
         assert scores["n"] == 4
+
+    def test_eval_out_writes_metrics(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("0\n0\n1\n1\n")
+        out = tmp_path / "scores"
+        assert cli.main(["eval", "--pred", str(pred), "--truth", str(pred),
+                         "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads((out / "metrics.json").read_text()) == printed
+        assert os.listdir(out) == ["metrics.json"]
 
     def test_eval_length_mismatch_exits_three(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
