@@ -1,8 +1,8 @@
 """Batch command-line interface.
 
-Subcommands: ``run`` (full pipeline), ``pretrain`` (autoencoder phase only),
-``cluster`` (spectral clustering from a saved coefficient matrix), ``eval``
-(metrics on saved label files), and ``gen`` (synthetic data).
+Subcommands: ``run`` (full pipeline), ``cluster`` (spectral clustering from
+a saved coefficient matrix), ``eval`` (metrics on saved label files), and
+``gen`` (synthetic data).
 
 Configuration is JSON. Precedence: command-line flags over config-file keys
 over dataset-preset values over built-in defaults. Validation reports every
@@ -77,7 +77,6 @@ class RunConfig:
     rho0: float = 0.5
     admm_layers: int = 3
     threshold0: float = 0.005
-    tied: bool = False
     pretrain_epochs: int = 400
     joint_epochs: int = 600
     learning_rate: float = 1e-3
@@ -90,8 +89,6 @@ class RunConfig:
     classic_lambda: float = 0.1
     classic_rho: float = 1.0
     classic_iterations: int = 200
-    row_normalize: bool = True
-    use_z_output: bool = False
 
 
 def _is_int(v):
@@ -119,7 +116,6 @@ _CHECKS = {
     "rho0": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
     "admm_layers": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
     "threshold0": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
-    "tied": (lambda v: isinstance(v, bool), "must be a boolean"),
     "pretrain_epochs": (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer"),
     "joint_epochs": (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer"),
     "learning_rate": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
@@ -135,8 +131,6 @@ _CHECKS = {
     "classic_lambda": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
     "classic_rho": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
     "classic_iterations": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
-    "row_normalize": (lambda v: isinstance(v, bool), "must be a boolean"),
-    "use_z_output": (lambda v: isinstance(v, bool), "must be a boolean"),
 }
 
 
@@ -203,27 +197,6 @@ def validate_config(path=None, preset=None, overrides=None,
     return config
 
 
-def _train_config(cfg: RunConfig):
-    from unfold_ssc import train
-
-    return train.TrainConfig(
-        pretrain_epochs=cfg.pretrain_epochs,
-        joint_epochs=cfg.joint_epochs,
-        learning_rate=cfg.learning_rate,
-        adam_beta1=cfg.adam_beta1,
-        adam_beta2=cfg.adam_beta2,
-        adam_eps=cfg.adam_eps,
-        rho0=cfg.rho0,
-        n_layers=cfg.admm_layers,
-        theta0=cfg.threshold0,
-        tied=cfg.tied,
-        knn_init=cfg.knn_init,
-        knn_struct=cfg.knn_struct,
-        rho_theta_lr_mult=cfg.rho_theta_lr_mult,
-        weights=train.LossWeights(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma),
-    )
-
-
 def _load_inputs(cfg: RunConfig):
     """Load either cube or matrix inputs, reading each file once.
 
@@ -250,20 +223,6 @@ def _load_inputs(cfg: RunConfig):
     return X, truth, None, None
 
 
-def _pretrained_state(cfg: RunConfig, X, tc):
-    """Check the kNN counts against the sample count, build the autoencoder
-    and run phase one. Returns (state, pretrain loss history)."""
-    from unfold_ssc import autoenc, train
-
-    n = X.shape[1]
-    if tc.knn_init >= n or tc.knn_struct >= n:
-        raise ConfigError([f"knn_init/knn_struct: need fewer neighbors than the {n} samples"])
-    ae_cfg = autoenc.AeConfig(input_dim=X.shape[0], hidden_dims=tuple(cfg.hidden_dims),
-                              latent_dim=cfg.latent_dim)
-    state = train.init_state(ae_cfg, cfg.seed)
-    return state, train.pretrain(state, X, tc)
-
-
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute one full batch run and write all artifacts.
 
@@ -287,23 +246,30 @@ def run_pipeline(cfg: RunConfig) -> dict:
     state = None
     S = None
     if cfg.mode == "unfold":
-        tc = _train_config(cfg)
-        state, pretrain_history = _pretrained_state(cfg, X, tc)
+        if cfg.knn_init >= n or cfg.knn_struct >= n:
+            raise ConfigError([f"knn_init/knn_struct: need fewer neighbors than the {n} samples"])
+        tc = train.TrainConfig(
+            pretrain_epochs=cfg.pretrain_epochs, joint_epochs=cfg.joint_epochs,
+            learning_rate=cfg.learning_rate, adam_beta1=cfg.adam_beta1,
+            adam_beta2=cfg.adam_beta2, adam_eps=cfg.adam_eps, rho0=cfg.rho0,
+            n_layers=cfg.admm_layers, theta0=cfg.threshold0, knn_init=cfg.knn_init,
+            knn_struct=cfg.knn_struct, rho_theta_lr_mult=cfg.rho_theta_lr_mult,
+            weights=train.LossWeights(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma),
+        )
+        ae_cfg = autoenc.AeConfig(input_dim=X.shape[0], hidden_dims=tuple(cfg.hidden_dims),
+                                  latent_dim=cfg.latent_dim)
+        state = train.init_state(ae_cfg, cfg.seed)
+        pretrain_history = train.pretrain(state, X, tc)
         history = train.train_joint(state, X, tc)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-        C, tape = unfold.forward(state.unfold, Ht, state.z0)
-        coeff = tape.Z_out[-1] if cfg.use_z_output else C
-        S = cluster.similarity(coeff)
-        result = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed,
-                                          row_normalize=cfg.row_normalize)
+        C, _ = unfold.forward(state.unfold, Ht, state.z0)
+        S = cluster.similarity(C)
+        result = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed)
     elif cfg.mode == "classic":
         cc = classic.ClassicConfig(lam=cfg.classic_lambda, rho=cfg.classic_rho,
                                    iterations=cfg.classic_iterations)
-        final = classic.solve(X, cc)
-        coeff = final.Z if cfg.use_z_output else final.C
-        S = cluster.similarity(coeff)
-        result = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed,
-                                          row_normalize=cfg.row_normalize)
+        S = cluster.similarity(classic.solve(X, cc).C)
+        result = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed)
     elif cfg.mode == "kmeans-baseline":
         labels = cluster.kmeans(X.T, cfg.k_clusters, cfg.seed)
         result = cluster.ClusterResult(labels=labels, embedding=X.T, wcss=float("nan"))
@@ -431,8 +397,8 @@ def _write_ppm(out_dir: str, name: str, shape, coords, labels) -> None:
 
 def save_checkpoint(path: str, state) -> None:
     """Write AE weights and unfold parameters into the new directory ``path``:
-    one SSCM file per tensor plus a JSON manifest with layer counts, the
-    tying flag, and scalars."""
+    one SSCM file per tensor plus a JSON manifest with layer counts and
+    scalars."""
     from unfold_ssc import container
 
     os.makedirs(path)
@@ -450,11 +416,7 @@ def save_checkpoint(path: str, state) -> None:
     for name, arr in state.ae.named_arrays():
         put(f"ae.{name}", arr)
     if state.unfold is not None:
-        manifest["unfold"] = {
-            "n_layers": state.unfold.n_layers,
-            "tied": state.unfold.tied,
-            "scalars": {},
-        }
+        manifest["unfold"] = {"n_layers": state.unfold.n_layers, "scalars": {}}
         for name, arr in state.unfold.named_arrays():
             if name.endswith(("rho_raw", "theta_raw")):
                 manifest["unfold"]["scalars"][name] = float(arr)
@@ -465,88 +427,19 @@ def save_checkpoint(path: str, state) -> None:
         fh.write("\n")
 
 
-def load_checkpoint(path: str):
-    """Rebuild a TrainState (AE weights, optional unfold params) from disk."""
-    import numpy as np
-
-    from unfold_ssc import autoenc, container, train, unfold
-
-    with open(os.path.join(path, "manifest.json")) as fh:
-        manifest = json.load(fh)
-
-    def get(tag):
-        entry = manifest["tensors"][tag]
-        arr = container.read_array(os.path.join(path, entry["file"]))
-        return arr.reshape(entry["shape"])
-
-    enc = [
-        autoenc.Affine(get(f"ae.enc{i}.W"), get(f"ae.enc{i}.b"))
-        for i in range(manifest["ae"]["enc_layers"])
-    ]
-    dec = [
-        autoenc.Affine(get(f"ae.dec{i}.W"), get(f"ae.dec{i}.b"))
-        for i in range(manifest["ae"]["dec_layers"])
-    ]
-    state = train.TrainState(ae=autoenc.AeWeights(enc=enc, dec=dec, slope=manifest["slope"]))
-    if "unfold" in manifest:
-        info = manifest["unfold"]
-        count = 1 if info["tied"] else info["n_layers"]
-        layers = []
-        for i in range(count):
-            prefix = "shared" if info["tied"] else f"layer{i}"
-            layers.append(unfold.UnfoldLayer(
-                W=get(f"unfold.{prefix}.W"),
-                B=get(f"unfold.{prefix}.B"),
-                rho_raw=np.array(info["scalars"][f"{prefix}.rho_raw"]),
-                theta_raw=np.array(info["scalars"][f"{prefix}.theta_raw"]),
-            ))
-        state.unfold = unfold.UnfoldParams(layers=layers, n_layers=info["n_layers"],
-                                           tied=info["tied"])
-    return state
-
-
 # ---------------------------------------------------------------- commands
 
 
-def _flag_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    if getattr(args, "no_row_norm", False):
-        overrides["row_normalize"] = False
-    if getattr(args, "use_z_output", False):
-        overrides["use_z_output"] = True
-    return overrides
-
-
 def cmd_run(args) -> int:
-    cfg = validate_config(args.config, preset=args.preset, overrides=_flag_overrides(args))
+    flags = {"seed": args.seed, "out_dir": args.out, "mode": args.mode}
+    cfg = validate_config(args.config, preset=args.preset,
+                          overrides={k: v for k, v in flags.items() if v is not None})
     summary = run_pipeline(cfg)
     if summary["metrics"]:
         m = summary["metrics"]
         print(f"acc={m['acc']:.4f} nmi={m['nmi']:.4f} kappa={m['kappa']:.4f} "
               f"n={m['n']}")
     print(f"artifacts written to {summary['out_dir']}")
-    return 0
-
-
-def cmd_pretrain(args) -> int:
-    cfg = validate_config(args.config, preset=args.preset, overrides=_flag_overrides(args))
-    X, _, _, _ = _load_inputs(cfg)
-    state, history = _pretrained_state(cfg, X, _train_config(cfg))
-    with _publishing(cfg.out_dir, ARTIFACTS, (cfg.values_path, cfg.labels_path)) as stage:
-        _write_csv(stage, "pretrain_history.csv", "epoch,l_ae",
-                   [(i + 1, v) for i, v in enumerate(history)])
-        save_checkpoint(os.path.join(stage, "checkpoint"), state)
-        _write_json(stage, "run_manifest.json",
-                    {"config": _config_dict(cfg), "version": __version__})
-    final = history[-1] if history else float("nan")
-    print(f"pretrained {cfg.pretrain_epochs} epochs, final reconstruction loss {final}")
-    print(f"artifacts written to {cfg.out_dir}")
     return 0
 
 
@@ -564,8 +457,7 @@ def cmd_cluster(args) -> int:
     if truth is not None and truth.shape[0] != C.shape[0]:
         raise DataError(f"{args.truth}: {truth.shape[0]} labels for {C.shape[0]} samples")
     S = cluster.similarity(C)
-    result = cluster.spectral_cluster(S, args.k, args.seed,
-                                      row_normalize=not args.no_row_norm)
+    result = cluster.spectral_cluster(S, args.k, args.seed)
     scores = metrics_mod.report(result.labels, truth) if truth is not None else None
     with _publishing(args.out, ("labels.csv", "metrics.json"), (args.from_c, args.truth)) as stage:
         _write_labels(stage, "labels.csv", result.labels)
@@ -582,8 +474,9 @@ def _read_label_vector(path):
 
     from unfold_ssc import container
 
-    arr = container.load_any(path)
-    flat = arr.reshape(-1)
+    flat = container.load_any(path).reshape(-1)
+    if flat.size == 0:
+        raise DataError(f"{path}: no labels")
     rounded = np.rint(flat)
     if not np.array_equal(flat, rounded):
         raise DataError(f"{path}: labels must be integers")
@@ -612,18 +505,33 @@ def cmd_gen(args) -> int:
 
     from unfold_ssc import container, data
 
+    counts = {"clusters": args.clusters}
+    if args.kind == "subspaces":
+        counts["per-cluster"] = args.per_cluster
+    else:
+        counts.update(height=args.height, width=args.width, bands=args.bands)
+    errors = [f"--{flag}: must be a positive integer (got {value})"
+              for flag, value in counts.items() if value < 1]
+    if not 0 <= args.sigma < float("inf"):
+        errors.append(f"--sigma: must be a finite non-negative number (got {args.sigma})")
+    if args.kind == "subspaces" and not 1 <= args.sub_dim <= args.ambient_dim:
+        errors.append(f"--sub-dim: must be between 1 and --ambient-dim "
+                      f"({args.ambient_dim}) (got {args.sub_dim})")
+    if errors:
+        raise ConfigError(errors)
+    if args.kind == "subspaces":
+        values, labels = data.gen_subspaces(args.seed, args.clusters, args.ambient_dim,
+                                            args.sub_dim, args.per_cluster, args.sigma)
+    else:
+        cube = data.gen_synthetic_cube(args.seed, args.clusters,
+                                       (args.height, args.width), args.bands, args.sigma)
+        values, labels = cube.values, cube.labels.astype(np.float64)
     with _publishing(args.out, ("values.sscm", "labels.csv", "labels.sscm"), ()) as stage:
+        container.write_array(os.path.join(stage, "values.sscm"), values)
         if args.kind == "subspaces":
-            X, labels = data.gen_subspaces(args.seed, args.clusters, args.ambient_dim,
-                                           args.sub_dim, args.per_cluster, args.sigma)
-            container.write_array(os.path.join(stage, "values.sscm"), X)
             _write_labels(stage, "labels.csv", labels)
         else:
-            cube = data.gen_synthetic_cube(args.seed, args.clusters,
-                                           (args.height, args.width), args.bands, args.sigma)
-            container.write_array(os.path.join(stage, "values.sscm"), cube.values)
-            container.write_array(os.path.join(stage, "labels.sscm"),
-                                  cube.labels.astype(np.float64))
+            container.write_array(os.path.join(stage, "labels.sscm"), labels)
     print(f"wrote {args.kind} data to {args.out}")
     return 0
 
@@ -639,32 +547,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON configuration file")
-            p.add_argument("--preset", choices=sorted(PRESETS), help="dataset preset")
-        p.add_argument("--seed", type=int, help="run seed")
-        p.add_argument("--out", help="output directory")
-
     p_run = sub.add_parser("run", help="full pipeline: train, cluster, evaluate")
-    common(p_run)
+    p_run.add_argument("--config", help="JSON configuration file")
+    p_run.add_argument("--preset", choices=sorted(PRESETS), help="dataset preset")
+    p_run.add_argument("--seed", type=int, help="run seed")
+    p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--mode", choices=MODES, help="pipeline variant")
-    p_run.add_argument("--no-row-norm", action="store_true",
-                       help="skip row normalization of the spectral embedding")
-    p_run.add_argument("--use-z-output", action="store_true",
-                       help="build the similarity from the auxiliary sparse matrix")
     p_run.set_defaults(func=cmd_run)
-
-    p_pre = sub.add_parser("pretrain", help="autoencoder phase only")
-    common(p_pre)
-    p_pre.set_defaults(func=cmd_pretrain)
 
     p_clu = sub.add_parser("cluster", help="spectral clustering from a saved matrix")
     p_clu.add_argument("--from-c", required=True, dest="from_c",
                        help="coefficient matrix file (SSCM or CSV)")
     p_clu.add_argument("--k", type=int, required=True, help="number of clusters")
     p_clu.add_argument("--truth", help="optional true labels for metrics")
-    p_clu.add_argument("--no-row-norm", action="store_true")
     p_clu.add_argument("--seed", type=int, default=0)
     p_clu.add_argument("--out", default="ssc_out")
     p_clu.set_defaults(func=cmd_cluster)

@@ -117,13 +117,12 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10,
     return best_labels
 
 
-def spectral_cluster(S: np.ndarray, k: int, seed: int,
-                     row_normalize: bool = True) -> ClusterResult:
+def spectral_cluster(S: np.ndarray, k: int, seed: int) -> ClusterResult:
     """Normalized-cut spectral clustering on a similarity matrix.
 
     Embeds samples with the k eigenvectors of the smallest eigenvalues of
     L_sym = I - D^(-1/2) S D^(-1/2) (isolated nodes get a tiny degree guard),
-    optionally scales each embedding row to unit norm (zero rows stay zero),
+    scales each embedding row to unit norm (zero rows stay zero),
     and k-means clusters the rows.
     """
     S = np.asarray(S, dtype=np.float64)
@@ -140,9 +139,8 @@ def spectral_cluster(S: np.ndarray, k: int, seed: int,
     lap_sym = np.eye(n) - inv_sqrt[:, np.newaxis] * S * inv_sqrt[np.newaxis, :]
     lap_sym = 0.5 * (lap_sym + lap_sym.T)
     eigvals, eigvecs = np.linalg.eigh(lap_sym)
-    embedding = eigvecs[:, :k].copy()
-    if row_normalize:
-        norms = np.linalg.norm(embedding, axis=1, keepdims=True)
-        embedding = embedding / np.where(norms > 0, norms, 1.0)
+    embedding = eigvecs[:, :k]
+    norms = np.linalg.norm(embedding, axis=1, keepdims=True)
+    embedding = embedding / np.where(norms > 0, norms, 1.0)
     labels, details = kmeans(embedding, k, seed, return_details=True)
     return ClusterResult(labels=labels, embedding=embedding, wcss=details["wcss"])

@@ -40,7 +40,6 @@ class TrainConfig:
     rho0: float = 0.5
     n_layers: int = 3
     theta0: float = 0.005
-    tied: bool = False
     knn_init: int = 30
     knn_struct: int = 10
     rho_theta_lr_mult: float = 1.0
@@ -74,8 +73,6 @@ class TrainState:
     z0: np.ndarray | None = None
     adj: np.ndarray | None = None
     lap: np.ndarray | None = None
-    pretrain_history: list = field(default_factory=list)
-    history: list = field(default_factory=list)
 
     def named_arrays(self):
         for name, arr in self.ae.named_arrays():
@@ -207,7 +204,6 @@ def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
     state.z0 = graph.knn_adjacency(H.T, config.knn_init)
     state.adj = graph.knn_adjacency(H.T, config.knn_struct)
     state.lap = graph.laplacian(state.adj)
-    state.pretrain_history = history
     return history
 
 
@@ -221,9 +217,7 @@ def train_joint(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
     if state.z0 is None or state.lap is None:
         raise ValueError("graphs are not frozen yet; run pretrain first")
     Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-    state.unfold = unfold.init_params(
-        Ht, config.rho0, config.n_layers, theta0=config.theta0, tied=config.tied
-    )
+    state.unfold = unfold.init_params(Ht, config.rho0, config.n_layers, theta0=config.theta0)
     named = list(state.named_arrays())
     _reset_moments(state.opt, named)
     history = []
@@ -236,5 +230,4 @@ def train_joint(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
             )
         adam_step(state.opt, named, grads, config)
         history.append(breakdown)
-    state.history = history
     return history

@@ -64,30 +64,21 @@ class UnfoldLayer:
 
 @dataclass
 class UnfoldParams:
-    """Learnable state of the unfolded network.
-
-    ``layers`` has one entry per layer, or a single shared entry when
-    ``tied`` is set.
-    """
+    """Learnable state of the unfolded network, one entry per layer."""
 
     layers: list[UnfoldLayer]
-    n_layers: int
-    tied: bool = False
 
-    def layer(self, k: int) -> UnfoldLayer:
-        return self.layers[0] if self.tied else self.layers[k]
-
-    def layer_name(self, k: int) -> str:
-        return "shared" if self.tied else f"layer{k}"
+    @property
+    def n_layers(self) -> int:
+        return len(self.layers)
 
     def named_arrays(self):
         """Deterministic (name, array) walk over every learnable tensor."""
         for idx, layer in enumerate(self.layers):
-            name = "shared" if self.tied else f"layer{idx}"
-            yield f"{name}.W", layer.W
-            yield f"{name}.B", layer.B
-            yield f"{name}.rho_raw", layer.rho_raw
-            yield f"{name}.theta_raw", layer.theta_raw
+            yield f"layer{idx}.W", layer.W
+            yield f"layer{idx}.B", layer.B
+            yield f"layer{idx}.rho_raw", layer.rho_raw
+            yield f"layer{idx}.theta_raw", layer.theta_raw
 
 
 @dataclass
@@ -116,11 +107,11 @@ class ForwardTape:
 
 
 def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
-                theta0: float = 0.005, tied: bool = False) -> UnfoldParams:
+                theta0: float = 0.005) -> UnfoldParams:
     """Analytic initialization from the classic solver matrices.
 
     Every layer starts from the same W = (2 H^T H + rho0 I)^-1 2 H^T and
-    B = (2 H^T H + rho0 I)^-1 (untied layers get independent copies), with
+    B = (2 H^T H + rho0 I)^-1 (each layer gets its own copies), with
     penalty rho0 and threshold theta0.
     """
     if n_layers < 1:
@@ -132,12 +123,10 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
     W, B = classic.precompute(Htilde, None, rho0)
     rho_raw = softplus_inv(rho0)
     theta_raw = softplus_inv(theta0)
-    count = 1 if tied else n_layers
-    layers = [
+    return UnfoldParams(layers=[
         UnfoldLayer(W.copy(), B.copy(), np.array(rho_raw), np.array(theta_raw))
-        for _ in range(count)
-    ]
-    return UnfoldParams(layers=layers, n_layers=n_layers, tied=tied)
+        for _ in range(n_layers)
+    ])
 
 
 def forward(params: UnfoldParams, Htilde: np.ndarray,
@@ -160,8 +149,7 @@ def forward(params: UnfoldParams, Htilde: np.ndarray,
         raise ValueError("Z0 must have a zero diagonal")
     tape = ForwardTape(Htilde=Htilde, Z0=Z)
     C = None
-    for k in range(params.n_layers):
-        layer = params.layer(k)
+    for layer in params.layers:
         rho, theta = layer.rho, layer.theta
         V = mu - rho * Z
         C = layer.W @ Htilde - layer.B @ V
@@ -185,9 +173,8 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
     ``grad_C`` is the loss gradient with respect to the returned (diagonal-
     zeroed) coefficient matrix. Returns (grads, grad_Htilde) where ``grads``
     maps the names from ``params.named_arrays`` to arrays of matching shape;
-    rho/theta gradients are with respect to their softplus preimages. Tied
-    parameters accumulate contributions from every layer. Subgradients at
-    the shrinkage kinks are taken as zero.
+    rho/theta gradients are with respect to their softplus preimages.
+    Subgradients at the shrinkage kinks are taken as zero.
     """
     Ht = tape.Htilde
     n = Ht.shape[1]
@@ -200,8 +187,8 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
     gmu_next = np.zeros((n, n))
 
     for k in range(params.n_layers - 1, -1, -1):
-        layer = params.layer(k)
-        name = params.layer_name(k)
+        layer = params.layers[k]
+        name = f"layer{k}"
         rho, theta = layer.rho, layer.theta
         Z_in, mu_in = tape.Z_in(k), tape.mu_in[k]
         C, Z_out = tape.C[k], tape.Z_out[k]

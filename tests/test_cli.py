@@ -1,12 +1,14 @@
 """Tests for configuration validation, the command-line entry, and artifacts."""
 
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from unfold_ssc import cli, container
+from unfold_ssc import autoenc, cli, container
 from unfold_ssc.errors import ConfigError
 
 
@@ -111,10 +113,17 @@ class TestValidateConfig:
             cli.validate_config(overrides={"values_path": "x", "k_clusters": 2,
                                            "seed": True})
 
-    def test_int_is_not_a_bool(self):
-        with pytest.raises(ConfigError, match="tied"):
-            cli.validate_config(overrides={"values_path": "x", "k_clusters": 2,
-                                           "tied": 1})
+    def test_every_key_is_checked_and_documented(self):
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert fields == set(cli._CHECKS)
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        text = open(readme).read()
+        table = text[text.index("### Configuration"):text.index("### Artifacts")]
+        documented = set()
+        for row in table.splitlines():
+            if row.startswith("| `"):
+                documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+        assert sorted(fields - documented) == []
 
 
 class TestGenCommands:
@@ -138,6 +147,22 @@ class TestGenCommands:
         assert values.shape == (6, 6, 3)
         assert labels.shape == (6, 6)
         assert set(np.unique(labels)) == {1.0, 2.0}
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["subspaces", "--clusters", "0"], "--clusters"),
+        (["cube", "--clusters", "0"], "--clusters"),
+        (["subspaces", "--per-cluster", "0"], "--per-cluster"),
+        (["subspaces", "--sub-dim", "4", "--ambient-dim", "3"], "--sub-dim"),
+        (["subspaces", "--sub-dim", "0"], "--sub-dim"),
+        (["cube", "--bands", "0"], "--bands"),
+        (["cube", "--sigma", "-0.1"], "--sigma"),
+        (["subspaces", "--sigma", "nan"], "--sigma"),
+    ])
+    def test_gen_bad_flag_exits_two_and_creates_nothing(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "never"
+        assert cli.main(["gen", *argv, "--out", str(out)]) == 2
+        assert f"config error: {flag}: must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture()
@@ -233,11 +258,19 @@ class TestRunCommand:
             "latent_dim": 6, "hidden_dims": [16, 8], "admm_layers": 2,
         })
         assert cli.main(["run", "--config", cfg]) == 0
-        state = cli.load_checkpoint(os.path.join(out, "checkpoint"))
-        names = [name for name, _ in state.named_arrays()]
-        assert any(name.startswith("ae.enc0") for name in names)
-        assert any(name.startswith("unfold.layer1") for name in names)
-        for _, arr in state.named_arrays():
+        ckpt = os.path.join(out, "checkpoint")
+        manifest = json.loads(open(os.path.join(ckpt, "manifest.json")).read())
+        # 8x8 pixels, 3x3 patches of 4 bands, latent 6, two unfolded layers
+        ae = autoenc.init_weights(autoenc.AeConfig(input_dim=36, hidden_dims=(16, 8),
+                                                   latent_dim=6), 0)
+        shapes = {f"ae.{name}": arr.shape for name, arr in ae.named_arrays()}
+        for k in range(2):
+            shapes.update({f"unfold.layer{k}.W": (64, 6), f"unfold.layer{k}.B": (64, 64)})
+        assert set(manifest["tensors"]) == set(shapes)
+        for tag, entry in manifest["tensors"].items():
+            arr = container.read_array(os.path.join(ckpt, entry["file"]))
+            assert tuple(entry["shape"]) == shapes[tag]
+            assert arr.size == int(np.prod(shapes[tag]))
             assert np.all(np.isfinite(arr))
 
     def test_invalid_config_exits_two_and_writes_nothing(self, tmp_path, capsys):
@@ -273,7 +306,17 @@ class TestRunCommand:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["labels_path"] is None
 
-    def test_inputs_in_out_dir_are_kept(self, tmp_path, subspace_data, capsys):
+    def test_inputs_in_out_dir_are_kept(self, tmp_path, subspace_data, small_c, capsys):
+        # cluster owns metrics.json but writes none without --truth: its input stays
+        out = tmp_path / "o"
+        out.mkdir()
+        c_path = out / "metrics.json"
+        c_path.write_bytes(open(small_c[0], "rb").read())
+        before_c = c_path.read_bytes()
+        assert cli.main(["cluster", "--from-c", str(c_path), "--k", "2",
+                         "--out", str(out)]) == 0
+        assert (out / "labels.csv").exists()
+        assert c_path.read_bytes() == before_c
         labels = os.path.join(subspace_data, "labels.csv")
         before = open(labels).read()
         cfg = write_config(tmp_path, {
@@ -282,9 +325,6 @@ class TestRunCommand:
             "pretrain_epochs": 2, "knn_init": 5, "knn_struct": 3,
             "latent_dim": 6, "hidden_dims": [16, 8],
         })
-        assert cli.main(["pretrain", "--config", cfg]) == 0
-        assert os.path.exists(os.path.join(subspace_data, "pretrain_history.csv"))
-        assert open(labels).read() == before
         assert cli.main(["run", "--config", cfg]) == 2
         assert "input labels.csv would be overwritten" in capsys.readouterr().err
         assert open(labels).read() == before
@@ -433,11 +473,11 @@ class TestEvalCommand:
         assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
         assert "mismatch" in capsys.readouterr().err
 
-
-    def test_eval_negative_label_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("pred_text", ["0\n-1\n", ""], ids=["negative", "empty"])
+    def test_eval_negative_label_exits_three(self, tmp_path, capsys, pred_text):
         pred = tmp_path / "pred.csv"
         truth = tmp_path / "truth.csv"
-        pred.write_text("0\n-1\n")
+        pred.write_text(pred_text)
         truth.write_text("0\n1\n")
         assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
         assert "data error" in capsys.readouterr().err

@@ -102,6 +102,7 @@ class TestSpectral:
         res = cluster.spectral_cluster(S, 2, seed=0)
         assert np.array_equal(canonical(res.labels), [0] * 4 + [1] * 6)
         assert res.embedding.shape == (10, 2)
+        assert np.allclose(np.linalg.norm(res.embedding, axis=1), 1.0)
 
     def test_three_blocks_with_weak_offblock_noise(self):
         S = self.block_similarity([5, 5, 5], noise=0.01)
@@ -121,13 +122,6 @@ class TestSpectral:
         res = cluster.spectral_cluster(np.zeros((6, 6)), 2, seed=0)
         assert res.labels.shape == (6,)
         assert set(np.unique(res.labels)) <= {0, 1}
-
-    def test_row_normalize_off(self):
-        S = self.block_similarity([3, 3])
-        res = cluster.spectral_cluster(S, 2, seed=0, row_normalize=False)
-        assert np.array_equal(canonical(res.labels), [0, 0, 0, 1, 1, 1])
-        norms = np.linalg.norm(res.embedding, axis=1)
-        assert not np.allclose(norms, 1.0)
 
     def test_non_finite_rejected(self):
         S = np.zeros((3, 3))

@@ -49,7 +49,7 @@ def test_init_identity_example():
     """H~ = I2, rho0 = 1: W = (2/3) I, B = (1/3) I on every layer."""
     params = unfold.init_params(np.eye(2), 1.0, 3)
     for k in range(3):
-        layer = params.layer(k)
+        layer = params.layers[k]
         assert np.allclose(layer.W, 2.0 / 3.0 * np.eye(2), atol=1e-14)
         assert np.allclose(layer.B, 1.0 / 3.0 * np.eye(2), atol=1e-14)
         assert layer.rho == pytest.approx(1.0, rel=1e-14)
@@ -58,14 +58,8 @@ def test_init_identity_example():
 
 def test_init_untied_layers_are_independent():
     params = unfold.init_params(np.eye(3), 0.5, 2)
-    params.layer(0).W[0, 0] += 1.0
-    assert params.layer(1).W[0, 0] != params.layer(0).W[0, 0]
-
-
-def test_init_tied_shares_one_layer():
-    params = unfold.init_params(np.eye(3), 0.5, 4, tied=True)
-    assert len(params.layers) == 1
-    assert params.layer(0) is params.layer(3)
+    params.layers[0].W[0, 0] += 1.0
+    assert params.layers[1].W[0, 0] != params.layers[0].W[0, 0]
 
 
 def test_init_rejects_zero_layers():
@@ -120,17 +114,6 @@ def test_forward_rejects_nonzero_z_diagonal():
         unfold.forward(params, Ht, np.eye(3))
 
 
-def test_forward_tied_equals_equal_untied():
-    """A tied network behaves like an untied one whose layers are copies."""
-    rng = np.random.default_rng(3)
-    Ht = unit_columns(rng, 4, 9)
-    tied = unfold.init_params(Ht, 0.8, 3, tied=True)
-    untied = unfold.init_params(Ht, 0.8, 3, tied=False)
-    C_t, _ = unfold.forward(tied, Ht)
-    C_u, _ = unfold.forward(untied, Ht)
-    assert np.array_equal(C_t, C_u)
-
-
 # --------------------------------------------------------------- backward
 
 
@@ -147,7 +130,7 @@ def kink_margin(params, Ht, z0):
     _, tape = unfold.forward(params, Ht, z0)
     margin = np.inf
     for k in range(params.n_layers):
-        theta = params.layer(k).theta
+        theta = params.layers[k].theta
         margin = min(margin, float(np.min(np.abs(np.abs(tape.T[k]) - theta))))
     return margin
 
@@ -180,24 +163,6 @@ def test_backward_matches_finite_differences():
         fd_ht = fd_gradient(value, Ht)
         assert rel_err(gHt, fd_ht) < 1e-4
         checked += 1
-
-
-def test_backward_tied_accumulates_layers():
-    rng = np.random.default_rng(23)
-    n, l = 7, 4
-    Ht = unit_columns(rng, l, n)
-    params = unfold.init_params(Ht, 0.9, 3, theta0=0.05, tied=True)
-    G = rng.standard_normal((n, n))
-    C, tape = unfold.forward(params, Ht)
-    grads, _ = unfold.backward(params, tape, G)
-
-    def value():
-        C, _ = unfold.forward(params, Ht)
-        return float(np.sum(G * C))
-
-    for name, arr in params.named_arrays():
-        fd = fd_gradient(value, arr)
-        assert rel_err(grads[name], fd) < 1e-4, name
 
 
 def test_backward_zero_grad_gives_zero():
@@ -242,7 +207,7 @@ def test_positivity_preserved_under_updates():
     """However far the raw parameters move, rho stays positive and theta
     non-negative."""
     params = unfold.init_params(np.eye(4), 0.5, 1)
-    layer = params.layer(0)
+    layer = params.layers[0]
     layer.rho_raw -= 100.0
     layer.theta_raw -= 100.0
     assert layer.rho > 0.0
