@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -79,11 +80,16 @@ def read_array(path: str | os.PathLike) -> np.ndarray:
 def read_csv_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a 2-D matrix from a comma-separated text file."""
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is reported below as a data error instead.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: not a rectangular CSV matrix ({exc})") from exc
+    if arr.size == 0:
+        raise DataError(f"{path}: no data")
     return arr
 
 

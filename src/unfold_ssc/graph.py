@@ -23,28 +23,37 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def knn_adjacency(points: np.ndarray, k: int) -> np.ndarray:
+def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
     """Symmetric binary k-nearest-neighbor adjacency over column samples.
 
     Each sample is linked to its k nearest other samples (Euclidean,
     distance ties broken toward the smaller index); the union of directed
     links is symmetrized. Diagonal stays zero.
+
+    Given more neighbor counts, returns a tuple with one adjacency per
+    count, all from one distance matrix and one stable sort: the k nearest
+    are a prefix of the sorted row, so each equals its single-count call.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be 2-D, got {points.ndim}-D")
     n = points.shape[1]
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    counts = (k, *more_k)
+    for count in counts:
+        if not 1 <= count < n:
+            raise ValueError(f"k must satisfy 1 <= k < n, got k={count}, n={n}")
     d2 = pairwise_sq_dists(points)
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    adj = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), k)
-    adj[rows, order.reshape(-1)] = 1.0
-    adj = np.maximum(adj, adj.T)
-    np.fill_diagonal(adj, 0.0)
-    return adj
+    order = np.argsort(d2, axis=1, kind="stable")[:, :max(counts)]
+    adjs = []
+    for count in counts:
+        adj = np.zeros((n, n))
+        rows = np.repeat(np.arange(n), count)
+        adj[rows, order[:, :count].reshape(-1)] = 1.0
+        adj = np.maximum(adj, adj.T)
+        np.fill_diagonal(adj, 0.0)
+        adjs.append(adj)
+    return adjs[0] if not more_k else tuple(adjs)
 
 
 def laplacian(adjacency: np.ndarray) -> np.ndarray:

@@ -201,8 +201,7 @@ def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
         history.append(value)
 
     H = autoenc.encode(state.ae, X)
-    state.z0 = graph.knn_adjacency(H.T, config.knn_init)
-    state.adj = graph.knn_adjacency(H.T, config.knn_struct)
+    state.z0, state.adj = graph.knn_adjacency(H.T, config.knn_init, config.knn_struct)
     state.lap = graph.laplacian(state.adj)
     return history
 

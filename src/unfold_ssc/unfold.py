@@ -8,6 +8,10 @@ of their valid ranges (rho > 0, theta >= 0). With theta = lambda / rho the
 forward pass reproduces the classic solver bit-for-bit up to softplus
 round-trip error.
 
+The network returns the last layer's C, which that layer's shrinkage never
+reaches: the last threshold gets a zero gradient and stays at its initial
+value under training.
+
 Gradients are hand-written reverse mode over a forward tape; no autodiff
 framework is involved.
 """
@@ -129,27 +133,27 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
     ])
 
 
-def forward(params: UnfoldParams, Htilde: np.ndarray,
-            Z0: np.ndarray | None = None, mu0: np.ndarray | None = None):
-    """Run the unfolded network.
+def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = None):
+    """Run the unfolded network from Z = Z0 (zero when omitted) and mu = 0.
 
     Per layer k:  V = mu - rho_k Z;  C = W_k H~ - B_k V;
                   Z = shrink(C + mu / rho_k, theta_k) with zero diagonal;
-                  mu = mu + rho_k (C - Z).
+                  mu = mu + rho_k (C - Z), skipped on the last layer, whose
+                  dual nothing reads.
     Returns (C, tape) where C is the final-layer coefficient matrix with
     its diagonal zeroed.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
     Z = np.zeros((n, n)) if Z0 is None else np.asarray(Z0, dtype=np.float64)
-    mu = np.zeros((n, n)) if mu0 is None else np.asarray(mu0, dtype=np.float64)
-    if Z.shape != (n, n) or mu.shape != (n, n):
-        raise ValueError("Z0 and mu0 must be n x n for n samples")
+    if Z.shape != (n, n):
+        raise ValueError("Z0 must be n x n for n samples")
     if np.any(np.diagonal(Z) != 0):
         raise ValueError("Z0 must have a zero diagonal")
+    mu = np.zeros((n, n))
     tape = ForwardTape(Htilde=Htilde, Z0=Z)
     C = None
-    for layer in params.layers:
+    for k, layer in enumerate(params.layers):
         rho, theta = layer.rho, layer.theta
         V = mu - rho * Z
         C = layer.W @ Htilde - layer.B @ V
@@ -160,7 +164,8 @@ def forward(params: UnfoldParams, Htilde: np.ndarray,
         tape.mu_in.append(mu)
         tape.C.append(C)
         Z = Zraw
-        mu = mu + rho * (C - Z)
+        if k + 1 < params.n_layers:
+            mu = mu + rho * (C - Z)
         tape.Z_out.append(Z)
     C_out = C.copy()
     np.fill_diagonal(C_out, 0.0)
@@ -175,57 +180,55 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
     maps the names from ``params.named_arrays`` to arrays of matching shape;
     rho/theta gradients are with respect to their softplus preimages.
     Subgradients at the shrinkage kinks are taken as zero.
+
+    The output is the last layer's C, which its own shrinkage never reaches,
+    so that layer's threshold gets an exactly zero gradient (it stays at its
+    initial value under training) and its shrinkage branch is skipped.
     """
     Ht = tape.Htilde
-    n = Ht.shape[1]
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-    gHt = np.zeros_like(Ht)
+    grads = {}
+    gC = np.array(grad_C, dtype=np.float64)
+    np.fill_diagonal(gC, 0.0)  # diag-zeroing is the last op
+    top = params.n_layers - 1
 
-    off_diag = 1.0 - np.eye(n)
-    gC_ext = np.asarray(grad_C, dtype=np.float64) * off_diag  # diag-zeroing is the last op
-    gZ_next = np.zeros((n, n))
-    gmu_next = np.zeros((n, n))
-
-    for k in range(params.n_layers - 1, -1, -1):
+    for k in range(top, -1, -1):
         layer = params.layers[k]
         name = f"layer{k}"
         rho, theta = layer.rho, layer.theta
         Z_in, mu_in = tape.Z_in(k), tape.mu_in[k]
-        C, Z_out = tape.C[k], tape.Z_out[k]
-        V = mu_in - rho * Z_in
-        T = C + mu_in / rho
+        grho = gtheta = 0.0
 
-        # mu_out = mu_in + rho (C - Z_out)
-        gmu_in = gmu_next.copy()
-        gC = gC_ext + rho * gmu_next
-        gZ_out = gZ_next - rho * gmu_next
-        grho = float(np.sum(gmu_next * (C - Z_out)))
+        if k < top:
+            C, Z_out = tape.C[k], tape.Z_out[k]
+            # mu_out = mu_in + rho (C - Z_out)
+            gC = rho * gmu
+            gZ -= gC
+            grho = float(np.sum(gmu * (C - Z_out)))
 
-        # Z_out = zero_diag(shrink(T, theta))
-        gZraw = gZ_out * off_diag
-        active = np.abs(T) > theta
-        gT = np.where(active, gZraw, 0.0)
-        gtheta = -float(np.sum(np.where(active, gZraw * np.sign(T), 0.0)))
+            # Z_out = zero_diag(shrink(T, theta)), T = C + mu_in / rho
+            T = C + mu_in / rho
+            gT = gZ  # masked in place
+            gT[~(np.abs(T) > theta)] = 0.0
+            np.fill_diagonal(gT, 0.0)
+            gtheta = -float(np.sum(gT * np.sign(T)))
+            gC += gT
+            gmu += gT / rho
+            grho -= float(np.sum(gT * (mu_in / rho**2)))
 
-        # T = C + mu_in / rho
-        gC = gC + gT
-        gmu_in += gT / rho
-        grho += float(np.sum(gT * (-mu_in / rho**2)))
+        # C = W H~ - B V,  V = mu_in - rho Z_in;  BtG = B^T gC = -dL/dV
+        grads[f"{name}.W"] = gC @ Ht.T
+        gHt = layer.W.T @ gC if k == top else gHt + layer.W.T @ gC
+        grads[f"{name}.B"] = gC @ (rho * Z_in - mu_in).T
+        BtG = layer.B.T @ gC
+        grho += float(np.sum(BtG * Z_in))
+        # gZ, gmu: gradients of Z_in and mu_in, the outputs of layer k - 1
+        gZ = rho * BtG
+        if k == top:
+            gmu = np.negative(BtG, out=BtG)
+        else:
+            gmu -= BtG
 
-        # C = W H~ - B V,  V = mu_in - rho Z_in
-        grads[f"{name}.W"] += gC @ Ht.T
-        gHt += layer.W.T @ gC
-        grads[f"{name}.B"] += -gC @ V.T
-        gV = -layer.B.T @ gC
-        gmu_in += gV
-        gZ_in = -rho * gV
-        grho += float(np.sum(gV * (-Z_in)))
-
-        grads[f"{name}.rho_raw"] += grho * expit(layer.rho_raw)
-        grads[f"{name}.theta_raw"] += gtheta * expit(layer.theta_raw)
-
-        gC_ext = np.zeros((n, n))
-        gZ_next = gZ_in
-        gmu_next = gmu_in
+        grads[f"{name}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
+        grads[f"{name}.theta_raw"] = np.array(gtheta * expit(layer.theta_raw))
 
     return grads, gHt

@@ -10,6 +10,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.special import expit
+
+from unfold_ssc.unfold import ForwardTape, relu_soft_threshold
 
 
 def fd_gradient(f, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -140,3 +143,86 @@ def nmi_plain(pred: np.ndarray, truth: np.ndarray) -> float:
             if pij[a, b] > 0:
                 info += pij[a, b] * np.log(pij[a, b] / (pi[a] * pj[b]))
     return info / np.sqrt(hu * hv)
+
+
+def unfold_forward_reference(params, Htilde, Z0=None):
+    """The unfolded forward pass written plainly: every layer, including the
+    last, computes its dual update. Package results must match bit for bit.
+    """
+    Htilde = np.asarray(Htilde, dtype=np.float64)
+    n = Htilde.shape[1]
+    Z = np.zeros((n, n)) if Z0 is None else np.asarray(Z0, dtype=np.float64)
+    mu = np.zeros((n, n))
+    tape = ForwardTape(Htilde=Htilde, Z0=Z)
+    C = None
+    for layer in params.layers:
+        rho, theta = layer.rho, layer.theta
+        V = mu - rho * Z
+        C = layer.W @ Htilde - layer.B @ V
+        T = C + mu / rho
+        Zraw = relu_soft_threshold(T, theta)
+        np.fill_diagonal(Zraw, 0.0)
+        tape.rho.append(rho)
+        tape.mu_in.append(mu)
+        tape.C.append(C)
+        Z = Zraw
+        mu = mu + rho * (C - Z)
+        tape.Z_out.append(Z)
+    C_out = C.copy()
+    np.fill_diagonal(C_out, 0.0)
+    return C_out, tape
+
+
+def unfold_backward_reference(params, tape, grad_C):
+    """Reverse mode through every branch of every layer, from zero-filled
+    accumulators and with masks built from full n x n arrays.
+    """
+    Ht = tape.Htilde
+    n = Ht.shape[1]
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    gHt = np.zeros_like(Ht)
+
+    off_diag = 1.0 - np.eye(n)
+    gC_ext = np.asarray(grad_C, dtype=np.float64) * off_diag
+    gZ_next = np.zeros((n, n))
+    gmu_next = np.zeros((n, n))
+
+    for k in range(params.n_layers - 1, -1, -1):
+        layer = params.layers[k]
+        name = f"layer{k}"
+        rho, theta = layer.rho, layer.theta
+        Z_in = tape.Z0 if k == 0 else tape.Z_out[k - 1]
+        mu_in, C, Z_out = tape.mu_in[k], tape.C[k], tape.Z_out[k]
+        V = mu_in - rho * Z_in
+        T = C + mu_in / rho
+
+        gmu_in = gmu_next.copy()
+        gC = gC_ext + rho * gmu_next
+        gZ_out = gZ_next - rho * gmu_next
+        grho = float(np.sum(gmu_next * (C - Z_out)))
+
+        gZraw = gZ_out * off_diag
+        active = np.abs(T) > theta
+        gT = np.where(active, gZraw, 0.0)
+        gtheta = -float(np.sum(np.where(active, gZraw * np.sign(T), 0.0)))
+
+        gC = gC + gT
+        gmu_in += gT / rho
+        grho += float(np.sum(gT * (-mu_in / rho**2)))
+
+        grads[f"{name}.W"] += gC @ Ht.T
+        gHt += layer.W.T @ gC
+        grads[f"{name}.B"] += -gC @ V.T
+        gV = -layer.B.T @ gC
+        gmu_in += gV
+        gZ_in = -rho * gV
+        grho += float(np.sum(gV * (-Z_in)))
+
+        grads[f"{name}.rho_raw"] += grho * expit(layer.rho_raw)
+        grads[f"{name}.theta_raw"] += gtheta * expit(layer.theta_raw)
+
+        gC_ext = np.zeros((n, n))
+        gZ_next = gZ_in
+        gmu_next = gmu_in
+
+    return grads, gHt

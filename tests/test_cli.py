@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestValidateConfig:
         fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
         assert fields == set(cli._CHECKS)
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        text = open(readme).read()
+        text = Path(readme).read_text()
         table = text[text.index("### Configuration"):text.index("### Artifacts")]
         documented = set()
         for row in table.splitlines():
@@ -200,7 +201,7 @@ class TestRunCommand:
                      "similarity.sscm", "run_manifest.json"):
             assert os.path.exists(os.path.join(out, name)), name
         assert not os.path.exists(os.path.join(out, "loss_history.csv"))
-        scores = json.loads(open(os.path.join(out, "metrics.json")).read())
+        scores = json.loads(Path(os.path.join(out, "metrics.json")).read_text())
         assert scores["acc"] >= 0.9
         assert "acc=" in capsys.readouterr().out
         assert not [f for f in os.listdir(out) if f.startswith(".staging-")]
@@ -235,13 +236,13 @@ class TestRunCommand:
                      "run_manifest.json", "checkpoint"):
             assert os.path.exists(os.path.join(out, name)), name
         assert set(os.listdir(out)) == set(cli.ARTIFACTS)
-        rows = open(os.path.join(out, "loss_history.csv")).read().strip().splitlines()
+        rows = Path(os.path.join(out, "loss_history.csv")).read_text().strip().splitlines()
         assert rows[0] == "epoch,l_all,l_ae,l_sr,l_sp,l_st"
         assert len(rows) == 1 + 4
         with open(os.path.join(out, "label_map.ppm"), "rb") as fh:
             assert fh.readline().strip() == b"P6"
             assert fh.readline().strip() == b"8 8"
-        manifest = json.loads(open(os.path.join(out, "run_manifest.json")).read())
+        manifest = json.loads(Path(os.path.join(out, "run_manifest.json")).read_text())
         assert manifest["config"]["patch"] == 3
 
     def test_checkpoint_roundtrip(self, tmp_path):
@@ -259,7 +260,7 @@ class TestRunCommand:
         })
         assert cli.main(["run", "--config", cfg]) == 0
         ckpt = os.path.join(out, "checkpoint")
-        manifest = json.loads(open(os.path.join(ckpt, "manifest.json")).read())
+        manifest = json.loads(Path(os.path.join(ckpt, "manifest.json")).read_text())
         # 8x8 pixels, 3x3 patches of 4 bands, latent 6, two unfolded layers
         ae = autoenc.init_weights(autoenc.AeConfig(input_dim=36, hidden_dims=(16, 8),
                                                    latent_dim=6), 0)
@@ -311,14 +312,14 @@ class TestRunCommand:
         out = tmp_path / "o"
         out.mkdir()
         c_path = out / "metrics.json"
-        c_path.write_bytes(open(small_c[0], "rb").read())
+        c_path.write_bytes(Path(small_c[0]).read_bytes())
         before_c = c_path.read_bytes()
         assert cli.main(["cluster", "--from-c", str(c_path), "--k", "2",
                          "--out", str(out)]) == 0
         assert (out / "labels.csv").exists()
         assert c_path.read_bytes() == before_c
         labels = os.path.join(subspace_data, "labels.csv")
-        before = open(labels).read()
+        before = Path(labels).read_text()
         cfg = write_config(tmp_path, {
             "values_path": os.path.join(subspace_data, "values.sscm"),
             "labels_path": labels, "k_clusters": 3, "out_dir": subspace_data,
@@ -327,7 +328,7 @@ class TestRunCommand:
         })
         assert cli.main(["run", "--config", cfg]) == 2
         assert "input labels.csv would be overwritten" in capsys.readouterr().err
-        assert open(labels).read() == before
+        assert Path(labels).read_text() == before
 
     def test_failed_write_leaves_out_dir_as_it_was(self, tmp_path, subspace_data,
                                                     monkeypatch):
@@ -385,6 +386,17 @@ class TestRunCommand:
         assert "data error" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_empty_values_csv_exits_three(self, tmp_path, capsys):
+        values = tmp_path / "values.csv"
+        values.write_text("")
+        out = str(tmp_path / "never")
+        cfg = write_config(tmp_path, {
+            "values_path": str(values), "k_clusters": 2, "mode": "classic", "out_dir": out,
+        })
+        assert cli.main(["run", "--config", cfg]) == 3
+        assert f"data error: {values}: no data" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestClusterCommand:
     def test_cluster_from_saved_matrix(self, tmp_path, subspace_data, capsys):
@@ -417,7 +429,7 @@ class TestClusterCommand:
     def test_short_truth_exits_three_and_writes_nothing(self, tmp_path, small_c, capsys):
         c_path, truth = small_c
         short = tmp_path / "short.csv"
-        short.write_text("".join(open(truth).readlines()[:19]))
+        short.write_text("".join(Path(truth).read_text().splitlines(keepends=True)[:19]))
         out = tmp_path / "o"
         rc = cli.main(["cluster", "--from-c", c_path, "--k", "2", "--truth", str(short),
                        "--out", str(out)])
@@ -427,12 +439,12 @@ class TestClusterCommand:
 
     def test_truth_in_out_dir_is_kept(self, small_c, capsys):
         c_path, truth = small_c
-        before = open(truth, "rb").read()
+        before = Path(truth).read_bytes()
         rc = cli.main(["cluster", "--from-c", c_path, "--k", "2", "--truth", truth,
                        "--out", os.path.dirname(truth)])
         assert rc == 2
         assert "input labels.csv would be overwritten" in capsys.readouterr().err
-        assert open(truth, "rb").read() == before
+        assert Path(truth).read_bytes() == before
         assert not [f for f in os.listdir(os.path.dirname(truth)) if f.startswith(".staging-")]
 
     def test_non_square_matrix_exits_three(self, tmp_path, subspace_data, capsys):
@@ -441,6 +453,15 @@ class TestClusterCommand:
                        "--k", "3", "--out", str(tmp_path / "x")])
         assert rc == 3
         assert "square" in capsys.readouterr().err
+
+    def test_empty_csv_matrix_exits_three(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        out = tmp_path / "x"
+        rc = cli.main(["cluster", "--from-c", str(empty), "--k", "2", "--out", str(out)])
+        assert rc == 3
+        assert f"data error: {empty}: no data" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:

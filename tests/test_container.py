@@ -112,3 +112,12 @@ def test_ragged_csv_rejected(tmp_path):
     path.write_text("1,2,3\n4,5\n")
     with pytest.raises(DataError, match="CSV"):
         container.read_csv_matrix(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# header only\n"], ids=["empty", "blank", "comment"])
+def test_csv_without_data_rejected(tmp_path, text):
+    path = tmp_path / "none.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match="no data") as exc:
+        container.load_any(path)
+    assert str(path) in str(exc.value)

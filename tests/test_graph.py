@@ -71,6 +71,20 @@ def test_k_out_of_range():
         graph.knn_adjacency(pts, 5)
     with pytest.raises(ValueError):
         graph.knn_adjacency(pts, 0)
+    with pytest.raises(ValueError, match="k=5"):
+        graph.knn_adjacency(pts, 2, 5)
+
+
+def test_several_counts_equal_separate_calls():
+    """Integer points make many distance ties; each prefix of the one
+    stable sort must still pick what a separate call picks."""
+    rng = np.random.default_rng(11)
+    pts = rng.integers(-2, 3, size=(2, 30)).astype(float)
+    adjs = graph.knn_adjacency(pts, 7, 3, 7, 1)
+    assert isinstance(adjs, tuple) and len(adjs) == 4
+    for k, adj in zip((7, 3, 7, 1), adjs):
+        assert np.array_equal(adj, graph.knn_adjacency(pts, k))
+        assert np.array_equal(adj, knn_adjacency_brute(pts, k))
 
 
 # ------------------------------------------------------------- laplacian

@@ -181,6 +181,21 @@ class TestPretrain:
         assert np.array_equal(state.adj, graph.knn_adjacency(H.T, 2))
         assert np.array_equal(state.lap, graph.laplacian(state.adj))
 
+    def test_both_graphs_come_from_one_distance_pass(self, monkeypatch):
+        calls = []
+        original = graph.pairwise_sq_dists
+
+        def counting(points):
+            calls.append(points.shape)
+            return original(points)
+
+        monkeypatch.setattr(graph, "pairwise_sq_dists", counting)
+        X, cfg = tiny_problem(seed=8)
+        state = train.init_state(cfg, 8)
+        train.pretrain(state, X, train.TrainConfig(pretrain_epochs=0, knn_init=3, knn_struct=2))
+        assert len(calls) == 1
+        assert state.z0 is not None and state.adj is not None
+
 
 class TestTrainJoint:
     def test_requires_pretrain(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from unfold_ssc import classic, graph, unfold
-from _oracles import fd_gradient, rel_err
+from _oracles import (fd_gradient, rel_err, unfold_backward_reference,
+                      unfold_forward_reference)
 
 
 def unit_columns(rng, l, n):
@@ -201,6 +202,58 @@ def test_grad_ignores_output_diagonal():
     g_full, _ = unfold.backward(params, tape, G)
     for name in g_off:
         assert np.allclose(np.asarray(g_off[name]), np.asarray(g_full[name]), atol=1e-15)
+
+
+def perturbed_instance(seed, K, with_z0, n=20, l=6):
+    """Parameters moved off the analytic init, a kNN or zero Z0, and an
+    output gradient with a nonzero diagonal."""
+    rng = np.random.default_rng(seed)
+    Ht = unit_columns(rng, l, n)
+    z0 = graph.knn_adjacency(rng.standard_normal((3, n)), 4) if with_z0 else None
+    params = unfold.init_params(Ht, 0.6, K, theta0=0.04)
+    for _, arr in params.named_arrays():
+        arr += 0.05 * rng.standard_normal(arr.shape)
+    G = rng.standard_normal((n, n))
+    assert np.all(np.diagonal(G) != 0.0)
+    return params, Ht, z0, G
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("with_z0", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
+    params, Ht, z0, G = perturbed_instance(seed, K, with_z0)
+    C, tape = unfold.forward(params, Ht, z0)
+    C_ref, tape_ref = unfold_forward_reference(params, Ht, z0)
+    assert np.array_equal(C, C_ref)
+    assert np.array_equal(tape.Z0, tape_ref.Z0)
+    assert tape.rho == tape_ref.rho
+    for field in ("mu_in", "C", "Z_out", "T"):
+        got, want = getattr(tape, field), getattr(tape_ref, field)
+        assert len(got) == len(want) == K, field
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), field
+    # Both shrinkage sides occur, so the masked branch is exercised.
+    assert 0 < np.count_nonzero(tape.Z_out[0]) < Ht.shape[1] * (Ht.shape[1] - 1)
+
+    grads, gHt = unfold.backward(params, tape, G)
+    grads_ref, gHt_ref = unfold_backward_reference(params, tape_ref, G)
+    assert grads.keys() == grads_ref.keys()
+    for name, want in grads_ref.items():
+        assert grads[name].shape == want.shape, name
+        assert np.array_equal(grads[name], want), name
+    assert np.array_equal(gHt, gHt_ref)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_last_layer_threshold_gets_zero_gradient(K):
+    """The output C_K never passes through layer K's shrinkage."""
+    params, Ht, z0, G = perturbed_instance(7, K, True)
+    _, tape = unfold.forward(params, Ht, z0)
+    grads, _ = unfold.backward(params, tape, G)
+    assert grads[f"layer{K - 1}.theta_raw"] == 0.0
+    if K > 1:
+        assert grads["layer0.theta_raw"] != 0.0
 
 
 def test_positivity_preserved_under_updates():
