@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from unfold_ssc.errors import NumericalError
 
@@ -33,12 +32,17 @@ class AdmmState:
 
 
 def precompute(Y: np.ndarray, X: np.ndarray | None, rho: float):
-    """Factor the C-update system once.
+    """Closed-form C-update matrices from one thin SVD of the dictionary.
 
-    W = (2 Y^T Y + rho I)^-1 (2 Y^T)  and  B = (2 Y^T Y + rho I)^-1,
-    both obtained from a single Cholesky factorization of the SPD system
-    matrix. ``X`` is only used to check that its feature dimension matches
-    the dictionary.
+    W = (2 Y^T Y + rho I)^-1 (2 Y^T)  and  B = (2 Y^T Y + rho I)^-1.
+    With Y = U diag(s) V^T, r = min(d, n) singular values,
+
+        W = V diag(2s / (2s^2 + rho)) U^T
+        B = (I - V diag(2s^2 / (2s^2 + rho)) V^T) / rho,
+
+    one formula for every shape and rank, at O(d n r + n^2 r) instead of an
+    n x n factorization. ``X`` is only used to check that its feature
+    dimension matches the dictionary.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
@@ -49,11 +53,10 @@ def precompute(Y: np.ndarray, X: np.ndarray | None, rho: float):
         )
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    n = Y.shape[1]
-    system = 2.0 * (Y.T @ Y) + rho * np.eye(n)
-    chol = scipy.linalg.cho_factor(system, lower=True)
-    W = scipy.linalg.cho_solve(chol, 2.0 * Y.T)
-    B = scipy.linalg.cho_solve(chol, np.eye(n))
+    U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+    denom = 2.0 * s * s + rho
+    W = Vt.T @ ((2.0 * s / denom)[:, np.newaxis] * U.T)
+    B = (np.eye(Y.shape[1]) - Vt.T @ ((2.0 * s * s / denom)[:, np.newaxis] * Vt)) / rho
     return W, B
 
 

@@ -339,7 +339,8 @@ def _publishing(out_dir: str, owned, inputs):
     one's. A staged name that is, or holds, one of ``inputs`` in ``out_dir``
     is a config error raised before anything changes; an input under an
     owned name that was not staged is kept. If the body raises, ``out_dir``
-    keeps what it held.
+    keeps what it held. The pass itself is one delete-and-rename per owned
+    name, so a crash inside it can leave old and new files side by side.
     """
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)

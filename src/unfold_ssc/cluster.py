@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from unfold_ssc.errors import NumericalError
 
@@ -122,8 +123,9 @@ def spectral_cluster(S: np.ndarray, k: int, seed: int) -> ClusterResult:
 
     Embeds samples with the k eigenvectors of the smallest eigenvalues of
     L_sym = I - D^(-1/2) S D^(-1/2) (isolated nodes get a tiny degree guard),
-    scales each embedding row to unit norm (zero rows stay zero),
-    and k-means clusters the rows.
+    asking the symmetric eigensolver for those k eigenpairs only (the other
+    n - k are never computed), scales each embedding row to unit norm (zero
+    rows stay zero), and k-means clusters the rows.
     """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
@@ -138,8 +140,7 @@ def spectral_cluster(S: np.ndarray, k: int, seed: int) -> ClusterResult:
     inv_sqrt = 1.0 / np.sqrt(degrees)
     lap_sym = np.eye(n) - inv_sqrt[:, np.newaxis] * S * inv_sqrt[np.newaxis, :]
     lap_sym = 0.5 * (lap_sym + lap_sym.T)
-    eigvals, eigvecs = np.linalg.eigh(lap_sym)
-    embedding = eigvecs[:, :k]
+    _, embedding = scipy.linalg.eigh(lap_sym, subset_by_index=[0, k - 1])
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     embedding = embedding / np.where(norms > 0, norms, 1.0)
     labels, details = kmeans(embedding, k, seed, return_details=True)

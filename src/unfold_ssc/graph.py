@@ -8,18 +8,22 @@ import numpy as np
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between columns of ``points``.
 
-    Computed from explicit differences (in column chunks) rather than the
-    gram-matrix identity, so the result is exactly symmetric and duplicate
-    columns get an exact zero. That keeps tie-breaking well defined.
+    Computed from explicit differences (in row blocks) rather than the
+    gram-matrix identity, so duplicate columns get an exact zero. Only the
+    blocks on and right of the diagonal are computed; each is mirrored
+    below it, so the result is exactly symmetric. That keeps tie-breaking
+    well defined.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[1]
     out = np.empty((n, n))
-    step = max(1, min(n, 4_000_000 // max(1, points.shape[0] * n)))
+    step = max(1, min(n, 1_000_000 // max(1, points.shape[0] * n)))
     for start in range(0, n, step):
         stop = min(n, start + step)
-        diff = points[:, :, np.newaxis] - points[:, np.newaxis, start:stop]
-        out[:, start:stop] = np.einsum("fij,fij->ij", diff, diff)
+        diff = points[:, np.newaxis, start:] - points[:, start:stop, np.newaxis]
+        block = np.einsum("fij,fij->ij", diff, diff)
+        out[start:stop, start:] = block
+        out[start:, start:stop] = block.T
     return out
 
 
@@ -31,20 +35,34 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
     links is symmetrized. Diagonal stays zero.
 
     Given more neighbor counts, returns a tuple with one adjacency per
-    count, all from one distance matrix and one stable sort: the k nearest
-    are a prefix of the sorted row, so each equals its single-count call.
+    count, all from one distance matrix. Each row keeps kmax = max(counts)
+    candidates without a full sort: every distance below the row's kmax-th
+    smallest value t, then the lowest-index distances equal to t. A stable
+    sort of those candidates orders each row exactly as a stable sort of
+    the whole row would, so every count takes a prefix of it and each
+    adjacency equals its single-count call.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be 2-D, got {points.ndim}-D")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
     n = points.shape[1]
     counts = (k, *more_k)
     for count in counts:
         if not 1 <= count < n:
             raise ValueError(f"k must satisfy 1 <= k < n, got k={count}, n={n}")
+    kmax = max(counts)
     d2 = pairwise_sq_dists(points)
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :max(counts)]
+    t = np.partition(d2, kmax - 1, axis=1)[:, kmax - 1:kmax]
+    below = d2 < t
+    at_t = d2 == t
+    room = kmax - below.sum(axis=1, keepdims=True)
+    keep = below | (at_t & (np.cumsum(at_t, axis=1) <= room))
+    cand = np.nonzero(keep)[1].reshape(n, kmax)
+    dist = np.take_along_axis(d2, cand, axis=1)
+    order = np.take_along_axis(cand, np.argsort(dist, axis=1, kind="stable"), axis=1)
     adjs = []
     for count in counts:
         adj = np.zeros((n, n))

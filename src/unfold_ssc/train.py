@@ -185,7 +185,8 @@ def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
 
     Runs ``config.pretrain_epochs`` full-batch Adam steps on the
     autoencoder (zero epochs leave the weights untouched), then builds the
-    Z-seeding and structure adjacencies from the resulting latent codes.
+    Z-seeding and structure adjacencies from the resulting latent codes,
+    raising ``NumericalError`` if any of them is non-finite.
     Returns the per-epoch reconstruction loss history.
     """
     ae_named = list((f"ae.{k}", a) for k, a in state.ae.named_arrays())
@@ -201,6 +202,12 @@ def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
         history.append(value)
 
     H = autoenc.encode(state.ae, X)
+    bad = ~np.all(np.isfinite(H), axis=1)
+    if bad.any():
+        raise NumericalError(
+            f"non-finite latent code for sample {int(np.argmax(bad))} after pretraining; "
+            "cannot build the kNN graphs"
+        )
     state.z0, state.adj = graph.knn_adjacency(H.T, config.knn_init, config.knn_struct)
     state.lap = graph.laplacian(state.adj)
     return history

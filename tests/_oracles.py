@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.linalg
 from scipy.special import expit
 
 from unfold_ssc.unfold import ForwardTape, relu_soft_threshold
@@ -78,6 +79,59 @@ def knn_adjacency_brute(points: np.ndarray, k: int) -> np.ndarray:
         for _, j in dists[:k]:
             adj[i, j] = 1.0
     return np.maximum(adj, adj.T)
+
+
+def pairwise_sq_dists_reference(points: np.ndarray) -> np.ndarray:
+    """Full-block squared distances: every column chunk against every
+    sample, both triangles computed. ``graph.pairwise_sq_dists`` must match
+    it bit for bit."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[1]
+    out = np.empty((n, n))
+    step = max(1, min(n, 4_000_000 // max(1, points.shape[0] * n)))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        diff = points[:, :, np.newaxis] - points[:, np.newaxis, start:stop]
+        out[:, start:stop] = np.einsum("fij,fij->ij", diff, diff)
+    return out
+
+
+def knn_adjacency_reference(points: np.ndarray, *counts: int):
+    """One adjacency per count from a full stable argsort of every distance
+    row (ties to the smaller index). ``graph.knn_adjacency`` must match it
+    bit for bit."""
+    n = points.shape[1]
+    d2 = pairwise_sq_dists_reference(points)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    adjs = []
+    for count in counts:
+        adj = np.zeros((n, n))
+        adj[np.repeat(np.arange(n), count), order[:, :count].reshape(-1)] = 1.0
+        adj = np.maximum(adj, adj.T)
+        np.fill_diagonal(adj, 0.0)
+        adjs.append(adj)
+    return adjs
+
+
+def precompute_reference(Y: np.ndarray, rho: float):
+    """W and B by one Cholesky factorization of the n x n system
+    2 Y^T Y + rho I, solved against 2 Y^T and the identity."""
+    n = Y.shape[1]
+    chol = scipy.linalg.cho_factor(2.0 * (Y.T @ Y) + rho * np.eye(n), lower=True)
+    return scipy.linalg.cho_solve(chol, 2.0 * Y.T), scipy.linalg.cho_solve(chol, np.eye(n))
+
+
+def spectral_embedding_reference(S: np.ndarray, k: int) -> np.ndarray:
+    """Row-normalized k smallest eigenvectors of L_sym from a full ``eigh``."""
+    degrees = S.sum(axis=1)
+    degrees = np.where(degrees > 0, degrees, 1e-12)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    lap_sym = np.eye(len(S)) - inv_sqrt[:, np.newaxis] * S * inv_sqrt[np.newaxis, :]
+    _, eigvecs = np.linalg.eigh(0.5 * (lap_sym + lap_sym.T))
+    embedding = eigvecs[:, :k]
+    norms = np.linalg.norm(embedding, axis=1, keepdims=True)
+    return embedding / np.where(norms > 0, norms, 1.0)
 
 
 def structure_loss_pairwise(C: np.ndarray, adj: np.ndarray) -> float:

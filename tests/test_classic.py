@@ -5,7 +5,7 @@ import pytest
 
 from unfold_ssc import classic, data
 from unfold_ssc.errors import NumericalError
-from _oracles import soft_threshold_scalar
+from _oracles import precompute_reference, soft_threshold_scalar
 
 
 # ------------------------------------------------------------- precompute
@@ -18,14 +18,37 @@ def test_precompute_identity_dictionary():
     assert np.allclose(B, 1.0 / 3.0 * np.eye(2), atol=1e-14)
 
 
-def test_precompute_solves_the_system():
+def dictionary(kind):
     rng = np.random.default_rng(1)
-    Y = rng.standard_normal((6, 9))
+    if kind == "rank_deficient":
+        Y = rng.standard_normal((6, 9))
+        Y[:, 5:] = Y[:, :4]          # four duplicate columns: rank 5 < min(d, n)
+        return Y
+    d = {"d_lt_n": 6, "d_eq_n": 9, "d_gt_n": 14}[kind]
+    return rng.standard_normal((d, 9))
+
+
+SHAPES = ["d_lt_n", "d_eq_n", "d_gt_n", "rank_deficient"]
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+def test_precompute_solves_the_system(kind):
+    Y = dictionary(kind)
     rho = 0.37
     W, B = classic.precompute(Y, None, rho)
     system = 2.0 * Y.T @ Y + rho * np.eye(9)
     assert np.allclose(system @ W, 2.0 * Y.T, atol=1e-10)
     assert np.allclose(system @ B, np.eye(9), atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+def test_precompute_matches_cholesky_reference(kind):
+    Y = dictionary(kind)
+    for rho in (0.37, 1.0, 4.0):
+        W, B = classic.precompute(Y, None, rho)
+        W_ref, B_ref = precompute_reference(Y, rho)
+        assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+        assert np.linalg.norm(B - B_ref) <= 1e-12 * np.linalg.norm(B_ref)
 
 
 def test_precompute_rejects_bad_rho():

@@ -375,6 +375,29 @@ class TestRunCommand:
             capsys.readouterr().err)
         assert not os.path.exists(out)
 
+    # A learning rate of 1e300 overflows the encoder's products after one
+    # Adam step; numpy warns about that before the run can report it.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_latent_code_exits_four(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert cli.main(["gen", "cube", "--height", "8", "--width", "8", "--bands", "4",
+                         "--out", str(data)]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "labels.csv").write_text("earlier\n")
+        cfg = write_config(tmp_path, {
+            "values_path": str(data / "values.sscm"),
+            "labels_path": str(data / "labels.sscm"),
+            "k_clusters": 2, "out_dir": str(out),
+            "pretrain_epochs": 1, "joint_epochs": 1, "learning_rate": 1e300,
+        })
+        assert cli.main(["run", "--config", cfg]) == 4
+        assert "numerical failure: non-finite latent code for sample 0" in (
+            capsys.readouterr().err)
+        assert os.listdir(out) == ["labels.csv"]
+        assert (out / "labels.csv").read_text() == "earlier\n"
+
     def test_missing_values_file_exits_three(self, tmp_path, capsys):
         out = str(tmp_path / "never")
         cfg = write_config(tmp_path, {

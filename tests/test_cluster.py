@@ -5,6 +5,7 @@ import pytest
 
 from unfold_ssc import cluster
 from unfold_ssc.errors import NumericalError
+from _oracles import spectral_embedding_reference
 
 
 def canonical(labels):
@@ -117,6 +118,23 @@ class TestSpectral:
         Sp = S[np.ix_(perm, perm)]
         permuted = canonical(cluster.spectral_cluster(Sp, 3, seed=4).labels)
         assert np.array_equal(canonical(base[perm]), permuted)
+
+    @pytest.mark.parametrize("sizes, noise, k", [
+        ([4, 6], 0.0, 2),
+        ([5, 5, 5], 0.01, 3),
+        ([4, 5, 3], 0.02, 3),
+        ([7, 3, 6, 4], 0.05, 4),
+        ([4, 5, 3], 0.02, 1),
+        ([4, 5, 3], 0.02, 12),
+    ])
+    def test_subset_eigensolve_matches_full_eigh(self, sizes, noise, k):
+        """Only the k smallest eigenpairs are computed; the labels equal
+        those of the full-spectrum reference, k = 1 and k = n included."""
+        S = self.block_similarity(sizes, noise=noise)
+        res = cluster.spectral_cluster(S, k, seed=3)
+        expected = cluster.kmeans(spectral_embedding_reference(S, k), k, 3)
+        assert res.embedding.shape == (S.shape[0], k)
+        assert np.array_equal(res.labels, expected)
 
     def test_zero_similarity_still_returns_labels(self):
         res = cluster.spectral_cluster(np.zeros((6, 6)), 2, seed=0)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from unfold_ssc import graph
-from _oracles import fd_gradient, knn_adjacency_brute, rel_err, structure_loss_pairwise
+from _oracles import (fd_gradient, knn_adjacency_brute, knn_adjacency_reference,
+                      pairwise_sq_dists_reference, rel_err, structure_loss_pairwise)
 
 
 # ------------------------------------------------------------- adjacency
@@ -85,6 +88,51 @@ def test_several_counts_equal_separate_calls():
     for k, adj in zip((7, 3, 7, 1), adjs):
         assert np.array_equal(adj, graph.knn_adjacency(pts, k))
         assert np.array_equal(adj, knn_adjacency_brute(pts, k))
+
+
+@st.composite
+def grid_points_and_counts(draw):
+    """Points on a small integer grid, so distance ties and duplicate
+    columns are the rule, plus a few neighbor counts."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    points = draw(hnp.arrays(np.float64, (d, n), elements=st.integers(-2, 2).map(float)))
+    counts = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))
+    return points, counts
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(grid_points_and_counts())
+def test_partial_selection_matches_full_sort_reference(case):
+    """The partition-and-tie-rule selection picks exactly the neighbors a
+    full stable argsort picks, for every count, k = n - 1 and repeats."""
+    points, counts = case
+    n = points.shape[1]
+    for tup in (counts, [n - 1], [counts[0], n - 1, counts[0]]):
+        got = graph.knn_adjacency(points, *tup)
+        got = got if len(tup) > 1 else (got,)
+        for adj, ref in zip(got, knn_adjacency_reference(points, *tup), strict=True):
+            assert np.array_equal(adj, ref)
+
+
+@pytest.mark.parametrize("shape", [(600, 300), (3, 2000)])
+def test_distances_bit_identical_and_symmetric(shape):
+    """Both shapes span many row blocks of the mirrored computation and
+    several chunks of the full-block reference; integer values add exact
+    ties and duplicate columns."""
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal(shape)
+    points[:, ::7] = rng.integers(-2, 3, size=(shape[0], 1))
+    d2 = graph.pairwise_sq_dists(points)
+    assert np.array_equal(d2, d2.T)
+    assert np.array_equal(d2, pairwise_sq_dists_reference(points))
+
+
+def test_non_finite_points_rejected():
+    pts = np.zeros((2, 5))
+    pts[1, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        graph.knn_adjacency(pts, 2)
 
 
 # ------------------------------------------------------------- laplacian
