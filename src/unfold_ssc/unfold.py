@@ -5,8 +5,10 @@ the linear maps W and B (initialized from the analytic solver matrices and
 then free), a penalty rho, and a shrinkage threshold theta. rho and theta
 are stored as softplus preimages so gradient steps can never push them out
 of their valid ranges (rho > 0, theta >= 0). With theta = lambda / rho the
-forward pass reproduces the classic solver bit-for-bit up to softplus
-round-trip error.
+forward pass reproduces the classic solver to rounding: the two compute
+the same iteration in a different order, and rho and theta round-trip
+through softplus (acceptance test A2 bounds the relative difference by
+1e-10).
 
 The network returns the last layer's C, which that layer's shrinkage never
 reaches: the last threshold gets a zero gradient and stays at its initial
@@ -124,7 +126,8 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
         raise ValueError(f"rho0 must be positive, got {rho0}")
     if theta0 <= 0:
         raise ValueError(f"theta0 must be positive, got {theta0}")
-    W, B = classic.precompute(Htilde, None, rho0)
+    W, Vt, w = classic.precompute(Htilde, rho0)
+    B = (np.eye(Vt.shape[1]) - Vt.T @ (w[:, np.newaxis] * Vt)) / rho0
     rho_raw = softplus_inv(rho0)
     theta_raw = softplus_inv(theta0)
     return UnfoldParams(layers=[

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
+from unfold_ssc.classic import AdmmState
 from unfold_ssc.unfold import ForwardTape, relu_soft_threshold
 
 
@@ -120,6 +121,33 @@ def precompute_reference(Y: np.ndarray, rho: float):
     n = Y.shape[1]
     chol = scipy.linalg.cho_factor(2.0 * (Y.T @ Y) + rho * np.eye(n), lower=True)
     return scipy.linalg.cho_solve(chol, 2.0 * Y.T), scipy.linalg.cho_solve(chol, np.eye(n))
+
+
+def classic_solve_reference(X: np.ndarray, config):
+    """The ADMM loop with dense B = (2 X^T X + rho I)^-1 and the unscaled
+    dual mu: W X - B (mu - rho Z) each iteration, nested-``where``
+    shrinkage, mu += rho (C - Z). ``classic.solve`` must match it to
+    rounding."""
+    X = np.asarray(X, dtype=np.float64)
+    rho, lam = config.rho, config.lam
+    n = X.shape[1]
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    denom = 2.0 * s * s + rho
+    W = Vt.T @ ((2.0 * s / denom)[:, np.newaxis] * U.T)
+    B = (np.eye(n) - Vt.T @ ((2.0 * s * s / denom)[:, np.newaxis] * Vt)) / rho
+    Z = np.zeros((n, n))
+    mu = np.zeros_like(Z)
+    residuals = np.empty(config.iterations)
+    C = Z
+    for it in range(config.iterations):
+        C = W @ X - B @ (mu - rho * Z)
+        T = C + mu / rho
+        tau = lam / rho
+        Z = np.where(T > tau, T - tau, np.where(T < -tau, T + tau, 0.0))
+        np.fill_diagonal(Z, 0.0)
+        mu = mu + rho * (C - Z)
+        residuals[it] = np.linalg.norm(C - Z)
+    return AdmmState(C=C, Z=Z, mu=mu, residuals=residuals)
 
 
 def spectral_embedding_reference(S: np.ndarray, k: int) -> np.ndarray:

@@ -5,7 +5,9 @@ and then looks spans up by ``"module.function"`` name. A renamed or
 privatized function would not fail the benchmark: its metric would just
 read 0. This test reads the tracer's source (it never imports or edits it)
 and checks that every span name it looks up is a public function defined in
-a package module that ``perfbench/child.py`` hands to the tracer.
+a package module that ``perfbench/child.py`` hands to the tracer. The classic
+solver's spans are also counted under the tracer's wrapping scheme, since
+``classic.iteration_ms`` depends on how often ``solve`` calls its steps.
 """
 
 import ast
@@ -13,7 +15,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from unfold_ssc import classic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -82,3 +87,35 @@ def test_span_name_is_a_public_package_function(name):
     assert inspect.isfunction(obj), f"{where}: unfold_ssc.{name} is not a function"
     assert obj.__module__ == module.__name__, (
         f"{where}: unfold_ssc.{name} is imported, not defined there, so never wrapped")
+
+
+def test_classic_spans_count_iterations(monkeypatch):
+    """``classic.iteration_ms`` divides the solve span, less its direct
+    ``classic.precompute`` children, by its direct ``classic.step_C``
+    children. Wrapping each public function of ``classic`` on the module,
+    as the tracer does, must see one precompute and one step_C per
+    iteration directly under solve."""
+    calls = []
+    stack = []
+
+    def wrap(name, fn):
+        def traced(*args, **kwargs):
+            calls.append((name, stack[-1] if stack else None))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return traced
+
+    for name, obj in list(vars(classic).items()):
+        if inspect.isfunction(obj) and obj.__module__ == classic.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(classic, name, wrap(name, obj))
+
+    iterations = 7
+    X = np.random.default_rng(0).standard_normal((4, 12))
+    classic.solve(X, classic.ClassicConfig(iterations=iterations))
+    under_solve = [name for name, parent in calls if parent == "solve"]
+    assert under_solve.count("step_C") == iterations
+    assert under_solve.count("precompute") == 1
+    assert [name for name, _ in calls].count("precompute") == 1

@@ -5,15 +5,22 @@ import pytest
 
 from unfold_ssc import classic, data
 from unfold_ssc.errors import NumericalError
-from _oracles import precompute_reference, soft_threshold_scalar
+from unfold_ssc.unfold import relu_soft_threshold
+from _oracles import classic_solve_reference, precompute_reference, soft_threshold_scalar
 
 
 # ------------------------------------------------------------- precompute
 
 
+def dense_B(Vt, w, rho):
+    """B = (I - Vt^T diag(w) Vt) / rho rebuilt from the factor."""
+    return (np.eye(Vt.shape[1]) - Vt.T @ (w[:, np.newaxis] * Vt)) / rho
+
+
 def test_precompute_identity_dictionary():
     """Y = I2, rho = 1: system is 3I, so B = I/3 and W = 2I/3."""
-    W, B = classic.precompute(np.eye(2), None, 1.0)
+    W, Vt, w = classic.precompute(np.eye(2), 1.0)
+    B = dense_B(Vt, w, 1.0)
     assert np.allclose(W, 2.0 / 3.0 * np.eye(2), atol=1e-14)
     assert np.allclose(B, 1.0 / 3.0 * np.eye(2), atol=1e-14)
 
@@ -35,7 +42,8 @@ SHAPES = ["d_lt_n", "d_eq_n", "d_gt_n", "rank_deficient"]
 def test_precompute_solves_the_system(kind):
     Y = dictionary(kind)
     rho = 0.37
-    W, B = classic.precompute(Y, None, rho)
+    W, Vt, w = classic.precompute(Y, rho)
+    B = dense_B(Vt, w, rho)
     system = 2.0 * Y.T @ Y + rho * np.eye(9)
     assert np.allclose(system @ W, 2.0 * Y.T, atol=1e-10)
     assert np.allclose(system @ B, np.eye(9), atol=1e-10)
@@ -45,7 +53,8 @@ def test_precompute_solves_the_system(kind):
 def test_precompute_matches_cholesky_reference(kind):
     Y = dictionary(kind)
     for rho in (0.37, 1.0, 4.0):
-        W, B = classic.precompute(Y, None, rho)
+        W, Vt, w = classic.precompute(Y, rho)
+        B = dense_B(Vt, w, rho)
         W_ref, B_ref = precompute_reference(Y, rho)
         assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
         assert np.linalg.norm(B - B_ref) <= 1e-12 * np.linalg.norm(B_ref)
@@ -53,12 +62,7 @@ def test_precompute_matches_cholesky_reference(kind):
 
 def test_precompute_rejects_bad_rho():
     with pytest.raises(ValueError):
-        classic.precompute(np.eye(2), None, 0.0)
-
-
-def test_precompute_checks_feature_match():
-    with pytest.raises(ValueError, match="feature"):
-        classic.precompute(np.eye(3), np.ones((2, 5)), 1.0)
+        classic.precompute(np.eye(2), 0.0)
 
 
 # ----------------------------------------------------------- soft threshold
@@ -92,6 +96,17 @@ def test_soft_threshold_properties():
     assert np.array_equal(classic.soft_threshold(x, 0.0), x)        # identity at 0
 
 
+def test_soft_threshold_agrees_with_relu_form_off_the_reals():
+    """NaN stays NaN and infinities keep their sign in both shrinkage forms
+    (zeros compare equal whatever their sign)."""
+    tau = 0.25
+    x = np.array([np.nan, np.inf, -np.inf, tau, -tau, 2 * tau, -2 * tau, 0.0, -0.0])
+    piecewise = classic.soft_threshold(x, tau)
+    assert np.array_equal(piecewise, relu_soft_threshold(x, tau), equal_nan=True)
+    assert np.array_equal(piecewise, [np.nan, np.inf, -np.inf, 0, 0, tau, -tau, 0, 0],
+                          equal_nan=True)
+
+
 def test_soft_threshold_negative_tau_rejected():
     with pytest.raises(ValueError):
         classic.soft_threshold(1.0, -0.1)
@@ -104,13 +119,12 @@ def test_step_c_is_exact_minimizer():
     """The C update zeroes the gradient of the augmented Lagrangian:
     2 Y^T (Y C - X) + mu + rho (C - Z) = 0."""
     rng = np.random.default_rng(3)
-    Y = rng.standard_normal((5, 8))
-    X = rng.standard_normal((5, 8))
+    Y = X = rng.standard_normal((5, 8))
     Z = rng.standard_normal((8, 8))
     mu = rng.standard_normal((8, 8))
     rho = 0.9
-    W, B = classic.precompute(Y, X, rho)
-    C = classic.step_C(W, B, X, Z, mu, rho)
+    _, Vt, w = classic.precompute(X, rho)
+    C = classic.step_C(Vt, w, Z, mu / rho)
     grad = 2.0 * Y.T @ (Y @ C - X) + mu + rho * (C - Z)
     assert np.allclose(grad, 0.0, atol=1e-10)
 
@@ -120,7 +134,7 @@ def test_step_z_matches_scalar_loop():
     C = rng.standard_normal((6, 6))
     mu = rng.standard_normal((6, 6))
     rho, lam = 0.8, 0.24
-    Z = classic.step_Z(C, mu, rho, lam)
+    Z = classic.step_Z(C, mu / rho, lam / rho)
     for i in range(6):
         for j in range(6):
             want = 0.0 if i == j else soft_threshold_scalar(C[i, j] + mu[i, j] / rho, lam / rho)
@@ -128,11 +142,14 @@ def test_step_z_matches_scalar_loop():
 
 
 def test_step_mu_accumulates_residual():
-    mu = np.zeros((2, 2))
-    C = np.array([[0.0, 1.0], [2.0, 0.0]])
-    Z = np.array([[0.0, 0.5], [1.0, 0.0]])
-    out = classic.step_mu(mu, C, Z, 2.0)
-    assert np.array_equal(out, 2.0 * (C - Z))
+    """The dual ascends on the constraint: one more iteration adds
+    rho (C - Z) of that iteration to mu."""
+    X = np.random.default_rng(4).standard_normal((5, 8))
+    rho = 2.0
+    one = classic.solve(X, classic.ClassicConfig(lam=0.1, rho=rho, iterations=1))
+    two = classic.solve(X, classic.ClassicConfig(lam=0.1, rho=rho, iterations=2))
+    assert np.allclose(one.mu, rho * (one.C - one.Z), atol=1e-14)
+    assert np.allclose(two.mu - one.mu, rho * (two.C - two.Z), atol=1e-13)
 
 
 # ------------------------------------------------------------------ solve
@@ -171,16 +188,16 @@ def test_lam_zero_no_diag_fixed_point():
     rng = np.random.default_rng(19)
     X = rng.standard_normal((5, 6))
     rho = 1.0
-    W, B = classic.precompute(X, X, rho)
+    _, Vt, w = classic.precompute(X, rho)
     n = 6
     Z = np.zeros((n, n))
-    mu = np.zeros((n, n))
+    u = np.zeros((n, n))
     for _ in range(500):
-        C = classic.step_C(W, B, X, Z, mu, rho)
-        Z = classic.soft_threshold(C + mu / rho, 0.0)   # no diagonal pinning
-        mu = classic.step_mu(mu, C, Z, rho)
+        C = classic.step_C(Vt, w, Z, u)
+        Z = classic.soft_threshold(C + u, 0.0)   # no diagonal pinning
+        u = u + (C - Z)
     assert np.allclose(C, Z, atol=1e-8)
-    grad = 2.0 * X.T @ (X @ C - X) + mu
+    grad = 2.0 * X.T @ (X @ C - X) + rho * u
     assert np.allclose(grad, 0.0, atol=1e-6)
 
 
@@ -206,3 +223,37 @@ def test_non_finite_input_raises():
 def test_solve_rejects_zero_iterations():
     with pytest.raises(ValueError):
         classic.solve(np.eye(2), classic.ClassicConfig(iterations=0))
+
+
+# ------------------------------------------------- against the dense-B loop
+
+
+def rel_frobenius(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def reference_case(kind):
+    rng = np.random.default_rng(23)
+    if kind == "subspaces":
+        X, _ = data.gen_subspaces(3, k=3, ambient_dim=20, sub_dim=3,
+                                  per_cluster=15, sigma=0.01)
+        return X, 200
+    if kind == "rank_deficient":
+        X = rng.standard_normal((8, 30))
+        X[:, 20:] = X[:, :10]           # ten duplicate columns: rank 8, r = 8 < n / 2
+        return X, 30
+    d = {"d_lt_half_n": 6, "two_r_eq_n": 15, "d_eq_n": 30, "d_gt_n": 45}[kind]
+    return rng.standard_normal((d, 30)), 30
+
+
+@pytest.mark.parametrize("kind", ["d_lt_half_n", "two_r_eq_n", "d_eq_n", "d_gt_n",
+                                  "rank_deficient", "subspaces"])
+def test_solve_matches_dense_reference(kind):
+    """The factored iteration reproduces the dense-B loop to rounding, for
+    thin, square, tall and rank-deficient data."""
+    X, iterations = reference_case(kind)
+    cfg = classic.ClassicConfig(lam=0.05, rho=0.8, iterations=iterations)
+    got = classic.solve(X, cfg)
+    want = classic_solve_reference(X, cfg)
+    for name in ("C", "Z", "mu", "residuals"):
+        assert rel_frobenius(getattr(got, name), getattr(want, name)) <= 1e-12, name
