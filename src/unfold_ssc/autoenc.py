@@ -162,13 +162,13 @@ def ae_backward(weights: AeWeights, tape: AeTape,
                 grad_H: np.ndarray | None, grad_Xhat: np.ndarray | None):
     """Reverse pass for both heads: latent consumers and reconstruction.
 
-    Returns a dict keyed like ``AeWeights.named_arrays``.
+    Returns a dict keyed like ``AeWeights.named_arrays``. The gradient with
+    respect to the input X is not formed.
     """
     grads: dict[str, np.ndarray] = {}
     n_dec = len(weights.dec)
-    gA = np.zeros_like(tape.H.T)  # gradient w.r.t. encoder output (latent, columns)
-    if grad_H is not None:
-        gA = gA + np.asarray(grad_H, dtype=np.float64).T
+    # gradient w.r.t. encoder output (latent, columns)
+    gA = None if grad_H is None else np.asarray(grad_H, dtype=np.float64).T
 
     if grad_Xhat is not None:
         g = np.asarray(grad_Xhat, dtype=np.float64)
@@ -178,17 +178,18 @@ def ae_backward(weights: AeWeights, tape: AeTape,
             grads[f"dec{i}.W"] = gPre @ tape.dec_act[i].T
             grads[f"dec{i}.b"] = gPre.sum(axis=1)
             g = layer.W.T @ gPre
-        gA = gA + g
+        gA = g if gA is None else gA + g
     else:
         for i in range(n_dec):
             grads[f"dec{i}.W"] = np.zeros_like(weights.dec[i].W)
             grads[f"dec{i}.b"] = np.zeros_like(weights.dec[i].b)
 
-    g = gA
+    g = np.zeros_like(tape.H.T) if gA is None else gA
     for i in range(len(weights.enc) - 1, -1, -1):
         layer = weights.enc[i]
         gPre = g * _leaky_grad(tape.enc_pre[i], weights.slope)
         grads[f"enc{i}.W"] = gPre @ tape.enc_act[i].T
         grads[f"enc{i}.b"] = gPre.sum(axis=1)
-        g = layer.W.T @ gPre
+        if i > 0:
+            g = layer.W.T @ gPre
     return grads

@@ -454,6 +454,13 @@ def cmd_cluster(args) -> int:
         raise DataError(f"coefficient matrix must be square, got shape {C.shape}")
     if not np.all(np.isfinite(C)):
         raise DataError("coefficient matrix has non-finite entries")
+    errors = []
+    if args.seed < 0:
+        errors.append(f"--seed: must be a non-negative integer (got {args.seed})")
+    if not 1 <= args.k <= C.shape[0]:
+        errors.append(f"--k: must be between 1 and the {C.shape[0]} samples (got {args.k})")
+    if errors:
+        raise ConfigError(errors)
     truth = _read_label_vector(args.truth) if args.truth else None
     if truth is not None and truth.shape[0] != C.shape[0]:
         raise DataError(f"{args.truth}: {truth.shape[0]} labels for {C.shape[0]} samples")
@@ -513,6 +520,8 @@ def cmd_gen(args) -> int:
         counts.update(height=args.height, width=args.width, bands=args.bands)
     errors = [f"--{flag}: must be a positive integer (got {value})"
               for flag, value in counts.items() if value < 1]
+    if args.seed < 0:
+        errors.append(f"--seed: must be a non-negative integer (got {args.seed})")
     if not 0 <= args.sigma < float("inf"):
         errors.append(f"--sigma: must be a finite non-negative number (got {args.sigma})")
     if args.kind == "subspaces" and not 1 <= args.sub_dim <= args.ambient_dim:
@@ -609,9 +618,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -1,8 +1,14 @@
-"""K-nearest-neighbor graphs and the structure-preservation loss."""
+"""K-nearest-neighbor graphs and the structure-preservation loss.
+
+Adjacencies come back dense, because one of them seeds the unfolded
+network's dense Z state. The Laplacian is sparse: a k-neighbor graph gives
+it O(k) entries per row, so the structure loss costs O(n^2 k), not O(n^3).
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
@@ -74,33 +80,33 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
     return adjs[0] if not more_k else tuple(adjs)
 
 
-def laplacian(adjacency: np.ndarray) -> np.ndarray:
-    """Combinatorial graph Laplacian D - A."""
+def laplacian(adjacency: np.ndarray) -> sparse.csr_array:
+    """Combinatorial graph Laplacian D - A of an exactly symmetric
+    adjacency, as a sparse CSR matrix whose entries equal the dense form's."""
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError("adjacency must be square")
-    if not np.allclose(adjacency, adjacency.T):
+    if not np.array_equal(adjacency, adjacency.T):
         raise ValueError("adjacency must be symmetric")
-    return np.diag(adjacency.sum(axis=1)) - adjacency
+    return sparse.csr_array(np.diag(adjacency.sum(axis=1)) - adjacency)
 
 
-def structure_loss(C: np.ndarray, lap: np.ndarray, adjacency: np.ndarray | None = None):
+def structure_loss(C: np.ndarray, lap: sparse.csr_array, adjacency: np.ndarray | None = None):
     """Neighborhood-coherence penalty on representation columns.
 
     Value is sum_{ij} A_ij * ||C[:, i] - C[:, j]||^2, evaluated through the
-    equivalent trace form 2 * tr(C L C^T); the gradient in C is 4 * C @ L.
-    ``adjacency`` is only shape-checked when given; the Laplacian carries
-    all the information the fast form needs.
+    equivalent trace form 2 * tr(C L C^T); the gradient in C is 4 * C @ L,
+    one sparse product. ``adjacency`` is only shape-checked when given; the
+    Laplacian carries all the information the fast form needs.
 
     Returns (value, grad).
     """
     C = np.asarray(C, dtype=np.float64)
-    lap = np.asarray(lap, dtype=np.float64)
     if C.shape[1] != lap.shape[0] or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"shape mismatch: C {C.shape} vs laplacian {lap.shape}")
     if adjacency is not None and np.shape(adjacency) != lap.shape:
         raise ValueError("adjacency and laplacian shapes differ")
     CL = C @ lap
     value = 2.0 * float(np.sum(CL * C))
-    grad = 4.0 * CL
-    return value, grad
+    CL *= 4.0
+    return value, CL

@@ -2,9 +2,9 @@
 
 Phase one fits the autoencoder alone. Its latent codes then freeze two
 nearest-neighbor graphs: a 30-neighbor adjacency that seeds the unfolded
-network's Z state, and a 10-neighbor graph whose Laplacian drives the
-structure loss. Phase two trains autoencoder and unfolded network together
-under the composite objective
+network's Z state, and a 10-neighbor graph, kept only as its sparse
+Laplacian, that drives the structure loss. Phase two trains autoencoder
+and unfolded network together under the composite objective
 
     L = L_rec + alpha * L_selfrep + beta * L_sparse + gamma * L_structure.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from unfold_ssc import autoenc, graph, unfold
 from unfold_ssc.errors import NumericalError
@@ -71,8 +72,7 @@ class TrainState:
     unfold: unfold.UnfoldParams | None = None
     opt: AdamState = field(default_factory=AdamState)
     z0: np.ndarray | None = None
-    adj: np.ndarray | None = None
-    lap: np.ndarray | None = None
+    lap: sparse.csr_array | None = None
 
     def named_arrays(self):
         for name, arr in self.ae.named_arrays():
@@ -126,12 +126,10 @@ def total_loss(state: TrainState, X: np.ndarray, weights: LossWeights):
     Ht = autoenc.normalize_latent(tape_ae.H)
     C, tape_u = unfold.forward(state.unfold, Ht, state.z0)
 
-    v_sr, gHt_sr, gC_sr = loss_sr(Ht, C)
+    v_sr, gHt_sr, gC = loss_sr(Ht, C)
     v_sp, gC_sp = loss_sp(C)
-    if state.lap is not None:
-        v_st, gC_st = graph.structure_loss(C, state.lap, state.adj)
-    else:
-        v_st, gC_st = 0.0, np.zeros_like(C)
+    v_st, gC_st = graph.structure_loss(C, state.lap)
+    del C
 
     w = weights
     breakdown = LossBreakdown(
@@ -139,8 +137,16 @@ def total_loss(state: TrainState, X: np.ndarray, weights: LossWeights):
         ae=v_ae, sr=v_sr, sp=v_sp, st=v_st,
     )
 
-    gC = w.alpha * gC_sr + w.beta * gC_sp + w.gamma * gC_st
+    # gC = alpha * gC_sr + beta * gC_sp + gamma * gC_st, summed in place in
+    # that order; only gC stays alive through the unfolded backward.
+    gC *= w.alpha
+    gC_sp *= w.beta
+    gC += gC_sp
+    gC_st *= w.gamma
+    gC += gC_st
+    del gC_sp, gC_st
     ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC)
+    del tape_u, gC
     gHt = w.alpha * gHt_sr + gHt_unfold
     gH = autoenc.normalize_latent_backward(tape_ae.H, gHt)
     ae_grads = autoenc.ae_backward(state.ae, tape_ae, gH, gXhat)
@@ -157,27 +163,44 @@ def _reset_moments(opt: AdamState, named) -> None:
 
 
 def adam_step(opt: AdamState, named, grads: dict, config: TrainConfig) -> None:
-    """One Adam update, in place, over (name, array) pairs.
+    """One Adam update, in place, over a sequence of (name, array) pairs.
 
     The learnable penalty and threshold preimages get the configured
-    learning-rate multiplier; everything else uses the base rate.
+    learning-rate multiplier; everything else uses the base rate. Each
+    array is updated through two scratch buffers sized for the largest one,
+    with the textbook per-element operations in the textbook order.
     """
     opt.step += 1
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     corr1 = 1.0 - b1**opt.step
     corr2 = 1.0 - b2**opt.step
+    size = max((arr.size for _, arr in named), default=0)
+    buf_a, buf_b = np.empty(size), np.empty(size)
     for name, arr in named:
         g = grads[name]
         m = opt.m[name]
         v = opt.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
+        a = buf_a[:arr.size].reshape(arr.shape)
+        b = buf_b[:arr.size].reshape(arr.shape)
         lr = config.learning_rate
         if name.endswith(("rho_raw", "theta_raw")):
             lr *= config.rho_theta_lr_mult
-        arr -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        np.multiply(g, 1.0 - b1, out=a)
+        m *= b1
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - b2
+        v *= b2
+        v += a
+        # arr -= lr (m / corr1) / (sqrt(v / corr2) + eps)
+        np.divide(m, corr1, out=a)
+        a *= lr
+        np.divide(v, corr2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        arr -= a
 
 
 def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
@@ -208,8 +231,8 @@ def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
             f"non-finite latent code for sample {int(np.argmax(bad))} after pretraining; "
             "cannot build the kNN graphs"
         )
-    state.z0, state.adj = graph.knn_adjacency(H.T, config.knn_init, config.knn_struct)
-    state.lap = graph.laplacian(state.adj)
+    state.z0, adj = graph.knn_adjacency(H.T, config.knn_init, config.knn_struct)
+    state.lap = graph.laplacian(adj)
     return history
 
 

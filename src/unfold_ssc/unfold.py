@@ -11,11 +11,14 @@ through softplus (acceptance test A2 bounds the relative difference by
 1e-10).
 
 The network returns the last layer's C, which that layer's shrinkage never
-reaches: the last threshold gets a zero gradient and stays at its initial
-value under training.
+reaches: the forward skips that shrinkage, and the last threshold gets a
+zero gradient and stays at its initial value under training.
 
 Gradients are hand-written reverse mode over a forward tape; no autodiff
-framework is involved.
+framework is involved. The tape keeps 2K + 1 n x n arrays for K layers
+(Z0 and each layer's C and dual input mu, the first of which is the scalar
+0); the backward recomputes each lower layer's Z from C and mu instead of
+storing it.
 """
 
 from __future__ import annotations
@@ -89,22 +92,31 @@ class UnfoldParams:
 
 @dataclass
 class ForwardTape:
-    """Everything the backward pass needs from one forward evaluation.
+    """What the backward pass reads from one forward evaluation.
 
-    Layer k's input Z is ``Z0`` for the first layer and ``Z_out[k-1]``
-    after it; V and T are recomputed from the stored arrays on demand.
-    ``C[-1]`` is the final C before diagonal zeroing.
+    Per layer k it keeps the penalty rho_k, the threshold theta_k, the dual
+    input ``mu_in[k]`` (the scalar 0 on the first layer) and the
+    pre-shrinkage ``C[k]``; ``C[-1]`` is the final C before diagonal
+    zeroing. With Z0 that is 2K + 1 n x n arrays, one of them never
+    allocated. Layer k's output Z and shrinkage input T are recomputed on
+    demand with the forward's expressions, so they match it bit for bit.
     """
 
     Htilde: np.ndarray
     Z0: np.ndarray
     rho: list = field(default_factory=list)
+    theta: list = field(default_factory=list)
     mu_in: list = field(default_factory=list)
     C: list = field(default_factory=list)
-    Z_out: list = field(default_factory=list)
+
+    def Z(self, k: int) -> np.ndarray:
+        """Layer k's output zero_diag(shrink(C_k + mu_k / rho_k, theta_k))."""
+        Z = relu_soft_threshold(self.C[k] + self.mu_in[k] / self.rho[k], self.theta[k])
+        np.fill_diagonal(Z, 0.0)
+        return Z
 
     def Z_in(self, k: int) -> np.ndarray:
-        return self.Z0 if k == 0 else self.Z_out[k - 1]
+        return self.Z0 if k == 0 else self.Z(k - 1)
 
     @property
     def T(self) -> list:
@@ -141,8 +153,8 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
 
     Per layer k:  V = mu - rho_k Z;  C = W_k H~ - B_k V;
                   Z = shrink(C + mu / rho_k, theta_k) with zero diagonal;
-                  mu = mu + rho_k (C - Z), skipped on the last layer, whose
-                  dual nothing reads.
+                  mu = mu + rho_k (C - Z).
+    The last layer stops at C: nothing reads its Z or dual.
     Returns (C, tape) where C is the final-layer coefficient matrix with
     its diagonal zeroed.
     """
@@ -153,23 +165,21 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
         raise ValueError("Z0 must be n x n for n samples")
     if np.any(np.diagonal(Z) != 0):
         raise ValueError("Z0 must have a zero diagonal")
-    mu = np.zeros((n, n))
+    mu = 0.0
     tape = ForwardTape(Htilde=Htilde, Z0=Z)
     C = None
     for k, layer in enumerate(params.layers):
-        rho, theta = layer.rho, layer.theta
+        rho = layer.rho
         V = mu - rho * Z
         C = layer.W @ Htilde - layer.B @ V
-        T = C + mu / rho
-        Zraw = relu_soft_threshold(T, theta)
-        np.fill_diagonal(Zraw, 0.0)
+        del V
         tape.rho.append(rho)
+        tape.theta.append(layer.theta)
         tape.mu_in.append(mu)
         tape.C.append(C)
-        Z = Zraw
         if k + 1 < params.n_layers:
+            Z = tape.Z(k)
             mu = mu + rho * (C - Z)
-        tape.Z_out.append(Z)
     C_out = C.copy()
     np.fill_diagonal(C_out, 0.0)
     return C_out, tape
@@ -182,7 +192,8 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
     zeroed) coefficient matrix. Returns (grads, grad_Htilde) where ``grads``
     maps the names from ``params.named_arrays`` to arrays of matching shape;
     rho/theta gradients are with respect to their softplus preimages.
-    Subgradients at the shrinkage kinks are taken as zero.
+    Subgradients at the shrinkage kinks are taken as zero. The tape is only
+    read; each lower layer's Z is recomputed once.
 
     The output is the last layer's C, which its own shrinkage never reaches,
     so that layer's threshold gets an exactly zero gradient (it stays at its
@@ -197,39 +208,46 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
     for k in range(top, -1, -1):
         layer = params.layers[k]
         name = f"layer{k}"
-        rho, theta = layer.rho, layer.theta
-        Z_in, mu_in = tape.Z_in(k), tape.mu_in[k]
+        rho, mu_in = layer.rho, tape.mu_in[k]
         grho = gtheta = 0.0
 
         if k < top:
-            C, Z_out = tape.C[k], tape.Z_out[k]
-            # mu_out = mu_in + rho (C - Z_out)
+            # Z is layer k's output, recomputed as layer k + 1's input below.
+            # mu_out = mu_in + rho (C - Z)
             gC = rho * gmu
             gZ -= gC
-            grho = float(np.sum(gmu * (C - Z_out)))
+            grho = float(np.sum(gmu * (tape.C[k] - Z)))
 
-            # Z_out = zero_diag(shrink(T, theta)), T = C + mu_in / rho
-            T = C + mu_in / rho
+            # Z = zero_diag(shrink(T, theta)), T = C + mu_in / rho, is nonzero
+            # exactly where |T| > theta off the diagonal, with T's sign.
             gT = gZ  # masked in place
-            gT[~(np.abs(T) > theta)] = 0.0
-            np.fill_diagonal(gT, 0.0)
-            gtheta = -float(np.sum(gT * np.sign(T)))
+            gT[Z == 0.0] = 0.0
+            gtheta = -float(np.sum(gT * np.sign(Z)))
             gC += gT
-            gmu += gT / rho
-            grho -= float(np.sum(gT * (mu_in / rho**2)))
+            if k > 0:
+                gmu += gT / rho
+                grho -= float(np.sum(gT * (mu_in / rho**2)))
+            del gT, gZ, Z
 
-        # C = W H~ - B V,  V = mu_in - rho Z_in;  BtG = B^T gC = -dL/dV
+        # C = W H~ - B V,  V = mu_in - rho Z_in
+        Z = tape.Z_in(k)
         grads[f"{name}.W"] = gC @ Ht.T
         gHt = layer.W.T @ gC if k == top else gHt + layer.W.T @ gC
-        grads[f"{name}.B"] = gC @ (rho * Z_in - mu_in).T
-        BtG = layer.B.T @ gC
-        grho += float(np.sum(BtG * Z_in))
-        # gZ, gmu: gradients of Z_in and mu_in, the outputs of layer k - 1
-        gZ = rho * BtG
-        if k == top:
-            gmu = np.negative(BtG, out=BtG)
+        gB = grads[f"{name}.B"] = gC @ (rho * Z - mu_in).T
+        if k == 0:
+            # Z0 and mu_0 = 0 are constants, so B^T gC only feeds rho's
+            # gradient: <B^T gC, Z0> = <B, gC Z0^T> = <B, gB> / rho.
+            grho += float(np.sum(layer.B * gB)) / rho
         else:
-            gmu -= BtG
+            BtG = layer.B.T @ gC  # -dL/dV
+            grho += float(np.sum(BtG * Z))
+            # gZ, gmu: gradients of Z_in and mu_in, the outputs of layer k - 1
+            gZ = rho * BtG
+            if k == top:
+                gmu = np.negative(BtG, out=BtG)
+            else:
+                gmu -= BtG
+            del BtG
 
         grads[f"{name}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
         grads[f"{name}.theta_raw"] = np.array(gtheta * expit(layer.theta_raw))

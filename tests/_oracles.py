@@ -8,13 +8,14 @@ other way around.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
 from unfold_ssc.classic import AdmmState
-from unfold_ssc.unfold import ForwardTape, relu_soft_threshold
+from unfold_ssc.unfold import relu_soft_threshold
 
 
 def fd_gradient(f, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -227,15 +228,33 @@ def nmi_plain(pred: np.ndarray, truth: np.ndarray) -> float:
     return info / np.sqrt(hu * hv)
 
 
+@dataclass
+class ReferenceTape:
+    """Every intermediate of the reference forward pass, stored: 3K + 1
+    n x n arrays for K layers."""
+
+    Htilde: np.ndarray
+    Z0: np.ndarray
+    rho: list = field(default_factory=list)
+    mu_in: list = field(default_factory=list)
+    C: list = field(default_factory=list)
+    Z_out: list = field(default_factory=list)
+
+    @property
+    def T(self) -> list:
+        return [C + mu / rho for C, mu, rho in zip(self.C, self.mu_in, self.rho)]
+
+
 def unfold_forward_reference(params, Htilde, Z0=None):
     """The unfolded forward pass written plainly: every layer, including the
-    last, computes its dual update. Package results must match bit for bit.
+    last, computes its shrinkage and dual update, and the tape keeps them
+    all. Package results must match bit for bit.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
     Z = np.zeros((n, n)) if Z0 is None else np.asarray(Z0, dtype=np.float64)
     mu = np.zeros((n, n))
-    tape = ForwardTape(Htilde=Htilde, Z0=Z)
+    tape = ReferenceTape(Htilde=Htilde, Z0=Z)
     C = None
     for layer in params.layers:
         rho, theta = layer.rho, layer.theta

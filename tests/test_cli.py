@@ -158,6 +158,8 @@ class TestGenCommands:
         (["cube", "--bands", "0"], "--bands"),
         (["cube", "--sigma", "-0.1"], "--sigma"),
         (["subspaces", "--sigma", "nan"], "--sigma"),
+        (["subspaces", "--seed", "-1"], "--seed"),
+        (["cube", "--seed", "-1"], "--seed"),
     ])
     def test_gen_bad_flag_exits_two_and_creates_nothing(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "never"
@@ -469,6 +471,34 @@ class TestClusterCommand:
         assert "input labels.csv would be overwritten" in capsys.readouterr().err
         assert Path(truth).read_bytes() == before
         assert not [f for f in os.listdir(os.path.dirname(truth)) if f.startswith(".staging-")]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--seed", "-1"], "--seed"),
+        (["--k", "0"], "--k"),
+        (["--k", "21"], "--k"),
+    ])
+    def test_bad_flag_exits_two_and_creates_nothing(self, tmp_path, small_c, capsys,
+                                                    argv, flag):
+        c_path, _ = small_c
+        out = tmp_path / "never"
+        rc = cli.main(["cluster", "--from-c", c_path, "--k", "2", *argv, "--out", str(out)])
+        assert rc == 2
+        assert f"config error: {flag}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_error_is_not_reported_as_config_error(self, tmp_path, small_c,
+                                                         monkeypatch, capsys):
+        from unfold_ssc import cluster
+
+        def broken(S, k, seed):
+            raise ValueError("not a configuration problem")
+
+        monkeypatch.setattr(cluster, "spectral_cluster", broken)
+        c_path, _ = small_c
+        with pytest.raises(ValueError, match="not a configuration problem"):
+            cli.main(["cluster", "--from-c", c_path, "--k", "2", "--out", str(tmp_path / "o")])
+        assert "config error" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_square_matrix_exits_three(self, tmp_path, subspace_data, capsys):
         rc = cli.main(["cluster",

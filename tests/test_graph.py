@@ -145,14 +145,14 @@ def test_path_graph_laplacian():
         [0.0, 1.0, 0.0],
     ])
     lap = graph.laplacian(adj)
-    assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    assert np.array_equal(lap.toarray(), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 
 def test_laplacian_rows_sum_to_zero_and_psd():
     rng = np.random.default_rng(4)
     for trial in range(5):
         pts = rng.standard_normal((3, 9))
-        lap = graph.laplacian(graph.knn_adjacency(pts, 2))
+        lap = graph.laplacian(graph.knn_adjacency(pts, 2)).toarray()
         assert np.allclose(lap.sum(axis=1), 0.0)
         eigvals = np.linalg.eigvalsh(lap)
         assert eigvals.min() > -1e-10
@@ -161,6 +161,19 @@ def test_laplacian_rows_sum_to_zero_and_psd():
 def test_laplacian_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         graph.laplacian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    nearly = 1.0 - np.eye(4)
+    nearly[0, 1] += 1e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        graph.laplacian(nearly)
+
+
+def test_knn_laplacian_is_sparse_and_equals_dense_form():
+    rng = np.random.default_rng(12)
+    adj = graph.knn_adjacency(rng.standard_normal((5, 80)), 6)
+    lap = graph.laplacian(adj)
+    assert lap.format == "csr"
+    assert lap.nnz == np.count_nonzero(adj) + adj.shape[0]
+    assert np.array_equal(lap.toarray(), np.diag(adj.sum(axis=1)) - adj)
 
 
 # --------------------------------------------------------- structure loss
@@ -222,3 +235,19 @@ def test_loss_nonnegative():
         adj = knn_adjacency_brute(rng.standard_normal((3, n)), 3)
         value, _ = graph.structure_loss(C, graph.laplacian(adj), adj)
         assert value >= -1e-12
+
+
+def test_sparse_form_matches_dense_laplacian_and_pairwise():
+    rng = np.random.default_rng(77)
+    for n, k in ((30, 3), (120, 10)):
+        adj = graph.knn_adjacency(rng.standard_normal((4, n)), k)
+        dense = np.diag(adj.sum(axis=1)) - adj
+        C = rng.standard_normal((n, n))
+        value, grad = graph.structure_loss(C, graph.laplacian(adj))
+        CL = C @ dense
+        want_value = 2.0 * float(np.sum(CL * C))
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert np.linalg.norm(grad - 4.0 * CL) <= 1e-12 * np.linalg.norm(4.0 * CL)
+        if n <= 30:
+            pairwise = structure_loss_pairwise(C, adj)
+            assert abs(value - pairwise) <= 1e-12 * abs(pairwise)
