@@ -33,28 +33,26 @@ class AdmmState:
 
 
 def precompute(Y: np.ndarray, rho: float):
-    """Closed-form C-update terms from one thin SVD of the dictionary.
+    """The C-update operator B = (2 Y^T Y + rho I)^-1, factored by one thin
+    SVD of the dictionary.
 
-    W = (2 Y^T Y + rho I)^-1 (2 Y^T)  and  B = (2 Y^T Y + rho I)^-1.
     With Y = U diag(s) V^T, r = min(d, n) singular values and
     w = 2s^2 / (2s^2 + rho),
 
-        W = V diag(2s / (2s^2 + rho)) U^T
         B = (I - P) / rho,   P = V diag(w) V^T,
 
     one formula for every shape and rank, at O(d n r) instead of an n x n
-    factorization. Returns (W, Vt, w) with Vt = V^T; B stays factored,
-    since P applied to an n x n matrix through Vt costs O(n^2 r).
+    factorization. Returns (Vt, w) with Vt = V^T; B stays factored, since P
+    applied to an n x n matrix through Vt costs O(n^2 r).
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
         raise ValueError("dictionary must be 2-D")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-    denom = 2.0 * s * s + rho
-    W = Vt.T @ ((2.0 * s / denom)[:, np.newaxis] * U.T)
-    return W, Vt, 2.0 * s * s / denom
+    _, s, Vt = np.linalg.svd(Y, full_matrices=False)
+    s2 = 2.0 * s * s
+    return Vt, s2 / (s2 + rho)
 
 
 def soft_threshold(x, tau: float):
@@ -70,9 +68,9 @@ def soft_threshold(x, tau: float):
 
 def step_C(Vt: np.ndarray, w: np.ndarray, Z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Exact minimizer of the augmented Lagrangian in C, in the scaled dual,
-    with the data as its own dictionary (so W X = P):
+    with the data as its own dictionary (so 2 B X^T X = P):
 
-        C = W X - rho B (u - Z) = P (I + D) - D,   D = u - Z,
+        C = 2 B X^T X - rho B (u - Z) = P (I + D) - D,   D = u - Z,
 
     applying P = Vt^T diag(w) Vt as two thin products: 4 n^2 r flops per
     iteration, r = min(d, n), against 2 n^3 for a dense n x n B.
@@ -106,7 +104,7 @@ def solve(X: np.ndarray, config: ClassicConfig) -> AdmmState:
         raise ValueError("iterations must be >= 1")
     if not np.all(np.isfinite(X)):
         raise NumericalError("non-finite input data, refusing to iterate")
-    _, Vt, w = precompute(X, config.rho)
+    Vt, w = precompute(X, config.rho)
     tau = config.lam / config.rho
     Z = np.zeros((n, n))
     u = np.zeros_like(Z)

@@ -91,21 +91,18 @@ def laplacian(adjacency: np.ndarray) -> sparse.csr_array:
     return sparse.csr_array(np.diag(adjacency.sum(axis=1)) - adjacency)
 
 
-def structure_loss(C: np.ndarray, lap: sparse.csr_array, adjacency: np.ndarray | None = None):
+def structure_loss(C: np.ndarray, lap: sparse.csr_array):
     """Neighborhood-coherence penalty on representation columns.
 
     Value is sum_{ij} A_ij * ||C[:, i] - C[:, j]||^2, evaluated through the
     equivalent trace form 2 * tr(C L C^T); the gradient in C is 4 * C @ L,
-    one sparse product. ``adjacency`` is only shape-checked when given; the
-    Laplacian carries all the information the fast form needs.
+    one sparse product.
 
     Returns (value, grad).
     """
     C = np.asarray(C, dtype=np.float64)
     if C.shape[1] != lap.shape[0] or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"shape mismatch: C {C.shape} vs laplacian {lap.shape}")
-    if adjacency is not None and np.shape(adjacency) != lap.shape:
-        raise ValueError("adjacency and laplacian shapes differ")
     CL = C @ lap
     value = 2.0 * float(np.sum(CL * C))
     CL *= 4.0

@@ -1,14 +1,16 @@
 """Layer-unfolded ADMM network for learnable self-representation.
 
-Each layer replays one ADMM iteration with its own learnable ingredients:
-the linear maps W and B (initialized from the analytic solver matrices and
-then free), a penalty rho, and a shrinkage threshold theta. rho and theta
-are stored as softplus preimages so gradient steps can never push them out
-of their valid ranges (rho > 0, theta >= 0). With theta = lambda / rho the
-forward pass reproduces the classic solver to rounding: the two compute
-the same iteration in a different order, and rho and theta round-trip
-through softplus (acceptance test A2 bounds the relative difference by
-1e-10).
+Each layer replays one ADMM iteration with its own learnable map W
+(initialized from the analytic solver matrix, then free), penalty rho and
+shrinkage threshold theta, the last two stored as softplus preimages so
+gradient steps can never push them out of range (rho > 0, theta >= 0). All
+layers share the solver's fixed B = (2 H0^T H0 + rho0 I)^-1 for the
+normalized latent H0 at initialization, never formed but applied in
+Woodbury form through the l x l matrix M = (rho0 / 2 I + H0 H0^T)^-1, at
+O(n^2 l) per n x n operand. With theta = lambda / rho the forward pass
+reproduces the classic solver to rounding: the two compute the same
+iteration in a different order, and rho and theta round-trip through
+softplus (acceptance test A2 bounds the relative difference by 1e-10).
 
 The network returns the last layer's C, which that layer's shrinkage never
 reaches: the forward skips that shrinkage, and the last threshold gets a
@@ -27,8 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
-
-from unfold_ssc import classic
 
 
 def softplus(x):
@@ -58,7 +58,6 @@ def relu_soft_threshold(v, theta):
 @dataclass
 class UnfoldLayer:
     W: np.ndarray          # (n, l)
-    B: np.ndarray          # (n, n)
     rho_raw: np.ndarray    # 0-d softplus preimage of the penalty
     theta_raw: np.ndarray  # 0-d softplus preimage of the threshold
 
@@ -73,9 +72,12 @@ class UnfoldLayer:
 
 @dataclass
 class UnfoldParams:
-    """Learnable state of the unfolded network, one entry per layer."""
+    """The learnable layers, and the fixed B they share as H0, M and rho0."""
 
     layers: list[UnfoldLayer]
+    H0: np.ndarray
+    M: np.ndarray
+    rho0: float
 
     @property
     def n_layers(self) -> int:
@@ -85,9 +87,15 @@ class UnfoldParams:
         """Deterministic (name, array) walk over every learnable tensor."""
         for idx, layer in enumerate(self.layers):
             yield f"layer{idx}.W", layer.W
-            yield f"layer{idx}.B", layer.B
             yield f"layer{idx}.rho_raw", layer.rho_raw
             yield f"layer{idx}.theta_raw", layer.theta_raw
+
+    def apply_B(self, V: np.ndarray) -> np.ndarray:
+        """B V = (V - H0^T (M (H0 V))) / rho0, a new array; B is symmetric."""
+        BV = self.H0.T @ (self.M @ (self.H0 @ V))
+        np.subtract(V, BV, out=BV)
+        BV /= self.rho0
+        return BV
 
 
 @dataclass
@@ -126,11 +134,11 @@ class ForwardTape:
 
 def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
                 theta0: float = 0.005) -> UnfoldParams:
-    """Analytic initialization from the classic solver matrices.
+    """Analytic initialization from the normalized latent H0 = Htilde.
 
-    Every layer starts from the same W = (2 H^T H + rho0 I)^-1 2 H^T and
-    B = (2 H^T H + rho0 I)^-1 (each layer gets its own copies), with
-    penalty rho0 and threshold theta0.
+    Every layer starts from its own copy of W = H0^T M, which equals the
+    classic solver's (2 H0^T H0 + rho0 I)^-1 2 H0^T, with penalty rho0 and
+    threshold theta0.
     """
     if n_layers < 1:
         raise ValueError("the network needs at least one layer")
@@ -138,20 +146,19 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
         raise ValueError(f"rho0 must be positive, got {rho0}")
     if theta0 <= 0:
         raise ValueError(f"theta0 must be positive, got {theta0}")
-    W, Vt, w = classic.precompute(Htilde, rho0)
-    B = (np.eye(Vt.shape[1]) - Vt.T @ (w[:, np.newaxis] * Vt)) / rho0
+    H0 = np.array(Htilde, dtype=np.float64)
+    M = np.linalg.inv(0.5 * rho0 * np.eye(H0.shape[0]) + H0 @ H0.T)
+    W = H0.T @ M
     rho_raw = softplus_inv(rho0)
     theta_raw = softplus_inv(theta0)
-    return UnfoldParams(layers=[
-        UnfoldLayer(W.copy(), B.copy(), np.array(rho_raw), np.array(theta_raw))
-        for _ in range(n_layers)
-    ])
+    return UnfoldParams([UnfoldLayer(W.copy(), np.array(rho_raw), np.array(theta_raw))
+                         for _ in range(n_layers)], H0, M, float(rho0))
 
 
 def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = None):
     """Run the unfolded network from Z = Z0 (zero when omitted) and mu = 0.
 
-    Per layer k:  V = mu - rho_k Z;  C = W_k H~ - B_k V;
+    Per layer k:  V = mu - rho_k Z;  C = W_k H~ - B V;
                   Z = shrink(C + mu / rho_k, theta_k) with zero diagonal;
                   mu = mu + rho_k (C - Z).
     The last layer stops at C: nothing reads its Z or dual.
@@ -170,9 +177,8 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
     C = None
     for k, layer in enumerate(params.layers):
         rho = layer.rho
-        V = mu - rho * Z
-        C = layer.W @ Htilde - layer.B @ V
-        del V
+        C = layer.W @ Htilde
+        C -= params.apply_B(mu - rho * Z)
         tape.rho.append(rho)
         tape.theta.append(layer.theta)
         tape.mu_in.append(mu)
@@ -229,25 +235,20 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
                 grho -= float(np.sum(gT * (mu_in / rho**2)))
             del gT, gZ, Z
 
-        # C = W H~ - B V,  V = mu_in - rho Z_in
+        # C = W H~ - B V,  V = mu_in - rho Z_in, with B fixed and symmetric
         Z = tape.Z_in(k)
         grads[f"{name}.W"] = gC @ Ht.T
         gHt = layer.W.T @ gC if k == top else gHt + layer.W.T @ gC
-        gB = grads[f"{name}.B"] = gC @ (rho * Z - mu_in).T
-        if k == 0:
-            # Z0 and mu_0 = 0 are constants, so B^T gC only feeds rho's
-            # gradient: <B^T gC, Z0> = <B, gC Z0^T> = <B, gB> / rho.
-            grho += float(np.sum(layer.B * gB)) / rho
-        else:
-            BtG = layer.B.T @ gC  # -dL/dV
-            grho += float(np.sum(BtG * Z))
+        BtG = params.apply_B(gC)  # -dL/dV
+        grho += float(np.sum(BtG * Z))
+        if k > 0:
             # gZ, gmu: gradients of Z_in and mu_in, the outputs of layer k - 1
             gZ = rho * BtG
             if k == top:
                 gmu = np.negative(BtG, out=BtG)
             else:
                 gmu -= BtG
-            del BtG
+        del BtG
 
         grads[f"{name}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
         grads[f"{name}.theta_raw"] = np.array(gtheta * expit(layer.theta_raw))

@@ -57,6 +57,11 @@ def rel_err(analytic, numeric, floor: float = 1e-6) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
+def rel_frobenius(a, b) -> float:
+    """Relative Frobenius distance of ``a`` from the reference ``b``."""
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
 def soft_threshold_scalar(x: float, tau: float) -> float:
     """Piecewise definition, one scalar at a time."""
     if x > tau:
@@ -245,10 +250,35 @@ class ReferenceTape:
         return [C + mu / rho for C, mu, rho in zip(self.C, self.mu_in, self.rho)]
 
 
-def unfold_forward_reference(params, Htilde, Z0=None):
+class SymmetricOperator:
+    """A symmetric linear map known by its action, usable where the
+    reference passes write ``B @ V`` and ``B.T @ V``."""
+
+    def __init__(self, apply):
+        self.apply = apply
+
+    def __matmul__(self, V):
+        return self.apply(V)
+
+    @property
+    def T(self):
+        return self
+
+
+def dense_B_reference(params) -> np.ndarray:
+    """The unfolded layers' fixed B = (2 H0^T H0 + rho0 I)^-1 as an n x n
+    matrix, from its own dense solve."""
+    H0, rho0 = params.H0, params.rho0
+    n = H0.shape[1]
+    return scipy.linalg.solve(2.0 * (H0.T @ H0) + rho0 * np.eye(n), np.eye(n), assume_a="pos")
+
+
+def unfold_forward_reference(params, B, Htilde, Z0=None):
     """The unfolded forward pass written plainly: every layer, including the
     last, computes its shrinkage and dual update, and the tape keeps them
-    all. Package results must match bit for bit.
+    all. ``B`` is the layers' fixed operator: the dense matrix from
+    ``dense_B_reference``, or the package's own closed form wrapped in
+    ``SymmetricOperator``, with which package results must match bit for bit.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
@@ -259,7 +289,7 @@ def unfold_forward_reference(params, Htilde, Z0=None):
     for layer in params.layers:
         rho, theta = layer.rho, layer.theta
         V = mu - rho * Z
-        C = layer.W @ Htilde - layer.B @ V
+        C = layer.W @ Htilde - B @ V
         T = C + mu / rho
         Zraw = relu_soft_threshold(T, theta)
         np.fill_diagonal(Zraw, 0.0)
@@ -274,9 +304,10 @@ def unfold_forward_reference(params, Htilde, Z0=None):
     return C_out, tape
 
 
-def unfold_backward_reference(params, tape, grad_C):
+def unfold_backward_reference(params, B, tape, grad_C):
     """Reverse mode through every branch of every layer, from zero-filled
-    accumulators and with masks built from full n x n arrays.
+    accumulators and with masks built from full n x n arrays; ``B`` as in
+    ``unfold_forward_reference``.
     """
     Ht = tape.Htilde
     n = Ht.shape[1]
@@ -294,7 +325,6 @@ def unfold_backward_reference(params, tape, grad_C):
         rho, theta = layer.rho, layer.theta
         Z_in = tape.Z0 if k == 0 else tape.Z_out[k - 1]
         mu_in, C, Z_out = tape.mu_in[k], tape.C[k], tape.Z_out[k]
-        V = mu_in - rho * Z_in
         T = C + mu_in / rho
 
         gmu_in = gmu_next.copy()
@@ -313,8 +343,7 @@ def unfold_backward_reference(params, tape, grad_C):
 
         grads[f"{name}.W"] += gC @ Ht.T
         gHt += layer.W.T @ gC
-        grads[f"{name}.B"] += -gC @ V.T
-        gV = -layer.B.T @ gC
+        gV = -(B.T @ gC)
         gmu_in += gV
         gZ_in = -rho * gV
         grho += float(np.sum(gV * (-Z_in)))

@@ -7,18 +7,24 @@ read 0. This test reads the tracer's source (it never imports or edits it)
 and checks that every span name it looks up is a public function defined in
 a package module that ``perfbench/child.py`` hands to the tracer. The classic
 solver's spans are also counted under the tracer's wrapping scheme, since
-``classic.iteration_ms`` depends on how often ``solve`` calls its steps.
+``classic.iteration_ms`` depends on how often ``solve`` calls its steps, and
+a traced run of ``perfbench/child.py`` must report the counters the tracer
+turns into metrics.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unfold_ssc import classic
+from unfold_ssc import autoenc, classic, cli, unfold
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -119,3 +125,35 @@ def test_classic_spans_count_iterations(monkeypatch):
     assert under_solve.count("step_C") == iterations
     assert under_solve.count("precompute") == 1
     assert [name for name, _ in calls].count("precompute") == 1
+
+
+def test_traced_child_reports_unfold_shape_and_param_count(tmp_path):
+    """A traced ``child.py`` run on a tiny cube (8 x 8 pixels, 3 x 3 patches
+    of 4 bands, latent 6, 2 layers) reports the unfolded network's shape and
+    the size of every learned array. Nothing is written under perfbench/."""
+    data_dir = tmp_path / "cube"
+    assert cli.main(["gen", "cube", "--clusters", "2", "--height", "8", "--width", "8",
+                     "--bands", "4", "--out", str(data_dir)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "values_path": str(data_dir / "values.sscm"),
+        "labels_path": str(data_dir / "labels.sscm"),
+        "k_clusters": 2, "patch": 3, "pretrain_epochs": 2, "joint_epochs": 1,
+        "knn_init": 5, "knn_struct": 3,
+        "latent_dim": 6, "hidden_dims": [16, 8], "admm_layers": 2,
+    }))
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "--config", str(config),
+                    "--out-dir", str(tmp_path / "out"), "--result", str(result), "--trace"],
+                   env=env, check=True, timeout=120)
+    counters = json.loads(result.read_text())["counters"]
+
+    n, latent, layers = 64, 6, 2
+    assert tuple(counters["unfold_shape"]) == (n, latent, layers)
+    ae = autoenc.init_weights(autoenc.AeConfig(input_dim=36, hidden_dims=(16, 8),
+                                               latent_dim=latent), 0)
+    net = unfold.init_params(np.ones((latent, n)), 0.5, layers)
+    expected = sum(a.size for _, a in ae.named_arrays()) + sum(a.size for _, a in net.named_arrays())
+    assert counters["param_count"] == expected

@@ -6,7 +6,8 @@ import pytest
 from unfold_ssc import classic, data
 from unfold_ssc.errors import NumericalError
 from unfold_ssc.unfold import relu_soft_threshold
-from _oracles import classic_solve_reference, precompute_reference, soft_threshold_scalar
+from _oracles import (classic_solve_reference, precompute_reference, rel_frobenius,
+                      soft_threshold_scalar)
 
 
 # ------------------------------------------------------------- precompute
@@ -18,10 +19,9 @@ def dense_B(Vt, w, rho):
 
 
 def test_precompute_identity_dictionary():
-    """Y = I2, rho = 1: system is 3I, so B = I/3 and W = 2I/3."""
-    W, Vt, w = classic.precompute(np.eye(2), 1.0)
+    """Y = I2, rho = 1: system is 3I, so B = I/3."""
+    Vt, w = classic.precompute(np.eye(2), 1.0)
     B = dense_B(Vt, w, 1.0)
-    assert np.allclose(W, 2.0 / 3.0 * np.eye(2), atol=1e-14)
     assert np.allclose(B, 1.0 / 3.0 * np.eye(2), atol=1e-14)
 
 
@@ -42,10 +42,9 @@ SHAPES = ["d_lt_n", "d_eq_n", "d_gt_n", "rank_deficient"]
 def test_precompute_solves_the_system(kind):
     Y = dictionary(kind)
     rho = 0.37
-    W, Vt, w = classic.precompute(Y, rho)
+    Vt, w = classic.precompute(Y, rho)
     B = dense_B(Vt, w, rho)
     system = 2.0 * Y.T @ Y + rho * np.eye(9)
-    assert np.allclose(system @ W, 2.0 * Y.T, atol=1e-10)
     assert np.allclose(system @ B, np.eye(9), atol=1e-10)
 
 
@@ -53,10 +52,9 @@ def test_precompute_solves_the_system(kind):
 def test_precompute_matches_cholesky_reference(kind):
     Y = dictionary(kind)
     for rho in (0.37, 1.0, 4.0):
-        W, Vt, w = classic.precompute(Y, rho)
+        Vt, w = classic.precompute(Y, rho)
         B = dense_B(Vt, w, rho)
-        W_ref, B_ref = precompute_reference(Y, rho)
-        assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+        _, B_ref = precompute_reference(Y, rho)
         assert np.linalg.norm(B - B_ref) <= 1e-12 * np.linalg.norm(B_ref)
 
 
@@ -123,7 +121,7 @@ def test_step_c_is_exact_minimizer():
     Z = rng.standard_normal((8, 8))
     mu = rng.standard_normal((8, 8))
     rho = 0.9
-    _, Vt, w = classic.precompute(X, rho)
+    Vt, w = classic.precompute(X, rho)
     C = classic.step_C(Vt, w, Z, mu / rho)
     grad = 2.0 * Y.T @ (Y @ C - X) + mu + rho * (C - Z)
     assert np.allclose(grad, 0.0, atol=1e-10)
@@ -188,7 +186,7 @@ def test_lam_zero_no_diag_fixed_point():
     rng = np.random.default_rng(19)
     X = rng.standard_normal((5, 6))
     rho = 1.0
-    _, Vt, w = classic.precompute(X, rho)
+    Vt, w = classic.precompute(X, rho)
     n = 6
     Z = np.zeros((n, n))
     u = np.zeros((n, n))
@@ -226,10 +224,6 @@ def test_solve_rejects_zero_iterations():
 
 
 # ------------------------------------------------- against the dense-B loop
-
-
-def rel_frobenius(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
 def reference_case(kind):

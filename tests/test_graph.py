@@ -185,14 +185,14 @@ def test_identity_pair_example():
     C = np.eye(2)
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
     lap = graph.laplacian(adj)
-    value, grad = graph.structure_loss(C, lap, adj)
+    value, grad = graph.structure_loss(C, lap)
     assert value == pytest.approx(4.0, abs=1e-12)
 
 
 def test_edgeless_graph_zero_loss():
     C = np.random.default_rng(0).standard_normal((3, 4))
     adj = np.zeros((4, 4))
-    value, grad = graph.structure_loss(C, graph.laplacian(adj), adj)
+    value, grad = graph.structure_loss(C, graph.laplacian(adj))
     assert value == 0.0
     assert np.all(grad == 0.0)
 
@@ -204,7 +204,7 @@ def test_value_matches_pairwise_oracle():
         C = rng.standard_normal((n, n))
         adj = knn_adjacency_brute(rng.standard_normal((3, n)), 2)
         lap = graph.laplacian(adj)
-        value, _ = graph.structure_loss(C, lap, adj)
+        value, _ = graph.structure_loss(C, lap)
         expected = structure_loss_pairwise(C, adj)
         assert value == pytest.approx(expected, rel=1e-12)
 
@@ -214,8 +214,8 @@ def test_gradient_matches_finite_differences():
     C = rng.standard_normal((5, 6))
     adj = knn_adjacency_brute(rng.standard_normal((2, 6)), 2)
     lap = graph.laplacian(adj)
-    _, grad = graph.structure_loss(C, lap, adj)
-    fd = fd_gradient(lambda: graph.structure_loss(C, lap, adj)[0], C)
+    _, grad = graph.structure_loss(C, lap)
+    fd = fd_gradient(lambda: graph.structure_loss(C, lap)[0], C)
     assert rel_err(grad, fd) < 1e-6
 
 
@@ -223,7 +223,7 @@ def test_identical_columns_on_clique_zero_loss():
     col = np.arange(4.0)[:, np.newaxis]
     C = np.repeat(col, 5, axis=1)
     adj = 1.0 - np.eye(5)
-    value, _ = graph.structure_loss(C, graph.laplacian(adj), adj)
+    value, _ = graph.structure_loss(C, graph.laplacian(adj))
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -233,7 +233,7 @@ def test_loss_nonnegative():
         n = 7
         C = rng.standard_normal((4, n)) * rng.uniform(0.1, 10)
         adj = knn_adjacency_brute(rng.standard_normal((3, n)), 3)
-        value, _ = graph.structure_loss(C, graph.laplacian(adj), adj)
+        value, _ = graph.structure_loss(C, graph.laplacian(adj))
         assert value >= -1e-12
 
 

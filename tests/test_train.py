@@ -242,6 +242,23 @@ class TestTrainJoint:
         assert history[-1].total < history[0].total
         assert state.unfold.n_layers == 2
 
+    def test_no_learned_or_optimizer_array_is_n_by_n(self):
+        """The unfolded layers share one fixed B, so nothing learned, and no
+        Adam moment, grows with n^2."""
+        X, cfg = tiny_problem(seed=8)
+        n = X.shape[1]
+        state = train.init_state(cfg, 8)
+        tc = train.TrainConfig(pretrain_epochs=5, joint_epochs=2, n_layers=3,
+                               knn_init=3, knn_struct=2)
+        train.pretrain(state, X, tc)
+        train.train_joint(state, X, tc)
+        assert state.opt.step == 2
+        arrays = list(state.named_arrays())
+        arrays += [(f"m.{name}", arr) for name, arr in state.opt.m.items()]
+        arrays += [(f"v.{name}", arr) for name, arr in state.opt.v.items()]
+        for name, arr in arrays:
+            assert arr.size != n * n, name
+
     def test_zero_weights_track_reconstruction_only(self):
         X, cfg = tiny_problem(seed=9)
         state = train.init_state(cfg, 9)
@@ -264,3 +281,6 @@ class TestTrainJoint:
         fresh = unfold.init_params(Ht, tc.rho0, 3, theta0=tc.theta0)
         for (_, a), (_, b) in zip(state.unfold.named_arrays(), fresh.named_arrays()):
             assert np.array_equal(a, b)
+        assert np.array_equal(state.unfold.H0, fresh.H0)
+        assert np.array_equal(state.unfold.M, fresh.M)
+        assert state.unfold.rho0 == fresh.rho0
