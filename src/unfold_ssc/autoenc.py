@@ -76,7 +76,11 @@ def init_weights(config: AeConfig, seed: int) -> AeWeights:
 
 
 def leaky_relu(x, slope: float):
-    return np.where(x > 0, x, slope * x)
+    """max(x, slope x): x where x > 0 and slope x elsewhere, for a slope in
+    [0, 1] (at slope 0, +inf gives NaN); other slopes are rejected."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky ReLU slope must lie in [0, 1], got {slope}")
+    return np.maximum(x, slope * x)
 
 
 def _leaky_grad(pre, slope: float):
@@ -87,7 +91,9 @@ def encode(weights: AeWeights, X: np.ndarray) -> np.ndarray:
     """Map column samples (d, n) to latent rows (n, latent)."""
     A = np.asarray(X, dtype=np.float64)
     for layer in weights.enc:
-        A = leaky_relu(layer.W @ A + layer.b[:, np.newaxis], weights.slope)
+        pre = layer.W @ A
+        pre += layer.b[:, np.newaxis]
+        A = leaky_relu(pre, weights.slope)
     return A.T
 
 
@@ -141,7 +147,8 @@ def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
     A = X
     tape.enc_act.append(A)
     for layer in weights.enc:
-        pre = layer.W @ A + layer.b[:, np.newaxis]
+        pre = layer.W @ A
+        pre += layer.b[:, np.newaxis]
         A = leaky_relu(pre, weights.slope)
         tape.enc_pre.append(pre)
         tape.enc_act.append(A)
@@ -150,6 +157,9 @@ def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
     tape.dec_act.append(D)
     last = len(weights.dec) - 1
     for i, layer in enumerate(weights.dec):
+        # Summed into a new array, unlike the encoder. On a 9,800-wide input
+        # an in-place bias add here raised peak RSS from 404 to 421 MB under
+        # glibc malloc, through heap layout alone: the live peak was the same.
         pre = layer.W @ D + layer.b[:, np.newaxis]
         D = leaky_relu(pre, weights.slope) if i != last else pre
         tape.dec_pre.append(pre)

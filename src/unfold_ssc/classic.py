@@ -55,18 +55,23 @@ def precompute(Y: np.ndarray, rho: float):
     return Vt, s2 / (s2 + rho)
 
 
-def soft_threshold(x, tau: float):
-    """Elementwise shrinkage: sign(x) * max(|x| - tau, 0), as x - clip(x).
+def soft_threshold(x, tau: float, out=None, scratch=None):
+    """Elementwise shrinkage sign(x) * max(|x| - tau, 0), computed in two
+    passes as x - clip(x, -tau, tau).
 
-    NaN stays NaN, as in ``unfold.relu_soft_threshold``.
+    The clip goes into ``scratch`` and the result into ``out`` (either may
+    be ``x`` itself); each is a new array when omitted. Entries with
+    |x| <= tau come out as +0, NaN stays NaN, and infinities keep their sign.
     """
     if tau < 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
     x = np.asarray(x, dtype=np.float64)
-    return x - np.clip(x, -tau, tau)
+    clipped = np.clip(x, -tau, tau, out=scratch)
+    return np.subtract(x, clipped, out=out)
 
 
-def step_C(Vt: np.ndarray, w: np.ndarray, Z: np.ndarray, u: np.ndarray) -> np.ndarray:
+def step_C(Vt: np.ndarray, w: np.ndarray, Z: np.ndarray, u: np.ndarray,
+           out=None, scratch=None) -> np.ndarray:
     """Exact minimizer of the augmented Lagrangian in C, in the scaled dual,
     with the data as its own dictionary (so 2 B X^T X = P):
 
@@ -74,19 +79,25 @@ def step_C(Vt: np.ndarray, w: np.ndarray, Z: np.ndarray, u: np.ndarray) -> np.nd
 
     applying P = Vt^T diag(w) Vt as two thin products: 4 n^2 r flops per
     iteration, r = min(d, n), against 2 n^3 for a dense n x n B.
+    C is written into ``out`` and D into ``scratch``, n x n arrays that are
+    allocated when omitted; only the r x n product Vt D is new.
     """
-    D = u - Z
+    D = np.subtract(u, Z, out=scratch)
     T = Vt @ D
     T += Vt
     T *= w[:, np.newaxis]
-    C = Vt.T @ T
+    C = np.matmul(Vt.T, T, out=out)
     C -= D
     return C
 
 
-def step_Z(C: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
-    """Shrinkage of C + u at tau = lambda / rho, with the diagonal zeroed."""
-    Z = soft_threshold(C + u, tau)
+def step_Z(C: np.ndarray, u: np.ndarray, tau: float, out=None, scratch=None) -> np.ndarray:
+    """Shrinkage of C + u at tau = lambda / rho, with the diagonal zeroed.
+
+    C + u and then Z are written into ``out``, the clip into ``scratch``.
+    """
+    Z = np.add(C, u, out=out)
+    soft_threshold(Z, tau, out=Z, scratch=scratch)
     np.fill_diagonal(Z, 0.0)
     return Z
 
@@ -94,9 +105,12 @@ def step_Z(C: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
 def solve(X: np.ndarray, config: ClassicConfig) -> AdmmState:
     """Run the full ADMM loop on the data as its own dictionary, from Z = u = 0.
 
-    Each iteration costs O(n^2 r), r = min(d, n) (see ``step_C``).
-    Returns the final state with mu = rho u; ``state.residuals`` holds the
-    primal residual ||C - Z||_F after every iteration.
+    Each iteration costs O(n^2 r), r = min(d, n) (see ``step_C``). The loop
+    runs on four n x n arrays allocated once: Z, u and C, and a scratch D
+    that holds u - Z in ``step_C``, the clip in ``step_Z`` and the residual
+    C - Z. Returns the final state with mu = rho u (u scaled in place);
+    ``state.residuals`` holds the primal residual ||C - Z||_F after every
+    iteration.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -108,14 +122,16 @@ def solve(X: np.ndarray, config: ClassicConfig) -> AdmmState:
     tau = config.lam / config.rho
     Z = np.zeros((n, n))
     u = np.zeros_like(Z)
+    C = np.empty_like(Z)
+    D = np.empty_like(Z)
     residuals = np.empty(config.iterations)
-    C = Z
     for it in range(config.iterations):
-        C = step_C(Vt, w, Z, u)
-        Z = step_Z(C, u, tau)
-        R = C - Z
+        step_C(Vt, w, Z, u, out=C, scratch=D)
+        step_Z(C, u, tau, out=Z, scratch=D)
+        R = np.subtract(C, Z, out=D)
         u += R
         residuals[it] = np.linalg.norm(R)
         if not np.isfinite(residuals[it]):
             raise NumericalError(f"non-finite iterate at ADMM iteration {it + 1}")
-    return AdmmState(C=C, Z=Z, mu=config.rho * u, residuals=residuals)
+    u *= config.rho
+    return AdmmState(C=C, Z=Z, mu=u, residuals=residuals)

@@ -10,6 +10,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+# Distance entries per row block of the candidate selection in
+# ``knn_adjacency``; its temporaries are this size, not n x n.
+KNN_BLOCK = 1 << 16
+
 
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between columns of ``points``.
@@ -46,7 +50,9 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
     smallest value t, then the lowest-index distances equal to t. A stable
     sort of those candidates orders each row exactly as a stable sort of
     the whole row would, so every count takes a prefix of it and each
-    adjacency equals its single-count call.
+    adjacency equals its single-count call. Rows are selected in blocks of
+    about ``KNN_BLOCK`` distances, so only the distance matrix and the
+    adjacencies are n x n.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -61,14 +67,19 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
     kmax = max(counts)
     d2 = pairwise_sq_dists(points)
     np.fill_diagonal(d2, np.inf)
-    t = np.partition(d2, kmax - 1, axis=1)[:, kmax - 1:kmax]
-    below = d2 < t
-    at_t = d2 == t
-    room = kmax - below.sum(axis=1, keepdims=True)
-    keep = below | (at_t & (np.cumsum(at_t, axis=1) <= room))
-    cand = np.nonzero(keep)[1].reshape(n, kmax)
-    dist = np.take_along_axis(d2, cand, axis=1)
-    order = np.take_along_axis(cand, np.argsort(dist, axis=1, kind="stable"), axis=1)
+    order = np.empty((n, kmax), dtype=np.intp)
+    step = max(1, KNN_BLOCK // n)
+    for start in range(0, n, step):
+        rows = d2[start:start + step]
+        t = np.partition(rows, kmax - 1, axis=1)[:, kmax - 1:kmax]
+        below = rows < t
+        at_t = rows == t
+        room = kmax - below.sum(axis=1, keepdims=True)
+        keep = below | (at_t & (np.cumsum(at_t, axis=1) <= room))
+        cand = np.nonzero(keep)[1].reshape(len(rows), kmax)
+        dist = np.take_along_axis(rows, cand, axis=1)
+        order[start:start + step] = np.take_along_axis(
+            cand, np.argsort(dist, axis=1, kind="stable"), axis=1)
     adjs = []
     for count in counts:
         adj = np.zeros((n, n))

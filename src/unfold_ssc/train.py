@@ -162,45 +162,60 @@ def _reset_moments(opt: AdamState, named) -> None:
     opt.step = 0
 
 
+# Entries per slice of one parameter in ``adam_step``: its two scratch
+# buffers hold this many, whatever the largest parameter's size.
+ADAM_CHUNK = 1 << 16
+
+
+def _flat_view(arr: np.ndarray) -> np.ndarray:
+    """A 1-D view through which in-place updates reach ``arr``."""
+    if not arr.flags.c_contiguous:
+        raise ValueError("Adam updates C-contiguous arrays only")
+    return arr.reshape(-1)
+
+
 def adam_step(opt: AdamState, named, grads: dict, config: TrainConfig) -> None:
     """One Adam update, in place, over a sequence of (name, array) pairs.
 
     The learnable penalty and threshold preimages get the configured
     learning-rate multiplier; everything else uses the base rate. Each
-    array is updated through two scratch buffers sized for the largest one,
-    with the textbook per-element operations in the textbook order.
+    array is walked in slices of ``ADAM_CHUNK`` entries through two scratch
+    buffers of that size, with the textbook per-element operations in the
+    textbook order.
     """
     opt.step += 1
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     corr1 = 1.0 - b1**opt.step
     corr2 = 1.0 - b2**opt.step
-    size = max((arr.size for _, arr in named), default=0)
+    size = min(ADAM_CHUNK, max((arr.size for _, arr in named), default=0))
     buf_a, buf_b = np.empty(size), np.empty(size)
     for name, arr in named:
-        g = grads[name]
-        m = opt.m[name]
-        v = opt.v[name]
-        a = buf_a[:arr.size].reshape(arr.shape)
-        b = buf_b[:arr.size].reshape(arr.shape)
         lr = config.learning_rate
         if name.endswith(("rho_raw", "theta_raw")):
             lr *= config.rho_theta_lr_mult
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        np.multiply(g, 1.0 - b1, out=a)
-        m *= b1
-        m += a
-        np.multiply(g, g, out=a)
-        a *= 1.0 - b2
-        v *= b2
-        v += a
-        # arr -= lr (m / corr1) / (sqrt(v / corr2) + eps)
-        np.divide(m, corr1, out=a)
-        a *= lr
-        np.divide(v, corr2, out=b)
-        np.sqrt(b, out=b)
-        b += eps
-        a /= b
-        arr -= a
+        flat_arr, flat_m, flat_v = (_flat_view(x) for x in (arr, opt.m[name], opt.v[name]))
+        flat_g = np.reshape(grads[name], -1)
+        for start in range(0, arr.size, ADAM_CHUNK):
+            stop = min(arr.size, start + ADAM_CHUNK)
+            p, g = flat_arr[start:stop], flat_g[start:stop]
+            m, v = flat_m[start:stop], flat_v[start:stop]
+            a, b = buf_a[:stop - start], buf_b[:stop - start]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            np.multiply(g, 1.0 - b1, out=a)
+            m *= b1
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - b2
+            v *= b2
+            v += a
+            # p -= lr (m / corr1) / (sqrt(v / corr2) + eps)
+            np.divide(m, corr1, out=a)
+            a *= lr
+            np.divide(v, corr2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            p -= a
 
 
 def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:

@@ -20,7 +20,7 @@ Gradients are hand-written reverse mode over a forward tape; no autodiff
 framework is involved. The tape keeps 2K + 1 n x n arrays for K layers
 (Z0 and each layer's C and dual input mu, the first of which is the scalar
 0); the backward recomputes each lower layer's Z from C and mu instead of
-storing it.
+storing it. The shrinkage is the classic solver's ``soft_threshold``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
+
+from unfold_ssc import classic
 
 
 def softplus(x):
@@ -42,17 +44,6 @@ def softplus_inv(y):
     if np.any(y <= 0):
         raise ValueError("softplus preimage needs a positive value")
     return np.log(np.expm1(y))
-
-
-def relu_soft_threshold(v, theta):
-    """Shrinkage in its network form: relu(|v| - theta) * sign(v).
-
-    Elementwise identical to the piecewise soft threshold for theta >= 0.
-    """
-    if theta < 0:
-        raise ValueError(f"threshold must be non-negative, got {theta}")
-    v = np.asarray(v, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
 
 
 @dataclass
@@ -90,9 +81,10 @@ class UnfoldParams:
             yield f"layer{idx}.rho_raw", layer.rho_raw
             yield f"layer{idx}.theta_raw", layer.theta_raw
 
-    def apply_B(self, V: np.ndarray) -> np.ndarray:
-        """B V = (V - H0^T (M (H0 V))) / rho0, a new array; B is symmetric."""
-        BV = self.H0.T @ (self.M @ (self.H0 @ V))
+    def apply_B(self, V: np.ndarray, out=None) -> np.ndarray:
+        """B V = (V - H0^T (M (H0 V))) / rho0, written into ``out`` (a new
+        array when omitted); B is symmetric."""
+        BV = np.matmul(self.H0.T, self.M @ (self.H0 @ V), out=out)
         np.subtract(V, BV, out=BV)
         BV /= self.rho0
         return BV
@@ -117,11 +109,19 @@ class ForwardTape:
     mu_in: list = field(default_factory=list)
     C: list = field(default_factory=list)
 
-    def Z(self, k: int) -> np.ndarray:
-        """Layer k's output zero_diag(shrink(C_k + mu_k / rho_k, theta_k))."""
-        Z = relu_soft_threshold(self.C[k] + self.mu_in[k] / self.rho[k], self.theta[k])
-        np.fill_diagonal(Z, 0.0)
-        return Z
+    def Z(self, k: int, out=None, scratch=None) -> np.ndarray:
+        """Layer k's output zero_diag(shrink(C_k + mu_k / rho_k, theta_k)).
+
+        The shrinkage input and then Z go into ``out``, the shrinkage's clip
+        into ``scratch``; both are new n x n arrays when omitted.
+        """
+        if out is None:
+            out = np.empty_like(self.C[k])
+        np.divide(self.mu_in[k], self.rho[k], out=out)
+        np.add(self.C[k], out, out=out)
+        classic.soft_threshold(out, self.theta[k], out=out, scratch=scratch)
+        np.fill_diagonal(out, 0.0)
+        return out
 
     def Z_in(self, k: int) -> np.ndarray:
         return self.Z0 if k == 0 else self.Z(k - 1)
@@ -164,6 +164,12 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
     The last layer stops at C: nothing reads its Z or dual.
     Returns (C, tape) where C is the final-layer coefficient matrix with
     its diagonal zeroed.
+
+    Each layer's C and dual go into the tape as new arrays. Everything else
+    runs in two n x n scratch arrays allocated once per call: V, which then
+    holds the shrinkage input and Z, and B V, which then holds the
+    shrinkage's clip. Both are freed before the output copy, so the working
+    set is the 2K + 1-array tape plus these two.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
@@ -174,18 +180,26 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
         raise ValueError("Z0 must have a zero diagonal")
     mu = 0.0
     tape = ForwardTape(Htilde=Htilde, Z0=Z)
+    V = np.empty((n, n))
+    BV = np.empty((n, n))
     C = None
     for k, layer in enumerate(params.layers):
         rho = layer.rho
+        np.multiply(Z, rho, out=V)
+        np.subtract(mu, V, out=V)
         C = layer.W @ Htilde
-        C -= params.apply_B(mu - rho * Z)
+        C -= params.apply_B(V, out=BV)
         tape.rho.append(rho)
         tape.theta.append(layer.theta)
         tape.mu_in.append(mu)
         tape.C.append(C)
         if k + 1 < params.n_layers:
-            Z = tape.Z(k)
-            mu = mu + rho * (C - Z)
+            Z = tape.Z(k, out=V, scratch=BV)
+            mu_next = np.subtract(C, Z)
+            mu_next *= rho
+            mu_next += mu
+            mu = mu_next
+    del V, BV, Z
     C_out = C.copy()
     np.fill_diagonal(C_out, 0.0)
     return C_out, tape

@@ -14,8 +14,8 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
+from unfold_ssc import classic
 from unfold_ssc.classic import AdmmState
-from unfold_ssc.unfold import relu_soft_threshold
 
 
 def fd_gradient(f, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -60,6 +60,18 @@ def rel_err(analytic, numeric, floor: float = 1e-6) -> float:
 def rel_frobenius(a, b) -> float:
     """Relative Frobenius distance of ``a`` from the reference ``b``."""
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def relu_soft_threshold(v, theta):
+    """Shrinkage in its network form: relu(|v| - theta) * sign(v).
+
+    Elementwise equal to the piecewise soft threshold for theta >= 0; zeros
+    may carry either sign.
+    """
+    if theta < 0:
+        raise ValueError(f"threshold must be non-negative, got {theta}")
+    v = np.asarray(v, dtype=np.float64)
+    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
 
 
 def soft_threshold_scalar(x: float, tau: float) -> float:
@@ -154,6 +166,31 @@ def classic_solve_reference(X: np.ndarray, config):
         mu = mu + rho * (C - Z)
         residuals[it] = np.linalg.norm(C - Z)
     return AdmmState(C=C, Z=Z, mu=mu, residuals=residuals)
+
+
+def classic_solve_plain(X: np.ndarray, config):
+    """``classic.solve`` as a loop that allocates fresh arrays every step:
+    D = u - Z, C = P (I + D) - D, Z = x - clip(x) of x = C + u with a zero
+    diagonal, u += C - Z, and mu = rho u at the end. ``classic.solve``, on
+    its fixed buffers, must match it bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[1]
+    Vt, w = classic.precompute(X, config.rho)
+    tau = config.lam / config.rho
+    Z = np.zeros((n, n))
+    u = np.zeros_like(Z)
+    residuals = np.empty(config.iterations)
+    C = Z
+    for it in range(config.iterations):
+        D = u - Z
+        C = Vt.T @ (w[:, np.newaxis] * (Vt @ D + Vt)) - D
+        x = C + u
+        Z = x - np.clip(x, -tau, tau)
+        np.fill_diagonal(Z, 0.0)
+        R = C - Z
+        u = u + R
+        residuals[it] = np.linalg.norm(R)
+    return AdmmState(C=C, Z=Z, mu=config.rho * u, residuals=residuals)
 
 
 def spectral_embedding_reference(S: np.ndarray, k: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from _oracles import (
     best_assignment_brute,
     fd_gradient,
     rel_err,
+    relu_soft_threshold,
     soft_threshold_scalar,
     structure_loss_pairwise,
 )
@@ -40,7 +41,7 @@ def test_a1_soft_threshold_equivalence():
     theta = float(rng.uniform(0.05, 1.5))
     v = np.concatenate([v, [-theta, 0.0, theta]])
 
-    relu_form = unfold.relu_soft_threshold(v, theta)
+    relu_form = relu_soft_threshold(v, theta)
     piecewise = classic.soft_threshold(v, theta)
     scalar = np.array([soft_threshold_scalar(float(x), theta) for x in v])
 

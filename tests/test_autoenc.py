@@ -55,6 +55,23 @@ class TestActivation:
         x = np.linspace(-4, 4, 17)
         assert np.array_equal(autoenc.leaky_relu(x, 1.0), x)
 
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    def test_bit_identical_to_where_form(self, slope):
+        """max(x, slope x) equals where(x > 0, x, slope x) bit for bit,
+        signed zeros, subnormals and NaN included, for every slope in
+        [0, 1]; infinities too unless slope = 0, where 0 * inf is NaN."""
+        special = [0.0, -0.0, np.nan, 1e-310, -1e-310]
+        if slope > 0:
+            special += [np.inf, -np.inf]
+        x = np.concatenate([np.random.default_rng(3).normal(size=200), special])
+        got = autoenc.leaky_relu(x, slope)
+        assert got.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5, np.nan])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            autoenc.leaky_relu(np.ones(3), slope)
+
 
 class TestEncodeDecode:
     def test_shapes(self):

@@ -1,5 +1,7 @@
 """KNN graph construction, Laplacians, and the structure loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,33 @@ def test_partial_selection_matches_full_sort_reference(case):
         got = got if len(tup) > 1 else (got,)
         for adj, ref in zip(got, knn_adjacency_reference(points, *tup), strict=True):
             assert np.array_equal(adj, ref)
+
+
+def test_row_blocks_match_full_sort_reference():
+    """At n = 700 the selection runs in several row blocks and a shorter
+    last one; integer points give ties and duplicates in every block."""
+    n = 700
+    assert n < graph.KNN_BLOCK < n * n and n % (graph.KNN_BLOCK // n) != 0
+    points = np.random.default_rng(13).integers(-2, 3, size=(3, n)).astype(float)
+    got = graph.knn_adjacency(points, 30, 10, 1)
+    for adj, ref in zip(got, knn_adjacency_reference(points, 30, 10, 1), strict=True):
+        assert np.array_equal(adj, ref)
+
+
+def test_knn_working_set():
+    """Peak memory allocated by the pipeline's two-count call at n = 1000,
+    in n x n arrays. Measured at 4.1: the distances, the two adjacencies
+    and one symmetrizing copy. Selecting candidates for all rows at once
+    peaks at 5.5."""
+    n = 1000
+    points = np.random.default_rng(1).standard_normal((8, n))
+    tracemalloc.start()
+    try:
+        graph.knn_adjacency(points, 30, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n * 8) <= 4.6
 
 
 @pytest.mark.parametrize("shape", [(600, 300), (3, 2000)])

@@ -150,7 +150,9 @@ class TestAdamStep:
 
     def test_in_place_update_is_bit_identical_to_textbook_adam(self):
         rng = np.random.default_rng(12)
-        shapes = {"ae.enc0.W": (4, 5), "ae.enc0.b": (5,), "unfold.layer0.rho_raw": ()}
+        # dec0.W spans one full ADAM_CHUNK slice and a remainder of 246.
+        shapes = {"ae.enc0.W": (4, 5), "ae.enc0.b": (5,), "unfold.layer0.rho_raw": (),
+                  "ae.dec0.W": (2, train.ADAM_CHUNK // 2 + 123)}
         params = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
         ref = {k: a.copy() for k, a in params.items()}
         ref_m = {k: np.zeros_like(a) for k, a in params.items()}
