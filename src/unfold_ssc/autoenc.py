@@ -97,17 +97,6 @@ def encode(weights: AeWeights, X: np.ndarray) -> np.ndarray:
     return A.T
 
 
-def decode(weights: AeWeights, H: np.ndarray) -> np.ndarray:
-    """Map latent rows (n, latent) back to column samples (d, n)."""
-    A = np.asarray(H, dtype=np.float64).T
-    last = len(weights.dec) - 1
-    for i, layer in enumerate(weights.dec):
-        A = layer.W @ A + layer.b[:, np.newaxis]
-        if i != last:
-            A = leaky_relu(A, weights.slope)
-    return A
-
-
 def ae_loss(X: np.ndarray, Xhat: np.ndarray):
     """Mean per-sample squared reconstruction error and its Xhat gradient."""
     X = np.asarray(X, dtype=np.float64)
@@ -169,32 +158,26 @@ def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
 
 
 def ae_backward(weights: AeWeights, tape: AeTape,
-                grad_H: np.ndarray | None, grad_Xhat: np.ndarray | None):
-    """Reverse pass for both heads: latent consumers and reconstruction.
+                grad_H: np.ndarray | None, grad_Xhat: np.ndarray):
+    """Reverse pass for both heads: reconstruction and, when ``grad_H`` is
+    given, latent consumers.
 
     Returns a dict keyed like ``AeWeights.named_arrays``. The gradient with
     respect to the input X is not formed.
     """
     grads: dict[str, np.ndarray] = {}
     n_dec = len(weights.dec)
-    # gradient w.r.t. encoder output (latent, columns)
-    gA = None if grad_H is None else np.asarray(grad_H, dtype=np.float64).T
+    g = np.asarray(grad_Xhat, dtype=np.float64)
+    for i in range(n_dec - 1, -1, -1):
+        layer = weights.dec[i]
+        gPre = g if i == n_dec - 1 else g * _leaky_grad(tape.dec_pre[i], weights.slope)
+        grads[f"dec{i}.W"] = gPre @ tape.dec_act[i].T
+        grads[f"dec{i}.b"] = gPre.sum(axis=1)
+        g = layer.W.T @ gPre
+    # g is now the gradient w.r.t. the encoder output (latent, columns)
+    if grad_H is not None:
+        g = np.asarray(grad_H, dtype=np.float64).T + g
 
-    if grad_Xhat is not None:
-        g = np.asarray(grad_Xhat, dtype=np.float64)
-        for i in range(n_dec - 1, -1, -1):
-            layer = weights.dec[i]
-            gPre = g if i == n_dec - 1 else g * _leaky_grad(tape.dec_pre[i], weights.slope)
-            grads[f"dec{i}.W"] = gPre @ tape.dec_act[i].T
-            grads[f"dec{i}.b"] = gPre.sum(axis=1)
-            g = layer.W.T @ gPre
-        gA = g if gA is None else gA + g
-    else:
-        for i in range(n_dec):
-            grads[f"dec{i}.W"] = np.zeros_like(weights.dec[i].W)
-            grads[f"dec{i}.b"] = np.zeros_like(weights.dec[i].b)
-
-    g = np.zeros_like(tape.H.T) if gA is None else gA
     for i in range(len(weights.enc) - 1, -1, -1):
         layer = weights.enc[i]
         gPre = g * _leaky_grad(tape.enc_pre[i], weights.slope)

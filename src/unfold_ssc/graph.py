@@ -66,6 +66,10 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
             raise ValueError(f"k must satisfy 1 <= k < n, got k={count}, n={n}")
     kmax = max(counts)
     d2 = pairwise_sq_dists(points)
+    # An infinite distance could tie with the diagonal's and make a sample
+    # its own neighbor.
+    if d2.max() == np.inf:
+        raise ValueError("squared distances between points overflow")
     np.fill_diagonal(d2, np.inf)
     order = np.empty((n, kmax), dtype=np.intp)
     step = max(1, KNN_BLOCK // n)
@@ -86,7 +90,6 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
         rows = np.repeat(np.arange(n), count)
         adj[rows, order[:, :count].reshape(-1)] = 1.0
         adj = np.maximum(adj, adj.T)
-        np.fill_diagonal(adj, 0.0)
         adjs.append(adj)
     return adjs[0] if not more_k else tuple(adjs)
 

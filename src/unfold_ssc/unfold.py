@@ -3,24 +3,22 @@
 Each layer replays one ADMM iteration with its own learnable map W
 (initialized from the analytic solver matrix, then free), penalty rho and
 shrinkage threshold theta, the last two stored as softplus preimages so
-gradient steps can never push them out of range (rho > 0, theta >= 0). All
-layers share the solver's fixed B = (2 H0^T H0 + rho0 I)^-1 for the
-normalized latent H0 at initialization, never formed but applied in
+gradient steps can never push them out of range (rho > 0, theta >= 0). The
+network returns the top layer's C, before that layer's shrinkage, so the
+top layer has no threshold: K layers learn K maps, K penalties and K - 1
+thresholds. All layers share the solver's fixed B = (2 H0^T H0 + rho0 I)^-1
+for the normalized latent H0 at initialization, never formed but applied in
 Woodbury form through the l x l matrix M = (rho0 / 2 I + H0 H0^T)^-1, at
 O(n^2 l) per n x n operand. With theta = lambda / rho the forward pass
 reproduces the classic solver to rounding: the two compute the same
 iteration in a different order, and rho and theta round-trip through
 softplus (acceptance test A2 bounds the relative difference by 1e-10).
 
-The network returns the last layer's C, which that layer's shrinkage never
-reaches: the forward skips that shrinkage, and the last threshold gets a
-zero gradient and stays at its initial value under training.
-
 Gradients are hand-written reverse mode over a forward tape; no autodiff
 framework is involved. The tape keeps 2K + 1 n x n arrays for K layers
 (Z0 and each layer's C and dual input mu, the first of which is the scalar
 0); the backward recomputes each lower layer's Z from C and mu instead of
-storing it. The shrinkage is the classic solver's ``soft_threshold``.
+storing it, with the classic solver's ``step_Z``.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ def softplus_inv(y):
 class UnfoldLayer:
     W: np.ndarray          # (n, l)
     rho_raw: np.ndarray    # 0-d softplus preimage of the penalty
-    theta_raw: np.ndarray  # 0-d softplus preimage of the threshold
+    theta_raw: np.ndarray | None  # same for the threshold; None on the top layer
 
     @property
     def rho(self) -> float:
@@ -79,7 +77,8 @@ class UnfoldParams:
         for idx, layer in enumerate(self.layers):
             yield f"layer{idx}.W", layer.W
             yield f"layer{idx}.rho_raw", layer.rho_raw
-            yield f"layer{idx}.theta_raw", layer.theta_raw
+            if layer.theta_raw is not None:
+                yield f"layer{idx}.theta_raw", layer.theta_raw
 
     def apply_B(self, V: np.ndarray, out=None) -> np.ndarray:
         """B V = (V - H0^T (M (H0 V))) / rho0, written into ``out`` (a new
@@ -94,12 +93,12 @@ class UnfoldParams:
 class ForwardTape:
     """What the backward pass reads from one forward evaluation.
 
-    Per layer k it keeps the penalty rho_k, the threshold theta_k, the dual
-    input ``mu_in[k]`` (the scalar 0 on the first layer) and the
-    pre-shrinkage ``C[k]``; ``C[-1]`` is the final C before diagonal
-    zeroing. With Z0 that is 2K + 1 n x n arrays, one of them never
-    allocated. Layer k's output Z and shrinkage input T are recomputed on
-    demand with the forward's expressions, so they match it bit for bit.
+    Per layer k it keeps the penalty rho_k, the dual input ``mu_in[k]`` (the
+    scalar 0 on the first layer) and the pre-shrinkage ``C[k]``; ``C[-1]``
+    is the final C before diagonal zeroing. ``theta`` holds the K - 1
+    thresholds of the layers below the top. With Z0 that is 2K + 1 n x n
+    arrays, one of them never allocated. Layer k's output Z is recomputed on
+    demand with the forward's expressions, so it matches it bit for bit.
     """
 
     Htilde: np.ndarray
@@ -118,18 +117,10 @@ class ForwardTape:
         if out is None:
             out = np.empty_like(self.C[k])
         np.divide(self.mu_in[k], self.rho[k], out=out)
-        np.add(self.C[k], out, out=out)
-        classic.soft_threshold(out, self.theta[k], out=out, scratch=scratch)
-        np.fill_diagonal(out, 0.0)
-        return out
+        return classic.step_Z(self.C[k], out, self.theta[k], out=out, scratch=scratch)
 
     def Z_in(self, k: int) -> np.ndarray:
         return self.Z0 if k == 0 else self.Z(k - 1)
-
-    @property
-    def T(self) -> list:
-        """Shrinkage input C + mu_in / rho of every layer."""
-        return [C + mu / rho for C, mu, rho in zip(self.C, self.mu_in, self.rho)]
 
 
 def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
@@ -137,8 +128,8 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
     """Analytic initialization from the normalized latent H0 = Htilde.
 
     Every layer starts from its own copy of W = H0^T M, which equals the
-    classic solver's (2 H0^T H0 + rho0 I)^-1 2 H0^T, with penalty rho0 and
-    threshold theta0.
+    classic solver's (2 H0^T H0 + rho0 I)^-1 2 H0^T, with penalty rho0;
+    every layer but the top starts from threshold theta0.
     """
     if n_layers < 1:
         raise ValueError("the network needs at least one layer")
@@ -151,8 +142,9 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
     W = H0.T @ M
     rho_raw = softplus_inv(rho0)
     theta_raw = softplus_inv(theta0)
-    return UnfoldParams([UnfoldLayer(W.copy(), np.array(rho_raw), np.array(theta_raw))
-                         for _ in range(n_layers)], H0, M, float(rho0))
+    return UnfoldParams([UnfoldLayer(W.copy(), np.array(rho_raw),
+                                     np.array(theta_raw) if k + 1 < n_layers else None)
+                         for k in range(n_layers)], H0, M, float(rho0))
 
 
 def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = None):
@@ -190,10 +182,10 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
         C = layer.W @ Htilde
         C -= params.apply_B(V, out=BV)
         tape.rho.append(rho)
-        tape.theta.append(layer.theta)
         tape.mu_in.append(mu)
         tape.C.append(C)
         if k + 1 < params.n_layers:
+            tape.theta.append(layer.theta)
             Z = tape.Z(k, out=V, scratch=BV)
             mu_next = np.subtract(C, Z)
             mu_next *= rho
@@ -213,11 +205,8 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
     maps the names from ``params.named_arrays`` to arrays of matching shape;
     rho/theta gradients are with respect to their softplus preimages.
     Subgradients at the shrinkage kinks are taken as zero. The tape is only
-    read; each lower layer's Z is recomputed once.
-
-    The output is the last layer's C, which its own shrinkage never reaches,
-    so that layer's threshold gets an exactly zero gradient (it stays at its
-    initial value under training) and its shrinkage branch is skipped.
+    read; each lower layer's Z is recomputed once. The top layer has no
+    shrinkage, so it gets W and rho gradients only.
     """
     Ht = tape.Htilde
     grads = {}
@@ -229,7 +218,7 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
         layer = params.layers[k]
         name = f"layer{k}"
         rho, mu_in = layer.rho, tape.mu_in[k]
-        grho = gtheta = 0.0
+        grho = 0.0
 
         if k < top:
             # Z is layer k's output, recomputed as layer k + 1's input below.
@@ -243,6 +232,7 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
             gT = gZ  # masked in place
             gT[Z == 0.0] = 0.0
             gtheta = -float(np.sum(gT * np.sign(Z)))
+            grads[f"{name}.theta_raw"] = np.array(gtheta * expit(layer.theta_raw))
             gC += gT
             if k > 0:
                 gmu += gT / rho
@@ -265,6 +255,5 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
         del BtG
 
         grads[f"{name}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
-        grads[f"{name}.theta_raw"] = np.array(gtheta * expit(layer.theta_raw))
 
     return grads, gHt

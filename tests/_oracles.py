@@ -272,8 +272,8 @@ def nmi_plain(pred: np.ndarray, truth: np.ndarray) -> float:
 
 @dataclass
 class ReferenceTape:
-    """Every intermediate of the reference forward pass, stored: 3K + 1
-    n x n arrays for K layers."""
+    """Every intermediate of the reference forward pass, stored: 3K n x n
+    arrays for K layers."""
 
     Htilde: np.ndarray
     Z0: np.ndarray
@@ -282,9 +282,11 @@ class ReferenceTape:
     C: list = field(default_factory=list)
     Z_out: list = field(default_factory=list)
 
-    @property
-    def T(self) -> list:
-        return [C + mu / rho for C, mu, rho in zip(self.C, self.mu_in, self.rho)]
+
+def shrinkage_inputs(tape) -> list:
+    """T_k = C_k + mu_k / rho_k of the K - 1 layers that shrink (all but the
+    top), from a package or a reference tape."""
+    return [C + mu / rho for C, mu, rho in zip(tape.C[:-1], tape.mu_in[:-1], tape.rho[:-1])]
 
 
 class SymmetricOperator:
@@ -311,11 +313,12 @@ def dense_B_reference(params) -> np.ndarray:
 
 
 def unfold_forward_reference(params, B, Htilde, Z0=None):
-    """The unfolded forward pass written plainly: every layer, including the
-    last, computes its shrinkage and dual update, and the tape keeps them
-    all. ``B`` is the layers' fixed operator: the dense matrix from
-    ``dense_B_reference``, or the package's own closed form wrapped in
-    ``SymmetricOperator``, with which package results must match bit for bit.
+    """The unfolded forward pass written plainly: every layer but the top,
+    whose C is the output, computes its shrinkage and dual update, and the
+    tape keeps them all. ``B`` is the layers' fixed operator: the dense
+    matrix from ``dense_B_reference``, or the package's own closed form
+    wrapped in ``SymmetricOperator``, with which package results must match
+    bit for bit.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
@@ -323,16 +326,18 @@ def unfold_forward_reference(params, B, Htilde, Z0=None):
     mu = np.zeros((n, n))
     tape = ReferenceTape(Htilde=Htilde, Z0=Z)
     C = None
-    for layer in params.layers:
-        rho, theta = layer.rho, layer.theta
+    for k, layer in enumerate(params.layers):
+        rho = layer.rho
         V = mu - rho * Z
         C = layer.W @ Htilde - B @ V
-        T = C + mu / rho
-        Zraw = relu_soft_threshold(T, theta)
-        np.fill_diagonal(Zraw, 0.0)
         tape.rho.append(rho)
         tape.mu_in.append(mu)
         tape.C.append(C)
+        if k == params.n_layers - 1:
+            break
+        T = C + mu / rho
+        Zraw = relu_soft_threshold(T, layer.theta)
+        np.fill_diagonal(Zraw, 0.0)
         Z = Zraw
         mu = mu + rho * (C - Z)
         tape.Z_out.append(Z)
@@ -342,9 +347,9 @@ def unfold_forward_reference(params, B, Htilde, Z0=None):
 
 
 def unfold_backward_reference(params, B, tape, grad_C):
-    """Reverse mode through every branch of every layer, from zero-filled
-    accumulators and with masks built from full n x n arrays; ``B`` as in
-    ``unfold_forward_reference``.
+    """Reverse mode through every branch of every layer (the top has no
+    shrinkage), from zero-filled accumulators and with masks built from full
+    n x n arrays; ``B`` as in ``unfold_forward_reference``.
     """
     Ht = tape.Htilde
     n = Ht.shape[1]
@@ -356,27 +361,32 @@ def unfold_backward_reference(params, B, tape, grad_C):
     gZ_next = np.zeros((n, n))
     gmu_next = np.zeros((n, n))
 
-    for k in range(params.n_layers - 1, -1, -1):
+    top = params.n_layers - 1
+    for k in range(top, -1, -1):
         layer = params.layers[k]
         name = f"layer{k}"
-        rho, theta = layer.rho, layer.theta
+        rho = layer.rho
         Z_in = tape.Z0 if k == 0 else tape.Z_out[k - 1]
-        mu_in, C, Z_out = tape.mu_in[k], tape.C[k], tape.Z_out[k]
-        T = C + mu_in / rho
+        mu_in, C = tape.mu_in[k], tape.C[k]
 
         gmu_in = gmu_next.copy()
         gC = gC_ext + rho * gmu_next
-        gZ_out = gZ_next - rho * gmu_next
-        grho = float(np.sum(gmu_next * (C - Z_out)))
+        grho = 0.0
+        if k < top:
+            Z_out, theta = tape.Z_out[k], layer.theta
+            T = C + mu_in / rho
+            gZ_out = gZ_next - rho * gmu_next
+            grho += float(np.sum(gmu_next * (C - Z_out)))
 
-        gZraw = gZ_out * off_diag
-        active = np.abs(T) > theta
-        gT = np.where(active, gZraw, 0.0)
-        gtheta = -float(np.sum(np.where(active, gZraw * np.sign(T), 0.0)))
+            gZraw = gZ_out * off_diag
+            active = np.abs(T) > theta
+            gT = np.where(active, gZraw, 0.0)
+            gtheta = -float(np.sum(np.where(active, gZraw * np.sign(T), 0.0)))
 
-        gC = gC + gT
-        gmu_in += gT / rho
-        grho += float(np.sum(gT * (-mu_in / rho**2)))
+            gC = gC + gT
+            gmu_in += gT / rho
+            grho += float(np.sum(gT * (-mu_in / rho**2)))
+            grads[f"{name}.theta_raw"] += gtheta * expit(layer.theta_raw)
 
         grads[f"{name}.W"] += gC @ Ht.T
         gHt += layer.W.T @ gC
@@ -386,7 +396,6 @@ def unfold_backward_reference(params, B, tape, grad_C):
         grho += float(np.sum(gV * (-Z_in)))
 
         grads[f"{name}.rho_raw"] += grho * expit(layer.rho_raw)
-        grads[f"{name}.theta_raw"] += gtheta * expit(layer.theta_raw)
 
         gC_ext = np.zeros((n, n))
         gZ_next = gZ_in

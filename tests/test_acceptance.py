@@ -22,6 +22,7 @@ from _oracles import (
     fd_gradient,
     rel_err,
     relu_soft_threshold,
+    shrinkage_inputs,
     soft_threshold_scalar,
     structure_loss_pairwise,
 )
@@ -101,8 +102,8 @@ def _gradient_check_instance(seed: int):
     Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
     _, tape = unfold.forward(state.unfold, Ht, state.z0)
     margin = min(
-        float(np.min(np.abs(np.abs(T) - layer.theta)))
-        for T, layer in zip(tape.T, state.unfold.layers)
+        float(np.min(np.abs(np.abs(T) - theta)))
+        for T, theta in zip(shrinkage_inputs(tape), tape.theta)
     )
     if margin < 1e-3:
         return None

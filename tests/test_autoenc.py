@@ -79,26 +79,36 @@ class TestEncodeDecode:
         X = np.random.default_rng(0).normal(size=(6, 9))
         H = autoenc.encode(w, X)
         assert H.shape == (9, 3)
-        Xhat = autoenc.decode(w, H)
-        assert Xhat.shape == (6, 9)
+        assert autoenc.ae_forward(w, X).Xhat.shape == (6, 9)
 
     def test_slope_one_zero_bias_is_linear(self):
-        # With identity activations and zero biases the whole decoder is
-        # a single linear map, so superposition must hold exactly.
+        # With identity activations and zero biases the whole autoencoder
+        # is a single linear map, so superposition must hold exactly.
         w = autoenc.init_weights(small_config(slope=1.0), seed=1)
         rng = np.random.default_rng(2)
-        H1 = rng.normal(size=(4, 3))
-        H2 = rng.normal(size=(4, 3))
-        lhs = autoenc.decode(w, 2.0 * H1 - 0.5 * H2)
-        rhs = 2.0 * autoenc.decode(w, H1) - 0.5 * autoenc.decode(w, H2)
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        X1 = rng.normal(size=(6, 4))
+        X2 = rng.normal(size=(6, 4))
+        lhs = autoenc.ae_forward(w, 2.0 * X1 - 0.5 * X2)
+        rhs1, rhs2 = autoenc.ae_forward(w, X1), autoenc.ae_forward(w, X2)
+        assert np.allclose(lhs.H, 2.0 * rhs1.H - 0.5 * rhs2.H, atol=1e-12)
+        assert np.allclose(lhs.Xhat, 2.0 * rhs1.Xhat - 0.5 * rhs2.Xhat, atol=1e-12)
 
     def test_forward_tape_matches_plain_calls(self):
+        """The tape's codes equal ``encode``, and its decoder activations
+        replay the mirrored layers: leaky ReLU on all but the last, which
+        stays linear and gives Xhat."""
         w = autoenc.init_weights(small_config(), seed=4)
         X = np.random.default_rng(5).normal(size=(6, 7))
         tape = autoenc.ae_forward(w, X)
         assert np.array_equal(tape.H, autoenc.encode(w, X))
-        assert np.array_equal(tape.Xhat, autoenc.decode(w, tape.H))
+        A = tape.H.T
+        assert np.array_equal(tape.dec_act[0], A)
+        for i, layer in enumerate(w.dec):
+            pre = layer.W @ A + layer.b[:, np.newaxis]
+            assert np.array_equal(tape.dec_pre[i], pre)
+            A = autoenc.leaky_relu(pre, w.slope) if i + 1 < len(w.dec) else pre
+            assert np.array_equal(tape.dec_act[i + 1], A)
+        assert np.array_equal(tape.Xhat, A)
 
 
 class TestAeLoss:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unfold_ssc import autoenc, cli, container
+from unfold_ssc import autoenc, cli, container, train
 from unfold_ssc.errors import ConfigError
 
 
@@ -275,6 +275,43 @@ class TestRunCommand:
             assert tuple(entry["shape"]) == shapes[tag]
             assert arr.size == int(np.prod(shapes[tag]))
             assert np.all(np.isfinite(arr))
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_checkpoint_lists_exactly_the_learned_arrays(self, tmp_path, monkeypatch, K):
+        """The manifest's tensors and unfold scalars are the trained state's
+        ``named_arrays``: the ae and W tensors plus K penalties and K - 1
+        thresholds."""
+        states = []
+        joint = train.train_joint
+
+        def keep_state(state, X, config):
+            states.append(state)
+            return joint(state, X, config)
+
+        monkeypatch.setattr(train, "train_joint", keep_state)
+        data_dir = str(tmp_path / "cube")
+        cli.main(["gen", "cube", "--clusters", "2", "--height", "8", "--width", "8",
+                  "--bands", "4", "--out", data_dir])
+        out = str(tmp_path / "out")
+        cfg = write_config(tmp_path, {
+            "values_path": os.path.join(data_dir, "values.sscm"),
+            "labels_path": os.path.join(data_dir, "labels.sscm"),
+            "k_clusters": 2, "patch": 3, "out_dir": out,
+            "pretrain_epochs": 2, "joint_epochs": 1,
+            "knn_init": 5, "knn_struct": 3,
+            "latent_dim": 6, "hidden_dims": [16, 8], "admm_layers": K,
+        })
+        assert cli.main(["run", "--config", cfg]) == 0
+        manifest = json.loads(Path(out, "checkpoint", "manifest.json").read_text())
+        scalars = manifest["unfold"]["scalars"]
+        assert len(scalars) == 2 * K - 1
+        listed = [*manifest["tensors"], *(f"unfold.{name}" for name in scalars)]
+        (state,) = states
+        names = [name for name, _ in state.named_arrays()]
+        assert sorted(listed) == sorted(names)
+        for name, arr in state.unfold.named_arrays():
+            if name in scalars:
+                assert scalars[name] == float(arr)
 
     def test_invalid_config_exits_two_and_writes_nothing(self, tmp_path, capsys):
         out = str(tmp_path / "never")

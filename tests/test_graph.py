@@ -164,6 +164,14 @@ def test_non_finite_points_rejected():
         graph.knn_adjacency(pts, 2)
 
 
+def test_overflowing_distances_rejected():
+    """Finite points whose squared distances overflow would tie with the
+    diagonal's infinity, so a sample could pick itself as a neighbor."""
+    pts = np.array([[0.0, 1e200, 2e200, -1e200]])
+    with pytest.raises(ValueError, match="overflow"):
+        graph.knn_adjacency(pts, 2)
+
+
 # ------------------------------------------------------------- laplacian
 
 

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unfold_ssc import classic, graph, unfold
+from unfold_ssc import autoenc, classic, graph, train, unfold
 from _oracles import (SymmetricOperator, dense_B_reference, fd_gradient,
                       precompute_reference, rel_err, rel_frobenius, relu_soft_threshold,
-                      unfold_backward_reference, unfold_forward_reference)
+                      shrinkage_inputs, unfold_backward_reference, unfold_forward_reference)
 
 
 def unit_columns(rng, l, n):
@@ -50,7 +50,8 @@ def test_relu_soft_threshold_boundary_and_zero():
 
 
 def test_init_identity_example():
-    """H~ = I2, rho0 = 1: W = (2/3) I on every layer and B V = V / 3."""
+    """H~ = I2, rho0 = 1: W = (2/3) I on every layer and B V = V / 3; every
+    layer but the top starts from threshold 0.005, and the top has none."""
     params = unfold.init_params(np.eye(2), 1.0, 3)
     V = np.random.default_rng(3).standard_normal((2, 2))
     assert np.allclose(params.apply_B(V), V / 3.0, atol=1e-14)
@@ -58,7 +59,12 @@ def test_init_identity_example():
         layer = params.layers[k]
         assert np.allclose(layer.W, 2.0 / 3.0 * np.eye(2), atol=1e-14)
         assert layer.rho == pytest.approx(1.0, rel=1e-14)
-        assert layer.theta == pytest.approx(0.005, rel=1e-12)
+    for k in range(2):
+        assert params.layers[k].theta == pytest.approx(0.005, rel=1e-12)
+    names = [name for name, _ in params.named_arrays()]
+    assert names == ["layer0.W", "layer0.rho_raw", "layer0.theta_raw",
+                     "layer1.W", "layer1.rho_raw", "layer1.theta_raw",
+                     "layer2.W", "layer2.rho_raw"]
 
 
 @pytest.mark.parametrize("l, n, duplicates", [(4, 9, 0), (9, 9, 0), (14, 9, 0), (6, 9, 4)])
@@ -99,7 +105,7 @@ def test_forward_single_layer_identity_trace():
     C, tape = unfold.forward(params, np.eye(2))
     assert np.allclose(tape.C[-1], 2.0 / 3.0 * np.eye(2), atol=1e-14)
     assert np.array_equal(C, np.zeros((2, 2)))
-    assert np.all(np.diagonal(tape.Z(0)) == 0.0)
+    assert tape.theta == []
 
 
 def test_forward_matches_classic_solver():
@@ -125,7 +131,7 @@ def test_forward_accepts_knn_z_init():
     params = unfold.init_params(Ht, 0.7, 3)
     C, tape = unfold.forward(params, Ht, z0)
     assert np.all(np.diagonal(C) == 0.0)
-    for k in range(3):
+    for k in range(2):
         assert np.all(np.diagonal(tape.Z(k)) == 0.0)
 
 
@@ -148,12 +154,12 @@ def loss_and_grads(params, Ht, z0, weights):
 
 
 def kink_margin(params, Ht, z0):
-    """Smallest |.|T| - theta| margin across layers; FD needs it > step."""
+    """Smallest |.|T| - theta| margin across the layers that shrink; FD
+    needs it > step."""
     _, tape = unfold.forward(params, Ht, z0)
     margin = np.inf
-    for k in range(params.n_layers):
-        theta = params.layers[k].theta
-        margin = min(margin, float(np.min(np.abs(np.abs(tape.T[k]) - theta))))
+    for T, theta in zip(shrinkage_inputs(tape), tape.theta):
+        margin = min(margin, float(np.min(np.abs(np.abs(T) - theta))))
     return margin
 
 
@@ -253,18 +259,23 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
     assert np.array_equal(C, C_ref)
     assert np.array_equal(tape.Z0, tape_ref.Z0)
     assert tape.rho == tape_ref.rho
-    assert tape.theta == [layer.theta for layer in params.layers]
+    assert tape.theta == [layer.theta for layer in params.layers[:-1]]
     # The first dual input is the scalar 0, not an n x n array of zeros.
     assert tape.mu_in[0] == 0.0 and not np.any(tape_ref.mu_in[0])
-    for field in ("mu_in", "C", "T"):
+    for field in ("mu_in", "C"):
         got, want = getattr(tape, field), getattr(tape_ref, field)
         assert len(got) == len(want) == K, field
         for a, b in zip(got, want):
             assert np.array_equal(np.broadcast_to(a, b.shape), b), field
-    for k in range(K):
+    T, T_ref = shrinkage_inputs(tape), shrinkage_inputs(tape_ref)
+    assert len(T) == len(T_ref) == len(tape_ref.Z_out) == K - 1
+    for a, b in zip(T, T_ref):
+        assert np.array_equal(a, b)
+    for k in range(K - 1):
         assert np.array_equal(tape.Z(k), tape_ref.Z_out[k]), k
-    # Both shrinkage sides occur, so the masked branch is exercised.
-    assert 0 < np.count_nonzero(tape_ref.Z_out[0]) < Ht.shape[1] * (Ht.shape[1] - 1)
+    if K > 1:
+        # Both shrinkage sides occur, so the masked branch is exercised.
+        assert 0 < np.count_nonzero(tape_ref.Z_out[0]) < Ht.shape[1] * (Ht.shape[1] - 1)
 
     grads, gHt = unfold.backward(params, tape, G)
     grads_ref, gHt_ref = unfold_backward_reference(params, B_same, tape_ref, G)
@@ -277,10 +288,12 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
     B_dense = dense_B_reference(params)
     C_dense, tape_dense = unfold_forward_reference(params, B_dense, Ht, z0)
     assert rel_frobenius(C, C_dense) <= 1e-12
-    for field in ("mu_in", "C", "T"):
+    for field in ("mu_in", "C"):
         for a, b in zip(getattr(tape, field), getattr(tape_dense, field)):
             assert rel_frobenius(np.broadcast_to(a, b.shape), b) <= 1e-12, field
-    for k in range(K):
+    for a, b in zip(shrinkage_inputs(tape), shrinkage_inputs(tape_dense)):
+        assert rel_frobenius(a, b) <= 1e-12
+    for k in range(K - 1):
         assert rel_frobenius(tape.Z(k), tape_dense.Z_out[k]) <= 1e-12, k
     grads_dense, gHt_dense = unfold_backward_reference(params, B_dense, tape_dense, G)
     for name, want in grads_dense.items():
@@ -341,20 +354,33 @@ def test_forward_and_backward_working_set():
 
 
 @pytest.mark.parametrize("K", [1, 3])
-def test_last_layer_threshold_gets_zero_gradient(K):
-    """The output C_K never passes through layer K's shrinkage."""
-    params, Ht, z0, G = perturbed_instance(7, K, True)
-    _, tape = unfold.forward(params, Ht, z0)
-    grads, _ = unfold.backward(params, tape, G)
-    assert grads[f"layer{K - 1}.theta_raw"] == 0.0
-    if K > 1:
-        assert grads["layer0.theta_raw"] != 0.0
+def test_every_learned_array_gets_a_gradient(K):
+    """No learned parameter is dead: on a generic instance, with every
+    unfolded parameter moved off its analytic init, the composite loss has
+    a gradient that is not identically zero for each array the model
+    learns, and for no other name."""
+    rng = np.random.default_rng(7)
+    d, n = 8, 12
+    X = rng.normal(size=(d, n))
+    tc = train.TrainConfig(pretrain_epochs=0, joint_epochs=0, n_layers=K,
+                           theta0=0.04, knn_init=4, knn_struct=3)
+    state = train.init_state(autoenc.AeConfig(input_dim=d, hidden_dims=(6,), latent_dim=4), 7)
+    train.pretrain(state, X, tc)
+    train.train_joint(state, X, tc)
+    for _, arr in state.unfold.named_arrays():
+        arr += 0.05 * rng.standard_normal(arr.shape)
+    _, grads = train.total_loss(state, X, train.LossWeights(alpha=1.0, beta=0.1, gamma=0.1))
+    names = [name for name, _ in state.named_arrays()]
+    for name in names:
+        assert np.any(grads[name] != 0.0), name
+    assert grads.keys() == set(names)
+    assert sum(name.endswith("theta_raw") for name in names) == K - 1
 
 
 def test_positivity_preserved_under_updates():
     """However far the raw parameters move, rho stays positive and theta
     non-negative."""
-    params = unfold.init_params(np.eye(4), 0.5, 1)
+    params = unfold.init_params(np.eye(4), 0.5, 2)
     layer = params.layers[0]
     layer.rho_raw -= 100.0
     layer.theta_raw -= 100.0
