@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -96,7 +97,7 @@ def _is_int(v):
 
 
 def _is_num(v):
-    return _is_int(v) or isinstance(v, float)
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 _CHECKS = {
@@ -134,8 +135,7 @@ _CHECKS = {
 }
 
 
-def validate_config(path=None, preset=None, overrides=None,
-                    require_values=True) -> RunConfig:
+def validate_config(path=None, preset=None, overrides=None) -> RunConfig:
     """Build a RunConfig from defaults, preset, JSON file, and overrides.
 
     Later sources win. Raises ConfigError carrying the complete list of
@@ -183,9 +183,9 @@ def validate_config(path=None, preset=None, overrides=None,
     if "hidden_dims" in cleaned:
         cleaned["hidden_dims"] = tuple(cleaned["hidden_dims"])
 
-    config = RunConfig(**{k: v for k, v in cleaned.items() if k in RunConfig.__dataclass_fields__})
+    config = RunConfig(**cleaned)
 
-    if require_values and "values_path" not in cleaned and not any(
+    if "values_path" not in cleaned and not any(
         e.startswith("values_path") for e in errors
     ):
         errors.append("values_path: required (no input data configured)")
@@ -231,6 +231,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """
     from unfold_ssc import autoenc, classic, cluster, container, train, unfold
 
+    _check_out_dir(cfg.out_dir)
     inputs = (cfg.values_path, cfg.labels_path)
     clash = [name for name in ARTIFACTS if _holds_input(inputs, os.path.join(cfg.out_dir, name))]
     if clash:
@@ -248,40 +249,31 @@ def run_pipeline(cfg: RunConfig) -> dict:
     if cfg.mode == "unfold":
         if cfg.knn_init >= n or cfg.knn_struct >= n:
             raise ConfigError([f"knn_init/knn_struct: need fewer neighbors than the {n} samples"])
-        tc = train.TrainConfig(
-            pretrain_epochs=cfg.pretrain_epochs, joint_epochs=cfg.joint_epochs,
-            learning_rate=cfg.learning_rate, adam_beta1=cfg.adam_beta1,
-            adam_beta2=cfg.adam_beta2, adam_eps=cfg.adam_eps, rho0=cfg.rho0,
-            n_layers=cfg.admm_layers, theta0=cfg.threshold0, knn_init=cfg.knn_init,
-            knn_struct=cfg.knn_struct, rho_theta_lr_mult=cfg.rho_theta_lr_mult,
-            weights=train.LossWeights(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma),
-        )
         ae_cfg = autoenc.AeConfig(input_dim=X.shape[0], hidden_dims=tuple(cfg.hidden_dims),
                                   latent_dim=cfg.latent_dim)
         state = train.init_state(ae_cfg, cfg.seed)
-        pretrain_history = train.pretrain(state, X, tc)
-        history = train.train_joint(state, X, tc)
+        pretrain_history = train.pretrain(state, X, cfg)
+        history = train.train_joint(state, X, cfg)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
         C, _ = unfold.forward(state.unfold, Ht, state.z0)
         S = cluster.similarity(C)
-        result = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed)
+        labels = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed).labels
     elif cfg.mode == "classic":
         cc = classic.ClassicConfig(lam=cfg.classic_lambda, rho=cfg.classic_rho,
                                    iterations=cfg.classic_iterations)
         S = cluster.similarity(classic.solve(X, cc).C)
-        result = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed)
+        labels = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed).labels
     elif cfg.mode == "kmeans-baseline":
         labels = cluster.kmeans(X.T, cfg.k_clusters, cfg.seed)
-        result = cluster.ClusterResult(labels=labels, embedding=X.T, wcss=float("nan"))
     else:
         raise ConfigError([f"mode: unknown mode {cfg.mode!r}"])
 
     from unfold_ssc import metrics as metrics_mod
 
-    scores = metrics_mod.report(result.labels, truth) if truth is not None else None
+    scores = metrics_mod.report(labels, truth) if truth is not None else None
 
     with _publishing(cfg.out_dir, ARTIFACTS, inputs) as stage:
-        _write_labels(stage, "labels.csv", result.labels)
+        _write_labels(stage, "labels.csv", labels)
         if truth is not None:
             _write_labels(stage, "truth.csv", truth)
             _write_json(stage, "metrics.json", scores)
@@ -298,7 +290,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         if state is not None:
             save_checkpoint(os.path.join(stage, "checkpoint"), state)
         if coords is not None and scene_shape is not None:
-            _write_ppm(stage, "label_map.ppm", scene_shape, coords, result.labels)
+            _write_ppm(stage, "label_map.ppm", scene_shape, coords, labels)
         _write_json(stage, "run_manifest.json",
                     {"config": _config_dict(cfg), "version": __version__})
         artifacts = sorted(os.listdir(stage))
@@ -321,6 +313,17 @@ def _config_dict(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------- artifacts
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise ConfigError when ``out_dir``, or the nearest of its ancestors
+    that exists, is not a directory, so ``out_dir`` cannot be made."""
+    path = out_dir
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ConfigError([f"out_dir: cannot create directory {out_dir}: "
+                           f"{path} is not a directory"])
+
+
 def _holds_input(inputs, path: str) -> bool:
     """True when ``path`` is, or is a directory holding, one of the ``inputs`` paths."""
     real = os.path.realpath(path)
@@ -332,16 +335,19 @@ def _holds_input(inputs, path: str) -> bool:
 def _publishing(out_dir: str, owned, inputs):
     """The one way a command writes into ``out_dir``.
 
-    Yields a private staging directory inside ``out_dir`` for the command to
-    write plain files into. When the body finishes, every ``owned`` name in
-    ``out_dir`` is replaced by its staged file, or deleted when nothing was
-    staged under it, so no file of an earlier command is left next to this
-    one's. A staged name that is, or holds, one of ``inputs`` in ``out_dir``
-    is a config error raised before anything changes; an input under an
-    owned name that was not staged is kept. If the body raises, ``out_dir``
-    keeps what it held. The pass itself is one delete-and-rename per owned
-    name, so a crash inside it can leave old and new files side by side.
+    An ``out_dir`` that cannot be made a directory is a config error.
+    Otherwise yields a private staging directory inside ``out_dir`` for the
+    command to write plain files into. When the body finishes, every
+    ``owned`` name in ``out_dir`` is replaced by its staged file, or deleted
+    when nothing was staged under it, so no file of an earlier command is
+    left next to this one's. A staged name that is, or holds, one of
+    ``inputs`` in ``out_dir`` is a config error raised before anything
+    changes; an input under an owned name that was not staged is kept. If
+    the body raises, ``out_dir`` keeps what it held. The pass itself is one
+    delete-and-rename per owned name, so a crash inside it can leave old
+    and new files side by side.
     """
+    _check_out_dir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
     try:

@@ -93,16 +93,6 @@ def read_csv_matrix(path: str | os.PathLike) -> np.ndarray:
     return arr
 
 
-def write_csv_matrix(path: str | os.PathLike, array: np.ndarray) -> None:
-    arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError(f"CSV output is 2-D only, got {arr.ndim}-D")
-    with open(path, "w") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
 def load_any(path: str | os.PathLike) -> np.ndarray:
     """Load an array from either the binary container or CSV.
 

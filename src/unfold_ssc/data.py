@@ -51,7 +51,6 @@ class PatchSet:
     tensors: np.ndarray
     center_labels: np.ndarray
     coords: np.ndarray
-    patch: int
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -149,7 +148,7 @@ def extract_patches(cube: HsiCube, patch: int) -> PatchSet:
     for i, (row, col) in enumerate(coords):
         tensors[i] = padded[row : row + patch, col : col + patch, :]
     center_labels = cube.labels[coords[:, 0], coords[:, 1]]
-    return PatchSet(tensors, center_labels, coords, patch)
+    return PatchSet(tensors, center_labels, coords)
 
 
 def flatten_to_matrix(patches: PatchSet) -> np.ndarray:

@@ -8,13 +8,15 @@ and unfolded network together under the composite objective
 
     L = L_rec + alpha * L_selfrep + beta * L_sparse + gamma * L_structure.
 
-Everything is full batch and seeded, so a rerun with the same data, seed,
-and config reproduces the loss history bit for bit.
+Every hyperparameter comes from the run's ``cli.RunConfig``, read under
+its own field names. Everything is full batch and seeded, so a rerun with
+the same data, seed, and config reproduces the loss history bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -22,29 +24,8 @@ from scipy import sparse
 from unfold_ssc import autoenc, graph, unfold
 from unfold_ssc.errors import NumericalError
 
-
-@dataclass
-class LossWeights:
-    alpha: float = 10.0
-    beta: float = 0.01
-    gamma: float = 1e-5
-
-
-@dataclass
-class TrainConfig:
-    pretrain_epochs: int = 400
-    joint_epochs: int = 600
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    rho0: float = 0.5
-    n_layers: int = 3
-    theta0: float = 0.005
-    knn_init: int = 30
-    knn_struct: int = 10
-    rho_theta_lr_mult: float = 1.0
-    weights: LossWeights = field(default_factory=LossWeights)
+if TYPE_CHECKING:
+    from unfold_ssc.cli import RunConfig
 
 
 @dataclass
@@ -110,10 +91,11 @@ def loss_sp(C: np.ndarray):
     return value, np.sign(C) / n
 
 
-def total_loss(state: TrainState, X: np.ndarray, weights: LossWeights):
+def total_loss(state: TrainState, X: np.ndarray, config: RunConfig):
     """Composite loss and its gradients for every learnable tensor.
 
-    Returns (breakdown, grads) with ``grads`` keyed like
+    The three coefficient terms are weighted by ``config.alpha``,
+    ``config.beta`` and ``config.gamma``. Returns (breakdown, grads) with ``grads`` keyed like
     ``TrainState.named_arrays``. The whole chain is differentiated by hand:
     reconstruction through the decoder, and the three coefficient losses
     back through the unfolded network, the latent normalization, and the
@@ -131,23 +113,23 @@ def total_loss(state: TrainState, X: np.ndarray, weights: LossWeights):
     v_st, gC_st = graph.structure_loss(C, state.lap)
     del C
 
-    w = weights
+    alpha, beta, gamma = config.alpha, config.beta, config.gamma
     breakdown = LossBreakdown(
-        total=v_ae + w.alpha * v_sr + w.beta * v_sp + w.gamma * v_st,
+        total=v_ae + alpha * v_sr + beta * v_sp + gamma * v_st,
         ae=v_ae, sr=v_sr, sp=v_sp, st=v_st,
     )
 
     # gC = alpha * gC_sr + beta * gC_sp + gamma * gC_st, summed in place in
     # that order; only gC stays alive through the unfolded backward.
-    gC *= w.alpha
-    gC_sp *= w.beta
+    gC *= alpha
+    gC_sp *= beta
     gC += gC_sp
-    gC_st *= w.gamma
+    gC_st *= gamma
     gC += gC_st
     del gC_sp, gC_st
     ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC)
     del tape_u, gC
-    gHt = w.alpha * gHt_sr + gHt_unfold
+    gHt = alpha * gHt_sr + gHt_unfold
     gH = autoenc.normalize_latent_backward(tape_ae.H, gHt)
     ae_grads = autoenc.ae_backward(state.ae, tape_ae, gH, gXhat)
 
@@ -174,11 +156,12 @@ def _flat_view(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def adam_step(opt: AdamState, named, grads: dict, config: TrainConfig) -> None:
+def adam_step(opt: AdamState, named, grads: dict, config: RunConfig) -> None:
     """One Adam update, in place, over a sequence of (name, array) pairs.
 
-    The learnable penalty and threshold preimages get the configured
-    learning-rate multiplier; everything else uses the base rate. Each
+    Moments use ``config.adam_beta1``, ``adam_beta2`` and ``adam_eps``. The
+    learnable penalty and threshold preimages step at ``learning_rate``
+    times ``rho_theta_lr_mult``; everything else at ``learning_rate``. Each
     array is walked in slices of ``ADAM_CHUNK`` entries through two scratch
     buffers of that size, with the textbook per-element operations in the
     textbook order.
@@ -218,14 +201,15 @@ def adam_step(opt: AdamState, named, grads: dict, config: TrainConfig) -> None:
             p -= a
 
 
-def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
+def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     """Phase one: reconstruction-only training, then freeze the two graphs.
 
     Runs ``config.pretrain_epochs`` full-batch Adam steps on the
     autoencoder (zero epochs leave the weights untouched), then builds the
-    Z-seeding and structure adjacencies from the resulting latent codes,
-    raising ``NumericalError`` if any of them is non-finite.
-    Returns the per-epoch reconstruction loss history.
+    ``config.knn_init``-neighbor Z seed and the ``config.knn_struct``-neighbor
+    structure Laplacian from the resulting latent codes, raising
+    ``NumericalError`` if any of them is non-finite. Returns the per-epoch
+    reconstruction loss history.
     """
     ae_named = list((f"ae.{k}", a) for k, a in state.ae.named_arrays())
     _reset_moments(state.opt, ae_named)
@@ -251,22 +235,24 @@ def pretrain(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
     return history
 
 
-def train_joint(state: TrainState, X: np.ndarray, config: TrainConfig) -> list:
+def train_joint(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     """Phase two: composite-loss training of autoencoder plus unfolded network.
 
-    The unfolded network is initialized analytically from the current
-    normalized latents; Adam moments restart for the new parameter set.
+    The ``config.admm_layers``-layer unfolded network is initialized
+    analytically from the current normalized latents, ``config.rho0`` and
+    ``config.threshold0``; Adam moments restart for the new parameter set.
+    Runs ``config.joint_epochs`` full-batch steps.
     Returns the loss-breakdown history (list of LossBreakdown).
     """
     if state.z0 is None or state.lap is None:
         raise ValueError("graphs are not frozen yet; run pretrain first")
     Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-    state.unfold = unfold.init_params(Ht, config.rho0, config.n_layers, theta0=config.theta0)
+    state.unfold = unfold.init_params(Ht, config.rho0, config.admm_layers, theta0=config.threshold0)
     named = list(state.named_arrays())
     _reset_moments(state.opt, named)
     history = []
     for epoch in range(config.joint_epochs):
-        breakdown, grads = total_loss(state, X, config.weights)
+        breakdown, grads = total_loss(state, X, config)
         if not breakdown.finite():
             raise NumericalError(
                 f"non-finite loss at joint epoch {epoch + 1}: "

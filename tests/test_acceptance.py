@@ -91,8 +91,8 @@ def _gradient_check_instance(seed: int):
     d, n = 8, 6
     X = rng.normal(size=(d, n))
     cfg = autoenc.AeConfig(input_dim=d, hidden_dims=(6, 5), latent_dim=4)
-    tc = train.TrainConfig(pretrain_epochs=20, joint_epochs=0, n_layers=2,
-                           knn_init=3, knn_struct=2)
+    tc = cli.RunConfig(pretrain_epochs=20, joint_epochs=0, admm_layers=2,
+                       knn_init=3, knn_struct=2)
     state = train.init_state(cfg, seed)
     train.pretrain(state, X, tc)
     train.train_joint(state, X, tc)
@@ -108,7 +108,7 @@ def _gradient_check_instance(seed: int):
     if margin < 1e-3:
         return None
 
-    w = train.LossWeights(alpha=1.5, beta=0.2, gamma=0.1)
+    w = cli.RunConfig(alpha=1.5, beta=0.2, gamma=0.1)
 
     def objective():
         b, _ = train.total_loss(state, X, w)

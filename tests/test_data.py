@@ -30,7 +30,7 @@ def test_load_cube_round_trip(tmp_path):
 
 def test_load_cube_2d_values_become_single_band(tmp_path):
     vp = tmp_path / "v.csv"
-    container.write_csv_matrix(vp, np.ones((4, 3)))
+    vp.write_text("1.0,1.0,1.0\n" * 4)
     cube = data.load_cube(container.load_any(vp))
     assert cube.values.shape == (4, 3, 1)
 

@@ -1,9 +1,12 @@
 """Tests for the two-phase trainer: losses, optimizer, and gradient flow."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from unfold_ssc import autoenc, graph, train, unfold
+from unfold_ssc import autoenc, cli, graph, train, unfold
 
 from _oracles import fd_gradient, rel_err
 
@@ -15,18 +18,24 @@ def tiny_problem(seed=0, d=8, n=6):
     return X, cfg
 
 
-def prepared_state(seed=0, n_layers=2, pre_epochs=30, weights=None):
+def prepared_state(seed=0, admm_layers=2, pre_epochs=30, **weights):
     """State with frozen graphs and an analytically initialized network."""
     X, cfg = tiny_problem(seed)
-    tc = train.TrainConfig(
-        pretrain_epochs=pre_epochs, joint_epochs=0, n_layers=n_layers,
-        knn_init=3, knn_struct=2,
-        weights=weights or train.LossWeights(),
+    tc = cli.RunConfig(
+        pretrain_epochs=pre_epochs, joint_epochs=0, admm_layers=admm_layers,
+        knn_init=3, knn_struct=2, **weights,
     )
     state = train.init_state(cfg, seed)
     train.pretrain(state, X, tc)
     train.train_joint(state, X, tc)
     return state, X, tc
+
+
+def test_train_does_not_import_cli_at_run_time():
+    """The trainer reads the run config's fields; it names ``cli.RunConfig``
+    for type checkers only, so the layer below the CLI never loads it."""
+    code = "import sys, unfold_ssc.train; sys.exit('unfold_ssc.cli' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestLossSr:
@@ -77,8 +86,8 @@ class TestLossSp:
 
 class TestTotalLoss:
     def test_zero_weights_reduce_to_reconstruction(self):
-        state, X, _ = prepared_state(weights=train.LossWeights(0.0, 0.0, 0.0))
-        breakdown, _ = train.total_loss(state, X, train.LossWeights(0.0, 0.0, 0.0))
+        state, X, tc = prepared_state(alpha=0.0, beta=0.0, gamma=0.0)
+        breakdown, _ = train.total_loss(state, X, tc)
         tape = autoenc.ae_forward(state.ae, X)
         v_ae, _ = autoenc.ae_loss(X, tape.Xhat)
         assert breakdown.total == breakdown.ae == v_ae
@@ -87,11 +96,11 @@ class TestTotalLoss:
         X, cfg = tiny_problem()
         state = train.init_state(cfg, 0)
         with pytest.raises(ValueError, match="train_joint"):
-            train.total_loss(state, X, train.LossWeights())
+            train.total_loss(state, X, cli.RunConfig())
 
     def test_breakdown_composition(self):
         state, X, _ = prepared_state(seed=4)
-        w = train.LossWeights(alpha=2.0, beta=0.5, gamma=0.25)
+        w = cli.RunConfig(alpha=2.0, beta=0.5, gamma=0.25)
         b, _ = train.total_loss(state, X, w)
         assert np.isclose(b.total, b.ae + 2.0 * b.sr + 0.5 * b.sp + 0.25 * b.st)
 
@@ -103,7 +112,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(100)
         for _, arr in state.unfold.named_arrays():
             arr += 0.01 * rng.normal(size=arr.shape)
-        w = train.LossWeights(alpha=1.5, beta=0.2, gamma=0.1)
+        w = cli.RunConfig(alpha=1.5, beta=0.2, gamma=0.1)
 
         def objective():
             b, _ = train.total_loss(state, X, w)
@@ -121,7 +130,7 @@ class TestAdamStep:
     def test_first_step_is_signed_learning_rate(self):
         p = np.array([1.0, -2.0])
         opt = train.AdamState(m={"p": np.zeros(2)}, v={"p": np.zeros(2)})
-        cfg = train.TrainConfig(learning_rate=0.01)
+        cfg = cli.RunConfig(learning_rate=0.01)
         train.adam_step(opt, [("p", p)], {"p": np.array([3.0, -4.0])}, cfg)
         # With bias correction the first update is lr * g / (|g| + eps).
         assert np.allclose(p, [1.0 - 0.01, -2.0 + 0.01], atol=1e-9)
@@ -134,7 +143,7 @@ class TestAdamStep:
             m={"unfold.layer0.theta_raw": np.zeros(()), "ae.enc0.W": np.zeros(())},
             v={"unfold.layer0.theta_raw": np.zeros(()), "ae.enc0.W": np.zeros(())},
         )
-        cfg = train.TrainConfig(learning_rate=0.001, rho_theta_lr_mult=10.0)
+        cfg = cli.RunConfig(learning_rate=0.001, rho_theta_lr_mult=10.0)
         named = [("unfold.layer0.theta_raw", p), ("ae.enc0.W", q)]
         grads = {"unfold.layer0.theta_raw": np.array(1.0), "ae.enc0.W": np.array(1.0)}
         train.adam_step(opt, named, grads, cfg)
@@ -143,7 +152,7 @@ class TestAdamStep:
     def test_constant_gradient_keeps_unit_scale_steps(self):
         p = np.array(5.0)
         opt = train.AdamState(m={"p": np.zeros(())}, v={"p": np.zeros(())})
-        cfg = train.TrainConfig(learning_rate=0.1)
+        cfg = cli.RunConfig(learning_rate=0.1)
         for _ in range(5):
             train.adam_step(opt, [("p", p)], {"p": np.array(2.0)}, cfg)
         assert np.isclose(p, 5.0 - 5 * 0.1, atol=1e-6)
@@ -159,7 +168,7 @@ class TestAdamStep:
         ref_v = {k: np.zeros_like(a) for k, a in params.items()}
         opt = train.AdamState(m={k: np.zeros_like(a) for k, a in params.items()},
                               v={k: np.zeros_like(a) for k, a in params.items()})
-        cfg = train.TrainConfig(learning_rate=0.003, rho_theta_lr_mult=7.0)
+        cfg = cli.RunConfig(learning_rate=0.003, rho_theta_lr_mult=7.0)
         for step in range(1, 4):
             grads = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
             train.adam_step(opt, list(params.items()), grads, cfg)
@@ -179,7 +188,7 @@ class TestPretrain:
         X, cfg = tiny_problem(seed=5)
         state = train.init_state(cfg, 5)
         before = {k: a.copy() for k, a in state.ae.named_arrays()}
-        tc = train.TrainConfig(pretrain_epochs=0, knn_init=3, knn_struct=2)
+        tc = cli.RunConfig(pretrain_epochs=0, knn_init=3, knn_struct=2)
         history = train.pretrain(state, X, tc)
         assert history == []
         for k, a in state.ae.named_arrays():
@@ -191,7 +200,7 @@ class TestPretrain:
     def test_loss_decreases(self):
         X, cfg = tiny_problem(seed=6)
         state = train.init_state(cfg, 6)
-        tc = train.TrainConfig(pretrain_epochs=400, knn_init=3, knn_struct=2)
+        tc = cli.RunConfig(pretrain_epochs=400, knn_init=3, knn_struct=2)
         history = train.pretrain(state, X, tc)
         assert len(history) == 400
         assert history[-1] < 0.5 * history[0]
@@ -199,7 +208,7 @@ class TestPretrain:
     def test_graphs_match_latent_neighbors(self):
         X, cfg = tiny_problem(seed=7)
         state = train.init_state(cfg, 7)
-        tc = train.TrainConfig(pretrain_epochs=20, knn_init=3, knn_struct=2)
+        tc = cli.RunConfig(pretrain_epochs=20, knn_init=3, knn_struct=2)
         train.pretrain(state, X, tc)
         H = autoenc.encode(state.ae, X)
         assert np.array_equal(state.z0, graph.knn_adjacency(H.T, 3))
@@ -217,7 +226,7 @@ class TestPretrain:
         monkeypatch.setattr(graph, "pairwise_sq_dists", counting)
         X, cfg = tiny_problem(seed=8)
         state = train.init_state(cfg, 8)
-        train.pretrain(state, X, train.TrainConfig(pretrain_epochs=0, knn_init=3, knn_struct=2))
+        train.pretrain(state, X, cli.RunConfig(pretrain_epochs=0, knn_init=3, knn_struct=2))
         assert len(calls) == 1
         assert state.z0 is not None and state.lap is not None
 
@@ -227,15 +236,14 @@ class TestTrainJoint:
         X, cfg = tiny_problem()
         state = train.init_state(cfg, 0)
         with pytest.raises(ValueError, match="pretrain"):
-            train.train_joint(state, X, train.TrainConfig())
+            train.train_joint(state, X, cli.RunConfig())
 
     def test_history_and_descent(self):
         X, cfg = tiny_problem(seed=8)
         state = train.init_state(cfg, 8)
-        tc = train.TrainConfig(
-            pretrain_epochs=50, joint_epochs=80, n_layers=2,
-            knn_init=3, knn_struct=2,
-            weights=train.LossWeights(alpha=1.0, beta=0.1, gamma=0.01),
+        tc = cli.RunConfig(
+            pretrain_epochs=50, joint_epochs=80, admm_layers=2,
+            knn_init=3, knn_struct=2, alpha=1.0, beta=0.1, gamma=0.01,
         )
         train.pretrain(state, X, tc)
         history = train.train_joint(state, X, tc)
@@ -250,8 +258,8 @@ class TestTrainJoint:
         X, cfg = tiny_problem(seed=8)
         n = X.shape[1]
         state = train.init_state(cfg, 8)
-        tc = train.TrainConfig(pretrain_epochs=5, joint_epochs=2, n_layers=3,
-                               knn_init=3, knn_struct=2)
+        tc = cli.RunConfig(pretrain_epochs=5, joint_epochs=2, admm_layers=3,
+                           knn_init=3, knn_struct=2)
         train.pretrain(state, X, tc)
         train.train_joint(state, X, tc)
         assert state.opt.step == 2
@@ -264,10 +272,9 @@ class TestTrainJoint:
     def test_zero_weights_track_reconstruction_only(self):
         X, cfg = tiny_problem(seed=9)
         state = train.init_state(cfg, 9)
-        tc = train.TrainConfig(
-            pretrain_epochs=30, joint_epochs=25, n_layers=2,
-            knn_init=3, knn_struct=2,
-            weights=train.LossWeights(0.0, 0.0, 0.0),
+        tc = cli.RunConfig(
+            pretrain_epochs=30, joint_epochs=25, admm_layers=2,
+            knn_init=3, knn_struct=2, alpha=0.0, beta=0.0, gamma=0.0,
         )
         train.pretrain(state, X, tc)
         history = train.train_joint(state, X, tc)
@@ -278,9 +285,9 @@ class TestTrainJoint:
     def test_analytic_start_matches_fresh_unfold(self):
         # train_joint with zero epochs must leave the network exactly at
         # its analytic initialization for the current latents.
-        state, X, tc = prepared_state(seed=10, n_layers=3)
+        state, X, tc = prepared_state(seed=10, admm_layers=3)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-        fresh = unfold.init_params(Ht, tc.rho0, 3, theta0=tc.theta0)
+        fresh = unfold.init_params(Ht, tc.rho0, 3, theta0=tc.threshold0)
         for (_, a), (_, b) in zip(state.unfold.named_arrays(), fresh.named_arrays()):
             assert np.array_equal(a, b)
         assert np.array_equal(state.unfold.H0, fresh.H0)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unfold_ssc import autoenc, classic, graph, train, unfold
+from unfold_ssc import autoenc, classic, cli, graph, train, unfold
 from _oracles import (SymmetricOperator, dense_B_reference, fd_gradient,
                       precompute_reference, rel_err, rel_frobenius, relu_soft_threshold,
                       shrinkage_inputs, unfold_backward_reference, unfold_forward_reference)
@@ -362,14 +362,15 @@ def test_every_learned_array_gets_a_gradient(K):
     rng = np.random.default_rng(7)
     d, n = 8, 12
     X = rng.normal(size=(d, n))
-    tc = train.TrainConfig(pretrain_epochs=0, joint_epochs=0, n_layers=K,
-                           theta0=0.04, knn_init=4, knn_struct=3)
+    tc = cli.RunConfig(pretrain_epochs=0, joint_epochs=0, admm_layers=K,
+                       threshold0=0.04, knn_init=4, knn_struct=3,
+                       alpha=1.0, beta=0.1, gamma=0.1)
     state = train.init_state(autoenc.AeConfig(input_dim=d, hidden_dims=(6,), latent_dim=4), 7)
     train.pretrain(state, X, tc)
     train.train_joint(state, X, tc)
     for _, arr in state.unfold.named_arrays():
         arr += 0.05 * rng.standard_normal(arr.shape)
-    _, grads = train.total_loss(state, X, train.LossWeights(alpha=1.0, beta=0.1, gamma=0.1))
+    _, grads = train.total_loss(state, X, tc)
     names = [name for name, _ in state.named_arrays()]
     for name in names:
         assert np.any(grads[name] != 0.0), name
