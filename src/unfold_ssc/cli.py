@@ -97,7 +97,10 @@ def _is_int(v):
 
 
 def _is_num(v):
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+    try:  # math.isfinite converts an int, which can overflow a float
+        return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 _CHECKS = {
@@ -255,8 +258,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         pretrain_history = train.pretrain(state, X, cfg)
         history = train.train_joint(state, X, cfg)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-        C, _ = unfold.forward(state.unfold, Ht, state.z0)
-        S = cluster.similarity(C)
+        S = cluster.similarity(unfold.forward(state.unfold, Ht, state.z0)[0])
         labels = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed).labels
     elif cfg.mode == "classic":
         cc = classic.ClassicConfig(lam=cfg.classic_lambda, rho=cfg.classic_rho,

@@ -124,8 +124,8 @@ def spectral_cluster(S: np.ndarray, k: int, seed: int) -> ClusterResult:
     Embeds samples with the k eigenvectors of the smallest eigenvalues of
     L_sym = I - D^(-1/2) S D^(-1/2) (isolated nodes get a tiny degree guard),
     asking the symmetric eigensolver for those k eigenpairs only (the other
-    n - k are never computed), scales each embedding row to unit norm (zero
-    rows stay zero), and k-means clusters the rows.
+    n - k are never computed) on two n x n buffers, scales each embedding
+    row to unit norm (zero rows stay zero), and k-means clusters the rows.
     """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
@@ -138,9 +138,13 @@ def spectral_cluster(S: np.ndarray, k: int, seed: int) -> ClusterResult:
     degrees = S.sum(axis=1)
     degrees = np.where(degrees > 0, degrees, DEGREE_GUARD)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    lap_sym = np.eye(n) - inv_sqrt[:, np.newaxis] * S * inv_sqrt[np.newaxis, :]
-    lap_sym = 0.5 * (lap_sym + lap_sym.T)
-    _, embedding = scipy.linalg.eigh(lap_sym, subset_by_index=[0, k - 1])
+    # I - X in one buffer: 1 - x on the diagonal, 0 - x off it, so zeros keep I - X's sign.
+    lap = inv_sqrt[:, np.newaxis] * S * inv_sqrt[np.newaxis, :]
+    diagonal = 1.0 - np.diagonal(lap)
+    np.fill_diagonal(np.subtract(0.0, lap, out=lap), diagonal)
+    lap_sym = 0.5 * (lap + lap.T)
+    # Exactly symmetric: its transpose is it in Fortran order, solved in place.
+    _, embedding = scipy.linalg.eigh(lap_sym.T, subset_by_index=[0, k - 1], overwrite_a=True)
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     embedding = embedding / np.where(norms > 0, norms, 1.0)
     labels, details = kmeans(embedding, k, seed, return_details=True)

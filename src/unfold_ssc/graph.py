@@ -105,19 +105,18 @@ def laplacian(adjacency: np.ndarray) -> sparse.csr_array:
     return sparse.csr_array(np.diag(adjacency.sum(axis=1)) - adjacency)
 
 
-def structure_loss(C: np.ndarray, lap: sparse.csr_array):
+def structure_loss(C: np.ndarray, lap: sparse.csr_array, out=None):
     """Neighborhood-coherence penalty on representation columns.
 
     Value is sum_{ij} A_ij * ||C[:, i] - C[:, j]||^2, evaluated through the
     equivalent trace form 2 * tr(C L C^T); the gradient in C is 4 * C @ L,
     one sparse product.
 
-    Returns (value, grad).
-    """
+    Returns (value, grad). (C L) * C and then the gradient go into ``out``,
+    which may be C itself, or into a new array when it is omitted."""
     C = np.asarray(C, dtype=np.float64)
     if C.shape[1] != lap.shape[0] or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"shape mismatch: C {C.shape} vs laplacian {lap.shape}")
     CL = C @ lap
-    value = 2.0 * float(np.sum(CL * C))
-    CL *= 4.0
-    return value, CL
+    value = 2.0 * float(np.sum(np.multiply(CL, C, out=out)))
+    return value, np.multiply(CL, 4.0, out=out)

@@ -87,8 +87,11 @@ def loss_sr(Htilde: np.ndarray, C: np.ndarray):
 def loss_sp(C: np.ndarray):
     """Mean-per-sample L1 mass of the coefficients; subgradient 0 at zeros."""
     n = C.shape[1]
-    value = float(np.abs(C).sum()) / n
-    return value, np.sign(C) / n
+    grad = np.abs(C)
+    value = float(grad.sum()) / n
+    np.sign(C, out=grad)
+    grad /= n
+    return value, grad
 
 
 def total_loss(state: TrainState, X: np.ndarray, config: RunConfig):
@@ -108,25 +111,21 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig):
     Ht = autoenc.normalize_latent(tape_ae.H)
     C, tape_u = unfold.forward(state.unfold, Ht, state.z0)
 
-    v_sr, gHt_sr, gC = loss_sr(Ht, C)
-    v_sp, gC_sp = loss_sp(C)
-    v_st, gC_st = graph.structure_loss(C, state.lap)
-    del C
-
+    # gC = alpha gC_sr + beta gC_sp + gamma gC_st, summed in place in that order;
+    # gC_st reuses C once the losses have read it. Only gC and the tape reach the backward.
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
+    v_sr, gHt_sr, gC = loss_sr(Ht, C)
+    gC *= alpha
+    v_sp, gC_sp = loss_sp(C)
+    gC += np.multiply(gC_sp, beta, out=gC_sp)
+    del gC_sp
+    v_st, gC_st = graph.structure_loss(C, state.lap, out=C)
+    gC += np.multiply(gC_st, gamma, out=gC_st)
+    del C, gC_st
     breakdown = LossBreakdown(
         total=v_ae + alpha * v_sr + beta * v_sp + gamma * v_st,
         ae=v_ae, sr=v_sr, sp=v_sp, st=v_st,
     )
-
-    # gC = alpha * gC_sr + beta * gC_sp + gamma * gC_st, summed in place in
-    # that order; only gC stays alive through the unfolded backward.
-    gC *= alpha
-    gC_sp *= beta
-    gC += gC_sp
-    gC_st *= gamma
-    gC += gC_st
-    del gC_sp, gC_st
     ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC)
     del tape_u, gC
     gHt = alpha * gHt_sr + gHt_unfold

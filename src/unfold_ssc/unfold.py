@@ -15,10 +15,10 @@ iteration in a different order, and rho and theta round-trip through
 softplus (acceptance test A2 bounds the relative difference by 1e-10).
 
 Gradients are hand-written reverse mode over a forward tape; no autodiff
-framework is involved. The tape keeps 2K + 1 n x n arrays for K layers
-(Z0 and each layer's C and dual input mu, the first of which is the scalar
-0); the backward recomputes each lower layer's Z from C and mu instead of
-storing it, with the classic solver's ``step_Z``.
+framework is involved. The tape keeps only what the backward reads: Z0 and
+the C and dual input mu (the first the scalar 0) of the K - 1 layers that
+shrink, 2K - 3 new n x n arrays for K >= 2, none for K = 1. The backward
+recomputes lower layers' Z with ``classic.step_Z`` in four n x n buffers.
 """
 
 from __future__ import annotations
@@ -93,12 +93,10 @@ class UnfoldParams:
 class ForwardTape:
     """What the backward pass reads from one forward evaluation.
 
-    Per layer k it keeps the penalty rho_k, the dual input ``mu_in[k]`` (the
-    scalar 0 on the first layer) and the pre-shrinkage ``C[k]``; ``C[-1]``
-    is the final C before diagonal zeroing. ``theta`` holds the K - 1
-    thresholds of the layers below the top. With Z0 that is 2K + 1 n x n
-    arrays, one of them never allocated. Layer k's output Z is recomputed on
-    demand with the forward's expressions, so it matches it bit for bit.
+    For each layer k that shrinks (all but the top, whose C is the output)
+    it keeps rho_k, theta_k, the dual input ``mu_in[k]`` (the scalar 0 on
+    the first layer) and the pre-shrinkage ``C[k]``: 2K - 3 new n x n
+    arrays for K >= 2, none for K = 1; ``Z(k)`` recomputes Z_k bit for bit.
     """
 
     Htilde: np.ndarray
@@ -118,9 +116,6 @@ class ForwardTape:
             out = np.empty_like(self.C[k])
         np.divide(self.mu_in[k], self.rho[k], out=out)
         return classic.step_Z(self.C[k], out, self.theta[k], out=out, scratch=scratch)
-
-    def Z_in(self, k: int) -> np.ndarray:
-        return self.Z0 if k == 0 else self.Z(k - 1)
 
 
 def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
@@ -157,11 +152,11 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
     Returns (C, tape) where C is the final-layer coefficient matrix with
     its diagonal zeroed.
 
-    Each layer's C and dual go into the tape as new arrays. Everything else
-    runs in two n x n scratch arrays allocated once per call: V, which then
-    holds the shrinkage input and Z, and B V, which then holds the
-    shrinkage's clip. Both are freed before the output copy, so the working
-    set is the 2K + 1-array tape plus these two.
+    Each lower layer's C and dual go into the tape as new arrays. Everything
+    else runs in two n x n scratch arrays allocated once per call: V, which
+    then holds the shrinkage input and Z, and B V, which then holds the
+    shrinkage's clip and rho (C - Z). The top layer's dual is dropped once
+    V is built; its C is returned with the diagonal zeroed in place.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
@@ -172,87 +167,88 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
         raise ValueError("Z0 must have a zero diagonal")
     mu = 0.0
     tape = ForwardTape(Htilde=Htilde, Z0=Z)
-    V = np.empty((n, n))
-    BV = np.empty((n, n))
-    C = None
+    V, BV = np.empty((n, n)), np.empty((n, n))
+    top = params.n_layers - 1
     for k, layer in enumerate(params.layers):
         rho = layer.rho
         np.multiply(Z, rho, out=V)
         np.subtract(mu, V, out=V)
+        if k == top:
+            del mu  # the top layer's dual input is read by nothing past V
         C = layer.W @ Htilde
         C -= params.apply_B(V, out=BV)
+        if k == top:
+            break
         tape.rho.append(rho)
+        tape.theta.append(layer.theta)
         tape.mu_in.append(mu)
         tape.C.append(C)
-        if k + 1 < params.n_layers:
-            tape.theta.append(layer.theta)
-            Z = tape.Z(k, out=V, scratch=BV)
-            mu_next = np.subtract(C, Z)
-            mu_next *= rho
-            mu_next += mu
-            mu = mu_next
-    del V, BV, Z
-    C_out = C.copy()
-    np.fill_diagonal(C_out, 0.0)
-    return C_out, tape
+        Z = tape.Z(k, out=V, scratch=BV)
+        mu = np.add(np.multiply(np.subtract(C, Z, out=BV), rho, out=BV), mu)
+    np.fill_diagonal(C, 0.0)
+    return C, tape
 
 
 def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
     """Reverse-mode pass through the whole unfolded network.
 
-    ``grad_C`` is the loss gradient with respect to the returned (diagonal-
-    zeroed) coefficient matrix. Returns (grads, grad_Htilde) where ``grads``
-    maps the names from ``params.named_arrays`` to arrays of matching shape;
-    rho/theta gradients are with respect to their softplus preimages.
-    Subgradients at the shrinkage kinks are taken as zero. The tape is only
-    read; each lower layer's Z is recomputed once. The top layer has no
-    shrinkage, so it gets W and rho gradients only.
+    ``grad_C``, the loss gradient with respect to the returned (diagonal-
+    zeroed) C, must be a writable float64 n x n array (else ValueError); it
+    is overwritten, as each layer's gC in turn. Returns (grads, grad_Htilde),
+    ``grads`` keyed like ``params.named_arrays``; rho/theta gradients are
+    with respect to their softplus preimages. Subgradients at the shrinkage
+    kinks are taken as zero; the top layer, which does not shrink, has no
+    theta. The tape is only read; each lower layer's Z is recomputed once,
+    into one of four n x n buffers with gmu, gZ (first B gC) and a scratch.
     """
-    Ht = tape.Htilde
-    grads = {}
-    gC = np.array(grad_C, dtype=np.float64)
+    Ht, grads, gC = tape.Htilde, {}, grad_C
+    n = Ht.shape[1]
+    if getattr(gC, "dtype", None) != np.float64 or np.shape(gC) != (n, n) or not gC.flags.writeable:
+        raise ValueError(f"grad_C must be a writable float64 {n} x {n} array, which it overwrites")
     np.fill_diagonal(gC, 0.0)  # diag-zeroing is the last op
     top = params.n_layers - 1
+    gmu, gZ, Z_buf, scratch = (np.empty(gC.shape) for _ in range(4))
+
+    def dot(a, b):  # sum(a * b), the product formed in the scratch buffer
+        return float(np.sum(np.multiply(a, b, out=scratch)))
 
     for k in range(top, -1, -1):
         layer = params.layers[k]
         name = f"layer{k}"
-        rho, mu_in = layer.rho, tape.mu_in[k]
+        rho = layer.rho
         grho = 0.0
 
         if k < top:
             # Z is layer k's output, recomputed as layer k + 1's input below.
             # mu_out = mu_in + rho (C - Z)
-            gC = rho * gmu
+            np.multiply(rho, gmu, out=gC)
             gZ -= gC
-            grho = float(np.sum(gmu * (tape.C[k] - Z)))
+            grho = dot(gmu, np.subtract(tape.C[k], Z, out=scratch))
 
             # Z = zero_diag(shrink(T, theta)), T = C + mu_in / rho, is nonzero
             # exactly where |T| > theta off the diagonal, with T's sign.
             gT = gZ  # masked in place
             gT[Z == 0.0] = 0.0
-            gtheta = -float(np.sum(gT * np.sign(Z)))
+            gtheta = -dot(gT, np.sign(Z, out=scratch))
             grads[f"{name}.theta_raw"] = np.array(gtheta * expit(layer.theta_raw))
             gC += gT
             if k > 0:
-                gmu += gT / rho
-                grho -= float(np.sum(gT * (mu_in / rho**2)))
-            del gT, gZ, Z
+                gmu += np.divide(gT, rho, out=scratch)
+                grho -= dot(gT, np.divide(tape.mu_in[k], rho**2, out=scratch))
 
         # C = W H~ - B V,  V = mu_in - rho Z_in, with B fixed and symmetric
-        Z = tape.Z_in(k)
+        Z = tape.Z0 if k == 0 else tape.Z(k - 1, out=Z_buf, scratch=scratch)
         grads[f"{name}.W"] = gC @ Ht.T
         gHt = layer.W.T @ gC if k == top else gHt + layer.W.T @ gC
-        BtG = params.apply_B(gC)  # -dL/dV
-        grho += float(np.sum(BtG * Z))
+        BtG = params.apply_B(gC, out=gZ)  # -dL/dV
+        grho += dot(BtG, Z)
         if k > 0:
-            # gZ, gmu: gradients of Z_in and mu_in, the outputs of layer k - 1
-            gZ = rho * BtG
+            # gmu, gZ: gradients of mu_in and Z_in, the outputs of layer k - 1
             if k == top:
-                gmu = np.negative(BtG, out=BtG)
+                np.negative(BtG, out=gmu)
             else:
                 gmu -= BtG
-        del BtG
+            BtG *= rho
 
         grads[f"{name}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
 

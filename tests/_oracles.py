@@ -8,6 +8,7 @@ other way around.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,17 @@ def fd_gradient(f, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
         else:
             grad[()] = val
     return grad
+
+
+def peak_nn_arrays(fn, n: int) -> float:
+    """Peak memory that ``fn()`` allocates, in n x n float64 arrays."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (n * n * 8)
 
 
 def rel_err(analytic, numeric, floor: float = 1e-6) -> float:
@@ -193,6 +205,21 @@ def classic_solve_plain(X: np.ndarray, config):
     return AdmmState(C=C, Z=Z, mu=config.rho * u, residuals=residuals)
 
 
+def spectral_embedding_plain(S: np.ndarray, k: int) -> np.ndarray:
+    """Row-normalized k smallest eigenvectors of L_sym = I - D^-1/2 S D^-1/2,
+    symmetrized as 0.5 (L + L^T), written as whole-array expressions and
+    solved from a copy. ``cluster.spectral_cluster``, which builds L_sym in
+    one buffer and solves in place, must match it bit for bit."""
+    degrees = S.sum(axis=1)
+    degrees = np.where(degrees > 0, degrees, 1e-12)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    lap_sym = np.eye(len(S)) - inv_sqrt[:, np.newaxis] * S * inv_sqrt[np.newaxis, :]
+    lap_sym = 0.5 * (lap_sym + lap_sym.T)
+    _, embedding = scipy.linalg.eigh(lap_sym, subset_by_index=[0, k - 1])
+    norms = np.linalg.norm(embedding, axis=1, keepdims=True)
+    return embedding / np.where(norms > 0, norms, 1.0)
+
+
 def spectral_embedding_reference(S: np.ndarray, k: int) -> np.ndarray:
     """Row-normalized k smallest eigenvectors of L_sym from a full ``eigh``."""
     degrees = S.sum(axis=1)
@@ -283,10 +310,11 @@ class ReferenceTape:
     Z_out: list = field(default_factory=list)
 
 
-def shrinkage_inputs(tape) -> list:
-    """T_k = C_k + mu_k / rho_k of the K - 1 layers that shrink (all but the
-    top), from a package or a reference tape."""
-    return [C + mu / rho for C, mu, rho in zip(tape.C[:-1], tape.mu_in[:-1], tape.rho[:-1])]
+def shrinkage_inputs(tape, count: int) -> list:
+    """T_k = C_k + mu_k / rho_k of the first ``count`` layers of a package or
+    a reference tape; the K - 1 layers that shrink for count = K - 1."""
+    return [C + mu / rho
+            for C, mu, rho in zip(tape.C[:count], tape.mu_in[:count], tape.rho[:count])]
 
 
 class SymmetricOperator:

@@ -103,7 +103,7 @@ def _gradient_check_instance(seed: int):
     _, tape = unfold.forward(state.unfold, Ht, state.z0)
     margin = min(
         float(np.min(np.abs(np.abs(T) - theta)))
-        for T, theta in zip(shrinkage_inputs(tape), tape.theta)
+        for T, theta in zip(shrinkage_inputs(tape, state.unfold.n_layers - 1), tape.theta)
     )
     if margin < 1e-3:
         return None

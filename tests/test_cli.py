@@ -143,6 +143,20 @@ def test_infinite_number_exits_two_and_names_the_key(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_integer_beyond_float_range_exits_two_and_names_the_key(tmp_path, capsys, key):
+    """JSON integers have no size limit; one that no float can hold is
+    rejected by validation, not by an OverflowError in the arithmetic."""
+    out = tmp_path / "never"
+    huge = 10**400
+    cfg = write_config(tmp_path, {"values_path": "x.sscm", "k_clusters": 2,
+                                  "out_dir": str(out), key: huge})
+    assert f'"{key}": 1{"0" * 400}' in Path(cfg).read_text()
+    assert cli.main(["run", "--config", cfg]) == 2
+    assert f"config error: {key}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestGenCommands:
     def test_gen_subspaces_writes_values_and_labels(self, tmp_path):
         out = str(tmp_path / "data")

@@ -5,7 +5,7 @@ import pytest
 
 from unfold_ssc import cluster
 from unfold_ssc.errors import NumericalError
-from _oracles import spectral_embedding_reference
+from _oracles import peak_nn_arrays, spectral_embedding_plain, spectral_embedding_reference
 
 
 def canonical(labels):
@@ -135,6 +135,27 @@ class TestSpectral:
         expected = cluster.kmeans(spectral_embedding_reference(S, k), k, 3)
         assert res.embedding.shape == (S.shape[0], k)
         assert np.array_equal(res.labels, expected)
+
+    @pytest.mark.parametrize("n, k, isolated", [(12, 3, 0), (200, 4, 0), (200, 4, 3)])
+    def test_embedding_bit_identical_to_plain_expression(self, n, k, isolated):
+        """L_sym built in one buffer and solved in place gives the embedding
+        of the whole-array expression bit for bit, isolated nodes included.
+        Zero similarities make zero entries, whose sign must match too."""
+        rng = np.random.default_rng(n + isolated)
+        S = cluster.similarity(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
+        S[:isolated] = 0.0
+        S[:, :isolated] = 0.0
+        res = cluster.spectral_cluster(S, k, seed=0)
+        assert np.array_equal(res.embedding, spectral_embedding_plain(S, k))
+
+    def test_working_set(self):
+        """Peak memory allocated by one call, in n x n arrays. Measured at
+        2.1: L_sym and its symmetrized copy, which the eigensolver
+        overwrites, and the solver's n x n finiteness mask. The whole-array
+        expression, solved from a copy, peaks at 3.0."""
+        n = 400
+        S = cluster.similarity(np.random.default_rng(5).standard_normal((n, n)))
+        assert peak_nn_arrays(lambda: cluster.spectral_cluster(S, 4, seed=0), n) <= 2.5
 
     def test_zero_similarity_still_returns_labels(self):
         res = cluster.spectral_cluster(np.zeros((6, 6)), 2, seed=0)

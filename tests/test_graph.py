@@ -1,7 +1,5 @@
 """KNN graph construction, Laplacians, and the structure loss."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +7,8 @@ from hypothesis.extra import numpy as hnp
 
 from unfold_ssc import graph
 from _oracles import (fd_gradient, knn_adjacency_brute, knn_adjacency_reference,
-                      pairwise_sq_dists_reference, rel_err, structure_loss_pairwise)
+                      pairwise_sq_dists_reference, peak_nn_arrays, rel_err,
+                      structure_loss_pairwise)
 
 
 # ------------------------------------------------------------- adjacency
@@ -135,13 +134,7 @@ def test_knn_working_set():
     peaks at 5.5."""
     n = 1000
     points = np.random.default_rng(1).standard_normal((8, n))
-    tracemalloc.start()
-    try:
-        graph.knn_adjacency(points, 30, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / (n * n * 8) <= 4.6
+    assert peak_nn_arrays(lambda: graph.knn_adjacency(points, 30, 10), n) <= 4.6
 
 
 @pytest.mark.parametrize("shape", [(600, 300), (3, 2000)])
@@ -244,6 +237,24 @@ def test_value_matches_pairwise_oracle():
         value, _ = graph.structure_loss(C, lap)
         expected = structure_loss_pairwise(C, adj)
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("over_C", [False, True])
+def test_out_buffer_bit_identical(over_C):
+    """With ``out`` a separate buffer or C itself, the value and gradient
+    equal those of the call without ``out`` bit for bit, and the gradient
+    lands in ``out``."""
+    rng = np.random.default_rng(41)
+    n = 40
+    C = rng.standard_normal((n, n))
+    lap = graph.laplacian(knn_adjacency_brute(rng.standard_normal((3, n)), 4))
+    value, grad = graph.structure_loss(C, lap)
+    C_in = C.copy()
+    out = C_in if over_C else np.empty_like(C)
+    value_out, grad_out = graph.structure_loss(C_in, lap, out=out)
+    assert grad_out is out
+    assert value_out == value
+    assert np.array_equal(grad_out, grad)
 
 
 def test_gradient_matches_finite_differences():

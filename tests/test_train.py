@@ -8,7 +8,7 @@ import pytest
 
 from unfold_ssc import autoenc, cli, graph, train, unfold
 
-from _oracles import fd_gradient, rel_err
+from _oracles import fd_gradient, peak_nn_arrays, rel_err
 
 
 def tiny_problem(seed=0, d=8, n=6):
@@ -103,6 +103,44 @@ class TestTotalLoss:
         w = cli.RunConfig(alpha=2.0, beta=0.5, gamma=0.25)
         b, _ = train.total_loss(state, X, w)
         assert np.isclose(b.total, b.ae + 2.0 * b.sr + 0.5 * b.sp + 0.25 * b.st)
+
+    def test_in_place_assembly_matches_separate_terms(self):
+        """Summed in place, the coefficient gradient is
+        alpha gC_sr + beta gC_sp + gamma gC_st of the three losses' own
+        results, so every unfolded gradient matches bit for bit."""
+        state, X, _ = prepared_state(seed=5, admm_layers=3)
+        rng = np.random.default_rng(5)
+        for _, arr in state.unfold.named_arrays():
+            arr += 0.01 * rng.normal(size=arr.shape)
+        w = cli.RunConfig(alpha=1.5, beta=0.2, gamma=0.1)
+        breakdown, grads = train.total_loss(state, X, w)
+        Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
+        C, tape = unfold.forward(state.unfold, Ht, state.z0)
+        v_sr, _, g_sr = train.loss_sr(Ht, C)
+        v_sp, g_sp = train.loss_sp(C)
+        v_st, g_st = graph.structure_loss(C, state.lap)
+        assert (breakdown.sr, breakdown.sp, breakdown.st) == (v_sr, v_sp, v_st)
+        gC = w.alpha * g_sr + w.beta * g_sp + w.gamma * g_st
+        ugrads, _ = unfold.backward(state.unfold, tape, gC)
+        for name, g in ugrads.items():
+            assert np.array_equal(grads[f"unfold.{name}"], g), name
+
+    def test_total_loss_working_set(self):
+        """Peak memory allocated by one composite loss and its gradients at
+        n = 300, K = 3, in n x n arrays. Measured at 9.2: the unfolded
+        backward's tape, output gradient and four buffers, plus about 0.9
+        of autoencoder arrays. With the full forward tape, a copied output
+        gradient, fresh backward temporaries and a fresh array per loss
+        gradient it peaked at 12.1."""
+        n, d = 300, 40
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((d, n))
+        tc = cli.RunConfig(pretrain_epochs=0, joint_epochs=0, admm_layers=3,
+                           knn_init=10, knn_struct=5)
+        state = train.init_state(autoenc.AeConfig(input_dim=d, hidden_dims=(32,), latent_dim=16), 3)
+        train.pretrain(state, X, tc)
+        train.train_joint(state, X, tc)
+        assert peak_nn_arrays(lambda: train.total_loss(state, X, tc), n) <= 9.7
 
     def test_every_gradient_matches_finite_differences(self):
         # End-to-end check through decoder, encoder, latent normalization,

@@ -1,12 +1,10 @@
 """Unfolded network: analytic initialization, forward semantics, gradients."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from unfold_ssc import autoenc, classic, cli, graph, train, unfold
-from _oracles import (SymmetricOperator, dense_B_reference, fd_gradient,
+from _oracles import (SymmetricOperator, dense_B_reference, fd_gradient, peak_nn_arrays,
                       precompute_reference, rel_err, rel_frobenius, relu_soft_threshold,
                       shrinkage_inputs, unfold_backward_reference, unfold_forward_reference)
 
@@ -99,13 +97,16 @@ def test_init_rejects_zero_layers():
 
 
 def test_forward_single_layer_identity_trace():
-    """H~ = I2, rho0 = 1, zero init: the layer computes C = (2/3) I, which
-    the output then loses to diagonal zeroing."""
+    """H~ = I2, rho0 = 1: the layer computes C = W H~ - B (0 - Z0) =
+    (2/3) I + Z0 / 3, whose diagonal the output loses to zeroing, so a zero
+    Z0 gives a zero output. No layer shrinks, so the tape stores nothing."""
     params = unfold.init_params(np.eye(2), 1.0, 1, theta0=0.25)
     C, tape = unfold.forward(params, np.eye(2))
-    assert np.allclose(tape.C[-1], 2.0 / 3.0 * np.eye(2), atol=1e-14)
     assert np.array_equal(C, np.zeros((2, 2)))
-    assert tape.theta == []
+    z0 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    C, tape = unfold.forward(params, np.eye(2), z0)
+    assert np.allclose(C, z0 / 3.0, atol=1e-14)
+    assert tape.rho == tape.theta == tape.mu_in == tape.C == []
 
 
 def test_forward_matches_classic_solver():
@@ -149,7 +150,7 @@ def loss_and_grads(params, Ht, z0, weights):
     """Quadratic probe loss 0.5 * sum(G * C)^2-free: use fixed random G."""
     C, tape = unfold.forward(params, Ht, z0)
     value = float(np.sum(weights * C))
-    grads, gHt = unfold.backward(params, tape, weights)
+    grads, gHt = unfold.backward(params, tape, weights.copy())
     return value, grads, gHt
 
 
@@ -158,7 +159,7 @@ def kink_margin(params, Ht, z0):
     needs it > step."""
     _, tape = unfold.forward(params, Ht, z0)
     margin = np.inf
-    for T, theta in zip(shrinkage_inputs(tape), tape.theta):
+    for T, theta in zip(shrinkage_inputs(tape, params.n_layers - 1), tape.theta):
         margin = min(margin, float(np.min(np.abs(np.abs(T) - theta))))
     return margin
 
@@ -210,7 +211,7 @@ def test_backward_linear_in_output_grad():
     params = unfold.init_params(Ht, 0.5, 2)
     C, tape = unfold.forward(params, Ht)
     G = rng.standard_normal((8, 8))
-    g1, h1 = unfold.backward(params, tape, G)
+    g1, h1 = unfold.backward(params, tape, G.copy())
     g2, h2 = unfold.backward(params, tape, 2.0 * G)
     for name in g1:
         assert np.allclose(2.0 * np.asarray(g1[name]), np.asarray(g2[name]), rtol=1e-12)
@@ -226,9 +227,27 @@ def test_grad_ignores_output_diagonal():
     C, tape = unfold.forward(params, Ht)
     G = rng.standard_normal((6, 6))
     g_off, _ = unfold.backward(params, tape, G * (1 - np.eye(6)))
-    g_full, _ = unfold.backward(params, tape, G)
+    g_full, _ = unfold.backward(params, tape, G.copy())
     for name in g_off:
         assert np.allclose(np.asarray(g_off[name]), np.asarray(g_full[name]), atol=1e-15)
+
+
+def test_backward_overwrites_grad_and_rejects_what_it_cannot():
+    """The output gradient is the backward's working gC: a writable float64
+    n x n array is overwritten, and anything else is refused rather than
+    silently copied."""
+    rng = np.random.default_rng(41)
+    Ht = unit_columns(rng, 4, 6)
+    params = unfold.init_params(Ht, 0.5, 2)
+    _, tape = unfold.forward(params, Ht)
+    G = rng.standard_normal((6, 6))
+    G_in = G.copy()
+    unfold.backward(params, tape, G_in)
+    assert not np.array_equal(G_in, G)
+    for bad in (np.broadcast_to(G[0], (6, 6)), G.astype(np.float32), G[:5, :5].copy(),
+                G.tolist()):
+        with pytest.raises(ValueError, match="grad_C"):
+            unfold.backward(params, tape, bad)
 
 
 def perturbed_instance(seed, K, with_z0, n=20, l=6):
@@ -258,16 +277,19 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
     C_ref, tape_ref = unfold_forward_reference(params, B_same, Ht, z0)
     assert np.array_equal(C, C_ref)
     assert np.array_equal(tape.Z0, tape_ref.Z0)
-    assert tape.rho == tape_ref.rho
+    # The tape stores the K - 1 layers that shrink; the top layer's C is
+    # the output (compared above) and its dual input is read by nothing.
+    assert tape.rho == tape_ref.rho[:-1]
     assert tape.theta == [layer.theta for layer in params.layers[:-1]]
-    # The first dual input is the scalar 0, not an n x n array of zeros.
-    assert tape.mu_in[0] == 0.0 and not np.any(tape_ref.mu_in[0])
+    if K > 1:
+        # The first dual input is the scalar 0, not an n x n array of zeros.
+        assert tape.mu_in[0] == 0.0 and not np.any(tape_ref.mu_in[0])
     for field in ("mu_in", "C"):
         got, want = getattr(tape, field), getattr(tape_ref, field)
-        assert len(got) == len(want) == K, field
+        assert len(got) == K - 1 and len(want) == K, field
         for a, b in zip(got, want):
             assert np.array_equal(np.broadcast_to(a, b.shape), b), field
-    T, T_ref = shrinkage_inputs(tape), shrinkage_inputs(tape_ref)
+    T, T_ref = shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_ref, K - 1)
     assert len(T) == len(T_ref) == len(tape_ref.Z_out) == K - 1
     for a, b in zip(T, T_ref):
         assert np.array_equal(a, b)
@@ -277,7 +299,7 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
         # Both shrinkage sides occur, so the masked branch is exercised.
         assert 0 < np.count_nonzero(tape_ref.Z_out[0]) < Ht.shape[1] * (Ht.shape[1] - 1)
 
-    grads, gHt = unfold.backward(params, tape, G)
+    grads, gHt = unfold.backward(params, tape, G.copy())
     grads_ref, gHt_ref = unfold_backward_reference(params, B_same, tape_ref, G)
     assert grads.keys() == grads_ref.keys()
     for name, want in grads_ref.items():
@@ -291,7 +313,7 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
     for field in ("mu_in", "C"):
         for a, b in zip(getattr(tape, field), getattr(tape_dense, field)):
             assert rel_frobenius(np.broadcast_to(a, b.shape), b) <= 1e-12, field
-    for a, b in zip(shrinkage_inputs(tape), shrinkage_inputs(tape_dense)):
+    for a, b in zip(shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_dense, K - 1)):
         assert rel_frobenius(a, b) <= 1e-12
     for k in range(K - 1):
         assert rel_frobenius(tape.Z(k), tape_dense.Z_out[k]) <= 1e-12, k
@@ -311,37 +333,30 @@ def working_set_instance():
     return params, Ht, z0, G
 
 
-def peak_nn_arrays(fn, n):
-    """Peak memory that ``fn()`` allocates, in n x n float64 arrays."""
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / (n * n * 8)
-
-
 def test_forward_working_set():
     """Peak memory allocated by one forward pass, in n x n arrays.
 
-    Measured at 7.2: the 2K + 1-array tape, of which Z0 comes from the
-    caller and mu_0 is a scalar, plus the two scratch arrays for V and B V.
-    A forward that allocates its V, B V and shrinkage temporaries afresh
-    per layer peaks at 8.1.
+    Measured at 6.2 for K = 3: the 2K - 3 new tape arrays (the C and dual
+    input of the layers that shrink, mu_0 a scalar), the two scratch arrays
+    for V and B V, and the last dual, which is dropped before the top
+    layer's C takes its place. Storing the top layer's C and dual as well
+    and returning a copy of C peaks at 7.2; allocating V, B V and the
+    shrinkage temporaries afresh per layer on top of that, at 8.1.
     """
     params, Ht, z0, _ = working_set_instance()
-    assert peak_nn_arrays(lambda: unfold.forward(params, Ht, z0), Ht.shape[1]) <= 7.7
+    assert peak_nn_arrays(lambda: unfold.forward(params, Ht, z0), Ht.shape[1]) <= 6.7
 
 
 def test_forward_and_backward_working_set():
     """Peak memory allocated by one forward plus backward, in n x n arrays.
 
-    Measured at 11.3 with a tape of Z0 and each layer's C and dual input
-    (mu_0 = 0 a scalar), Z recomputed in the backward into one array, B
-    applied in closed form and the forward on two scratch arrays. With
-    fresh forward temporaries and the relu-and-sign shrinkage it peaks at
-    12.2, with a learned dense B per layer at 13.3, and with a tape that
+    Measured at 8.6 for K = 3: the returned C, the 2K - 3 tape arrays, and
+    a backward on four buffers (gmu, gZ that first holds B gC, the
+    recomputed Z and one scratch) that works in the caller's output
+    gradient. With a tape of every layer's C and dual, a copied output
+    gradient and fresh per-layer backward temporaries it peaked at 11.3;
+    with fresh forward temporaries and the relu-and-sign shrinkage besides
+    at 12.2, with a learned dense B per layer at 13.3, and with a tape that
     also stores every layer's Z and an n x n mu_0 at 19.4.
     """
     params, Ht, z0, G = working_set_instance()
@@ -350,7 +365,7 @@ def test_forward_and_backward_working_set():
         _, tape = unfold.forward(params, Ht, z0)
         unfold.backward(params, tape, G)
 
-    assert peak_nn_arrays(forward_and_backward, Ht.shape[1]) <= 12.3
+    assert peak_nn_arrays(forward_and_backward, Ht.shape[1]) <= 9.1
 
 
 @pytest.mark.parametrize("K", [1, 3])
