@@ -3,8 +3,8 @@
 Samples travel as columns. ``encode`` returns codes as rows (one per
 sample); ``normalize_latent`` transposes back to columns and scales each to
 unit length, which is the representation the unfolded network consumes.
-Leaky ReLU everywhere except the final decoder layer, which stays linear so
-reconstructions are unbounded.
+Leaky ReLU, of fixed slope ``LEAKY_SLOPE``, everywhere except the final
+decoder layer, which stays linear so reconstructions are unbounded.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ import numpy as np
 
 from unfold_ssc.errors import NumericalError
 
-
-@dataclass
-class AeConfig:
-    input_dim: int
-    hidden_dims: tuple[int, ...] = (256, 64)
-    latent_dim: int = 32
-    slope: float = 0.01
+LEAKY_SLOPE = 0.01
 
 
 @dataclass
@@ -34,7 +28,6 @@ class Affine:
 class AeWeights:
     enc: list[Affine]
     dec: list[Affine]
-    slope: float = 0.01
 
     def named_arrays(self):
         for i, layer in enumerate(self.enc):
@@ -58,10 +51,10 @@ class AeTape:
     Xhat: np.ndarray | None = None
 
 
-def init_weights(config: AeConfig, seed: int) -> AeWeights:
+def init_weights(input_dim: int, hidden_dims, latent_dim: int, seed: int) -> AeWeights:
     """Glorot-uniform weights, zero biases; mirrored decoder widths."""
     rng = np.random.default_rng(seed)
-    enc_dims = [config.input_dim, *config.hidden_dims, config.latent_dim]
+    enc_dims = [input_dim, *hidden_dims, latent_dim]
     dec_dims = list(reversed(enc_dims))
 
     def make(dims):
@@ -72,19 +65,17 @@ def init_weights(config: AeConfig, seed: int) -> AeWeights:
             layers.append(Affine(W, np.zeros(fan_out)))
         return layers
 
-    return AeWeights(enc=make(enc_dims), dec=make(dec_dims), slope=config.slope)
+    return AeWeights(enc=make(enc_dims), dec=make(dec_dims))
 
 
-def leaky_relu(x, slope: float):
-    """max(x, slope x): x where x > 0 and slope x elsewhere, for a slope in
-    [0, 1] (at slope 0, +inf gives NaN); other slopes are rejected."""
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky ReLU slope must lie in [0, 1], got {slope}")
-    return np.maximum(x, slope * x)
+def leaky_relu(x):
+    """max(x, LEAKY_SLOPE x): x where x > 0 and LEAKY_SLOPE x elsewhere,
+    which holds for any slope in [0, 1]."""
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
-def _leaky_grad(pre, slope: float):
-    return np.where(pre > 0, 1.0, slope)
+def _leaky_grad(pre):
+    return np.where(pre > 0, 1.0, LEAKY_SLOPE)
 
 
 def encode(weights: AeWeights, X: np.ndarray) -> np.ndarray:
@@ -93,7 +84,7 @@ def encode(weights: AeWeights, X: np.ndarray) -> np.ndarray:
     for layer in weights.enc:
         pre = layer.W @ A
         pre += layer.b[:, np.newaxis]
-        A = leaky_relu(pre, weights.slope)
+        A = leaky_relu(pre)
     return A.T
 
 
@@ -138,7 +129,7 @@ def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
     for layer in weights.enc:
         pre = layer.W @ A
         pre += layer.b[:, np.newaxis]
-        A = leaky_relu(pre, weights.slope)
+        A = leaky_relu(pre)
         tape.enc_pre.append(pre)
         tape.enc_act.append(A)
     tape.H = A.T
@@ -150,7 +141,7 @@ def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
         # an in-place bias add here raised peak RSS from 404 to 421 MB under
         # glibc malloc, through heap layout alone: the live peak was the same.
         pre = layer.W @ D + layer.b[:, np.newaxis]
-        D = leaky_relu(pre, weights.slope) if i != last else pre
+        D = leaky_relu(pre) if i != last else pre
         tape.dec_pre.append(pre)
         tape.dec_act.append(D)
     tape.Xhat = D
@@ -170,7 +161,7 @@ def ae_backward(weights: AeWeights, tape: AeTape,
     g = np.asarray(grad_Xhat, dtype=np.float64)
     for i in range(n_dec - 1, -1, -1):
         layer = weights.dec[i]
-        gPre = g if i == n_dec - 1 else g * _leaky_grad(tape.dec_pre[i], weights.slope)
+        gPre = g if i == n_dec - 1 else g * _leaky_grad(tape.dec_pre[i])
         grads[f"dec{i}.W"] = gPre @ tape.dec_act[i].T
         grads[f"dec{i}.b"] = gPre.sum(axis=1)
         g = layer.W.T @ gPre
@@ -180,7 +171,7 @@ def ae_backward(weights: AeWeights, tape: AeTape,
 
     for i in range(len(weights.enc) - 1, -1, -1):
         layer = weights.enc[i]
-        gPre = g * _leaky_grad(tape.enc_pre[i], weights.slope)
+        gPre = g * _leaky_grad(tape.enc_pre[i])
         grads[f"enc{i}.W"] = gPre @ tape.enc_act[i].T
         grads[f"enc{i}.b"] = gPre.sum(axis=1)
         if i > 0:

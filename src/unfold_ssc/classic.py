@@ -5,7 +5,8 @@ a scaled dual u = mu / rho, and the diagonal of Z pinned to zero so samples
 do not represent themselves. This solver doubles as the correctness oracle
 for the unfolded network: one unfolded layer at analytic initialization
 reproduces one iteration here to rounding (acceptance test A2 bounds the
-relative difference by 1e-10).
+relative difference by 1e-10). A run passes ``solve`` its
+``classic_lambda``, ``classic_rho`` and ``classic_iterations``.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from unfold_ssc.errors import NumericalError
-
-
-@dataclass
-class ClassicConfig:
-    lam: float = 0.1
-    rho: float = 1.0
-    iterations: int = 200
 
 
 @dataclass
@@ -102,8 +96,9 @@ def step_Z(C: np.ndarray, u: np.ndarray, tau: float, out=None, scratch=None) -> 
     return Z
 
 
-def solve(X: np.ndarray, config: ClassicConfig) -> AdmmState:
-    """Run the full ADMM loop on the data as its own dictionary, from Z = u = 0.
+def solve(X: np.ndarray, lam: float, rho: float, iterations: int) -> AdmmState:
+    """Run ``iterations`` ADMM steps at weight ``lam`` and penalty ``rho`` on
+    the data as its own dictionary, from Z = u = 0.
 
     Each iteration costs O(n^2 r), r = min(d, n) (see ``step_C``). The loop
     runs on four n x n arrays allocated once: Z, u and C, and a scratch D
@@ -114,18 +109,18 @@ def solve(X: np.ndarray, config: ClassicConfig) -> AdmmState:
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
-    if config.iterations < 1:
+    if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not np.all(np.isfinite(X)):
         raise NumericalError("non-finite input data, refusing to iterate")
-    Vt, w = precompute(X, config.rho)
-    tau = config.lam / config.rho
+    Vt, w = precompute(X, rho)
+    tau = lam / rho
     Z = np.zeros((n, n))
     u = np.zeros_like(Z)
     C = np.empty_like(Z)
     D = np.empty_like(Z)
-    residuals = np.empty(config.iterations)
-    for it in range(config.iterations):
+    residuals = np.empty(iterations)
+    for it in range(iterations):
         step_C(Vt, w, Z, u, out=C, scratch=D)
         step_Z(C, u, tau, out=Z, scratch=D)
         R = np.subtract(C, Z, out=D)
@@ -133,5 +128,5 @@ def solve(X: np.ndarray, config: ClassicConfig) -> AdmmState:
         residuals[it] = np.linalg.norm(R)
         if not np.isfinite(residuals[it]):
             raise NumericalError(f"non-finite iterate at ADMM iteration {it + 1}")
-    u *= config.rho
+    u *= rho
     return AdmmState(C=C, Z=Z, mu=u, residuals=residuals)

@@ -92,15 +92,33 @@ class RunConfig:
     classic_iterations: int = 200
 
 
+# JSON and flag integers are unbounded; numpy's stop at int64.
+INT_LIMIT = 2**63
+
+
 def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, int) and not isinstance(v, bool) and -INT_LIMIT <= v < INT_LIMIT
 
 
 def _is_num(v):
     try:  # math.isfinite converts an int, which can overflow a float
-        return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _int_from(low: int):
+    return lambda v: _is_int(v) and v >= low, f"must be an integer from {low} to 2**63 - 1"
+
+
+def _flag_errors(flags: dict, low: int) -> list:
+    return [f"--{flag}: must be an integer from {low} to 2**63 - 1 (got {_clip(str(value))})"
+            for flag, value in flags.items() if not low <= value < INT_LIMIT]
+
+
+def _clip(text: str, limit: int = 24) -> str:
+    """A rejected value as an error message echoes it: at most ``limit`` characters."""
+    return text if len(text) <= limit else text[:limit] + "\u2026"
 
 
 _CHECKS = {
@@ -109,32 +127,33 @@ _CHECKS = {
     "dataset": (lambda v: v in PRESETS, f"must be one of {sorted(PRESETS)}"),
     "mode": (lambda v: v in MODES, f"must be one of {MODES}"),
     "out_dir": (lambda v: isinstance(v, str) and v, "must be a non-empty path string"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer"),
-    "k_clusters": (lambda v: _is_int(v) and v >= 2, "must be an integer >= 2"),
-    "patch": (lambda v: _is_int(v) and v >= 1 and v % 2 == 1, "must be an odd positive integer"),
-    "knn_init": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
-    "knn_struct": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+    "seed": _int_from(0),
+    "k_clusters": _int_from(2),
+    "patch": (lambda v: _is_int(v) and v >= 1 and v % 2 == 1,
+              "must be an odd integer from 1 to 2**63 - 1"),
+    "knn_init": _int_from(1),
+    "knn_struct": _int_from(1),
     "alpha": (lambda v: _is_num(v) and v >= 0, "must be a non-negative number"),
     "beta": (lambda v: _is_num(v) and v >= 0, "must be a non-negative number"),
     "gamma": (lambda v: _is_num(v) and v >= 0, "must be a non-negative number"),
     "rho0": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
-    "admm_layers": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+    "admm_layers": _int_from(1),
     "threshold0": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
-    "pretrain_epochs": (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer"),
-    "joint_epochs": (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer"),
+    "pretrain_epochs": _int_from(0),
+    "joint_epochs": _int_from(0),
     "learning_rate": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
     "adam_beta1": (lambda v: _is_num(v) and 0 < v < 1, "must be in (0, 1)"),
     "adam_beta2": (lambda v: _is_num(v) and 0 < v < 1, "must be in (0, 1)"),
     "adam_eps": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
     "rho_theta_lr_mult": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
-    "latent_dim": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+    "latent_dim": _int_from(1),
     "hidden_dims": (
         lambda v: isinstance(v, (list, tuple)) and all(_is_int(d) and d >= 1 for d in v),
-        "must be a list of positive integers",
+        "must be a list of integers from 1 to 2**63 - 1",
     ),
     "classic_lambda": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
     "classic_rho": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
-    "classic_iterations": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+    "classic_iterations": _int_from(1),
 }
 
 
@@ -165,7 +184,7 @@ def validate_config(path=None, preset=None, overrides=None) -> RunConfig:
             merged.update(PRESETS[preset_name])
             merged["dataset"] = preset_name
         else:
-            errors.append(f"dataset: unknown preset {preset_name!r}, "
+            errors.append(f"dataset: unknown preset {_clip(repr(preset_name))}, "
                           f"expected one of {sorted(PRESETS)}")
     merged.update(file_keys)
     if preset is not None and preset in PRESETS:
@@ -175,11 +194,11 @@ def validate_config(path=None, preset=None, overrides=None) -> RunConfig:
     cleaned: dict = {}
     for key, value in merged.items():
         if key not in _CHECKS:
-            errors.append(f"{key}: unknown configuration key")
+            errors.append(f"{_clip(key)}: unknown configuration key")
             continue
         ok, message = _CHECKS[key][0](value), _CHECKS[key][1]
         if not ok:
-            errors.append(f"{key}: {message} (got {value!r})")
+            errors.append(f"{key}: {message} (got {_clip(repr(value))})")
         else:
             cleaned[key] = value
 
@@ -252,19 +271,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
     if cfg.mode == "unfold":
         if cfg.knn_init >= n or cfg.knn_struct >= n:
             raise ConfigError([f"knn_init/knn_struct: need fewer neighbors than the {n} samples"])
-        ae_cfg = autoenc.AeConfig(input_dim=X.shape[0], hidden_dims=tuple(cfg.hidden_dims),
-                                  latent_dim=cfg.latent_dim)
-        state = train.init_state(ae_cfg, cfg.seed)
+        state = train.init_state(X.shape[0], cfg)
         pretrain_history = train.pretrain(state, X, cfg)
         history = train.train_joint(state, X, cfg)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
         S = cluster.similarity(unfold.forward(state.unfold, Ht, state.z0)[0])
-        labels = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed).labels
+        labels = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed)
     elif cfg.mode == "classic":
-        cc = classic.ClassicConfig(lam=cfg.classic_lambda, rho=cfg.classic_rho,
-                                   iterations=cfg.classic_iterations)
-        S = cluster.similarity(classic.solve(X, cc).C)
-        labels = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed).labels
+        S = cluster.similarity(classic.solve(X, cfg.classic_lambda, cfg.classic_rho,
+                                             cfg.classic_iterations).C)
+        labels = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed)
     elif cfg.mode == "kmeans-baseline":
         labels = cluster.kmeans(X.T, cfg.k_clusters, cfg.seed)
     else:
@@ -408,10 +424,10 @@ def save_checkpoint(path: str, state) -> None:
     """Write AE weights and unfold parameters into the new directory ``path``:
     one SSCM file per tensor plus a JSON manifest with layer counts and
     scalars."""
-    from unfold_ssc import container
+    from unfold_ssc import autoenc, container
 
     os.makedirs(path)
-    manifest: dict = {"format": 1, "slope": state.ae.slope, "tensors": {}}
+    manifest: dict = {"format": 1, "slope": autoenc.LEAKY_SLOPE, "tensors": {}}
 
     def put(tag, arr):
         import numpy as np
@@ -462,21 +478,19 @@ def cmd_cluster(args) -> int:
         raise DataError(f"coefficient matrix must be square, got shape {C.shape}")
     if not np.all(np.isfinite(C)):
         raise DataError("coefficient matrix has non-finite entries")
-    errors = []
-    if args.seed < 0:
-        errors.append(f"--seed: must be a non-negative integer (got {args.seed})")
+    errors = _flag_errors({"seed": args.seed}, 0)
     if not 1 <= args.k <= C.shape[0]:
-        errors.append(f"--k: must be between 1 and the {C.shape[0]} samples (got {args.k})")
+        errors.append(f"--k: must be between 1 and the {C.shape[0]} samples "
+                      f"(got {_clip(str(args.k))})")
     if errors:
         raise ConfigError(errors)
     truth = _read_label_vector(args.truth) if args.truth else None
     if truth is not None and truth.shape[0] != C.shape[0]:
         raise DataError(f"{args.truth}: {truth.shape[0]} labels for {C.shape[0]} samples")
-    S = cluster.similarity(C)
-    result = cluster.spectral_cluster(S, args.k, args.seed)
-    scores = metrics_mod.report(result.labels, truth) if truth is not None else None
+    labels = cluster.spectral_cluster(cluster.similarity(C), args.k, args.seed)
+    scores = metrics_mod.report(labels, truth) if truth is not None else None
     with _publishing(args.out, ("labels.csv", "metrics.json"), (args.from_c, args.truth)) as stage:
-        _write_labels(stage, "labels.csv", result.labels)
+        _write_labels(stage, "labels.csv", labels)
         if scores is not None:
             _write_json(stage, "metrics.json", scores)
     if scores is not None:
@@ -523,18 +537,15 @@ def cmd_gen(args) -> int:
 
     counts = {"clusters": args.clusters}
     if args.kind == "subspaces":
-        counts["per-cluster"] = args.per_cluster
+        counts.update({"per-cluster": args.per_cluster, "ambient-dim": args.ambient_dim})
     else:
         counts.update(height=args.height, width=args.width, bands=args.bands)
-    errors = [f"--{flag}: must be a positive integer (got {value})"
-              for flag, value in counts.items() if value < 1]
-    if args.seed < 0:
-        errors.append(f"--seed: must be a non-negative integer (got {args.seed})")
+    errors = _flag_errors(counts, 1) + _flag_errors({"seed": args.seed}, 0)
     if not 0 <= args.sigma < float("inf"):
         errors.append(f"--sigma: must be a finite non-negative number (got {args.sigma})")
     if args.kind == "subspaces" and not 1 <= args.sub_dim <= args.ambient_dim:
         errors.append(f"--sub-dim: must be between 1 and --ambient-dim "
-                      f"({args.ambient_dim}) (got {args.sub_dim})")
+                      f"({_clip(str(args.ambient_dim))}) (got {_clip(str(args.sub_dim))})")
     if errors:
         raise ConfigError(errors)
     if args.kind == "subspaces":

@@ -1,5 +1,6 @@
 """Similarity construction, spectral embedding, and seeded k-means.
 
+``spectral_cluster`` is ``kmeans`` on the rows of ``spectral_embedding``.
 k-means++ restart r draws from numpy's PCG64 bit generator seeded with the
 run seed and jumped r times, so restarts get reproducible, disjoint
 substreams.
@@ -7,21 +8,14 @@ substreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 from unfold_ssc.errors import NumericalError
 
 DEGREE_GUARD = 1e-12
-
-
-@dataclass
-class ClusterResult:
-    labels: np.ndarray       # (n,) ints in 0..k-1
-    embedding: np.ndarray    # (n, k) spectral coordinates fed to k-means
-    wcss: float              # within-cluster sum of squares of the kept restart
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
 
 
 def similarity(C: np.ndarray) -> np.ndarray:
@@ -61,7 +55,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     """Lloyd iterations with farthest-point repair for emptied clusters.
 
     Returns (labels, wcss_trace); the trace records the assignment cost
@@ -70,7 +64,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int):
     n, k = points.shape[0], centers.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     trace = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _pairwise_sq_dists_rows(points, centers)
         new_labels = np.argmin(d2, axis=1)
         trace.append(float(d2[np.arange(n), new_labels].sum()))
@@ -88,9 +82,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int):
     return labels, trace
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10,
-           max_iter: int = 300, return_details: bool = False):
-    """Best-of-``restarts`` k-means++ with Lloyd refinement.
+def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Best-of-``KMEANS_RESTARTS`` k-means++ with Lloyd refinement.
 
     ``points`` holds one sample per row. Restart r draws from the r-th
     jump substream of ``seed``; the restart with the lowest final
@@ -104,28 +97,23 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10,
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     best_labels = None
     best_wcss = np.inf
-    best_trace = None
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.Generator(np.random.PCG64(seed).jumped(r))
-        centers = _kmeanspp_init(points, k, rng)
-        labels, trace = _lloyd(points, centers, max_iter)
+        labels, trace = _lloyd(points, _kmeanspp_init(points, k, rng))
         if trace[-1] < best_wcss:
             best_wcss = trace[-1]
             best_labels = labels
-            best_trace = trace
-    if return_details:
-        return best_labels, {"wcss": best_wcss, "trace": best_trace}
     return best_labels
 
 
-def spectral_cluster(S: np.ndarray, k: int, seed: int) -> ClusterResult:
-    """Normalized-cut spectral clustering on a similarity matrix.
+def spectral_embedding(S: np.ndarray, k: int) -> np.ndarray:
+    """Normalized-cut embedding of a similarity matrix, one row per sample.
 
-    Embeds samples with the k eigenvectors of the smallest eigenvalues of
+    Takes the k eigenvectors of the smallest eigenvalues of
     L_sym = I - D^(-1/2) S D^(-1/2) (isolated nodes get a tiny degree guard),
     asking the symmetric eigensolver for those k eigenpairs only (the other
-    n - k are never computed) on two n x n buffers, scales each embedding
-    row to unit norm (zero rows stay zero), and k-means clusters the rows.
+    n - k are never computed) on two n x n buffers, and scales each row to
+    unit norm (zero rows stay zero).
     """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
@@ -146,6 +134,10 @@ def spectral_cluster(S: np.ndarray, k: int, seed: int) -> ClusterResult:
     # Exactly symmetric: its transpose is it in Fortran order, solved in place.
     _, embedding = scipy.linalg.eigh(lap_sym.T, subset_by_index=[0, k - 1], overwrite_a=True)
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
-    embedding = embedding / np.where(norms > 0, norms, 1.0)
-    labels, details = kmeans(embedding, k, seed, return_details=True)
-    return ClusterResult(labels=labels, embedding=embedding, wcss=details["wcss"])
+    return embedding / np.where(norms > 0, norms, 1.0)
+
+
+def spectral_cluster(S: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Normalized-cut spectral clustering on a similarity matrix: k-means
+    labels, in 0..k-1, of the rows of ``spectral_embedding(S, k)``."""
+    return kmeans(spectral_embedding(S, k), k, seed)

@@ -40,59 +40,20 @@ def contingency(pred: np.ndarray, truth: np.ndarray):
     return table, pv, tv
 
 
-def _padded_contingency(pred, truth):
+def _padded_contingency(pred, truth) -> np.ndarray:
     table, pv, tv = contingency(pred, truth)
     k = max(len(pv), len(tv))
     padded = np.zeros((k, k), dtype=np.int64)
     padded[: len(pv), : len(tv)] = table
-    return padded, pv, tv
-
-
-def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect assignment on a square matrix.
-
-    Returns the column assigned to each row. Among all optimal assignments
-    the lexicographically smallest column sequence is returned, so equal-
-    cost solutions resolve the same way on every platform (costs within
-    1e-9 relative of optimal count as ties).
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError("cost matrix must be square")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix must be finite")
-    n = cost.shape[0]
-
-    def optimum(sub: np.ndarray) -> float:
-        if sub.size == 0:
-            return 0.0
-        rows, cols = linear_sum_assignment(sub)
-        return float(sub[rows, cols].sum())
-
-    remaining = list(range(n))
-    assign = np.empty(n, dtype=np.int64)
-    target = optimum(cost)
-    for i in range(n):
-        tol = 1e-9 * (1.0 + abs(target))
-        for j in remaining:
-            rest = [c for c in remaining if c != j]
-            total = cost[i, j] + optimum(cost[np.ix_(range(i + 1, n), rest)])
-            if total <= target + tol:
-                assign[i] = j
-                remaining.remove(j)
-                target = target - cost[i, j]
-                break
-        else:
-            raise AssertionError("assignment search lost the optimum")
-    return assign
+    return padded
 
 
 def accuracy(pred, truth) -> float:
-    """Fraction of samples matched under the best cluster-to-class bijection."""
-    padded, _, _ = _padded_contingency(pred, truth)
-    assign = hungarian(-padded.astype(np.float64))
-    matched = padded[np.arange(padded.shape[0]), assign].sum()
-    return float(matched) / padded.sum()
+    """Fraction of samples matched under the best cluster-to-class bijection
+    (every optimal bijection matches the same count, so any one will do)."""
+    padded = _padded_contingency(pred, truth)
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    return float(padded[rows, cols].sum()) / padded.sum()
 
 
 def nmi(pred, truth) -> float:
@@ -127,7 +88,7 @@ def kappa(pred, truth) -> float:
     of equal accuracy the one with the least chance agreement is used, so
     the value does not depend on how either labeling numbers its ids.
     """
-    padded, _, _ = _padded_contingency(pred, truth)
+    padded = _padded_contingency(pred, truth)
     n = int(padded.sum())
     chance = np.outer(padded.sum(axis=1), padded.sum(axis=0))
     # Integer costs keep the solver exact; chance summed over any bijection

@@ -63,8 +63,10 @@ class TrainState:
                 yield f"unfold.{name}", arr
 
 
-def init_state(ae_config: autoenc.AeConfig, seed: int) -> TrainState:
-    return TrainState(ae=autoenc.init_weights(ae_config, seed))
+def init_state(input_dim: int, config: RunConfig) -> TrainState:
+    """Fresh autoencoder weights of the run's widths, drawn from ``config.seed``."""
+    return TrainState(ae=autoenc.init_weights(input_dim, config.hidden_dims,
+                                              config.latent_dim, config.seed))
 
 
 def loss_sr(Htilde: np.ndarray, C: np.ndarray):
@@ -246,7 +248,7 @@ def train_joint(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     if state.z0 is None or state.lap is None:
         raise ValueError("graphs are not frozen yet; run pretrain first")
     Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-    state.unfold = unfold.init_params(Ht, config.rho0, config.admm_layers, theta0=config.threshold0)
+    state.unfold = unfold.init_params(Ht, config.rho0, config.admm_layers, config.threshold0)
     named = list(state.named_arrays())
     _reset_moments(state.opt, named)
     history = []

@@ -118,8 +118,7 @@ class ForwardTape:
         return classic.step_Z(self.C[k], out, self.theta[k], out=out, scratch=scratch)
 
 
-def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
-                theta0: float = 0.005) -> UnfoldParams:
+def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -> UnfoldParams:
     """Analytic initialization from the normalized latent H0 = Htilde.
 
     Every layer starts from its own copy of W = H0^T M, which equals the
@@ -142,8 +141,8 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int,
                          for k in range(n_layers)], H0, M, float(rho0))
 
 
-def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = None):
-    """Run the unfolded network from Z = Z0 (zero when omitted) and mu = 0.
+def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray):
+    """Run the unfolded network from Z = Z0 and mu = 0.
 
     Per layer k:  V = mu - rho_k Z;  C = W_k H~ - B V;
                   Z = shrink(C + mu / rho_k, theta_k) with zero diagonal;
@@ -160,7 +159,7 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray | None = No
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
-    Z = np.zeros((n, n)) if Z0 is None else np.asarray(Z0, dtype=np.float64)
+    Z = np.asarray(Z0, dtype=np.float64)
     if Z.shape != (n, n):
         raise ValueError("Z0 must be n x n for n samples")
     if np.any(np.diagonal(Z) != 0):

@@ -153,13 +153,12 @@ def precompute_reference(Y: np.ndarray, rho: float):
     return scipy.linalg.cho_solve(chol, 2.0 * Y.T), scipy.linalg.cho_solve(chol, np.eye(n))
 
 
-def classic_solve_reference(X: np.ndarray, config):
+def classic_solve_reference(X: np.ndarray, lam: float, rho: float, iterations: int):
     """The ADMM loop with dense B = (2 X^T X + rho I)^-1 and the unscaled
     dual mu: W X - B (mu - rho Z) each iteration, nested-``where``
     shrinkage, mu += rho (C - Z). ``classic.solve`` must match it to
     rounding."""
     X = np.asarray(X, dtype=np.float64)
-    rho, lam = config.rho, config.lam
     n = X.shape[1]
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     denom = 2.0 * s * s + rho
@@ -167,9 +166,9 @@ def classic_solve_reference(X: np.ndarray, config):
     B = (np.eye(n) - Vt.T @ ((2.0 * s * s / denom)[:, np.newaxis] * Vt)) / rho
     Z = np.zeros((n, n))
     mu = np.zeros_like(Z)
-    residuals = np.empty(config.iterations)
+    residuals = np.empty(iterations)
     C = Z
-    for it in range(config.iterations):
+    for it in range(iterations):
         C = W @ X - B @ (mu - rho * Z)
         T = C + mu / rho
         tau = lam / rho
@@ -180,20 +179,20 @@ def classic_solve_reference(X: np.ndarray, config):
     return AdmmState(C=C, Z=Z, mu=mu, residuals=residuals)
 
 
-def classic_solve_plain(X: np.ndarray, config):
+def classic_solve_plain(X: np.ndarray, lam: float, rho: float, iterations: int):
     """``classic.solve`` as a loop that allocates fresh arrays every step:
     D = u - Z, C = P (I + D) - D, Z = x - clip(x) of x = C + u with a zero
     diagonal, u += C - Z, and mu = rho u at the end. ``classic.solve``, on
     its fixed buffers, must match it bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
-    Vt, w = classic.precompute(X, config.rho)
-    tau = config.lam / config.rho
+    Vt, w = classic.precompute(X, rho)
+    tau = lam / rho
     Z = np.zeros((n, n))
     u = np.zeros_like(Z)
-    residuals = np.empty(config.iterations)
+    residuals = np.empty(iterations)
     C = Z
-    for it in range(config.iterations):
+    for it in range(iterations):
         D = u - Z
         C = Vt.T @ (w[:, np.newaxis] * (Vt @ D + Vt)) - D
         x = C + u
@@ -202,7 +201,7 @@ def classic_solve_plain(X: np.ndarray, config):
         R = C - Z
         u = u + R
         residuals[it] = np.linalg.norm(R)
-    return AdmmState(C=C, Z=Z, mu=config.rho * u, residuals=residuals)
+    return AdmmState(C=C, Z=Z, mu=rho * u, residuals=residuals)
 
 
 def spectral_embedding_plain(S: np.ndarray, k: int) -> np.ndarray:
@@ -241,21 +240,6 @@ def structure_loss_pairwise(C: np.ndarray, adj: np.ndarray) -> float:
             if adj[i, j] != 0:
                 total += adj[i, j] * float(np.sum((C[:, i] - C[:, j]) ** 2))
     return total
-
-
-def best_assignment_brute(cost: np.ndarray):
-    """Exhaustive minimum-cost assignment; returns (total, lexicographically
-    smallest optimal permutation)."""
-    n = cost.shape[0]
-    best_total = None
-    best_perm = None
-    for perm in itertools.permutations(range(n)):
-        total = sum(cost[i, perm[i]] for i in range(n))
-        if best_total is None or total < best_total - 1e-12:
-            best_total, best_perm = total, perm
-        elif abs(total - best_total) <= 1e-12 and perm < best_perm:
-            best_perm = perm
-    return best_total, np.array(best_perm)
 
 
 def accuracy_brute(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -340,7 +324,7 @@ def dense_B_reference(params) -> np.ndarray:
     return scipy.linalg.solve(2.0 * (H0.T @ H0) + rho0 * np.eye(n), np.eye(n), assume_a="pos")
 
 
-def unfold_forward_reference(params, B, Htilde, Z0=None):
+def unfold_forward_reference(params, B, Htilde, Z0):
     """The unfolded forward pass written plainly: every layer but the top,
     whose C is the output, computes its shrinkage and dual update, and the
     tape keeps them all. ``B`` is the layers' fixed operator: the dense
@@ -350,7 +334,7 @@ def unfold_forward_reference(params, B, Htilde, Z0=None):
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
-    Z = np.zeros((n, n)) if Z0 is None else np.asarray(Z0, dtype=np.float64)
+    Z = np.asarray(Z0, dtype=np.float64)
     mu = np.zeros((n, n))
     tape = ReferenceTape(Htilde=Htilde, Z0=Z)
     C = None

@@ -9,21 +9,20 @@ from unfold_ssc.errors import NumericalError
 from _oracles import fd_gradient, rel_err
 
 
-def small_config(input_dim=6, hidden=(5, 4), latent=3, slope=0.01):
-    return autoenc.AeConfig(input_dim=input_dim, hidden_dims=hidden,
-                            latent_dim=latent, slope=slope)
+def small_weights(seed, input_dim=6, hidden=(5, 4), latent=3):
+    return autoenc.init_weights(input_dim, hidden, latent, seed)
 
 
 class TestInitWeights:
     def test_shapes_mirror(self):
-        w = autoenc.init_weights(small_config(), seed=0)
+        w = small_weights(0)
         assert [l.W.shape for l in w.enc] == [(5, 6), (4, 5), (3, 4)]
         assert [l.W.shape for l in w.dec] == [(4, 3), (5, 4), (6, 5)]
         for layer in w.enc + w.dec:
             assert np.all(layer.b == 0.0)
 
     def test_glorot_bounds(self):
-        w = autoenc.init_weights(small_config(input_dim=50), seed=3)
+        w = small_weights(3, input_dim=50)
         first = w.enc[0]
         limit = np.sqrt(6.0 / (50 + 5))
         assert np.all(np.abs(first.W) <= limit)
@@ -31,14 +30,14 @@ class TestInitWeights:
         assert np.std(first.W) > 0.1 * limit
 
     def test_deterministic_in_seed(self):
-        a = autoenc.init_weights(small_config(), seed=7)
-        b = autoenc.init_weights(small_config(), seed=7)
-        c = autoenc.init_weights(small_config(), seed=8)
+        a = small_weights(7)
+        b = small_weights(7)
+        c = small_weights(8)
         assert np.array_equal(a.enc[0].W, b.enc[0].W)
         assert not np.array_equal(a.enc[0].W, c.enc[0].W)
 
     def test_named_arrays_cover_everything(self):
-        w = autoenc.init_weights(small_config(), seed=0)
+        w = small_weights(0)
         names = [name for name, _ in w.named_arrays()]
         assert names == [
             "enc0.W", "enc0.b", "enc1.W", "enc1.b", "enc2.W", "enc2.b",
@@ -49,14 +48,16 @@ class TestInitWeights:
 class TestActivation:
     def test_leaky_values(self):
         x = np.array([-2.0, 0.0, 3.0])
-        assert np.allclose(autoenc.leaky_relu(x, 0.01), [-0.02, 0.0, 3.0])
+        assert autoenc.LEAKY_SLOPE == 0.01
+        assert np.allclose(autoenc.leaky_relu(x), [-0.02, 0.0, 3.0])
 
-    def test_slope_one_is_identity(self):
+    def test_slope_one_is_identity(self, monkeypatch):
+        monkeypatch.setattr(autoenc, "LEAKY_SLOPE", 1.0)
         x = np.linspace(-4, 4, 17)
-        assert np.array_equal(autoenc.leaky_relu(x, 1.0), x)
+        assert np.array_equal(autoenc.leaky_relu(x), x)
 
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
-    def test_bit_identical_to_where_form(self, slope):
+    def test_bit_identical_to_where_form(self, monkeypatch, slope):
         """max(x, slope x) equals where(x > 0, x, slope x) bit for bit,
         signed zeros, subnormals and NaN included, for every slope in
         [0, 1]; infinities too unless slope = 0, where 0 * inf is NaN."""
@@ -64,27 +65,24 @@ class TestActivation:
         if slope > 0:
             special += [np.inf, -np.inf]
         x = np.concatenate([np.random.default_rng(3).normal(size=200), special])
-        got = autoenc.leaky_relu(x, slope)
+        monkeypatch.setattr(autoenc, "LEAKY_SLOPE", slope)
+        got = autoenc.leaky_relu(x)
         assert got.tobytes() == np.where(x > 0, x, slope * x).tobytes()
-
-    @pytest.mark.parametrize("slope", [-0.01, 1.5, np.nan])
-    def test_slope_outside_unit_interval_rejected(self, slope):
-        with pytest.raises(ValueError, match="slope"):
-            autoenc.leaky_relu(np.ones(3), slope)
 
 
 class TestEncodeDecode:
     def test_shapes(self):
-        w = autoenc.init_weights(small_config(), seed=0)
+        w = small_weights(0)
         X = np.random.default_rng(0).normal(size=(6, 9))
         H = autoenc.encode(w, X)
         assert H.shape == (9, 3)
         assert autoenc.ae_forward(w, X).Xhat.shape == (6, 9)
 
-    def test_slope_one_zero_bias_is_linear(self):
+    def test_slope_one_zero_bias_is_linear(self, monkeypatch):
         # With identity activations and zero biases the whole autoencoder
         # is a single linear map, so superposition must hold exactly.
-        w = autoenc.init_weights(small_config(slope=1.0), seed=1)
+        monkeypatch.setattr(autoenc, "LEAKY_SLOPE", 1.0)
+        w = small_weights(1)
         rng = np.random.default_rng(2)
         X1 = rng.normal(size=(6, 4))
         X2 = rng.normal(size=(6, 4))
@@ -97,7 +95,7 @@ class TestEncodeDecode:
         """The tape's codes equal ``encode``, and its decoder activations
         replay the mirrored layers: leaky ReLU on all but the last, which
         stays linear and gives Xhat."""
-        w = autoenc.init_weights(small_config(), seed=4)
+        w = small_weights(4)
         X = np.random.default_rng(5).normal(size=(6, 7))
         tape = autoenc.ae_forward(w, X)
         assert np.array_equal(tape.H, autoenc.encode(w, X))
@@ -106,7 +104,7 @@ class TestEncodeDecode:
         for i, layer in enumerate(w.dec):
             pre = layer.W @ A + layer.b[:, np.newaxis]
             assert np.array_equal(tape.dec_pre[i], pre)
-            A = autoenc.leaky_relu(pre, w.slope) if i + 1 < len(w.dec) else pre
+            A = autoenc.leaky_relu(pre) if i + 1 < len(w.dec) else pre
             assert np.array_equal(tape.dec_act[i + 1], A)
         assert np.array_equal(tape.Xhat, A)
 
@@ -181,8 +179,7 @@ class TestNormalizeLatent:
 
 class TestAeBackward:
     def test_all_weight_gradients_match_finite_differences(self):
-        cfg = small_config()
-        w = autoenc.init_weights(cfg, seed=6)
+        w = small_weights(6)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(6, 8))
         GH = rng.normal(size=(8, 3))
@@ -201,7 +198,7 @@ class TestAeBackward:
         assert worst < 1e-5
 
     def test_zero_upstream_gives_zero_grads(self):
-        w = autoenc.init_weights(small_config(), seed=6)
+        w = small_weights(6)
         X = np.random.default_rng(8).normal(size=(6, 8))
         tape = autoenc.ae_forward(w, X)
         grads = autoenc.ae_backward(w, tape, np.zeros((8, 3)), np.zeros((6, 8)))

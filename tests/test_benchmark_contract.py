@@ -120,7 +120,7 @@ def test_classic_spans_count_iterations(monkeypatch):
 
     iterations = 7
     X = np.random.default_rng(0).standard_normal((4, 12))
-    classic.solve(X, classic.ClassicConfig(iterations=iterations))
+    classic.solve(X, 0.1, 1.0, iterations)
     under_solve = [name for name, parent in calls if parent == "solve"]
     assert under_solve.count("step_C") == iterations
     assert under_solve.count("precompute") == 1
@@ -152,8 +152,7 @@ def test_traced_child_reports_unfold_shape_and_param_count(tmp_path):
 
     n, latent, layers = 64, 6, 2
     assert tuple(counters["unfold_shape"]) == (n, latent, layers)
-    ae = autoenc.init_weights(autoenc.AeConfig(input_dim=36, hidden_dims=(16, 8),
-                                               latent_dim=latent), 0)
-    net = unfold.init_params(np.ones((latent, n)), 0.5, layers)
+    ae = autoenc.init_weights(36, (16, 8), latent, 0)
+    net = unfold.init_params(np.ones((latent, n)), 0.5, layers, 0.005)
     expected = sum(a.size for _, a in ae.named_arrays()) + sum(a.size for _, a in net.named_arrays())
     assert counters["param_count"] == expected

@@ -144,8 +144,8 @@ def test_step_mu_accumulates_residual():
     rho (C - Z) of that iteration to mu."""
     X = np.random.default_rng(4).standard_normal((5, 8))
     rho = 2.0
-    one = classic.solve(X, classic.ClassicConfig(lam=0.1, rho=rho, iterations=1))
-    two = classic.solve(X, classic.ClassicConfig(lam=0.1, rho=rho, iterations=2))
+    one = classic.solve(X, 0.1, rho, 1)
+    two = classic.solve(X, 0.1, rho, 2)
     assert np.allclose(one.mu, rho * (one.C - one.Z), atol=1e-14)
     assert np.allclose(two.mu - one.mu, rho * (two.C - two.Z), atol=1e-13)
 
@@ -156,7 +156,7 @@ def test_step_mu_accumulates_residual():
 def test_solve_one_iteration_hand_trace():
     """X = I2, lam = 0.3, rho = 1: C1 = (2/3) I, Z1 = 0 (diagonal pinned),
     mu1 = (2/3) I, residual sqrt(2) * 2/3."""
-    st = classic.solve(np.eye(2), classic.ClassicConfig(lam=0.3, rho=1.0, iterations=1))
+    st = classic.solve(np.eye(2), 0.3, 1.0, 1)
     assert np.allclose(st.C, 2.0 / 3.0 * np.eye(2), atol=1e-14)
     assert np.array_equal(st.Z, np.zeros((2, 2)))
     assert np.allclose(st.mu, 2.0 / 3.0 * np.eye(2), atol=1e-14)
@@ -166,17 +166,15 @@ def test_solve_one_iteration_hand_trace():
 def test_z_diagonal_always_zero():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((4, 7))
-    st = classic.solve(X, classic.ClassicConfig(lam=0.05, rho=0.5, iterations=25))
+    st = classic.solve(X, 0.05, 0.5, 25)
     assert np.all(np.diagonal(st.Z) == 0.0)
 
 
 def test_residual_shrinks_with_iterations():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((6, 10))
-    cfg_short = classic.ClassicConfig(lam=0.1, rho=1.0, iterations=5)
-    cfg_long = classic.ClassicConfig(lam=0.1, rho=1.0, iterations=100)
-    r5 = classic.solve(X, cfg_short).residuals[-1]
-    r100 = classic.solve(X, cfg_long).residuals[-1]
+    r5 = classic.solve(X, 0.1, 1.0, 5).residuals[-1]
+    r100 = classic.solve(X, 0.1, 1.0, 100).residuals[-1]
     assert r100 < r5
 
 
@@ -204,7 +202,7 @@ def test_block_support_on_subspace_data():
     mass is at most 5% after 200 iterations."""
     X, labels = data.gen_subspaces(0, k=3, ambient_dim=30, sub_dim=3,
                                    per_cluster=40, sigma=0.01)
-    st = classic.solve(X, classic.ClassicConfig(lam=0.1, rho=1.0, iterations=200))
+    st = classic.solve(X, 0.1, 1.0, 200)
     mass = np.abs(st.C)
     same = labels[:, np.newaxis] == labels[np.newaxis, :]
     off_block = mass[~same].sum() / mass.sum()
@@ -215,12 +213,12 @@ def test_non_finite_input_raises():
     X = np.ones((3, 4))
     X[0, 0] = np.inf
     with pytest.raises(NumericalError, match="non-finite"):
-        classic.solve(X, classic.ClassicConfig(iterations=2))
+        classic.solve(X, 0.1, 1.0, 2)
 
 
 def test_solve_rejects_zero_iterations():
     with pytest.raises(ValueError):
-        classic.solve(np.eye(2), classic.ClassicConfig(iterations=0))
+        classic.solve(np.eye(2), 0.1, 1.0, 0)
 
 
 # ------------------------------------------------- against the dense-B loop
@@ -246,9 +244,8 @@ def test_solve_matches_dense_reference(kind):
     """The factored iteration reproduces the dense-B loop to rounding, for
     thin, square, tall and rank-deficient data."""
     X, iterations = reference_case(kind)
-    cfg = classic.ClassicConfig(lam=0.05, rho=0.8, iterations=iterations)
-    got = classic.solve(X, cfg)
-    want = classic_solve_reference(X, cfg)
+    got = classic.solve(X, 0.05, 0.8, iterations)
+    want = classic_solve_reference(X, 0.05, 0.8, iterations)
     for name in ("C", "Z", "mu", "residuals"):
         assert rel_frobenius(getattr(got, name), getattr(want, name)) <= 1e-12, name
 
@@ -259,9 +256,8 @@ def test_solve_bit_identical_to_plain_loop(kind):
     """The loop on fixed buffers computes exactly what a loop with fresh
     arrays every step computes: the same operations in the same order."""
     X, iterations = reference_case(kind)
-    cfg = classic.ClassicConfig(lam=0.05, rho=0.8, iterations=iterations)
-    got = classic.solve(X, cfg)
-    want = classic_solve_plain(X, cfg)
+    got = classic.solve(X, 0.05, 0.8, iterations)
+    want = classic_solve_plain(X, 0.05, 0.8, iterations)
     for name in ("C", "Z", "mu", "residuals"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -287,4 +283,4 @@ def test_solve_working_set():
     step peaks at 7.1."""
     n = 300
     X = np.random.default_rng(0).standard_normal((30, n))
-    assert peak_nn_arrays(lambda: classic.solve(X, classic.ClassicConfig(iterations=5)), n) <= 5.3
+    assert peak_nn_arrays(lambda: classic.solve(X, 0.1, 1.0, 5), n) <= 5.3

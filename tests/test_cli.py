@@ -157,6 +157,45 @@ def test_integer_beyond_float_range_exits_two_and_names_the_key(tmp_path, capsys
     assert not out.exists()
 
 
+INT_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig)
+            if f.type in ("int", "int | None")] + ["hidden_dims"]
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_integer_beyond_int64_exits_two_and_names_the_key(tmp_path, capsys, key):
+    """An integer key past int64 (a ``hidden_dims`` entry included) is a
+    config error, not an overflow in numpy or an epoch loop that never ends.
+    The value is odd, so ``patch`` cannot fail on parity alone."""
+    out = tmp_path / "never"
+    value = [16, HUGE + 1] if key == "hidden_dims" else HUGE + 1
+    cfg = write_config(tmp_path, {"values_path": "x.sscm", "k_clusters": 2,
+                                  "out_dir": str(out), key: value})
+    assert cli.main(["run", "--config", cfg]) == 2
+    assert f"config error: {key}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_keys_reach_int64_and_float_keys_keep_any_finite_integer():
+    base = {"values_path": "x", "k_clusters": 2}
+    assert cli.validate_config(overrides={**base, "joint_epochs": 2**63 - 1}).joint_epochs
+    with pytest.raises(ConfigError, match="joint_epochs"):
+        cli.validate_config(overrides={**base, "joint_epochs": 2**63})
+    assert cli.validate_config(overrides={**base, "alpha": 10**30}).alpha == 10**30
+
+
+@pytest.mark.parametrize("key, value", [("patch", HUGE), ("rho0", -HUGE),
+                                        ("hidden_dims", [HUGE]), ("mode", "x" * 500)],
+                         ids=["patch", "rho0", "hidden_dims", "mode"])
+def test_rejected_value_is_clipped_in_the_message(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {"values_path": "x.sscm", "k_clusters": 2, key: value})
+    assert cli.main(["run", "--config", cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: {key}: must be")
+    assert len(lines[0]) < 120
+
+
 class TestGenCommands:
     def test_gen_subspaces_writes_values_and_labels(self, tmp_path):
         out = str(tmp_path / "data")
@@ -190,11 +229,22 @@ class TestGenCommands:
         (["subspaces", "--sigma", "nan"], "--sigma"),
         (["subspaces", "--seed", "-1"], "--seed"),
         (["cube", "--seed", "-1"], "--seed"),
+        (["cube", "--height", str(HUGE)], "--height"),
+        (["cube", "--width", str(HUGE)], "--width"),
+        (["cube", "--bands", str(HUGE)], "--bands"),
+        (["cube", "--clusters", str(HUGE)], "--clusters"),
+        (["cube", "--seed", str(HUGE)], "--seed"),
+        (["subspaces", "--per-cluster", str(HUGE)], "--per-cluster"),
+        (["subspaces", "--ambient-dim", str(HUGE)], "--ambient-dim"),
+        (["subspaces", "--sub-dim", str(HUGE)], "--sub-dim"),
+        (["subspaces", "--seed", str(2**63)], "--seed"),
     ])
     def test_gen_bad_flag_exits_two_and_creates_nothing(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "never"
         assert cli.main(["gen", *argv, "--out", str(out)]) == 2
-        assert f"config error: {flag}: must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {flag}: must be" in err
+        assert max(len(line) for line in err.splitlines()) < 120
         assert not out.exists()
 
 
@@ -294,8 +344,8 @@ class TestRunCommand:
         ckpt = os.path.join(out, "checkpoint")
         manifest = json.loads(Path(os.path.join(ckpt, "manifest.json")).read_text())
         # 8x8 pixels, 3x3 patches of 4 bands, latent 6, two unfolded layers
-        ae = autoenc.init_weights(autoenc.AeConfig(input_dim=36, hidden_dims=(16, 8),
-                                                   latent_dim=6), 0)
+        assert manifest["slope"] == autoenc.LEAKY_SLOPE == 0.01
+        ae = autoenc.init_weights(36, (16, 8), 6, 0)
         shapes = {f"ae.{name}": arr.shape for name, arr in ae.named_arrays()}
         for k in range(2):
             shapes[f"unfold.layer{k}.W"] = (64, 6)
@@ -543,6 +593,8 @@ class TestClusterCommand:
         (["--seed", "-1"], "--seed"),
         (["--k", "0"], "--k"),
         (["--k", "21"], "--k"),
+        (["--k", str(HUGE)], "--k"),
+        (["--seed", str(HUGE)], "--seed"),
     ])
     def test_bad_flag_exits_two_and_creates_nothing(self, tmp_path, small_c, capsys,
                                                     argv, flag):
@@ -550,7 +602,9 @@ class TestClusterCommand:
         out = tmp_path / "never"
         rc = cli.main(["cluster", "--from-c", c_path, "--k", "2", *argv, "--out", str(out)])
         assert rc == 2
-        assert f"config error: {flag}: must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {flag}: must be" in err
+        assert max(len(line) for line in err.splitlines()) < 120
         assert not out.exists()
 
     def test_value_error_is_not_reported_as_config_error(self, tmp_path, small_c,

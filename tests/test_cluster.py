@@ -8,6 +8,12 @@ from unfold_ssc.errors import NumericalError
 from _oracles import peak_nn_arrays, spectral_embedding_plain, spectral_embedding_reference
 
 
+def wcss(points, labels):
+    """Within-cluster sum of squares of a labeling, about its cluster means."""
+    return sum(float(np.sum((points[labels == c] - points[labels == c].mean(axis=0)) ** 2))
+               for c in np.unique(labels))
+
+
 def canonical(labels):
     """Relabel by order of first appearance so partitions compare directly."""
     labels = np.asarray(labels)
@@ -39,9 +45,9 @@ class TestSimilarity:
 class TestKmeans:
     def test_k_equals_n_zero_wcss(self):
         pts = np.arange(10, dtype=float).reshape(5, 2)
-        labels, details = cluster.kmeans(pts, 5, seed=0, return_details=True)
+        labels = cluster.kmeans(pts, 5, seed=0)
         assert sorted(labels) == [0, 1, 2, 3, 4]
-        assert details["wcss"] == 0.0
+        assert wcss(pts, labels) == 0.0
 
     def test_separated_line_clusters(self):
         pts = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [20.0]])
@@ -55,14 +61,15 @@ class TestKmeans:
 
     def test_k_one(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        labels, details = cluster.kmeans(pts, 1, seed=0, return_details=True)
+        labels = cluster.kmeans(pts, 1, seed=0)
         assert np.array_equal(labels, [0, 0])
-        assert np.isclose(details["wcss"], 2.0)   # two points at distance 1 from mean
+        assert np.isclose(wcss(pts, labels), 2.0)   # two points at distance 1 from mean
 
     def test_trace_monotone_nonincreasing(self):
         pts = np.random.default_rng(3).normal(size=(40, 2))
-        _, details = cluster.kmeans(pts, 4, seed=3, return_details=True)
-        trace = details["trace"]
+        rng = np.random.Generator(np.random.PCG64(3))
+        _, trace = cluster._lloyd(pts, cluster._kmeanspp_init(pts, 4, rng))
+        assert len(trace) > 1
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_deterministic_in_seed(self):
@@ -71,11 +78,13 @@ class TestKmeans:
         b = cluster.kmeans(pts, 3, seed=17)
         assert np.array_equal(a, b)
 
-    def test_restarts_never_worse(self):
+    def test_restarts_never_worse(self, monkeypatch):
         pts = np.random.default_rng(5).normal(size=(50, 2))
-        _, one = cluster.kmeans(pts, 5, seed=2, restarts=1, return_details=True)
-        _, ten = cluster.kmeans(pts, 5, seed=2, restarts=10, return_details=True)
-        assert ten["wcss"] <= one["wcss"] + 1e-12
+        monkeypatch.setattr(cluster, "KMEANS_RESTARTS", 1)
+        one = wcss(pts, cluster.kmeans(pts, 5, seed=2))
+        monkeypatch.setattr(cluster, "KMEANS_RESTARTS", 10)
+        ten = wcss(pts, cluster.kmeans(pts, 5, seed=2))
+        assert ten <= one + 1e-12
 
     def test_bad_k_rejected(self):
         pts = np.zeros((4, 2))
@@ -100,23 +109,24 @@ class TestSpectral:
 
     def test_two_blocks_split_perfectly(self):
         S = self.block_similarity([4, 6])
-        res = cluster.spectral_cluster(S, 2, seed=0)
-        assert np.array_equal(canonical(res.labels), [0] * 4 + [1] * 6)
-        assert res.embedding.shape == (10, 2)
-        assert np.allclose(np.linalg.norm(res.embedding, axis=1), 1.0)
+        labels = cluster.spectral_cluster(S, 2, seed=0)
+        assert np.array_equal(canonical(labels), [0] * 4 + [1] * 6)
+        embedding = cluster.spectral_embedding(S, 2)
+        assert embedding.shape == (10, 2)
+        assert np.allclose(np.linalg.norm(embedding, axis=1), 1.0)
 
     def test_three_blocks_with_weak_offblock_noise(self):
         S = self.block_similarity([5, 5, 5], noise=0.01)
-        res = cluster.spectral_cluster(S, 3, seed=1)
-        assert np.array_equal(canonical(res.labels), [0] * 5 + [1] * 5 + [2] * 5)
+        labels = cluster.spectral_cluster(S, 3, seed=1)
+        assert np.array_equal(canonical(labels), [0] * 5 + [1] * 5 + [2] * 5)
 
     def test_permutation_equivariance(self):
         S = self.block_similarity([4, 5, 3], noise=0.02)
-        base = canonical(cluster.spectral_cluster(S, 3, seed=4).labels)
+        base = canonical(cluster.spectral_cluster(S, 3, seed=4))
         rng = np.random.default_rng(8)
         perm = rng.permutation(S.shape[0])
         Sp = S[np.ix_(perm, perm)]
-        permuted = canonical(cluster.spectral_cluster(Sp, 3, seed=4).labels)
+        permuted = canonical(cluster.spectral_cluster(Sp, 3, seed=4))
         assert np.array_equal(canonical(base[perm]), permuted)
 
     @pytest.mark.parametrize("sizes, noise, k", [
@@ -131,10 +141,10 @@ class TestSpectral:
         """Only the k smallest eigenpairs are computed; the labels equal
         those of the full-spectrum reference, k = 1 and k = n included."""
         S = self.block_similarity(sizes, noise=noise)
-        res = cluster.spectral_cluster(S, k, seed=3)
+        labels = cluster.spectral_cluster(S, k, seed=3)
         expected = cluster.kmeans(spectral_embedding_reference(S, k), k, 3)
-        assert res.embedding.shape == (S.shape[0], k)
-        assert np.array_equal(res.labels, expected)
+        assert cluster.spectral_embedding(S, k).shape == (S.shape[0], k)
+        assert np.array_equal(labels, expected)
 
     @pytest.mark.parametrize("n, k, isolated", [(12, 3, 0), (200, 4, 0), (200, 4, 3)])
     def test_embedding_bit_identical_to_plain_expression(self, n, k, isolated):
@@ -145,8 +155,8 @@ class TestSpectral:
         S = cluster.similarity(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
         S[:isolated] = 0.0
         S[:, :isolated] = 0.0
-        res = cluster.spectral_cluster(S, k, seed=0)
-        assert np.array_equal(res.embedding, spectral_embedding_plain(S, k))
+        embedding = cluster.spectral_embedding(S, k)
+        assert np.array_equal(embedding, spectral_embedding_plain(S, k))
 
     def test_working_set(self):
         """Peak memory allocated by one call, in n x n arrays. Measured at
@@ -158,9 +168,9 @@ class TestSpectral:
         assert peak_nn_arrays(lambda: cluster.spectral_cluster(S, 4, seed=0), n) <= 2.5
 
     def test_zero_similarity_still_returns_labels(self):
-        res = cluster.spectral_cluster(np.zeros((6, 6)), 2, seed=0)
-        assert res.labels.shape == (6,)
-        assert set(np.unique(res.labels)) <= {0, 1}
+        labels = cluster.spectral_cluster(np.zeros((6, 6)), 2, seed=0)
+        assert labels.shape == (6,)
+        assert set(np.unique(labels)) <= {0, 1}
 
     def test_non_finite_rejected(self):
         S = np.zeros((3, 3))

@@ -5,7 +5,7 @@ import pytest
 
 from unfold_ssc import metrics
 
-from _oracles import accuracy_brute, best_assignment_brute, nmi_plain
+from _oracles import accuracy_brute, nmi_plain
 
 
 class TestContingency:
@@ -34,60 +34,6 @@ class TestContingency:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             metrics.contingency([], [])
-
-
-class TestHungarian:
-    def test_two_by_two(self):
-        assert np.array_equal(metrics.hungarian(np.array([[1.0, 2.0], [2.0, 1.0]])), [0, 1])
-
-    def test_three_by_three(self):
-        cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-        # Optimal total is 1 + 2 + 2 = 5 via rows -> columns (1, 0, 2).
-        assert np.array_equal(metrics.hungarian(cost), [1, 0, 2])
-
-    def test_all_ties_resolve_lexicographically(self):
-        assert np.array_equal(metrics.hungarian(np.zeros((3, 3))), [0, 1, 2])
-
-    def test_equal_cost_alternatives_pick_smallest_columns(self):
-        # Both diagonals cost 2; [0, 1] beats [1, 0] lexicographically.
-        cost = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert np.array_equal(metrics.hungarian(cost), [0, 1])
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        for trial in range(40):
-            k = int(rng.integers(1, 7))
-            cost = np.round(rng.uniform(0, 5, size=(k, k)), 1)
-            total, perm = best_assignment_brute(cost)
-            got = metrics.hungarian(cost)
-            got_total = sum(cost[i, got[i]] for i in range(k))
-            assert abs(got_total - total) < 1e-9
-            assert np.array_equal(got, perm), f"trial {trial}"
-
-    def test_every_size_up_to_six(self):
-        rng = np.random.default_rng(7)
-        for k in range(1, 7):
-            cost = rng.integers(0, 9, size=(k, k)).astype(float)
-            total, perm = best_assignment_brute(cost)
-            got = metrics.hungarian(cost)
-            assert sum(cost[i, got[i]] for i in range(k)) == pytest.approx(total)
-            assert np.array_equal(got, perm)
-
-    def test_row_constant_invariance(self):
-        rng = np.random.default_rng(8)
-        cost = rng.uniform(0, 3, size=(4, 4))
-        shifted = cost + rng.uniform(1, 5, size=(4, 1))
-        assert np.array_equal(metrics.hungarian(cost), metrics.hungarian(shifted))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.hungarian(np.zeros((2, 3)))
-
-    def test_non_finite_rejected(self):
-        cost = np.zeros((2, 2))
-        cost[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            metrics.hungarian(cost)
 
 
 class TestAccuracy:

@@ -11,21 +11,18 @@ from unfold_ssc import autoenc, cli, graph, train, unfold
 from _oracles import fd_gradient, peak_nn_arrays, rel_err
 
 
-def tiny_problem(seed=0, d=8, n=6):
+def tiny_problem(seed=0, d=8, n=6, **config):
+    """Data and a run config of small autoencoder widths, both from ``seed``."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(d, n))
-    cfg = autoenc.AeConfig(input_dim=d, hidden_dims=(6, 5), latent_dim=4)
-    return X, cfg
+    return X, cli.RunConfig(seed=seed, hidden_dims=(6, 5), latent_dim=4, **config)
 
 
 def prepared_state(seed=0, admm_layers=2, pre_epochs=30, **weights):
     """State with frozen graphs and an analytically initialized network."""
-    X, cfg = tiny_problem(seed)
-    tc = cli.RunConfig(
-        pretrain_epochs=pre_epochs, joint_epochs=0, admm_layers=admm_layers,
-        knn_init=3, knn_struct=2, **weights,
-    )
-    state = train.init_state(cfg, seed)
+    X, tc = tiny_problem(seed, pretrain_epochs=pre_epochs, joint_epochs=0,
+                         admm_layers=admm_layers, knn_init=3, knn_struct=2, **weights)
+    state = train.init_state(X.shape[0], tc)
     train.pretrain(state, X, tc)
     train.train_joint(state, X, tc)
     return state, X, tc
@@ -93,10 +90,10 @@ class TestTotalLoss:
         assert breakdown.total == breakdown.ae == v_ae
 
     def test_requires_initialized_network(self):
-        X, cfg = tiny_problem()
-        state = train.init_state(cfg, 0)
+        X, tc = tiny_problem()
+        state = train.init_state(X.shape[0], tc)
         with pytest.raises(ValueError, match="train_joint"):
-            train.total_loss(state, X, cli.RunConfig())
+            train.total_loss(state, X, tc)
 
     def test_breakdown_composition(self):
         state, X, _ = prepared_state(seed=4)
@@ -135,9 +132,9 @@ class TestTotalLoss:
         n, d = 300, 40
         rng = np.random.default_rng(11)
         X = rng.standard_normal((d, n))
-        tc = cli.RunConfig(pretrain_epochs=0, joint_epochs=0, admm_layers=3,
-                           knn_init=10, knn_struct=5)
-        state = train.init_state(autoenc.AeConfig(input_dim=d, hidden_dims=(32,), latent_dim=16), 3)
+        tc = cli.RunConfig(seed=3, hidden_dims=(32,), latent_dim=16, pretrain_epochs=0,
+                           joint_epochs=0, admm_layers=3, knn_init=10, knn_struct=5)
+        state = train.init_state(d, tc)
         train.pretrain(state, X, tc)
         train.train_joint(state, X, tc)
         assert peak_nn_arrays(lambda: train.total_loss(state, X, tc), n) <= 9.7
@@ -223,10 +220,9 @@ class TestAdamStep:
 
 class TestPretrain:
     def test_zero_epochs_leave_weights_and_freeze_graphs(self):
-        X, cfg = tiny_problem(seed=5)
-        state = train.init_state(cfg, 5)
+        X, tc = tiny_problem(seed=5, pretrain_epochs=0, knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
         before = {k: a.copy() for k, a in state.ae.named_arrays()}
-        tc = cli.RunConfig(pretrain_epochs=0, knn_init=3, knn_struct=2)
         history = train.pretrain(state, X, tc)
         assert history == []
         for k, a in state.ae.named_arrays():
@@ -236,17 +232,15 @@ class TestPretrain:
         assert state.lap.shape == (n, n)
 
     def test_loss_decreases(self):
-        X, cfg = tiny_problem(seed=6)
-        state = train.init_state(cfg, 6)
-        tc = cli.RunConfig(pretrain_epochs=400, knn_init=3, knn_struct=2)
+        X, tc = tiny_problem(seed=6, pretrain_epochs=400, knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
         history = train.pretrain(state, X, tc)
         assert len(history) == 400
         assert history[-1] < 0.5 * history[0]
 
     def test_graphs_match_latent_neighbors(self):
-        X, cfg = tiny_problem(seed=7)
-        state = train.init_state(cfg, 7)
-        tc = cli.RunConfig(pretrain_epochs=20, knn_init=3, knn_struct=2)
+        X, tc = tiny_problem(seed=7, pretrain_epochs=20, knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
         train.pretrain(state, X, tc)
         H = autoenc.encode(state.ae, X)
         assert np.array_equal(state.z0, graph.knn_adjacency(H.T, 3))
@@ -262,27 +256,26 @@ class TestPretrain:
             return original(points)
 
         monkeypatch.setattr(graph, "pairwise_sq_dists", counting)
-        X, cfg = tiny_problem(seed=8)
-        state = train.init_state(cfg, 8)
-        train.pretrain(state, X, cli.RunConfig(pretrain_epochs=0, knn_init=3, knn_struct=2))
+        X, tc = tiny_problem(seed=8, pretrain_epochs=0, knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
+        train.pretrain(state, X, tc)
         assert len(calls) == 1
         assert state.z0 is not None and state.lap is not None
 
 
 class TestTrainJoint:
     def test_requires_pretrain(self):
-        X, cfg = tiny_problem()
-        state = train.init_state(cfg, 0)
+        X, tc = tiny_problem()
+        state = train.init_state(X.shape[0], tc)
         with pytest.raises(ValueError, match="pretrain"):
-            train.train_joint(state, X, cli.RunConfig())
+            train.train_joint(state, X, tc)
 
     def test_history_and_descent(self):
-        X, cfg = tiny_problem(seed=8)
-        state = train.init_state(cfg, 8)
-        tc = cli.RunConfig(
-            pretrain_epochs=50, joint_epochs=80, admm_layers=2,
+        X, tc = tiny_problem(
+            seed=8, pretrain_epochs=50, joint_epochs=80, admm_layers=2,
             knn_init=3, knn_struct=2, alpha=1.0, beta=0.1, gamma=0.01,
         )
+        state = train.init_state(X.shape[0], tc)
         train.pretrain(state, X, tc)
         history = train.train_joint(state, X, tc)
         assert len(history) == 80
@@ -293,11 +286,10 @@ class TestTrainJoint:
     def test_no_learned_or_optimizer_array_is_n_by_n(self):
         """The unfolded layers share one fixed B, so nothing learned, and no
         Adam moment, grows with n^2."""
-        X, cfg = tiny_problem(seed=8)
+        X, tc = tiny_problem(seed=8, pretrain_epochs=5, joint_epochs=2, admm_layers=3,
+                             knn_init=3, knn_struct=2)
         n = X.shape[1]
-        state = train.init_state(cfg, 8)
-        tc = cli.RunConfig(pretrain_epochs=5, joint_epochs=2, admm_layers=3,
-                           knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
         train.pretrain(state, X, tc)
         train.train_joint(state, X, tc)
         assert state.opt.step == 2
@@ -308,12 +300,11 @@ class TestTrainJoint:
             assert arr.size != n * n, name
 
     def test_zero_weights_track_reconstruction_only(self):
-        X, cfg = tiny_problem(seed=9)
-        state = train.init_state(cfg, 9)
-        tc = cli.RunConfig(
-            pretrain_epochs=30, joint_epochs=25, admm_layers=2,
+        X, tc = tiny_problem(
+            seed=9, pretrain_epochs=30, joint_epochs=25, admm_layers=2,
             knn_init=3, knn_struct=2, alpha=0.0, beta=0.0, gamma=0.0,
         )
+        state = train.init_state(X.shape[0], tc)
         train.pretrain(state, X, tc)
         history = train.train_joint(state, X, tc)
         for b in history:
@@ -325,7 +316,7 @@ class TestTrainJoint:
         # its analytic initialization for the current latents.
         state, X, tc = prepared_state(seed=10, admm_layers=3)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-        fresh = unfold.init_params(Ht, tc.rho0, 3, theta0=tc.threshold0)
+        fresh = unfold.init_params(Ht, tc.rho0, 3, tc.threshold0)
         for (_, a), (_, b) in zip(state.unfold.named_arrays(), fresh.named_arrays()):
             assert np.array_equal(a, b)
         assert np.array_equal(state.unfold.H0, fresh.H0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unfold_ssc import autoenc, classic, cli, graph, train, unfold
+from unfold_ssc import classic, cli, graph, train, unfold
 from _oracles import (SymmetricOperator, dense_B_reference, fd_gradient, peak_nn_arrays,
                       precompute_reference, rel_err, rel_frobenius, relu_soft_threshold,
                       shrinkage_inputs, unfold_backward_reference, unfold_forward_reference)
@@ -50,7 +50,7 @@ def test_relu_soft_threshold_boundary_and_zero():
 def test_init_identity_example():
     """H~ = I2, rho0 = 1: W = (2/3) I on every layer and B V = V / 3; every
     layer but the top starts from threshold 0.005, and the top has none."""
-    params = unfold.init_params(np.eye(2), 1.0, 3)
+    params = unfold.init_params(np.eye(2), 1.0, 3, 0.005)
     V = np.random.default_rng(3).standard_normal((2, 2))
     assert np.allclose(params.apply_B(V), V / 3.0, atol=1e-14)
     for k in range(3):
@@ -74,7 +74,7 @@ def test_init_matches_classic_solver_matrices(l, n, duplicates):
     Ht = unit_columns(rng, l, n)
     Ht[:, n - duplicates:] = Ht[:, :duplicates]
     for rho0 in (0.37, 1.0, 4.0):
-        params = unfold.init_params(Ht, rho0, 2)
+        params = unfold.init_params(Ht, rho0, 2, 0.005)
         W_ref, B_ref = precompute_reference(Ht, rho0)
         B = params.apply_B(np.eye(n))
         for layer in params.layers:
@@ -83,14 +83,14 @@ def test_init_matches_classic_solver_matrices(l, n, duplicates):
 
 
 def test_init_untied_layers_are_independent():
-    params = unfold.init_params(np.eye(3), 0.5, 2)
+    params = unfold.init_params(np.eye(3), 0.5, 2, 0.005)
     params.layers[0].W[0, 0] += 1.0
     assert params.layers[1].W[0, 0] != params.layers[0].W[0, 0]
 
 
 def test_init_rejects_zero_layers():
     with pytest.raises(ValueError):
-        unfold.init_params(np.eye(2), 0.5, 0)
+        unfold.init_params(np.eye(2), 0.5, 0, 0.005)
 
 
 # ---------------------------------------------------------------- forward
@@ -100,8 +100,8 @@ def test_forward_single_layer_identity_trace():
     """H~ = I2, rho0 = 1: the layer computes C = W H~ - B (0 - Z0) =
     (2/3) I + Z0 / 3, whose diagonal the output loses to zeroing, so a zero
     Z0 gives a zero output. No layer shrinks, so the tape stores nothing."""
-    params = unfold.init_params(np.eye(2), 1.0, 1, theta0=0.25)
-    C, tape = unfold.forward(params, np.eye(2))
+    params = unfold.init_params(np.eye(2), 1.0, 1, 0.25)
+    C, tape = unfold.forward(params, np.eye(2), np.zeros((2, 2)))
     assert np.array_equal(C, np.zeros((2, 2)))
     z0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     C, tape = unfold.forward(params, np.eye(2), z0)
@@ -115,9 +115,9 @@ def test_forward_matches_classic_solver():
     for K in (1, 2, 3, 5):
         Ht = unit_columns(rng, 6, 14)
         lam, rho0 = 0.15, 0.6
-        params = unfold.init_params(Ht, rho0, K, theta0=lam / rho0)
-        C_net, _ = unfold.forward(params, Ht)
-        st = classic.solve(Ht, classic.ClassicConfig(lam=lam, rho=rho0, iterations=K))
+        params = unfold.init_params(Ht, rho0, K, lam / rho0)
+        C_net, _ = unfold.forward(params, Ht, np.zeros((14, 14)))
+        st = classic.solve(Ht, lam, rho0, K)
         C_ref = st.C.copy()
         np.fill_diagonal(C_ref, 0.0)
         denom = max(np.linalg.norm(C_ref), 1e-300)
@@ -129,7 +129,7 @@ def test_forward_accepts_knn_z_init():
     n = 12
     Ht = unit_columns(rng, 5, n)
     z0 = graph.knn_adjacency(rng.standard_normal((4, n)), 3)
-    params = unfold.init_params(Ht, 0.7, 3)
+    params = unfold.init_params(Ht, 0.7, 3, 0.005)
     C, tape = unfold.forward(params, Ht, z0)
     assert np.all(np.diagonal(C) == 0.0)
     for k in range(2):
@@ -138,7 +138,7 @@ def test_forward_accepts_knn_z_init():
 
 def test_forward_rejects_nonzero_z_diagonal():
     Ht = np.eye(3)
-    params = unfold.init_params(Ht, 0.5, 1)
+    params = unfold.init_params(Ht, 0.5, 1, 0.005)
     with pytest.raises(ValueError, match="diagonal"):
         unfold.forward(params, Ht, np.eye(3))
 
@@ -174,7 +174,7 @@ def test_backward_matches_finite_differences():
         n, l, K = 8, 5, 2
         Ht = unit_columns(local, l, n)
         z0 = graph.knn_adjacency(local.standard_normal((3, n)), 3)
-        params = unfold.init_params(Ht, 0.7, K, theta0=0.08)
+        params = unfold.init_params(Ht, 0.7, K, 0.08)
         for name, arr in params.named_arrays():
             arr += 0.02 * local.standard_normal(arr.shape)
         if kink_margin(params, Ht, z0) < 1e-3:
@@ -197,8 +197,8 @@ def test_backward_matches_finite_differences():
 def test_backward_zero_grad_gives_zero():
     rng = np.random.default_rng(29)
     Ht = unit_columns(rng, 4, 8)
-    params = unfold.init_params(Ht, 0.5, 2)
-    C, tape = unfold.forward(params, Ht)
+    params = unfold.init_params(Ht, 0.5, 2, 0.005)
+    C, tape = unfold.forward(params, Ht, np.zeros((8, 8)))
     grads, gHt = unfold.backward(params, tape, np.zeros((8, 8)))
     for name, g in grads.items():
         assert np.all(np.asarray(g) == 0.0), name
@@ -208,8 +208,8 @@ def test_backward_zero_grad_gives_zero():
 def test_backward_linear_in_output_grad():
     rng = np.random.default_rng(31)
     Ht = unit_columns(rng, 4, 8)
-    params = unfold.init_params(Ht, 0.5, 2)
-    C, tape = unfold.forward(params, Ht)
+    params = unfold.init_params(Ht, 0.5, 2, 0.005)
+    C, tape = unfold.forward(params, Ht, np.zeros((8, 8)))
     G = rng.standard_normal((8, 8))
     g1, h1 = unfold.backward(params, tape, G.copy())
     g2, h2 = unfold.backward(params, tape, 2.0 * G)
@@ -223,8 +223,8 @@ def test_grad_ignores_output_diagonal():
     must not leak into the parameters."""
     rng = np.random.default_rng(37)
     Ht = unit_columns(rng, 4, 6)
-    params = unfold.init_params(Ht, 0.5, 2)
-    C, tape = unfold.forward(params, Ht)
+    params = unfold.init_params(Ht, 0.5, 2, 0.005)
+    C, tape = unfold.forward(params, Ht, np.zeros((6, 6)))
     G = rng.standard_normal((6, 6))
     g_off, _ = unfold.backward(params, tape, G * (1 - np.eye(6)))
     g_full, _ = unfold.backward(params, tape, G.copy())
@@ -238,8 +238,8 @@ def test_backward_overwrites_grad_and_rejects_what_it_cannot():
     silently copied."""
     rng = np.random.default_rng(41)
     Ht = unit_columns(rng, 4, 6)
-    params = unfold.init_params(Ht, 0.5, 2)
-    _, tape = unfold.forward(params, Ht)
+    params = unfold.init_params(Ht, 0.5, 2, 0.005)
+    _, tape = unfold.forward(params, Ht, np.zeros((6, 6)))
     G = rng.standard_normal((6, 6))
     G_in = G.copy()
     unfold.backward(params, tape, G_in)
@@ -255,8 +255,8 @@ def perturbed_instance(seed, K, with_z0, n=20, l=6):
     output gradient with a nonzero diagonal."""
     rng = np.random.default_rng(seed)
     Ht = unit_columns(rng, l, n)
-    z0 = graph.knn_adjacency(rng.standard_normal((3, n)), 4) if with_z0 else None
-    params = unfold.init_params(Ht, 0.6, K, theta0=0.04)
+    z0 = graph.knn_adjacency(rng.standard_normal((3, n)), 4) if with_z0 else np.zeros((n, n))
+    params = unfold.init_params(Ht, 0.6, K, 0.04)
     for _, arr in params.named_arrays():
         arr += 0.05 * rng.standard_normal(arr.shape)
     G = rng.standard_normal((n, n))
@@ -328,7 +328,7 @@ def working_set_instance():
     rng = np.random.default_rng(11)
     Ht = unit_columns(rng, 32, n)
     z0 = graph.knn_adjacency(rng.standard_normal((4, n)), 10)
-    params = unfold.init_params(Ht, 0.5, K)
+    params = unfold.init_params(Ht, 0.5, K, 0.005)
     G = rng.standard_normal((n, n))
     return params, Ht, z0, G
 
@@ -380,7 +380,7 @@ def test_every_learned_array_gets_a_gradient(K):
     tc = cli.RunConfig(pretrain_epochs=0, joint_epochs=0, admm_layers=K,
                        threshold0=0.04, knn_init=4, knn_struct=3,
                        alpha=1.0, beta=0.1, gamma=0.1)
-    state = train.init_state(autoenc.AeConfig(input_dim=d, hidden_dims=(6,), latent_dim=4), 7)
+    state = train.init_state(d, cli.RunConfig(seed=7, hidden_dims=(6,), latent_dim=4))
     train.pretrain(state, X, tc)
     train.train_joint(state, X, tc)
     for _, arr in state.unfold.named_arrays():
@@ -396,7 +396,7 @@ def test_every_learned_array_gets_a_gradient(K):
 def test_positivity_preserved_under_updates():
     """However far the raw parameters move, rho stays positive and theta
     non-negative."""
-    params = unfold.init_params(np.eye(4), 0.5, 2)
+    params = unfold.init_params(np.eye(4), 0.5, 2, 0.005)
     layer = params.layers[0]
     layer.rho_raw -= 100.0
     layer.theta_raw -= 100.0
