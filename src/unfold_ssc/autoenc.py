@@ -88,16 +88,36 @@ def encode(weights: AeWeights, X: np.ndarray) -> np.ndarray:
     return A.T
 
 
-def ae_loss(X: np.ndarray, Xhat: np.ndarray):
-    """Mean per-sample squared reconstruction error and its Xhat gradient."""
+# Entries per block of the squared error in ``ae_loss``: its squares are
+# formed one row block at a time in a buffer of at most this many.
+SQUARE_CHUNK = 1 << 16
+
+
+def ae_loss(X: np.ndarray, Xhat: np.ndarray, out=None):
+    """Mean per-sample squared reconstruction error and its Xhat gradient.
+
+    The difference Xhat - X goes into ``out`` (a new array when omitted;
+    it may be ``Xhat`` itself, which the training loops pass since nothing
+    reads it after the loss) and is then scaled in place into the gradient.
+    The squares are summed over row blocks of at most ``SQUARE_CHUNK``
+    entries (one row where a row holds more), one ``np.sum`` each, so an
+    input of that size or less gets exactly the value of one ``np.sum``
+    over the whole difference.
+    """
     X = np.asarray(X, dtype=np.float64)
     Xhat = np.asarray(Xhat, dtype=np.float64)
     if X.shape != Xhat.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Xhat.shape}")
-    n = X.shape[1]
-    diff = Xhat - X
-    value = float(np.sum(diff * diff)) / n
-    return value, (2.0 / n) * diff
+    d, n = X.shape
+    diff = np.subtract(Xhat, X, out=out)
+    rows = max(1, SQUARE_CHUNK // n)
+    square = np.empty_like(diff[:rows])
+    total = 0.0
+    for start in range(0, d, rows):
+        block = diff[start:start + rows]
+        total += float(np.sum(np.multiply(block, block, out=square[:len(block)])))
+    diff *= 2.0 / n
+    return total / n, diff
 
 
 def normalize_latent(H: np.ndarray) -> np.ndarray:
@@ -137,10 +157,8 @@ def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
     tape.dec_act.append(D)
     last = len(weights.dec) - 1
     for i, layer in enumerate(weights.dec):
-        # Summed into a new array, unlike the encoder. On a 9,800-wide input
-        # an in-place bias add here raised peak RSS from 404 to 421 MB under
-        # glibc malloc, through heap layout alone: the live peak was the same.
-        pre = layer.W @ D + layer.b[:, np.newaxis]
+        pre = layer.W @ D
+        pre += layer.b[:, np.newaxis]
         D = leaky_relu(pre) if i != last else pre
         tape.dec_pre.append(pre)
         tape.dec_act.append(D)
@@ -149,12 +167,14 @@ def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
 
 
 def ae_backward(weights: AeWeights, tape: AeTape,
-                grad_H: np.ndarray | None, grad_Xhat: np.ndarray):
+                grad_H: np.ndarray | None, grad_Xhat: np.ndarray, out=None):
     """Reverse pass for both heads: reconstruction and, when ``grad_H`` is
     given, latent consumers.
 
-    Returns a dict keyed like ``AeWeights.named_arrays``. The gradient with
-    respect to the input X is not formed.
+    Returns a dict keyed like ``AeWeights.named_arrays``. Each gradient is
+    written into the array of the same name in the dict ``out`` when given,
+    else into a new array. The gradient with respect to the input X is not
+    formed.
     """
     grads: dict[str, np.ndarray] = {}
     n_dec = len(weights.dec)
@@ -162,8 +182,7 @@ def ae_backward(weights: AeWeights, tape: AeTape,
     for i in range(n_dec - 1, -1, -1):
         layer = weights.dec[i]
         gPre = g if i == n_dec - 1 else g * _leaky_grad(tape.dec_pre[i])
-        grads[f"dec{i}.W"] = gPre @ tape.dec_act[i].T
-        grads[f"dec{i}.b"] = gPre.sum(axis=1)
+        _weight_grads(grads, f"dec{i}", gPre, tape.dec_act[i], out)
         g = layer.W.T @ gPre
     # g is now the gradient w.r.t. the encoder output (latent, columns)
     if grad_H is not None:
@@ -172,8 +191,14 @@ def ae_backward(weights: AeWeights, tape: AeTape,
     for i in range(len(weights.enc) - 1, -1, -1):
         layer = weights.enc[i]
         gPre = g * _leaky_grad(tape.enc_pre[i])
-        grads[f"enc{i}.W"] = gPre @ tape.enc_act[i].T
-        grads[f"enc{i}.b"] = gPre.sum(axis=1)
+        _weight_grads(grads, f"enc{i}", gPre, tape.enc_act[i], out)
         if i > 0:
             g = layer.W.T @ gPre
     return grads
+
+
+def _weight_grads(grads: dict, name: str, gPre: np.ndarray, act: np.ndarray, out) -> None:
+    """One affine layer's W and b gradients, into ``out``'s arrays when given."""
+    W, b = f"{name}.W", f"{name}.b"
+    grads[W] = np.matmul(gPre, act.T, out=None if out is None else out[W])
+    grads[b] = gPre.sum(axis=1, out=None if out is None else out[b])

@@ -638,6 +638,10 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # Sizes that pass validation can still ask for arrays no machine holds.
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

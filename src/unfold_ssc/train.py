@@ -49,11 +49,16 @@ class AdamState:
 
 @dataclass
 class TrainState:
+    """Learned arrays, their Adam moments, the frozen graphs, and one
+    gradient buffer per learned array (``grads``, keyed like
+    ``named_arrays``) that every epoch of both phases writes into."""
+
     ae: autoenc.AeWeights
     unfold: unfold.UnfoldParams | None = None
     opt: AdamState = field(default_factory=AdamState)
     z0: np.ndarray | None = None
     lap: sparse.csr_array | None = None
+    grads: dict = field(default_factory=dict)
 
     def named_arrays(self):
         for name, arr in self.ae.named_arrays():
@@ -64,9 +69,19 @@ class TrainState:
 
 
 def init_state(input_dim: int, config: RunConfig) -> TrainState:
-    """Fresh autoencoder weights of the run's widths, drawn from ``config.seed``."""
-    return TrainState(ae=autoenc.init_weights(input_dim, config.hidden_dims,
-                                              config.latent_dim, config.seed))
+    """Fresh autoencoder weights of the run's widths, drawn from ``config.seed``,
+    and their gradient buffers."""
+    state = TrainState(ae=autoenc.init_weights(input_dim, config.hidden_dims,
+                                               config.latent_dim, config.seed))
+    state.grads = {name: np.empty_like(arr) for name, arr in state.named_arrays()}
+    return state
+
+
+def _prefixed(grads: dict | None, prefix: str) -> dict | None:
+    """The ``prefix``-named entries of ``grads`` under their unprefixed names."""
+    if grads is None:
+        return None
+    return {name[len(prefix):]: g for name, g in grads.items() if name.startswith(prefix)}
 
 
 def loss_sr(Htilde: np.ndarray, C: np.ndarray):
@@ -96,20 +111,22 @@ def loss_sp(C: np.ndarray):
     return value, grad
 
 
-def total_loss(state: TrainState, X: np.ndarray, config: RunConfig):
+def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     """Composite loss and its gradients for every learnable tensor.
 
     The three coefficient terms are weighted by ``config.alpha``,
     ``config.beta`` and ``config.gamma``. Returns (breakdown, grads) with ``grads`` keyed like
-    ``TrainState.named_arrays``. The whole chain is differentiated by hand:
-    reconstruction through the decoder, and the three coefficient losses
-    back through the unfolded network, the latent normalization, and the
-    encoder.
+    ``TrainState.named_arrays``. Each gradient is written into the array of
+    the same name in ``out`` when given (``train_joint`` passes
+    ``state.grads``), else into a new array. The whole chain is
+    differentiated by hand: reconstruction through the decoder, and the
+    three coefficient losses back through the unfolded network, the latent
+    normalization, and the encoder.
     """
     if state.unfold is None:
         raise ValueError("unfolded network is not initialized; run train_joint")
     tape_ae = autoenc.ae_forward(state.ae, X)
-    v_ae, gXhat = autoenc.ae_loss(X, tape_ae.Xhat)
+    v_ae, gXhat = autoenc.ae_loss(X, tape_ae.Xhat, out=tape_ae.Xhat)
     Ht = autoenc.normalize_latent(tape_ae.H)
     C, tape_u = unfold.forward(state.unfold, Ht, state.z0)
 
@@ -128,11 +145,11 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig):
         total=v_ae + alpha * v_sr + beta * v_sp + gamma * v_st,
         ae=v_ae, sr=v_sr, sp=v_sp, st=v_st,
     )
-    ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC)
+    ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC, _prefixed(out, "unfold."))
     del tape_u, gC
     gHt = alpha * gHt_sr + gHt_unfold
     gH = autoenc.normalize_latent_backward(tape_ae.H, gHt)
-    ae_grads = autoenc.ae_backward(state.ae, tape_ae, gH, gXhat)
+    ae_grads = autoenc.ae_backward(state.ae, tape_ae, gH, gXhat, _prefixed(out, "ae."))
 
     grads = {f"ae.{k}": g for k, g in ae_grads.items()}
     grads.update({f"unfold.{k}": g for k, g in ugrads.items()})
@@ -206,22 +223,23 @@ def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     """Phase one: reconstruction-only training, then freeze the two graphs.
 
     Runs ``config.pretrain_epochs`` full-batch Adam steps on the
-    autoencoder (zero epochs leave the weights untouched), then builds the
-    ``config.knn_init``-neighbor Z seed and the ``config.knn_struct``-neighbor
-    structure Laplacian from the resulting latent codes, raising
-    ``NumericalError`` if any of them is non-finite. Returns the per-epoch
-    reconstruction loss history.
+    autoencoder (zero epochs leave the weights untouched), each writing its
+    gradients into ``state.grads``, then builds the ``config.knn_init``-neighbor
+    Z seed and the ``config.knn_struct``-neighbor structure Laplacian from
+    the resulting latent codes, raising ``NumericalError`` if any of them is
+    non-finite. Returns the per-epoch reconstruction loss history.
     """
     ae_named = list((f"ae.{k}", a) for k, a in state.ae.named_arrays())
     _reset_moments(state.opt, ae_named)
+    ae_grads = _prefixed(state.grads, "ae.")
     history = []
     for epoch in range(config.pretrain_epochs):
         tape = autoenc.ae_forward(state.ae, X)
-        value, gXhat = autoenc.ae_loss(X, tape.Xhat)
+        value, gXhat = autoenc.ae_loss(X, tape.Xhat, out=tape.Xhat)
         if not np.isfinite(value):
             raise NumericalError(f"non-finite reconstruction loss at pretrain epoch {epoch + 1}")
-        grads = autoenc.ae_backward(state.ae, tape, None, gXhat)
-        adam_step(state.opt, ae_named, {f"ae.{k}": g for k, g in grads.items()}, config)
+        autoenc.ae_backward(state.ae, tape, None, gXhat, ae_grads)
+        adam_step(state.opt, ae_named, state.grads, config)
         history.append(value)
 
     H = autoenc.encode(state.ae, X)
@@ -241,7 +259,8 @@ def train_joint(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
 
     The ``config.admm_layers``-layer unfolded network is initialized
     analytically from the current normalized latents, ``config.rho0`` and
-    ``config.threshold0``; Adam moments restart for the new parameter set.
+    ``config.threshold0``; Adam moments restart for the new parameter set,
+    and ``state.grads`` gains a buffer for each unfolded parameter.
     Runs ``config.joint_epochs`` full-batch steps.
     Returns the loss-breakdown history (list of LossBreakdown).
     """
@@ -249,11 +268,13 @@ def train_joint(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
         raise ValueError("graphs are not frozen yet; run pretrain first")
     Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
     state.unfold = unfold.init_params(Ht, config.rho0, config.admm_layers, config.threshold0)
+    state.grads.update((f"unfold.{name}", np.empty_like(arr))
+                       for name, arr in state.unfold.named_arrays())
     named = list(state.named_arrays())
     _reset_moments(state.opt, named)
     history = []
     for epoch in range(config.joint_epochs):
-        breakdown, grads = total_loss(state, X, config)
+        breakdown, grads = total_loss(state, X, config, out=state.grads)
         if not breakdown.finite():
             raise NumericalError(
                 f"non-finite loss at joint epoch {epoch + 1}: "

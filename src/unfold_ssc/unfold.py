@@ -188,17 +188,19 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray):
     return C, tape
 
 
-def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
+def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=None):
     """Reverse-mode pass through the whole unfolded network.
 
     ``grad_C``, the loss gradient with respect to the returned (diagonal-
     zeroed) C, must be a writable float64 n x n array (else ValueError); it
     is overwritten, as each layer's gC in turn. Returns (grads, grad_Htilde),
     ``grads`` keyed like ``params.named_arrays``; rho/theta gradients are
-    with respect to their softplus preimages. Subgradients at the shrinkage
-    kinks are taken as zero; the top layer, which does not shrink, has no
-    theta. The tape is only read; each lower layer's Z is recomputed once,
-    into one of four n x n buffers with gmu, gZ (first B gC) and a scratch.
+    with respect to their softplus preimages. Each gradient is written into
+    the array of the same name in the dict ``out`` when given, else into a
+    new array. Subgradients at the shrinkage kinks are taken as zero; the
+    top layer, which does not shrink, has no theta. The tape is only read;
+    each lower layer's Z is recomputed once, into one of four n x n buffers
+    with gmu, gZ (first B gC) and a scratch.
     """
     Ht, grads, gC = tape.Htilde, {}, grad_C
     n = Ht.shape[1]
@@ -210,6 +212,13 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
 
     def dot(a, b):  # sum(a * b), the product formed in the scratch buffer
         return float(np.sum(np.multiply(a, b, out=scratch)))
+
+    def put(name, value):  # a 0-d gradient, into its buffer when one was given
+        if out is None:
+            grads[name] = np.array(value)
+        else:
+            out[name][...] = value
+            grads[name] = out[name]
 
     for k in range(top, -1, -1):
         layer = params.layers[k]
@@ -229,7 +238,7 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
             gT = gZ  # masked in place
             gT[Z == 0.0] = 0.0
             gtheta = -dot(gT, np.sign(Z, out=scratch))
-            grads[f"{name}.theta_raw"] = np.array(gtheta * expit(layer.theta_raw))
+            put(f"{name}.theta_raw", gtheta * expit(layer.theta_raw))
             gC += gT
             if k > 0:
                 gmu += np.divide(gT, rho, out=scratch)
@@ -237,7 +246,8 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
 
         # C = W H~ - B V,  V = mu_in - rho Z_in, with B fixed and symmetric
         Z = tape.Z0 if k == 0 else tape.Z(k - 1, out=Z_buf, scratch=scratch)
-        grads[f"{name}.W"] = gC @ Ht.T
+        gW = None if out is None else out[f"{name}.W"]
+        grads[f"{name}.W"] = np.matmul(gC, Ht.T, out=gW)
         gHt = layer.W.T @ gC if k == top else gHt + layer.W.T @ gC
         BtG = params.apply_B(gC, out=gZ)  # -dL/dV
         grho += dot(BtG, Z)
@@ -249,6 +259,6 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray):
                 gmu -= BtG
             BtG *= rho
 
-        grads[f"{name}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
+        put(f"{name}.rho_raw", grho * expit(layer.rho_raw))
 
     return grads, gHt

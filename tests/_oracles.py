@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from unfold_ssc import classic
+from unfold_ssc import autoenc, classic
 from unfold_ssc.classic import AdmmState
 
 
@@ -50,15 +50,20 @@ def fd_gradient(f, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def peak_nn_arrays(fn, n: int) -> float:
-    """Peak memory that ``fn()`` allocates, in n x n float64 arrays."""
+def peak_arrays(fn, rows: int, cols: int) -> float:
+    """Peak memory that ``fn()`` allocates, in rows x cols float64 arrays."""
     tracemalloc.start()
     try:
         fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (n * n * 8)
+    return peak / (rows * cols * 8)
+
+
+def peak_nn_arrays(fn, n: int) -> float:
+    """Peak memory that ``fn()`` allocates, in n x n float64 arrays."""
+    return peak_arrays(fn, n, n)
 
 
 def rel_err(analytic, numeric, floor: float = 1e-6) -> float:
@@ -72,6 +77,27 @@ def rel_err(analytic, numeric, floor: float = 1e-6) -> float:
 def rel_frobenius(a, b) -> float:
     """Relative Frobenius distance of ``a`` from the reference ``b``."""
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def ae_loss_reference(X: np.ndarray, Xhat: np.ndarray):
+    """Mean per-sample squared reconstruction error from one full-size
+    square, and its gradient (2 / n)(Xhat - X) as a new array."""
+    n = X.shape[1]
+    diff = Xhat - X
+    return float(np.sum(diff * diff)) / n, (2.0 / n) * diff
+
+
+def decoder_reference(weights, H: np.ndarray):
+    """The decoder replayed from latent rows H, each bias summed into a new
+    array (W @ D + b). Returns every layer's pre-activation and output; the
+    last layer stays linear, so its output is the reconstruction."""
+    pres, acts = [], [H.T]
+    last = len(weights.dec) - 1
+    for i, layer in enumerate(weights.dec):
+        pre = layer.W @ acts[-1] + layer.b[:, np.newaxis]
+        pres.append(pre)
+        acts.append(autoenc.leaky_relu(pre) if i != last else pre)
+    return pres, acts
 
 
 def relu_soft_threshold(v, theta):

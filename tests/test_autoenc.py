@@ -6,7 +6,7 @@ import pytest
 from unfold_ssc import autoenc
 from unfold_ssc.errors import NumericalError
 
-from _oracles import fd_gradient, rel_err
+from _oracles import ae_loss_reference, decoder_reference, fd_gradient, rel_err
 
 
 def small_weights(seed, input_dim=6, hidden=(5, 4), latent=3):
@@ -92,21 +92,23 @@ class TestEncodeDecode:
         assert np.allclose(lhs.Xhat, 2.0 * rhs1.Xhat - 0.5 * rhs2.Xhat, atol=1e-12)
 
     def test_forward_tape_matches_plain_calls(self):
-        """The tape's codes equal ``encode``, and its decoder activations
-        replay the mirrored layers: leaky ReLU on all but the last, which
-        stays linear and gives Xhat."""
-        w = small_weights(4)
-        X = np.random.default_rng(5).normal(size=(6, 7))
-        tape = autoenc.ae_forward(w, X)
-        assert np.array_equal(tape.H, autoenc.encode(w, X))
-        A = tape.H.T
-        assert np.array_equal(tape.dec_act[0], A)
-        for i, layer in enumerate(w.dec):
-            pre = layer.W @ A + layer.b[:, np.newaxis]
-            assert np.array_equal(tape.dec_pre[i], pre)
-            A = autoenc.leaky_relu(pre) if i + 1 < len(w.dec) else pre
-            assert np.array_equal(tape.dec_act[i + 1], A)
-        assert np.array_equal(tape.Xhat, A)
+        """The tape's codes equal ``encode``, and its decoder, which adds
+        each bias in place, replays the reference's W @ D + b bit for bit:
+        leaky ReLU on all but the last layer, which stays linear and gives
+        Xhat. Checked on a narrow and a 300-wide input, with nonzero biases."""
+        rng = np.random.default_rng(5)
+        for input_dim, n in ((6, 7), (300, 50)):
+            w = small_weights(4, input_dim=input_dim)
+            for layer in w.enc + w.dec:
+                layer.b += rng.normal(size=layer.b.shape)
+            X = rng.normal(size=(input_dim, n))
+            tape = autoenc.ae_forward(w, X)
+            assert np.array_equal(tape.H, autoenc.encode(w, X))
+            pres, acts = decoder_reference(w, tape.H)
+            assert (len(tape.dec_pre), len(tape.dec_act)) == (len(pres), len(acts))
+            for got, want in zip(tape.dec_pre + tape.dec_act, pres + acts):
+                assert got.tobytes() == want.tobytes()
+            assert tape.Xhat.tobytes() == acts[-1].tobytes()
 
 
 class TestAeLoss:
@@ -134,6 +136,34 @@ class TestAeLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             autoenc.ae_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(64, 1024), (300, 400)], ids=["2**16", "300x400"])
+    def test_written_over_xhat_matches_the_reference(self, shape):
+        """Written over Xhat, the gradient is the reference's (2 / n)(Xhat - X)
+        bit for bit, as is the allocating call's. The loss is the reference's
+        one full-size sum exactly up to 2**16 entries, and past that, where it
+        is summed in row blocks, within 1e-15 relative."""
+        rng = np.random.default_rng(12)
+        X, Xhat = rng.normal(size=shape), rng.normal(size=shape)
+        v_ref, g_ref = ae_loss_reference(X, Xhat)
+        v_alloc, g_alloc = autoenc.ae_loss(X, Xhat)
+        buf = Xhat.copy()
+        value, grad = autoenc.ae_loss(X, buf, out=buf)
+        assert grad is buf
+        assert grad.tobytes() == g_alloc.tobytes() == g_ref.tobytes()
+        assert value == v_alloc
+        if X.size <= autoenc.SQUARE_CHUNK:
+            assert value == v_ref
+        else:
+            assert abs(value - v_ref) <= 1e-15 * v_ref
+
+    def test_without_out_leaves_xhat_untouched(self):
+        rng = np.random.default_rng(13)
+        X, Xhat = rng.normal(size=(5, 9)), rng.normal(size=(5, 9))
+        before = Xhat.copy()
+        _, grad = autoenc.ae_loss(X, Xhat)
+        assert not np.shares_memory(grad, Xhat)
+        assert Xhat.tobytes() == before.tobytes()
 
 
 class TestNormalizeLatent:
@@ -196,6 +226,21 @@ class TestAeBackward:
             fd = fd_gradient(objective, arr)
             worst = max(worst, rel_err(grads[name], fd))
         assert worst < 1e-5
+
+    def test_out_buffers_receive_the_allocating_call_bits(self):
+        """With ``out``, every gradient is written into the buffer of its
+        name, overwriting whatever it held, with the allocating call's bits."""
+        w = small_weights(6)
+        rng = np.random.default_rng(7)
+        X, GH, GX = rng.normal(size=(6, 8)), rng.normal(size=(8, 3)), rng.normal(size=(6, 8))
+        tape = autoenc.ae_forward(w, X)
+        fresh = autoenc.ae_backward(w, tape, GH, GX)
+        bufs = {name: np.full_like(arr, np.nan) for name, arr in w.named_arrays()}
+        grads = autoenc.ae_backward(w, tape, GH, GX, bufs)
+        assert grads.keys() == fresh.keys() == bufs.keys()
+        for name, g in grads.items():
+            assert g is bufs[name], name
+            assert g.tobytes() == fresh[name].tobytes(), name
 
     def test_zero_upstream_gives_zero_grads(self):
         w = small_weights(6)

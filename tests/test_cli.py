@@ -196,6 +196,39 @@ def test_rejected_value_is_clipped_in_the_message(tmp_path, capsys, key, value):
     assert len(lines[0]) < 120
 
 
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_impossible_allocation_exits_two_and_writes_nothing(tmp_path, capsys, command):
+    """A size inside int64 can still ask for an array no machine holds: a
+    2**40 latent width (512 TiB of encoder weights) or a 2**40-row cube
+    (160 TiB of labels). numpy's MemoryError is a config error carrying its
+    message, raised before ``out_dir`` is touched."""
+    big = 2**40
+    out = tmp_path / "out"
+    if command == "run":
+        data = tmp_path / "data"
+        assert cli.main(["gen", "cube", "--height", "8", "--width", "8", "--bands", "4",
+                         "--out", str(data)]) == 0
+        out.mkdir()
+        (out / "labels.csv").write_text("stale\n")
+        cfg = write_config(tmp_path, {"values_path": str(data / "values.sscm"),
+                                      "labels_path": str(data / "labels.sscm"),
+                                      "k_clusters": 4, "patch": 3, "latent_dim": big,
+                                      "out_dir": str(out)})
+        argv = ["run", "--config", cfg]
+    else:
+        argv = ["gen", "cube", "--height", str(big), "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: Unable to allocate")
+    if command == "run":
+        assert os.listdir(out) == ["labels.csv"]
+        assert (out / "labels.csv").read_text() == "stale\n"
+    else:
+        assert not out.exists()
+
+
 class TestGenCommands:
     def test_gen_subspaces_writes_values_and_labels(self, tmp_path):
         out = str(tmp_path / "data")

@@ -8,7 +8,7 @@ import pytest
 
 from unfold_ssc import autoenc, cli, graph, train, unfold
 
-from _oracles import fd_gradient, peak_nn_arrays, rel_err
+from _oracles import fd_gradient, peak_arrays, peak_nn_arrays, rel_err
 
 
 def tiny_problem(seed=0, d=8, n=6, **config):
@@ -139,6 +139,48 @@ class TestTotalLoss:
         train.train_joint(state, X, tc)
         assert peak_nn_arrays(lambda: train.total_loss(state, X, tc), n) <= 9.7
 
+    def test_out_buffers_receive_the_allocating_call_bits(self):
+        """On a state a few joint epochs in, ``total_loss(out=...)`` writes
+        every gradient into the buffer of its name, overwriting whatever it
+        held, with the allocating call's bits and the same loss values."""
+        X, tc = tiny_problem(seed=13, pretrain_epochs=20, joint_epochs=3, admm_layers=3,
+                             knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
+        train.pretrain(state, X, tc)
+        train.train_joint(state, X, tc)
+        b_fresh, fresh = train.total_loss(state, X, tc)
+        bufs = {name: np.full_like(arr, np.nan) for name, arr in state.named_arrays()}
+        breakdown, grads = train.total_loss(state, X, tc, out=bufs)
+        assert breakdown == b_fresh
+        assert grads.keys() == fresh.keys() == bufs.keys()
+        for name, g in grads.items():
+            assert g is bufs[name], name
+            assert g.tobytes() == fresh[name].tobytes(), name
+
+    def test_wide_working_set(self):
+        """Peak memory allocated by one composite loss written into the
+        state's gradient buffers plus the Adam step, at d = 3000 >> n = 60,
+        in d x n arrays. Measured at 1.42: Xhat, which the loss overwrites
+        with its own gradient, and the 2**16-entry buffer of the row-block
+        sum of squares. With the squares summed from one full-size array it
+        peaked at 2.06, with freshly allocated gradients at 2.22, and with
+        the difference and the gradient as new arrays besides at 3.22."""
+        d, n = 3000, 60
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((d, n))
+        tc = cli.RunConfig(seed=3, hidden_dims=(32,), latent_dim=16, pretrain_epochs=0,
+                           joint_epochs=0, admm_layers=3, knn_init=10, knn_struct=5)
+        state = train.init_state(d, tc)
+        train.pretrain(state, X, tc)
+        train.train_joint(state, X, tc)
+        named = list(state.named_arrays())
+
+        def epoch():
+            _, grads = train.total_loss(state, X, tc, out=state.grads)
+            train.adam_step(state.opt, named, grads, tc)
+
+        assert peak_arrays(epoch, d, n) <= 1.9
+
     def test_every_gradient_matches_finite_differences(self):
         # End-to-end check through decoder, encoder, latent normalization,
         # and the unfolded iterations at once. Parameters are nudged off
@@ -264,6 +306,26 @@ class TestPretrain:
 
 
 class TestTrainJoint:
+    def test_both_phases_write_one_gradient_buffer_set(self):
+        """``init_state`` allocates a buffer per autoencoder array, pretrain
+        writes its gradients into them, and ``train_joint`` keeps them and
+        adds one per unfolded array: one set, keyed like ``named_arrays``."""
+        X, tc = tiny_problem(seed=14, pretrain_epochs=2, joint_epochs=2, admm_layers=2,
+                             knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
+        assert state.grads.keys() == {name for name, _ in state.named_arrays()}
+        for buf in state.grads.values():
+            buf.fill(np.nan)
+        ae_bufs = dict(state.grads)
+        train.pretrain(state, X, tc)
+        assert all(np.all(np.isfinite(buf)) for buf in ae_bufs.values())
+        train.train_joint(state, X, tc)
+        assert state.grads.keys() == {name for name, _ in state.named_arrays()}
+        for name, buf in ae_bufs.items():
+            assert state.grads[name] is buf, name
+        for name, arr in state.named_arrays():
+            assert state.grads[name].shape == arr.shape, name
+
     def test_requires_pretrain(self):
         X, tc = tiny_problem()
         state = train.init_state(X.shape[0], tc)

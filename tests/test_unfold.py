@@ -323,6 +323,23 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
     assert rel_frobenius(gHt, gHt_dense) <= 1e-12
 
 
+@pytest.mark.parametrize("K", [1, 3])
+def test_backward_out_buffers_receive_the_allocating_call_bits(K):
+    """With ``out``, every gradient, the 0-d ones included, is written into
+    the buffer of its name, overwriting whatever it held, with the
+    allocating call's bits."""
+    params, Ht, z0, G = perturbed_instance(5, K, True)
+    _, tape = unfold.forward(params, Ht, z0)
+    fresh, gHt_fresh = unfold.backward(params, tape, G.copy())
+    bufs = {name: np.full_like(arr, np.nan) for name, arr in params.named_arrays()}
+    grads, gHt = unfold.backward(params, tape, G.copy(), bufs)
+    assert grads.keys() == fresh.keys() == bufs.keys()
+    for name, g in grads.items():
+        assert g is bufs[name], name
+        assert g.tobytes() == fresh[name].tobytes(), name
+    assert gHt.tobytes() == gHt_fresh.tobytes()
+
+
 def working_set_instance():
     n, K = 300, 3
     rng = np.random.default_rng(11)
