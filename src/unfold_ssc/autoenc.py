@@ -68,10 +68,10 @@ def init_weights(input_dim: int, hidden_dims, latent_dim: int, seed: int) -> AeW
     return AeWeights(enc=make(enc_dims), dec=make(dec_dims))
 
 
-def leaky_relu(x):
+def leaky_relu(x, out=None):
     """max(x, LEAKY_SLOPE x): x where x > 0 and LEAKY_SLOPE x elsewhere,
-    which holds for any slope in [0, 1]."""
-    return np.maximum(x, LEAKY_SLOPE * x)
+    which holds for any slope in [0, 1]. Written into ``out`` when given."""
+    return np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=out), out=out)
 
 
 def _leaky_grad(pre):
@@ -140,16 +140,27 @@ def normalize_latent_backward(H: np.ndarray, grad_Htilde: np.ndarray) -> np.ndar
     return ((g - U * np.sum(U * g, axis=0, keepdims=True)) / norms).T
 
 
-def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
-    """Forward pass that keeps every intermediate for the backward pass."""
+def _slot(arrays: list, i: int):
+    """``arrays[i]`` when the list has it, else None: an ``out=`` buffer."""
+    return arrays[i] if i < len(arrays) else None
+
+
+def ae_forward(weights: AeWeights, X: np.ndarray, out: AeTape | None = None) -> AeTape:
+    """Forward pass that keeps every intermediate for the backward pass.
+
+    Given ``out``, the tape of an earlier pass of the same shapes, every
+    intermediate is written into that tape's arrays, so a loop that passes
+    its last tape holds one tape's arrays, not two, while the pass runs.
+    """
     X = np.asarray(X, dtype=np.float64)
+    prev = out if out is not None else AeTape(X=X)
     tape = AeTape(X=X)
     A = X
     tape.enc_act.append(A)
-    for layer in weights.enc:
-        pre = layer.W @ A
+    for i, layer in enumerate(weights.enc):
+        pre = np.matmul(layer.W, A, out=_slot(prev.enc_pre, i))
         pre += layer.b[:, np.newaxis]
-        A = leaky_relu(pre)
+        A = leaky_relu(pre, out=_slot(prev.enc_act, i + 1))
         tape.enc_pre.append(pre)
         tape.enc_act.append(A)
     tape.H = A.T
@@ -157,24 +168,22 @@ def ae_forward(weights: AeWeights, X: np.ndarray) -> AeTape:
     tape.dec_act.append(D)
     last = len(weights.dec) - 1
     for i, layer in enumerate(weights.dec):
-        pre = layer.W @ D
+        pre = np.matmul(layer.W, D, out=_slot(prev.dec_pre, i))
         pre += layer.b[:, np.newaxis]
-        D = leaky_relu(pre) if i != last else pre
+        D = leaky_relu(pre, out=_slot(prev.dec_act, i + 1)) if i != last else pre
         tape.dec_pre.append(pre)
         tape.dec_act.append(D)
     tape.Xhat = D
     return tape
 
 
-def ae_backward(weights: AeWeights, tape: AeTape,
-                grad_H: np.ndarray | None, grad_Xhat: np.ndarray, out=None):
-    """Reverse pass for both heads: reconstruction and, when ``grad_H`` is
-    given, latent consumers.
+def decoder_backward(weights: AeWeights, tape: AeTape, grad_Xhat: np.ndarray, out=None):
+    """Reverse pass through the decoder alone.
 
-    Returns a dict keyed like ``AeWeights.named_arrays``. Each gradient is
-    written into the array of the same name in the dict ``out`` when given,
-    else into a new array. The gradient with respect to the input X is not
-    formed.
+    Returns (grads, grad_code): the decoder's weight gradients, keyed like
+    ``AeWeights.named_arrays`` and written into ``out``'s arrays of the same
+    name when given, and the gradient with respect to the encoder output,
+    as columns. Once it returns, nothing reads the tape's decoder arrays.
     """
     grads: dict[str, np.ndarray] = {}
     n_dec = len(weights.dec)
@@ -184,16 +193,40 @@ def ae_backward(weights: AeWeights, tape: AeTape,
         gPre = g if i == n_dec - 1 else g * _leaky_grad(tape.dec_pre[i])
         _weight_grads(grads, f"dec{i}", gPre, tape.dec_act[i], out)
         g = layer.W.T @ gPre
-    # g is now the gradient w.r.t. the encoder output (latent, columns)
-    if grad_H is not None:
-        g = np.asarray(grad_H, dtype=np.float64).T + g
+    return grads, g
 
+
+def encoder_backward(weights: AeWeights, tape: AeTape, grad_code: np.ndarray, out=None):
+    """Reverse pass through the encoder from ``grad_code``, the gradient
+    with respect to its output as columns. Returns the encoder's weight
+    gradients, keyed and written as in ``decoder_backward``; the gradient
+    with respect to the input X is not formed."""
+    grads: dict[str, np.ndarray] = {}
+    g = grad_code
     for i in range(len(weights.enc) - 1, -1, -1):
         layer = weights.enc[i]
         gPre = g * _leaky_grad(tape.enc_pre[i])
         _weight_grads(grads, f"enc{i}", gPre, tape.enc_act[i], out)
         if i > 0:
             g = layer.W.T @ gPre
+    return grads
+
+
+def ae_backward(weights: AeWeights, tape: AeTape,
+                grad_H: np.ndarray | None, grad_Xhat: np.ndarray, out=None):
+    """Reverse pass for both heads: reconstruction and, when ``grad_H`` is
+    given, latent consumers: ``decoder_backward``, then ``encoder_backward``
+    from the sum of the two latent gradients.
+
+    Returns a dict keyed like ``AeWeights.named_arrays``. Each gradient is
+    written into the array of the same name in the dict ``out`` when given,
+    else into a new array. The gradient with respect to the input X is not
+    formed.
+    """
+    grads, g = decoder_backward(weights, tape, grad_Xhat, out)
+    if grad_H is not None:
+        g = np.asarray(grad_H, dtype=np.float64).T + g
+    grads.update(encoder_backward(weights, tape, g, out))
     return grads
 
 

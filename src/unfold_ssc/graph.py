@@ -1,8 +1,8 @@
 """K-nearest-neighbor graphs and the structure-preservation loss.
 
-Adjacencies come back dense, because one of them seeds the unfolded
-network's dense Z state. The Laplacian is sparse: a k-neighbor graph gives
-it O(k) entries per row, so the structure loss costs O(n^2 k), not O(n^3).
+Adjacencies and the Laplacian come back as sparse CSR arrays: a k-neighbor
+graph has O(k) entries per row, so only the pairwise distances are n x n,
+and the structure loss costs O(n^2 k), not O(n^3).
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
 
     Each sample is linked to its k nearest other samples (Euclidean,
     distance ties broken toward the smaller index); the union of directed
-    links is symmetrized. Diagonal stays zero.
+    links is symmetrized. Diagonal stays zero. The adjacency is an n x n
+    CSR array in canonical format (sorted column indices, no duplicates),
+    built straight from the neighbor lists.
 
     Given more neighbor counts, returns a tuple with one adjacency per
     count, all from one distance matrix. Each row keeps kmax = max(counts)
@@ -51,8 +53,7 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
     sort of those candidates orders each row exactly as a stable sort of
     the whole row would, so every count takes a prefix of it and each
     adjacency equals its single-count call. Rows are selected in blocks of
-    about ``KNN_BLOCK`` distances, so only the distance matrix and the
-    adjacencies are n x n.
+    about ``KNN_BLOCK`` distances, so only the distance matrix is n x n.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -86,23 +87,36 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
             cand, np.argsort(dist, axis=1, kind="stable"), axis=1)
     adjs = []
     for count in counts:
-        adj = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), count)
-        adj[rows, order[:, :count].reshape(-1)] = 1.0
-        adj = np.maximum(adj, adj.T)
-        adjs.append(adj)
+        # Link i -> j and j -> i as the row-major key i n + j; the sorted
+        # unique keys are the union's entries in canonical CSR order.
+        sample = np.repeat(np.arange(n), count)
+        neighbor = order[:, :count].reshape(-1)
+        keys = np.unique(np.concatenate((sample * n + neighbor, neighbor * n + sample)))
+        # 32-bit indices where they fit, as scipy's own conversions choose.
+        idx = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        adjs.append(sparse.csr_array((np.ones(len(keys)), (keys % n).astype(idx), indptr),
+                                     shape=(n, n)))
     return adjs[0] if not more_k else tuple(adjs)
 
 
-def laplacian(adjacency: np.ndarray) -> sparse.csr_array:
+def laplacian(adjacency) -> sparse.csr_array:
     """Combinatorial graph Laplacian D - A of an exactly symmetric
-    adjacency, as a sparse CSR matrix whose entries equal the dense form's."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+    adjacency, dense or sparse, as a CSR array in canonical format, formed
+    without an n x n array. Degrees are summed in entry order, so for a
+    0/1 adjacency such as a kNN graph every entry equals the dense form's."""
+    if np.ndim(adjacency) != 2 or np.shape(adjacency)[0] != np.shape(adjacency)[1]:
         raise ValueError("adjacency must be square")
-    if not np.array_equal(adjacency, adjacency.T):
+    A = sparse.csr_array(adjacency, dtype=np.float64)
+    if (A != A.T).nnz:
         raise ValueError("adjacency must be symmetric")
-    return sparse.csr_array(np.diag(adjacency.sum(axis=1)) - adjacency)
+    n = A.shape[0]
+    degree = np.bincount(np.repeat(np.arange(n), np.diff(A.indptr)), weights=A.data, minlength=n)
+    diag = np.arange(n + 1, dtype=A.indices.dtype)
+    D = sparse.csr_array((degree, diag[:n], diag), shape=(n, n))
+    # The sparse difference keeps only nonzero entries, in canonical order.
+    return D - A
 
 
 def structure_loss(C: np.ndarray, lap: sparse.csr_array, out=None):

@@ -1,8 +1,8 @@
 """Two-phase training: autoencoder warm-up, then joint full-batch descent.
 
 Phase one fits the autoencoder alone. Its latent codes then freeze two
-nearest-neighbor graphs: a 30-neighbor adjacency that seeds the unfolded
-network's Z state, and a 10-neighbor graph, kept only as its sparse
+sparse nearest-neighbor graphs: a 30-neighbor adjacency that seeds the
+unfolded network's Z state, and a 10-neighbor graph, kept only as its
 Laplacian, that drives the structure loss. Phase two trains autoencoder
 and unfolded network together under the composite objective
 
@@ -56,7 +56,7 @@ class TrainState:
     ae: autoenc.AeWeights
     unfold: unfold.UnfoldParams | None = None
     opt: AdamState = field(default_factory=AdamState)
-    z0: np.ndarray | None = None
+    z0: sparse.csr_array | None = None
     lap: sparse.csr_array | None = None
     grads: dict = field(default_factory=dict)
 
@@ -125,8 +125,14 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     """
     if state.unfold is None:
         raise ValueError("unfolded network is not initialized; run train_joint")
+    ae_out = _prefixed(out, "ae.")
     tape_ae = autoenc.ae_forward(state.ae, X)
     v_ae, gXhat = autoenc.ae_loss(X, tape_ae.Xhat, out=tape_ae.Xhat)
+    # The decoder's backward runs first, so its tape and the d x n gXhat are
+    # freed before the unfolded network's n x n arrays exist.
+    ae_grads, gcode = autoenc.decoder_backward(state.ae, tape_ae, gXhat, ae_out)
+    tape_ae.dec_pre, tape_ae.dec_act, tape_ae.Xhat = [], [], None
+    del gXhat
     Ht = autoenc.normalize_latent(tape_ae.H)
     C, tape_u = unfold.forward(state.unfold, Ht, state.z0)
 
@@ -149,7 +155,7 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     del tape_u, gC
     gHt = alpha * gHt_sr + gHt_unfold
     gH = autoenc.normalize_latent_backward(tape_ae.H, gHt)
-    ae_grads = autoenc.ae_backward(state.ae, tape_ae, gH, gXhat, _prefixed(out, "ae."))
+    ae_grads.update(autoenc.encoder_backward(state.ae, tape_ae, gH.T + gcode, ae_out))
 
     grads = {f"ae.{k}": g for k, g in ae_grads.items()}
     grads.update({f"unfold.{k}": g for k, g in ugrads.items()})
@@ -233,14 +239,18 @@ def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     _reset_moments(state.opt, ae_named)
     ae_grads = _prefixed(state.grads, "ae.")
     history = []
+    tape = None
     for epoch in range(config.pretrain_epochs):
-        tape = autoenc.ae_forward(state.ae, X)
-        value, gXhat = autoenc.ae_loss(X, tape.Xhat, out=tape.Xhat)
+        # Each pass writes into the last one's arrays; the loss writes its
+        # gradient over X-hat.
+        tape = autoenc.ae_forward(state.ae, X, out=tape)
+        value = autoenc.ae_loss(X, tape.Xhat, out=tape.Xhat)[0]
         if not np.isfinite(value):
             raise NumericalError(f"non-finite reconstruction loss at pretrain epoch {epoch + 1}")
-        autoenc.ae_backward(state.ae, tape, None, gXhat, ae_grads)
+        autoenc.ae_backward(state.ae, tape, None, tape.Xhat, ae_grads)
         adam_step(state.opt, ae_named, state.grads, config)
         history.append(value)
+    del tape  # no d x n array of the loop outlives it
 
     H = autoenc.encode(state.ae, X)
     bad = ~np.all(np.isfinite(H), axis=1)

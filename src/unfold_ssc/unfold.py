@@ -14,11 +14,17 @@ reproduces the classic solver to rounding: the two compute the same
 iteration in a different order, and rho and theta round-trip through
 softplus (acceptance test A2 bounds the relative difference by 1e-10).
 
+The Z seed Z0, a k-neighbor graph, is a sparse CSR array: layer 0 reads it
+by scattering its entries into a zero-filled n x n buffer, which gives the
+dense computation's bits without a dense Z0.
+
 Gradients are hand-written reverse mode over a forward tape; no autodiff
 framework is involved. The tape keeps only what the backward reads: Z0 and
-the C and dual input mu (the first the scalar 0) of the K - 1 layers that
-shrink, 2K - 3 new n x n arrays for K >= 2, none for K = 1. The backward
-recomputes lower layers' Z with ``classic.step_Z`` in four n x n buffers.
+the C and dual input mu of the K - 1 layers that shrink, less the first
+two duals (the scalar 0, and mu_1, which the backward recomputes), so
+2K - 4 new n x n arrays for K >= 3, one for K = 2 and none for K = 1. The
+backward recomputes lower layers' Z with ``classic.step_Z`` in four n x n
+buffers besides the output gradient it overwrites.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from unfold_ssc import classic
@@ -94,28 +101,53 @@ class ForwardTape:
     """What the backward pass reads from one forward evaluation.
 
     For each layer k that shrinks (all but the top, whose C is the output)
-    it keeps rho_k, theta_k, the dual input ``mu_in[k]`` (the scalar 0 on
-    the first layer) and the pre-shrinkage ``C[k]``: 2K - 3 new n x n
-    arrays for K >= 2, none for K = 1; ``Z(k)`` recomputes Z_k bit for bit.
+    it keeps rho_k, theta_k, the pre-shrinkage ``C[k]`` and the dual input
+    ``mu_in[k]``, except that ``mu_in[0]`` is the scalar 0 and ``mu_in[1]``
+    is None: ``mu(1)`` recomputes it bit for bit from C_0. That is 2K - 4
+    new n x n arrays for K >= 3, one for K = 2 and none for K = 1;
+    ``Z(k)`` recomputes Z_k bit for bit. ``Z0`` is the seed as a CSR array.
     """
 
     Htilde: np.ndarray
-    Z0: np.ndarray
+    Z0: sparse.csr_array
     rho: list = field(default_factory=list)
     theta: list = field(default_factory=list)
     mu_in: list = field(default_factory=list)
     C: list = field(default_factory=list)
 
-    def Z(self, k: int, out=None, scratch=None) -> np.ndarray:
+    def mu(self, k: int, out=None, scratch=None):
+        """Layer k's dual input; mu_1 = (C_0 - Z_0) rho_0 + 0 is recomputed
+        into ``out`` (a new n x n array when omitted), with Z_0's shrinkage
+        clip in ``scratch``. The + 0, the forward's scalar mu_0, turns -0
+        into +0 as the forward's sum did."""
+        if self.mu_in[k] is not None:
+            return self.mu_in[k]
+        Z = self.Z(0, out=out, scratch=scratch)
+        return np.add(np.multiply(np.subtract(self.C[0], Z, out=Z), self.rho[0], out=Z), 0.0,
+                      out=Z)
+
+    def Z(self, k: int, out=None, scratch=None, mu=None) -> np.ndarray:
         """Layer k's output zero_diag(shrink(C_k + mu_k / rho_k, theta_k)).
 
         The shrinkage input and then Z go into ``out``, the shrinkage's clip
-        into ``scratch``; both are new n x n arrays when omitted.
+        into ``scratch``; both are new n x n arrays when omitted. ``mu`` is
+        the dual input, ``mu(k)`` when omitted.
         """
+        if mu is None:
+            mu = self.mu(k)
         if out is None:
             out = np.empty_like(self.C[k])
-        np.divide(self.mu_in[k], self.rho[k], out=out)
+        np.divide(mu, self.rho[k], out=out)
         return classic.step_Z(self.C[k], out, self.theta[k], out=out, scratch=scratch)
+
+
+def _scatter(Z0: sparse.csr_array, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Zero ``out`` and write ``values``, one per stored entry of Z0, at
+    those entries' positions."""
+    out.fill(0.0)
+    rows = np.repeat(np.arange(Z0.shape[0]), np.diff(Z0.indptr))
+    out[rows, Z0.indices] = values
+    return out
 
 
 def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -> UnfoldParams:
@@ -141,7 +173,7 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -
                          for k in range(n_layers)], H0, M, float(rho0))
 
 
-def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray):
+def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
     """Run the unfolded network from Z = Z0 and mu = 0.
 
     Per layer k:  V = mu - rho_k Z;  C = W_k H~ - B V;
@@ -151,27 +183,36 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray):
     Returns (C, tape) where C is the final-layer coefficient matrix with
     its diagonal zeroed.
 
-    Each lower layer's C and dual go into the tape as new arrays. Everything
-    else runs in two n x n scratch arrays allocated once per call: V, which
-    then holds the shrinkage input and Z, and B V, which then holds the
-    shrinkage's clip and rho (C - Z). The top layer's dual is dropped once
-    V is built; its C is returned with the diagonal zeroed in place.
+    Z0, dense or sparse, is converted to a CSR array (canonical, with
+    duplicate entries summed), and layer 0's V = 0 - rho_0 Z0 is scattered
+    into a zero-filled buffer. Each lower layer's C, and each dual from
+    mu_2 on, go into the tape as new arrays. Everything else runs in two
+    n x n scratch arrays allocated once per call: V, which then holds the
+    shrinkage input and Z, and B V, which then holds the shrinkage's clip
+    and rho (C - Z). The top layer's dual is dropped once V is built; its C
+    is returned with the diagonal zeroed in place.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
-    Z = np.asarray(Z0, dtype=np.float64)
-    if Z.shape != (n, n):
+    Z0 = sparse.csr_array(Z0, dtype=np.float64)
+    if Z0.shape != (n, n):
         raise ValueError("Z0 must be n x n for n samples")
-    if np.any(np.diagonal(Z) != 0):
+    if not Z0.has_canonical_format:
+        Z0 = Z0.copy()
+        Z0.sum_duplicates()
+    if np.any(Z0.diagonal() != 0):
         raise ValueError("Z0 must have a zero diagonal")
     mu = 0.0
-    tape = ForwardTape(Htilde=Htilde, Z0=Z)
+    tape = ForwardTape(Htilde=Htilde, Z0=Z0)
     V, BV = np.empty((n, n)), np.empty((n, n))
     top = params.n_layers - 1
     for k, layer in enumerate(params.layers):
         rho = layer.rho
-        np.multiply(Z, rho, out=V)
-        np.subtract(mu, V, out=V)
+        if k == 0:
+            _scatter(Z0, np.subtract(mu, np.multiply(Z0.data, rho)), out=V)
+        else:
+            np.multiply(Z, rho, out=V)
+            np.subtract(mu, V, out=V)
         if k == top:
             del mu  # the top layer's dual input is read by nothing past V
         C = layer.W @ Htilde
@@ -180,9 +221,9 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0: np.ndarray):
             break
         tape.rho.append(rho)
         tape.theta.append(layer.theta)
-        tape.mu_in.append(mu)
+        tape.mu_in.append(None if k == 1 else mu)
         tape.C.append(C)
-        Z = tape.Z(k, out=V, scratch=BV)
+        Z = tape.Z(k, out=V, scratch=BV, mu=mu)
         mu = np.add(np.multiply(np.subtract(C, Z, out=BV), rho, out=BV), mu)
     np.fill_diagonal(C, 0.0)
     return C, tape
@@ -200,7 +241,9 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
     new array. Subgradients at the shrinkage kinks are taken as zero; the
     top layer, which does not shrink, has no theta. The tape is only read;
     each lower layer's Z is recomputed once, into one of four n x n buffers
-    with gmu, gZ (first B gC) and a scratch.
+    with gmu, gZ (first B gC) and a scratch, and mu_1 into gC while that
+    holds no gradient. Layer 0's rho gradient scatters Z0 into the scratch,
+    so its sum reads the same dense product as a dense Z0 would give.
     """
     Ht, grads, gC = tape.Htilde, {}, grad_C
     n = Ht.shape[1]
@@ -227,10 +270,11 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
         grho = 0.0
 
         if k < top:
-            # Z is layer k's output, recomputed as layer k + 1's input below.
+            # Z and mu are layer k's output and dual input, recomputed as
+            # layer k + 1's inputs below; a recomputed mu_1 sits in gC, so
+            # rho gmu goes to scratch until mu's last read.
             # mu_out = mu_in + rho (C - Z)
-            np.multiply(rho, gmu, out=gC)
-            gZ -= gC
+            gZ -= np.multiply(rho, gmu, out=scratch if mu is gC else gC)
             grho = dot(gmu, np.subtract(tape.C[k], Z, out=scratch))
 
             # Z = zero_diag(shrink(T, theta)), T = C + mu_in / rho, is nonzero
@@ -239,19 +283,25 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
             gT[Z == 0.0] = 0.0
             gtheta = -dot(gT, np.sign(Z, out=scratch))
             put(f"{name}.theta_raw", gtheta * expit(layer.theta_raw))
+            if k > 0:
+                grho -= dot(gT, np.divide(mu, rho**2, out=scratch))
+            if mu is gC:
+                np.multiply(rho, gmu, out=gC)
             gC += gT
             if k > 0:
                 gmu += np.divide(gT, rho, out=scratch)
-                grho -= dot(gT, np.divide(tape.mu_in[k], rho**2, out=scratch))
 
         # C = W H~ - B V,  V = mu_in - rho Z_in, with B fixed and symmetric
-        Z = tape.Z0 if k == 0 else tape.Z(k - 1, out=Z_buf, scratch=scratch)
         gW = None if out is None else out[f"{name}.W"]
         grads[f"{name}.W"] = np.matmul(gC, Ht.T, out=gW)
         gHt = layer.W.T @ gC if k == top else gHt + layer.W.T @ gC
-        BtG = params.apply_B(gC, out=gZ)  # -dL/dV
-        grho += dot(BtG, Z)
-        if k > 0:
+        BtG = params.apply_B(gC, out=gZ)  # -dL/dV; gC is free from here
+        if k == 0:
+            grho += dot(BtG, _scatter(tape.Z0, tape.Z0.data, out=scratch))
+        else:
+            mu = tape.mu(k - 1, out=gC, scratch=scratch)
+            Z = tape.Z(k - 1, out=Z_buf, scratch=scratch, mu=mu)
+            grho += dot(BtG, Z)
             # gmu, gZ: gradients of mu_in and Z_in, the outputs of layer k - 1
             if k == top:
                 np.negative(BtG, out=gmu)

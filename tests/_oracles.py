@@ -319,12 +319,15 @@ class ReferenceTape:
     C: list = field(default_factory=list)
     Z_out: list = field(default_factory=list)
 
+    def mu(self, k: int) -> np.ndarray:
+        """Layer k's dual input, as the package tape's ``mu`` names it."""
+        return self.mu_in[k]
+
 
 def shrinkage_inputs(tape, count: int) -> list:
     """T_k = C_k + mu_k / rho_k of the first ``count`` layers of a package or
     a reference tape; the K - 1 layers that shrink for count = K - 1."""
-    return [C + mu / rho
-            for C, mu, rho in zip(tape.C[:count], tape.mu_in[:count], tape.rho[:count])]
+    return [tape.C[k] + tape.mu(k) / tape.rho[k] for k in range(count)]
 
 
 class SymmetricOperator:

@@ -110,6 +110,28 @@ class TestEncodeDecode:
                 assert got.tobytes() == want.tobytes()
             assert tape.Xhat.tobytes() == acts[-1].tobytes()
 
+    def test_out_tape_is_written_over_with_the_fresh_pass_bits(self):
+        """Given the last pass's tape, a pass with moved weights writes
+        every intermediate into that tape's arrays, overwriting what they
+        held (X-hat, say, holding a gradient), with a fresh pass's bits."""
+        rng = np.random.default_rng(6)
+        w = small_weights(5, input_dim=300)
+        X = rng.normal(size=(300, 40))
+        old = autoenc.ae_forward(w, X)
+        arrays = old.enc_pre + old.enc_act[1:] + old.dec_pre + old.dec_act[1:]
+        old.Xhat.fill(np.nan)
+        for _, arr in w.named_arrays():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        fresh = autoenc.ae_forward(w, X)
+        tape = autoenc.ae_forward(w, X, out=old)
+        got = tape.enc_pre + tape.enc_act[1:] + tape.dec_pre + tape.dec_act[1:]
+        want = fresh.enc_pre + fresh.enc_act[1:] + fresh.dec_pre + fresh.dec_act[1:]
+        assert len(got) == len(want) == len(arrays)
+        for g, was, f in zip(got, arrays, want):
+            assert g is was
+            assert g.tobytes() == f.tobytes()
+        assert tape.Xhat is tape.dec_pre[-1] and tape.H.tobytes() == fresh.H.tobytes()
+
 
 class TestAeLoss:
     def test_hand_example(self):
@@ -241,6 +263,20 @@ class TestAeBackward:
         for name, g in grads.items():
             assert g is bufs[name], name
             assert g.tobytes() == fresh[name].tobytes(), name
+
+    def test_halves_compose_to_the_whole(self):
+        """The decoder half, then the encoder half from the latent gradient
+        plus the decoder's, give ``ae_backward``'s gradients bit for bit."""
+        w = small_weights(6)
+        rng = np.random.default_rng(9)
+        X, GH, GX = rng.normal(size=(6, 8)), rng.normal(size=(8, 3)), rng.normal(size=(6, 8))
+        tape = autoenc.ae_forward(w, X)
+        whole = autoenc.ae_backward(w, tape, GH, GX)
+        dec, gcode = autoenc.decoder_backward(w, tape, GX)
+        enc = autoenc.encoder_backward(w, tape, GH.T + gcode)
+        assert dec.keys() | enc.keys() == whole.keys() and not dec.keys() & enc.keys()
+        for name, g in {**dec, **enc}.items():
+            assert g.tobytes() == whole[name].tobytes(), name
 
     def test_zero_upstream_gives_zero_grads(self):
         w = small_weights(6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 from unfold_ssc import graph
 from _oracles import (fd_gradient, knn_adjacency_brute, knn_adjacency_reference,
@@ -17,7 +18,7 @@ from _oracles import (fd_gradient, knn_adjacency_brute, knn_adjacency_reference,
 def test_three_points_on_a_line():
     """Points 0, 1, 3 with k=1: the middle point prefers its left neighbor."""
     pts = np.array([[0.0, 1.0, 3.0]])
-    adj = graph.knn_adjacency(pts, 1)
+    adj = graph.knn_adjacency(pts, 1).toarray()
     expected = np.array([
         [0.0, 1.0, 0.0],
         [1.0, 0.0, 0.0],
@@ -30,7 +31,7 @@ def test_three_points_on_a_line():
 
 def test_duplicate_columns_pick_each_other():
     pts = np.array([[0.0, 0.0, 5.0, 9.0], [1.0, 1.0, 2.0, 3.0]])
-    adj = graph.knn_adjacency(pts, 1)
+    adj = graph.knn_adjacency(pts, 1).toarray()
     assert adj[0, 1] == 1.0 and adj[1, 0] == 1.0
 
 
@@ -38,7 +39,7 @@ def test_equidistant_tie_breaks_to_smaller_index():
     """Point 0 sits exactly between points 1 and 2, which both have closer
     partners of their own, so only the directed choice of point 0 links it."""
     pts = np.array([[0.0, -1.0, 1.0, -1.5, 1.5]])
-    adj = graph.knn_adjacency(pts, 1)
+    adj = graph.knn_adjacency(pts, 1).toarray()
     assert adj[0, 1] == 1.0 and adj[0, 2] == 0.0
 
 
@@ -46,14 +47,14 @@ def test_matches_brute_force_oracle():
     rng = np.random.default_rng(11)
     for trial in range(5):
         pts = rng.standard_normal((4, 10))
-        adj = graph.knn_adjacency(pts, 3)
+        adj = graph.knn_adjacency(pts, 3).toarray()
         assert np.array_equal(adj, knn_adjacency_brute(pts, 3))
 
 
 def test_adjacency_contract():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((3, 12))
-    adj = graph.knn_adjacency(pts, 4)
+    adj = graph.knn_adjacency(pts, 4).toarray()
     assert np.array_equal(adj, adj.T)
     assert np.all((adj == 0) | (adj == 1))
     assert np.all(np.diagonal(adj) == 0)
@@ -64,9 +65,9 @@ def test_feature_permutation_invariance():
     """Shuffling feature rows does not change distances, hence the graph."""
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((5, 15))
-    adj = graph.knn_adjacency(pts, 3)
+    adj = graph.knn_adjacency(pts, 3).toarray()
     perm = rng.permutation(5)
-    assert np.array_equal(graph.knn_adjacency(pts[perm], 3), adj)
+    assert np.array_equal(graph.knn_adjacency(pts[perm], 3).toarray(), adj)
 
 
 def test_k_out_of_range():
@@ -87,7 +88,8 @@ def test_several_counts_equal_separate_calls():
     adjs = graph.knn_adjacency(pts, 7, 3, 7, 1)
     assert isinstance(adjs, tuple) and len(adjs) == 4
     for k, adj in zip((7, 3, 7, 1), adjs):
-        assert np.array_equal(adj, graph.knn_adjacency(pts, k))
+        adj = adj.toarray()
+        assert np.array_equal(adj, graph.knn_adjacency(pts, k).toarray())
         assert np.array_equal(adj, knn_adjacency_brute(pts, k))
 
 
@@ -113,7 +115,7 @@ def test_partial_selection_matches_full_sort_reference(case):
         got = graph.knn_adjacency(points, *tup)
         got = got if len(tup) > 1 else (got,)
         for adj, ref in zip(got, knn_adjacency_reference(points, *tup), strict=True):
-            assert np.array_equal(adj, ref)
+            assert np.array_equal(adj.toarray(), ref)
 
 
 def test_row_blocks_match_full_sort_reference():
@@ -124,17 +126,18 @@ def test_row_blocks_match_full_sort_reference():
     points = np.random.default_rng(13).integers(-2, 3, size=(3, n)).astype(float)
     got = graph.knn_adjacency(points, 30, 10, 1)
     for adj, ref in zip(got, knn_adjacency_reference(points, 30, 10, 1), strict=True):
-        assert np.array_equal(adj, ref)
+        assert np.array_equal(adj.toarray(), ref)
 
 
 def test_knn_working_set():
     """Peak memory allocated by the pipeline's two-count call at n = 1000,
-    in n x n arrays. Measured at 4.1: the distances, the two adjacencies
-    and one symmetrizing copy. Selecting candidates for all rows at once
-    peaks at 5.5."""
+    in n x n arrays. Measured at 3.0, all of it ``pairwise_sq_dists``: the
+    distances and the temporaries of one row block; the selection and the
+    sparse adjacencies stay below that. Dense adjacencies and one symmetrizing copy peaked at 4.1, and
+    selecting candidates for all rows at once at 5.5."""
     n = 1000
     points = np.random.default_rng(1).standard_normal((8, n))
-    assert peak_nn_arrays(lambda: graph.knn_adjacency(points, 30, 10), n) <= 4.6
+    assert peak_nn_arrays(lambda: graph.knn_adjacency(points, 30, 10), n) <= 3.5
 
 
 @pytest.mark.parametrize("shape", [(600, 300), (3, 2000)])
@@ -201,9 +204,25 @@ def test_knn_laplacian_is_sparse_and_equals_dense_form():
     rng = np.random.default_rng(12)
     adj = graph.knn_adjacency(rng.standard_normal((5, 80)), 6)
     lap = graph.laplacian(adj)
+    adj = adj.toarray()
     assert lap.format == "csr"
     assert lap.nnz == np.count_nonzero(adj) + adj.shape[0]
     assert np.array_equal(lap.toarray(), np.diag(adj.sum(axis=1)) - adj)
+
+
+def test_graphs_are_canonical_csr():
+    """The adjacencies, built straight from the neighbor lists, and their
+    Laplacians are canonical CSR arrays (sorted column indices, no
+    duplicates, no stored zeros): the same index arrays and entries as
+    scipy's own conversion of their dense forms."""
+    points = np.random.default_rng(19).integers(-2, 3, size=(3, 60)).astype(float)
+    for adj in graph.knn_adjacency(points, 9, 2, 59):
+        for arr in (adj, graph.laplacian(adj)):
+            assert arr.format == "csr" and arr.has_canonical_format
+            ref = sparse.csr_array(arr.toarray())
+            assert np.array_equal(arr.indptr, ref.indptr)
+            assert np.array_equal(arr.indices, ref.indices)
+            assert np.array_equal(arr.data, ref.data)
 
 
 # --------------------------------------------------------- structure loss
@@ -289,9 +308,11 @@ def test_sparse_form_matches_dense_laplacian_and_pairwise():
     rng = np.random.default_rng(77)
     for n, k in ((30, 3), (120, 10)):
         adj = graph.knn_adjacency(rng.standard_normal((4, n)), k)
+        lap = graph.laplacian(adj)
+        adj = adj.toarray()
         dense = np.diag(adj.sum(axis=1)) - adj
         C = rng.standard_normal((n, n))
-        value, grad = graph.structure_loss(C, graph.laplacian(adj))
+        value, grad = graph.structure_loss(C, lap)
         CL = C @ dense
         want_value = 2.0 * float(np.sum(CL * C))
         assert abs(value - want_value) <= 1e-12 * abs(want_value)

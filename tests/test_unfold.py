@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from unfold_ssc import classic, cli, graph, train, unfold
 from _oracles import (SymmetricOperator, dense_B_reference, fd_gradient, peak_nn_arrays,
@@ -251,8 +252,8 @@ def test_backward_overwrites_grad_and_rejects_what_it_cannot():
 
 
 def perturbed_instance(seed, K, with_z0, n=20, l=6):
-    """Parameters moved off the analytic init, a kNN or zero Z0, and an
-    output gradient with a nonzero diagonal."""
+    """Parameters moved off the analytic init, a kNN Z0 (a CSR array) or a
+    dense zero one, and an output gradient with a nonzero diagonal."""
     rng = np.random.default_rng(seed)
     Ht = unit_columns(rng, l, n)
     z0 = graph.knn_adjacency(rng.standard_normal((3, n)), 4) if with_z0 else np.zeros((n, n))
@@ -264,31 +265,39 @@ def perturbed_instance(seed, K, with_z0, n=20, l=6):
     return params, Ht, z0, G
 
 
-@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("with_z0", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
-    """Against the plain reference passes on the package's own B operator,
-    every value is bit-identical; against the same passes on the dense n x n
-    B from its own solve, every value is within 1e-12 relative."""
+    """Against the plain reference passes on the package's own B operator
+    and the dense form of Z0, every value is bit-identical; against the
+    same passes on the dense n x n B from its own solve, every value is
+    within 1e-12 relative. From K = 4 on, a stored dual mu_2 sits next to
+    the recomputed mu_1."""
     params, Ht, z0, G = perturbed_instance(seed, K, with_z0)
+    z0_dense = sparse.csr_array(z0).toarray()
+    n = Ht.shape[1]
     C, tape = unfold.forward(params, Ht, z0)
     B_same = SymmetricOperator(params.apply_B)
-    C_ref, tape_ref = unfold_forward_reference(params, B_same, Ht, z0)
+    C_ref, tape_ref = unfold_forward_reference(params, B_same, Ht, z0_dense)
     assert np.array_equal(C, C_ref)
-    assert np.array_equal(tape.Z0, tape_ref.Z0)
+    assert tape.Z0.format == "csr"
+    assert np.array_equal(tape.Z0.toarray(), tape_ref.Z0)
     # The tape stores the K - 1 layers that shrink; the top layer's C is
     # the output (compared above) and its dual input is read by nothing.
     assert tape.rho == tape_ref.rho[:-1]
     assert tape.theta == [layer.theta for layer in params.layers[:-1]]
+    assert len(tape.C) == len(tape.mu_in) == K - 1 and len(tape_ref.C) == len(tape_ref.mu_in) == K
     if K > 1:
         # The first dual input is the scalar 0, not an n x n array of zeros.
         assert tape.mu_in[0] == 0.0 and not np.any(tape_ref.mu_in[0])
-    for field in ("mu_in", "C"):
-        got, want = getattr(tape, field), getattr(tape_ref, field)
-        assert len(got) == K - 1 and len(want) == K, field
-        for a, b in zip(got, want):
-            assert np.array_equal(np.broadcast_to(a, b.shape), b), field
+    if K > 2:
+        # mu_1 is recomputed from C_0, not stored; the later duals are stored.
+        assert tape.mu_in[1] is None
+        assert all(isinstance(mu, np.ndarray) for mu in tape.mu_in[2:])
+    for k in range(K - 1):
+        assert np.array_equal(tape.C[k], tape_ref.C[k]), k
+        assert np.array_equal(np.broadcast_to(tape.mu(k), (n, n)), tape_ref.mu_in[k]), k
     T, T_ref = shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_ref, K - 1)
     assert len(T) == len(T_ref) == len(tape_ref.Z_out) == K - 1
     for a, b in zip(T, T_ref):
@@ -308,11 +317,11 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
     assert np.array_equal(gHt, gHt_ref)
 
     B_dense = dense_B_reference(params)
-    C_dense, tape_dense = unfold_forward_reference(params, B_dense, Ht, z0)
+    C_dense, tape_dense = unfold_forward_reference(params, B_dense, Ht, z0_dense)
     assert rel_frobenius(C, C_dense) <= 1e-12
-    for field in ("mu_in", "C"):
-        for a, b in zip(getattr(tape, field), getattr(tape_dense, field)):
-            assert rel_frobenius(np.broadcast_to(a, b.shape), b) <= 1e-12, field
+    for k in range(K - 1):
+        assert rel_frobenius(tape.C[k], tape_dense.C[k]) <= 1e-12, k
+        assert rel_frobenius(np.broadcast_to(tape.mu(k), (n, n)), tape_dense.mu_in[k]) <= 1e-12, k
     for a, b in zip(shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_dense, K - 1)):
         assert rel_frobenius(a, b) <= 1e-12
     for k in range(K - 1):
@@ -353,28 +362,30 @@ def working_set_instance():
 def test_forward_working_set():
     """Peak memory allocated by one forward pass, in n x n arrays.
 
-    Measured at 6.2 for K = 3: the 2K - 3 new tape arrays (the C and dual
-    input of the layers that shrink, mu_0 a scalar), the two scratch arrays
-    for V and B V, and the last dual, which is dropped before the top
-    layer's C takes its place. Storing the top layer's C and dual as well
-    and returning a copy of C peaks at 7.2; allocating V, B V and the
+    Measured at 6.0 for K = 3: the C of the two layers that shrink, the
+    two scratch arrays for V and B V, and the duals mu_1 and mu_2 while the
+    second is formed; mu_1 is not stored, and mu_2 is dropped before the
+    top layer's C takes its place. Storing the top layer's C and dual as
+    well and returning a copy of C peaks at 7.2; allocating V, B V and the
     shrinkage temporaries afresh per layer on top of that, at 8.1.
     """
     params, Ht, z0, _ = working_set_instance()
-    assert peak_nn_arrays(lambda: unfold.forward(params, Ht, z0), Ht.shape[1]) <= 6.7
+    assert peak_nn_arrays(lambda: unfold.forward(params, Ht, z0), Ht.shape[1]) <= 6.5
 
 
 def test_forward_and_backward_working_set():
     """Peak memory allocated by one forward plus backward, in n x n arrays.
 
-    Measured at 8.6 for K = 3: the returned C, the 2K - 3 tape arrays, and
+    Measured at 7.6 for K = 3: the returned C, the 2K - 4 tape arrays, and
     a backward on four buffers (gmu, gZ that first holds B gC, the
     recomputed Z and one scratch) that works in the caller's output
-    gradient. With a tape of every layer's C and dual, a copied output
-    gradient and fresh per-layer backward temporaries it peaked at 11.3;
-    with fresh forward temporaries and the relu-and-sign shrinkage besides
-    at 12.2, with a learned dense B per layer at 13.3, and with a tape that
-    also stores every layer's Z and an n x n mu_0 at 19.4.
+    gradient, which also holds the recomputed mu_1 between its uses as a
+    gradient. With mu_1 stored in the tape it peaked at 8.6; with a tape of
+    every layer's C and dual, a copied output gradient and fresh per-layer
+    backward temporaries at 11.3; with fresh forward temporaries and the
+    relu-and-sign shrinkage besides at 12.2, with a learned dense B per
+    layer at 13.3, and with a tape that also stores every layer's Z and an
+    n x n mu_0 at 19.4.
     """
     params, Ht, z0, G = working_set_instance()
 
@@ -382,7 +393,7 @@ def test_forward_and_backward_working_set():
         _, tape = unfold.forward(params, Ht, z0)
         unfold.backward(params, tape, G)
 
-    assert peak_nn_arrays(forward_and_backward, Ht.shape[1]) <= 9.1
+    assert peak_nn_arrays(forward_and_backward, Ht.shape[1]) <= 8.2
 
 
 @pytest.mark.parametrize("K", [1, 3])
