@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from unfold_ssc import classic
+
 # Distance entries per row block of the candidate selection in
 # ``knn_adjacency``; its temporaries are this size, not n x n.
 KNN_BLOCK = 1 << 16
@@ -123,14 +125,36 @@ def structure_loss(C: np.ndarray, lap: sparse.csr_array, out=None):
     """Neighborhood-coherence penalty on representation columns.
 
     Value is sum_{ij} A_ij * ||C[:, i] - C[:, j]||^2, evaluated through the
-    equivalent trace form 2 * tr(C L C^T); the gradient in C is 4 * C @ L,
-    one sparse product.
+    equivalent trace form 2 * tr(C L C^T); the gradient in C is 4 * C @ L.
 
-    Returns (value, grad). (C L) * C and then the gradient go into ``out``,
-    which may be C itself, or into a new array when it is omitted."""
+    Returns (value, grad). The gradient goes into ``out``, a C-contiguous
+    array that may be C itself, or into a new array when it is omitted.
+    The work runs one flat segment of ``classic.pairwise_segments`` at a
+    time: the sparse product C[rows] L for the rows the segment covers,
+    whose rows equal those of C L bit for bit, then the segment's share of
+    the value and the gradient. The C L of the row where a segment ends is
+    kept for the next segment, since by then that row's head in ``out`` may
+    be written over C. No n x n temporary is made."""
     C = np.asarray(C, dtype=np.float64)
     if C.shape[1] != lap.shape[0] or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"shape mismatch: C {C.shape} vs laplacian {lap.shape}")
-    CL = C @ lap
-    value = 2.0 * float(np.sum(np.multiply(CL, C, out=out)))
-    return value, np.multiply(CL, 4.0, out=out)
+    if out is None:
+        out = np.empty(C.shape)
+    elif out.shape != C.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {C.shape} array")
+    n = C.shape[1]
+    C_flat, out_flat = C.reshape(-1), out.reshape(-1)
+    segments = classic.pairwise_segments(C.size)
+    product = np.empty(max(stop - start for start, stop in segments))
+    partials = []
+    row, row_CL = -1, None  # the last segment's final row and its C L
+    for start, stop in segments:
+        first, end = start // n, (stop + n - 1) // n  # the rows it covers
+        CL = C[first + (first == row):end] @ lap
+        if first == row:
+            CL = np.concatenate((row_CL[np.newaxis], CL))
+        seg = CL.reshape(-1)[start - first * n:stop - first * n]
+        partials.append(np.sum(np.multiply(seg, C_flat[start:stop], out=product[:stop - start])))
+        np.multiply(seg, 4.0, out=out_flat[start:stop])
+        row, row_CL = end - 1, CL[-1]
+    return 2.0 * classic.tree_sum(partials, C.size), out

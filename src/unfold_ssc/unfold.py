@@ -15,16 +15,21 @@ iteration in a different order, and rho and theta round-trip through
 softplus (acceptance test A2 bounds the relative difference by 1e-10).
 
 The Z seed Z0, a k-neighbor graph, is a sparse CSR array: layer 0 reads it
-by scattering its entries into a zero-filled n x n buffer, which gives the
-dense computation's bits without a dense Z0.
+by scattering its entries into a zero-filled buffer, which gives the dense
+computation's bits without a dense Z0.
 
 Gradients are hand-written reverse mode over a forward tape; no autodiff
 framework is involved. The tape keeps only what the backward reads: Z0 and
 the C and dual input mu of the K - 1 layers that shrink, less the first
 two duals (the scalar 0, and mu_1, which the backward recomputes), so
-2K - 4 new n x n arrays for K >= 3, one for K = 2 and none for K = 1. The
-backward recomputes lower layers' Z with ``classic.step_Z`` in four n x n
-buffers besides the output gradient it overwrites.
+2K - 4 new n x n arrays for K >= 3, one for K = 2 and none for K = 1.
+
+Every matrix product runs on whole n x n arrays. Everything between two
+products, elementwise chains and the sums that reduce them, runs one flat
+segment of ``classic.pairwise_segments`` at a time through buffers of
+``classic.SEGMENT`` entries: a segment's Z and mu are recomputed from the
+tape where they are read, and ``classic.tree_sum`` combines the segments'
+sums into the whole array's ``np.sum`` bits.
 """
 
 from __future__ import annotations
@@ -87,13 +92,32 @@ class UnfoldParams:
             if layer.theta_raw is not None:
                 yield f"layer{idx}.theta_raw", layer.theta_raw
 
-    def apply_B(self, V: np.ndarray, out=None) -> np.ndarray:
-        """B V = (V - H0^T (M (H0 V))) / rho0, written into ``out`` (a new
-        array when omitted); B is symmetric."""
-        BV = np.matmul(self.H0.T, self.M @ (self.H0 @ V), out=out)
-        np.subtract(V, BV, out=BV)
-        BV /= self.rho0
-        return BV
+    def project(self, V: np.ndarray, out=None) -> np.ndarray:
+        """H0^T (M (H0 V)), written into ``out`` (a new array when omitted),
+        so that B V = (V - project(V)) / rho0; B is symmetric."""
+        return np.matmul(self.H0.T, self.M @ (self.H0 @ V), out=out)
+
+
+def _diagonal(n: int, start: int, stop: int) -> slice:
+    """The diagonal entries of an n x n array among its flat entries
+    [start, stop), as a slice of that range."""
+    return slice(-start % (n + 1), stop - start, n + 1)
+
+
+def _positions(Z0: sparse.csr_array) -> np.ndarray:
+    """Flat positions of Z0's stored entries, ascending for a canonical CSR
+    array."""
+    n = Z0.shape[0]
+    return n * np.repeat(np.arange(n), np.diff(Z0.indptr)) + Z0.indices
+
+
+def _scatter(positions: np.ndarray, values: np.ndarray, start: int, out: np.ndarray):
+    """Zero ``out``, the flat entries from ``start`` on, and write there the
+    ``values`` whose ``positions`` (ascending) fall in it."""
+    lo, hi = np.searchsorted(positions, (start, start + len(out)))
+    out.fill(0.0)
+    out[positions[lo:hi] - start] = values[lo:hi]
+    return out
 
 
 @dataclass
@@ -104,8 +128,10 @@ class ForwardTape:
     it keeps rho_k, theta_k, the pre-shrinkage ``C[k]`` and the dual input
     ``mu_in[k]``, except that ``mu_in[0]`` is the scalar 0 and ``mu_in[1]``
     is None: ``mu(1)`` recomputes it bit for bit from C_0. That is 2K - 4
-    new n x n arrays for K >= 3, one for K = 2 and none for K = 1;
-    ``Z(k)`` recomputes Z_k bit for bit. ``Z0`` is the seed as a CSR array.
+    new n x n arrays for K >= 3, one for K = 2 and none for K = 1. ``Z(k)``
+    recomputes Z_k bit for bit. Both work on any range of flat entries, so
+    the forward and backward passes call them one segment at a time.
+    ``Z0`` is the seed as a CSR array.
     """
 
     Htilde: np.ndarray
@@ -115,39 +141,38 @@ class ForwardTape:
     mu_in: list = field(default_factory=list)
     C: list = field(default_factory=list)
 
-    def mu(self, k: int, out=None, scratch=None):
-        """Layer k's dual input; mu_1 = (C_0 - Z_0) rho_0 + 0 is recomputed
-        into ``out`` (a new n x n array when omitted), with Z_0's shrinkage
-        clip in ``scratch``. The + 0, the forward's scalar mu_0, turns -0
-        into +0 as the forward's sum did."""
-        if self.mu_in[k] is not None:
-            return self.mu_in[k]
-        Z = self.Z(0, out=out, scratch=scratch)
-        return np.add(np.multiply(np.subtract(self.C[0], Z, out=Z), self.rho[0], out=Z), 0.0,
-                      out=Z)
+    def mu(self, k: int, start: int = 0, stop: int | None = None, out=None, scratch=None):
+        """Layer k's dual input on the flat entries [start, stop) (to the end
+        when ``stop`` is None): the scalar 0 for k = 0, a view of the stored
+        array from k = 2 on. mu_1 = (C_0 - Z_0) rho_0 + 0 is recomputed into
+        ``out`` (a new array when omitted), with Z_0's shrinkage clip in
+        ``scratch``. The + 0, the forward's scalar mu_0, turns -0 into +0 as
+        the forward's sum did."""
+        mu = self.mu_in[k]
+        if mu is not None:
+            return mu if np.ndim(mu) == 0 else mu.reshape(-1)[start:stop]
+        Z = self.Z(0, start, stop, out=out, scratch=scratch)
+        C = self.C[0].reshape(-1)[start:stop]
+        return np.add(np.multiply(np.subtract(C, Z, out=Z), self.rho[0], out=Z), 0.0, out=Z)
 
-    def Z(self, k: int, out=None, scratch=None, mu=None) -> np.ndarray:
-        """Layer k's output zero_diag(shrink(C_k + mu_k / rho_k, theta_k)).
+    def Z(self, k: int, start: int = 0, stop: int | None = None, out=None, scratch=None,
+          mu=None) -> np.ndarray:
+        """Layer k's output zero_diag(shrink(C_k + mu_k / rho_k, theta_k)) on
+        the flat entries [start, stop), as a flat array.
 
         The shrinkage input and then Z go into ``out``, the shrinkage's clip
-        into ``scratch``; both are new n x n arrays when omitted. ``mu`` is
-        the dual input, ``mu(k)`` when omitted.
+        into ``scratch``; both are new arrays when omitted. ``mu`` is the
+        dual input on the same entries, ``mu(k, start, stop)`` when omitted.
         """
+        C = self.C[k].reshape(-1)[start:stop]
         if mu is None:
-            mu = self.mu(k)
-        if out is None:
-            out = np.empty_like(self.C[k])
-        np.divide(mu, self.rho[k], out=out)
-        return classic.step_Z(self.C[k], out, self.theta[k], out=out, scratch=scratch)
-
-
-def _scatter(Z0: sparse.csr_array, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Zero ``out`` and write ``values``, one per stored entry of Z0, at
-    those entries' positions."""
-    out.fill(0.0)
-    rows = np.repeat(np.arange(Z0.shape[0]), np.diff(Z0.indptr))
-    out[rows, Z0.indices] = values
-    return out
+            mu = self.mu(k, start, stop)
+        Z = np.divide(mu, self.rho[k], out=np.empty_like(C) if out is None else out)
+        np.add(C, Z, out=Z)
+        theta = self.theta[k]
+        np.subtract(Z, np.clip(Z, -theta, theta, out=scratch), out=Z)
+        Z[_diagonal(self.C[k].shape[0], start, start + len(Z))] = 0.0
+        return Z
 
 
 def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -> UnfoldParams:
@@ -185,12 +210,14 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
 
     Z0, dense or sparse, is converted to a CSR array (canonical, with
     duplicate entries summed), and layer 0's V = 0 - rho_0 Z0 is scattered
-    into a zero-filled buffer. Each lower layer's C, and each dual from
-    mu_2 on, go into the tape as new arrays. Everything else runs in two
-    n x n scratch arrays allocated once per call: V, which then holds the
-    shrinkage input and Z, and B V, which then holds the shrinkage's clip
-    and rho (C - Z). The top layer's dual is dropped once V is built; its C
-    is returned with the diagonal zeroed in place.
+    into a zero-filled buffer. Each layer's C is a new array, and the lower
+    layers' go into the tape. V and project(V) are n x n arrays allocated
+    once per call. After a layer's products, one segment pass finishes its
+    C and, below the top, its Z, the next dual and the next layer's V
+    (written over V), with Z in a segment buffer. The next dual is a new
+    array when the tape stores it; mu_2 is written over mu_1, which the
+    tape does not store, and the top layer's dual exists one segment at a
+    time only.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
@@ -202,30 +229,41 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
         Z0.sum_duplicates()
     if np.any(Z0.diagonal() != 0):
         raise ValueError("Z0 must have a zero diagonal")
-    mu = 0.0
     tape = ForwardTape(Htilde=Htilde, Z0=Z0)
-    V, BV = np.empty((n, n)), np.empty((n, n))
+    segments = classic.pairwise_segments(n * n)
+    V, P = np.empty((n, n)), np.empty((n, n))
+    V_flat, P_flat = V.reshape(-1), P.reshape(-1)
+    Z_buf = np.empty(max(stop - start for start, stop in segments))
     top = params.n_layers - 1
+    rho = params.layers[0].rho
+    _scatter(_positions(Z0), np.subtract(0.0, np.multiply(Z0.data, rho)), 0, V_flat)
+    mu = 0.0
     for k, layer in enumerate(params.layers):
-        rho = layer.rho
-        if k == 0:
-            _scatter(Z0, np.subtract(mu, np.multiply(Z0.data, rho)), out=V)
-        else:
-            np.multiply(Z, rho, out=V)
-            np.subtract(mu, V, out=V)
-        if k == top:
-            del mu  # the top layer's dual input is read by nothing past V
         C = layer.W @ Htilde
-        C -= params.apply_B(V, out=BV)
-        if k == top:
-            break
-        tape.rho.append(rho)
-        tape.theta.append(layer.theta)
-        tape.mu_in.append(None if k == 1 else mu)
-        tape.C.append(C)
-        Z = tape.Z(k, out=V, scratch=BV, mu=mu)
-        mu = np.add(np.multiply(np.subtract(C, Z, out=BV), rho, out=BV), mu)
-    np.fill_diagonal(C, 0.0)
+        params.project(V, out=P)
+        C_flat = C.reshape(-1)
+        if k < top:
+            tape.rho.append(rho)
+            tape.theta.append(layer.theta)
+            tape.mu_in.append(None if k == 1 else mu)
+            tape.C.append(C)
+            rho_next = params.layers[k + 1].rho
+            # The next dual: never stored at the top, else over mu_1 or new.
+            mu_next = None if k + 1 == top else mu if k == 1 else np.empty((n, n))
+        for start, stop in segments:
+            v, p, c = V_flat[start:stop], P_flat[start:stop], C_flat[start:stop]
+            c -= np.divide(np.subtract(v, p, out=p), params.rho0, out=p)  # C = W H~ - B V
+            if k == top:
+                c[_diagonal(n, start, stop)] = 0.0
+                continue
+            m = mu if k == 0 else mu.reshape(-1)[start:stop]
+            Z = tape.Z(k, start, stop, out=Z_buf[:stop - start], scratch=p, mu=m)
+            dual = p if mu_next is None else mu_next.reshape(-1)[start:stop]
+            np.add(np.multiply(np.subtract(c, Z, out=p), rho, out=p), m, out=dual)
+            np.subtract(dual, np.multiply(Z, rho_next, out=v), out=v)
+        if k < top:
+            # The segment views would keep a dual that is read no more alive.
+            mu, rho, m, dual = mu_next, rho_next, None, None
     return C, tape
 
 
@@ -233,28 +271,36 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
     """Reverse-mode pass through the whole unfolded network.
 
     ``grad_C``, the loss gradient with respect to the returned (diagonal-
-    zeroed) C, must be a writable float64 n x n array (else ValueError); it
-    is overwritten, as each layer's gC in turn. Returns (grads, grad_Htilde),
-    ``grads`` keyed like ``params.named_arrays``; rho/theta gradients are
-    with respect to their softplus preimages. Each gradient is written into
-    the array of the same name in the dict ``out`` when given, else into a
-    new array. Subgradients at the shrinkage kinks are taken as zero; the
-    top layer, which does not shrink, has no theta. The tape is only read;
-    each lower layer's Z is recomputed once, into one of four n x n buffers
-    with gmu, gZ (first B gC) and a scratch, and mu_1 into gC while that
-    holds no gradient. Layer 0's rho gradient scatters Z0 into the scratch,
-    so its sum reads the same dense product as a dense Z0 would give.
+    zeroed) C, must be a writable C-contiguous float64 n x n array (else
+    ValueError); it is overwritten, as each layer's gC in turn. Returns
+    (grads, grad_Htilde), ``grads`` keyed like ``params.named_arrays``;
+    rho/theta gradients are with respect to their softplus preimages. Each
+    gradient is written into the array of the same name in the dict ``out``
+    when given, else into a new array. Subgradients at the shrinkage kinks
+    are taken as zero; the top layer, which does not shrink, has no theta.
+
+    The tape is only read. Besides gC the pass holds two n x n buffers:
+    gmu, and project(gC), which a segment at a time becomes B gC and the
+    gradient of the layer below's Z. After each layer's products one
+    segment pass recomputes the layer below's mu and Z, and forms its gC,
+    the next gmu and every sum its rho and theta gradients read; layer 0's
+    rho gradient scatters Z0 one segment at a time.
     """
     Ht, grads, gC = tape.Htilde, {}, grad_C
     n = Ht.shape[1]
-    if getattr(gC, "dtype", None) != np.float64 or np.shape(gC) != (n, n) or not gC.flags.writeable:
-        raise ValueError(f"grad_C must be a writable float64 {n} x {n} array, which it overwrites")
+    if (getattr(gC, "dtype", None) != np.float64 or np.shape(gC) != (n, n)
+            or not gC.flags.writeable or not gC.flags.c_contiguous):
+        raise ValueError(f"grad_C must be a writable C-contiguous float64 {n} x {n} array, "
+                         "which it overwrites")
     np.fill_diagonal(gC, 0.0)  # diag-zeroing is the last op
     top = params.n_layers - 1
-    gmu, gZ, Z_buf, scratch = (np.empty(gC.shape) for _ in range(4))
-
-    def dot(a, b):  # sum(a * b), the product formed in the scratch buffer
-        return float(np.sum(np.multiply(a, b, out=scratch)))
+    segments = classic.pairwise_segments(n * n)
+    size = max(stop - start for start, stop in segments)
+    P = np.empty((n, n))
+    gmu = np.empty(n * n) if top > 0 else None  # flat: no read needs it n x n
+    gC_flat, P_flat = gC.reshape(-1), P.reshape(-1)
+    Z_buf, mu_buf, scratch = np.empty(size), np.empty(size), np.empty(size)
+    zero = np.empty(size, dtype=bool)
 
     def put(name, value):  # a 0-d gradient, into its buffer when one was given
         if out is None:
@@ -263,52 +309,62 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
             out[name][...] = value
             grads[name] = out[name]
 
+    grho = 0.0  # layer k's rho gradient, less its B V term
     for k in range(top, -1, -1):
         layer = params.layers[k]
-        name = f"layer{k}"
-        rho = layer.rho
-        grho = 0.0
-
-        if k < top:
-            # Z and mu are layer k's output and dual input, recomputed as
-            # layer k + 1's inputs below; a recomputed mu_1 sits in gC, so
-            # rho gmu goes to scratch until mu's last read.
-            # mu_out = mu_in + rho (C - Z)
-            gZ -= np.multiply(rho, gmu, out=scratch if mu is gC else gC)
-            grho = dot(gmu, np.subtract(tape.C[k], Z, out=scratch))
-
-            # Z = zero_diag(shrink(T, theta)), T = C + mu_in / rho, is nonzero
-            # exactly where |T| > theta off the diagonal, with T's sign.
-            gT = gZ  # masked in place
-            gT[Z == 0.0] = 0.0
-            gtheta = -dot(gT, np.sign(Z, out=scratch))
-            put(f"{name}.theta_raw", gtheta * expit(layer.theta_raw))
-            if k > 0:
-                grho -= dot(gT, np.divide(mu, rho**2, out=scratch))
-            if mu is gC:
-                np.multiply(rho, gmu, out=gC)
-            gC += gT
-            if k > 0:
-                gmu += np.divide(gT, rho, out=scratch)
-
         # C = W H~ - B V,  V = mu_in - rho Z_in, with B fixed and symmetric
-        gW = None if out is None else out[f"{name}.W"]
-        grads[f"{name}.W"] = np.matmul(gC, Ht.T, out=gW)
+        gW = None if out is None else out[f"layer{k}.W"]
+        grads[f"layer{k}.W"] = np.matmul(gC, Ht.T, out=gW)
         gHt = layer.W.T @ gC if k == top else gHt + layer.W.T @ gC
-        BtG = params.apply_B(gC, out=gZ)  # -dL/dV; gC is free from here
+        params.project(gC, out=P)
+        rho = layer.rho
         if k == 0:
-            grho += dot(BtG, _scatter(tape.Z0, tape.Z0.data, out=scratch))
-        else:
-            mu = tape.mu(k - 1, out=gC, scratch=scratch)
-            Z = tape.Z(k - 1, out=Z_buf, scratch=scratch, mu=mu)
-            grho += dot(BtG, Z)
-            # gmu, gZ: gradients of mu_in and Z_in, the outputs of layer k - 1
-            if k == top:
-                np.negative(BtG, out=gmu)
-            else:
-                gmu -= BtG
-            BtG *= rho
+            positions, partials = _positions(tape.Z0), []
+            for start, stop in segments:
+                g, b, s = gC_flat[start:stop], P_flat[start:stop], scratch[:stop - start]
+                np.divide(np.subtract(g, b, out=b), params.rho0, out=b)  # B gC = -dL/dV
+                _scatter(positions, tape.Z0.data, start, s)
+                partials.append(np.sum(np.multiply(b, s, out=s)))
+            grho += classic.tree_sum(partials, n * n)
+            put("layer0.rho_raw", grho * expit(layer.rho_raw))
+            break
 
-        put(f"{name}.rho_raw", grho * expit(layer.rho_raw))
+        # Layer i = k - 1 below made Z_i and mu_k = mu_i + rho_i (C_i - Z_i);
+        # Z_i = zero_diag(shrink(T, theta_i)), T = C_i + mu_i / rho_i, is
+        # nonzero exactly where |T| > theta_i off the diagonal, with T's sign.
+        i = k - 1
+        rho_i, C_i = tape.rho[i], tape.C[i].reshape(-1)
+        sums = {"rho": [], "gmu": [], "theta": [], "mu": []}
+        for start, stop in segments:
+            g, b, gm = gC_flat[start:stop], P_flat[start:stop], gmu[start:stop]
+            z, s = Z_buf[:stop - start], scratch[:stop - start]
+            np.divide(np.subtract(g, b, out=b), params.rho0, out=b)  # B gC = -dL/dV
+            mu = tape.mu(i, start, stop, out=mu_buf[:stop - start], scratch=s)
+            Z = tape.Z(i, start, stop, out=z, scratch=s, mu=mu)
+            sums["rho"].append(np.sum(np.multiply(b, Z, out=s)))
+            # gmu, then gZ in b: gradients of layer k's inputs mu_k and Z_i
+            if k == top:
+                np.negative(b, out=gm)
+            else:
+                gm -= b
+            b *= rho
+            b -= np.multiply(rho_i, gm, out=s)
+            sums["gmu"].append(np.sum(np.multiply(gm, np.subtract(C_i[start:stop], Z, out=s),
+                                                  out=s)))
+            np.copyto(b, 0.0, where=np.equal(Z, 0.0, out=zero[:stop - start]))  # gT
+            sums["theta"].append(np.sum(np.multiply(b, np.sign(Z, out=s), out=s)))
+            if i > 0:
+                sums["mu"].append(np.sum(np.multiply(b, np.divide(mu, rho_i**2, out=s), out=s)))
+            np.multiply(rho_i, gm, out=g)
+            g += b
+            if i > 0:
+                gm += np.divide(b, rho_i, out=s)
+        grho += classic.tree_sum(sums["rho"], n * n)
+        put(f"layer{k}.rho_raw", grho * expit(layer.rho_raw))
+        gtheta = -classic.tree_sum(sums["theta"], n * n)
+        put(f"layer{i}.theta_raw", gtheta * expit(params.layers[i].theta_raw))
+        grho = classic.tree_sum(sums["gmu"], n * n)
+        if i > 0:
+            grho -= classic.tree_sum(sums["mu"], n * n)
 
     return grads, gHt

@@ -326,8 +326,28 @@ class ReferenceTape:
 
 def shrinkage_inputs(tape, count: int) -> list:
     """T_k = C_k + mu_k / rho_k of the first ``count`` layers of a package or
-    a reference tape; the K - 1 layers that shrink for count = K - 1."""
-    return [tape.C[k] + tape.mu(k) / tape.rho[k] for k in range(count)]
+    a reference tape; the K - 1 layers that shrink for count = K - 1. The
+    package tape's mu is flat, or the scalar 0."""
+    return [(C.reshape(-1) + np.reshape(tape.mu(k), -1) / tape.rho[k]).reshape(C.shape)
+            for k, C in enumerate(tape.C[:count])]
+
+
+def apply_B(params, V: np.ndarray) -> np.ndarray:
+    """B V = (V - H0^T (M (H0 V))) / rho0 as one whole-array expression; the
+    unfolded passes form it a segment at a time from ``params.project``
+    and must match it bit for bit."""
+    BV = params.project(V)
+    np.subtract(V, BV, out=BV)
+    BV /= params.rho0
+    return BV
+
+
+def structure_loss_reference(C: np.ndarray, lap):
+    """The structure loss from one whole sparse product C L: value
+    2 sum((C L) * C) and gradient 4 C L. ``graph.structure_loss``, which
+    works one segment at a time, must match it bit for bit."""
+    CL = C @ lap
+    return 2.0 * float(np.sum(np.multiply(CL, C))), np.multiply(CL, 4.0)
 
 
 class SymmetricOperator:

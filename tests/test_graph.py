@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from unfold_ssc import graph
+from unfold_ssc import classic, graph
 from _oracles import (fd_gradient, knn_adjacency_brute, knn_adjacency_reference,
                       pairwise_sq_dists_reference, peak_nn_arrays, rel_err,
-                      structure_loss_pairwise)
+                      structure_loss_pairwise, structure_loss_reference)
 
 
 # ------------------------------------------------------------- adjacency
@@ -274,6 +274,58 @@ def test_out_buffer_bit_identical(over_C):
     assert grad_out is out
     assert value_out == value
     assert np.array_equal(grad_out, grad)
+
+
+def structure_instance(n, seed=0):
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((n, n))
+    lap = graph.laplacian(graph.knn_adjacency(rng.standard_normal((4, n)), 10))
+    return C, lap
+
+
+@pytest.mark.parametrize("n", [181, 400, 1000])
+@pytest.mark.parametrize("over_C", [False, True])
+def test_bit_identical_to_the_whole_product_reference(n, over_C):
+    """Against one whole sparse product C L, the value and the gradient,
+    into a new array or over C, are bit-identical: the segments are one
+    (n = 181), eight that end at row ends (n = 400) and 32, most ending
+    mid-row (n = 1000)."""
+    C, lap = structure_instance(n)
+    want_value, want_grad = structure_loss_reference(C, lap)
+    value, grad = graph.structure_loss(C, lap, out=C if over_C else None)
+    assert (grad is C) == over_C
+    assert value == want_value
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_segments_within_one_row_bit_identical(monkeypatch):
+    """With segments of at most 128 entries, rows of 200 span two or
+    more segments, so a row's C L is carried across several seams while its
+    head in ``out`` is already written over C; the value and gradient keep
+    the reference bits."""
+    monkeypatch.setattr(classic, "SEGMENT", 128)
+    C, lap = structure_instance(200, seed=3)
+    want_value, want_grad = structure_loss_reference(C, lap)
+    value, grad = graph.structure_loss(C, lap, out=C)
+    assert value == want_value
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_structure_loss_working_set():
+    """Peak memory allocated by one structure loss written over C at
+    n = 1000, in n x n arrays. Measured at 0.16: one segment's product
+    buffer, its rows of C L (also as a copy with the carried row in front)
+    and scipy's copies of those rows for the dense-by-sparse product. As
+    one whole product C L, with (C L) * C in ``out``, it peaked at 2.0."""
+    C, lap = structure_instance(1000)
+    assert peak_nn_arrays(lambda: graph.structure_loss(C, lap, out=C), 1000) <= 0.6
+
+
+def test_out_must_be_a_c_contiguous_array_of_the_shape():
+    C, lap = structure_instance(30)
+    for bad in (np.empty((30, 30), order="F"), np.empty((30, 31))):
+        with pytest.raises(ValueError, match="out"):
+            graph.structure_loss(C, lap, out=bad)
 
 
 def test_gradient_matches_finite_differences():

@@ -5,9 +5,10 @@ import pytest
 from scipy import sparse
 
 from unfold_ssc import classic, cli, graph, train, unfold
-from _oracles import (SymmetricOperator, dense_B_reference, fd_gradient, peak_nn_arrays,
-                      precompute_reference, rel_err, rel_frobenius, relu_soft_threshold,
-                      shrinkage_inputs, unfold_backward_reference, unfold_forward_reference)
+from _oracles import (SymmetricOperator, apply_B, dense_B_reference, fd_gradient,
+                      peak_nn_arrays, precompute_reference, rel_err, rel_frobenius,
+                      relu_soft_threshold, shrinkage_inputs, unfold_backward_reference,
+                      unfold_forward_reference)
 
 
 def unit_columns(rng, l, n):
@@ -53,7 +54,7 @@ def test_init_identity_example():
     layer but the top starts from threshold 0.005, and the top has none."""
     params = unfold.init_params(np.eye(2), 1.0, 3, 0.005)
     V = np.random.default_rng(3).standard_normal((2, 2))
-    assert np.allclose(params.apply_B(V), V / 3.0, atol=1e-14)
+    assert np.allclose(apply_B(params, V), V / 3.0, atol=1e-14)
     for k in range(3):
         layer = params.layers[k]
         assert np.allclose(layer.W, 2.0 / 3.0 * np.eye(2), atol=1e-14)
@@ -77,7 +78,7 @@ def test_init_matches_classic_solver_matrices(l, n, duplicates):
     for rho0 in (0.37, 1.0, 4.0):
         params = unfold.init_params(Ht, rho0, 2, 0.005)
         W_ref, B_ref = precompute_reference(Ht, rho0)
-        B = params.apply_B(np.eye(n))
+        B = apply_B(params, np.eye(n))
         for layer in params.layers:
             assert np.linalg.norm(layer.W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
         assert np.linalg.norm(B - B_ref) <= 1e-12 * np.linalg.norm(B_ref)
@@ -134,7 +135,7 @@ def test_forward_accepts_knn_z_init():
     C, tape = unfold.forward(params, Ht, z0)
     assert np.all(np.diagonal(C) == 0.0)
     for k in range(2):
-        assert np.all(np.diagonal(tape.Z(k)) == 0.0)
+        assert np.all(np.diagonal(tape.Z(k).reshape(n, n)) == 0.0)
 
 
 def test_forward_rejects_nonzero_z_diagonal():
@@ -265,6 +266,11 @@ def perturbed_instance(seed, K, with_z0, n=20, l=6):
     return params, Ht, z0, G
 
 
+def as_square(x, n):
+    """A flat n x n array, or the scalar 0, from the package tape as n x n."""
+    return np.broadcast_to(x, n * n).reshape(n, n)
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("with_z0", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -273,12 +279,30 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
     and the dense form of Z0, every value is bit-identical; against the
     same passes on the dense n x n B from its own solve, every value is
     within 1e-12 relative. From K = 4 on, a stored dual mu_2 sits next to
-    the recomputed mu_1."""
-    params, Ht, z0, G = perturbed_instance(seed, K, with_z0)
+    the recomputed mu_1. At n = 20 every elementwise pass is one segment."""
+    assert len(classic.pairwise_segments(20 * 20)) == 1
+    check_against_reference(K, with_z0, seed, 20)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("with_z0", [False, True])
+def test_multi_segment_passes_bit_identical_to_reference(K, with_z0):
+    """As above at n = 300, where every elementwise pass runs in four
+    segments, two of whose seams fall mid-row, between diagonal entries,
+    and the gradients combine four partial sums. Only the bit-identity half
+    runs: the dense-B tolerance is for n = 20, since at n = 300 the rho
+    gradients sum 90,000 terms that cancel to about 1e-11 relative."""
+    segments = classic.pairwise_segments(300 * 300)
+    assert len(segments) == 4 and any(stop % 300 for _, stop in segments[:-1])
+    check_against_reference(K, with_z0, 0, 300)
+
+
+def check_against_reference(K, with_z0, seed, n):
+    """The two tests above; the dense-B half only at n = 20."""
+    params, Ht, z0, G = perturbed_instance(seed, K, with_z0, n)
     z0_dense = sparse.csr_array(z0).toarray()
-    n = Ht.shape[1]
     C, tape = unfold.forward(params, Ht, z0)
-    B_same = SymmetricOperator(params.apply_B)
+    B_same = SymmetricOperator(lambda V: apply_B(params, V))
     C_ref, tape_ref = unfold_forward_reference(params, B_same, Ht, z0_dense)
     assert np.array_equal(C, C_ref)
     assert tape.Z0.format == "csr"
@@ -297,16 +321,16 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
         assert all(isinstance(mu, np.ndarray) for mu in tape.mu_in[2:])
     for k in range(K - 1):
         assert np.array_equal(tape.C[k], tape_ref.C[k]), k
-        assert np.array_equal(np.broadcast_to(tape.mu(k), (n, n)), tape_ref.mu_in[k]), k
+        assert np.array_equal(as_square(tape.mu(k), n), tape_ref.mu_in[k]), k
     T, T_ref = shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_ref, K - 1)
     assert len(T) == len(T_ref) == len(tape_ref.Z_out) == K - 1
     for a, b in zip(T, T_ref):
         assert np.array_equal(a, b)
     for k in range(K - 1):
-        assert np.array_equal(tape.Z(k), tape_ref.Z_out[k]), k
+        assert np.array_equal(tape.Z(k).reshape(n, n), tape_ref.Z_out[k]), k
     if K > 1:
         # Both shrinkage sides occur, so the masked branch is exercised.
-        assert 0 < np.count_nonzero(tape_ref.Z_out[0]) < Ht.shape[1] * (Ht.shape[1] - 1)
+        assert 0 < np.count_nonzero(tape_ref.Z_out[0]) < n * (n - 1)
 
     grads, gHt = unfold.backward(params, tape, G.copy())
     grads_ref, gHt_ref = unfold_backward_reference(params, B_same, tape_ref, G)
@@ -316,16 +340,18 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
         assert np.array_equal(grads[name], want), name
     assert np.array_equal(gHt, gHt_ref)
 
+    if n > 20:
+        return
     B_dense = dense_B_reference(params)
     C_dense, tape_dense = unfold_forward_reference(params, B_dense, Ht, z0_dense)
     assert rel_frobenius(C, C_dense) <= 1e-12
     for k in range(K - 1):
         assert rel_frobenius(tape.C[k], tape_dense.C[k]) <= 1e-12, k
-        assert rel_frobenius(np.broadcast_to(tape.mu(k), (n, n)), tape_dense.mu_in[k]) <= 1e-12, k
+        assert rel_frobenius(as_square(tape.mu(k), n), tape_dense.mu_in[k]) <= 1e-12, k
     for a, b in zip(shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_dense, K - 1)):
         assert rel_frobenius(a, b) <= 1e-12
     for k in range(K - 1):
-        assert rel_frobenius(tape.Z(k), tape_dense.Z_out[k]) <= 1e-12, k
+        assert rel_frobenius(tape.Z(k).reshape(n, n), tape_dense.Z_out[k]) <= 1e-12, k
     grads_dense, gHt_dense = unfold_backward_reference(params, B_dense, tape_dense, G)
     for name, want in grads_dense.items():
         assert rel_frobenius(grads[name], want) <= 1e-12, name
@@ -349,51 +375,92 @@ def test_backward_out_buffers_receive_the_allocating_call_bits(K):
     assert gHt.tobytes() == gHt_fresh.tobytes()
 
 
-def working_set_instance():
-    n, K = 300, 3
+@pytest.mark.parametrize("K", [1, 2, 4])
+def test_segment_size_does_not_change_a_bit(monkeypatch, K):
+    """With segments of at most 128 entries, the smallest block np.sum
+    splits, the 45 x 45 passes run in segments shorter than three rows, so
+    seams fall at every offset from the diagonal; every output, tape array
+    and gradient keeps the bits of the default segment size."""
+    params, Ht, z0, G = perturbed_instance(3, K, True, n=45)
+    C, tape = unfold.forward(params, Ht, z0)
+    grads, gHt = unfold.backward(params, tape, G.copy())
+    monkeypatch.setattr(classic, "SEGMENT", 128)
+    assert len(classic.pairwise_segments(45 * 45)) >= 16
+    C_small, tape_small = unfold.forward(params, Ht, z0)
+    grads_small, gHt_small = unfold.backward(params, tape_small, G.copy())
+    assert C_small.tobytes() == C.tobytes()
+    for a, b in zip(tape_small.C + tape_small.mu_in, tape.C + tape.mu_in, strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    for name, g in grads.items():
+        assert grads_small[name].tobytes() == g.tobytes(), name
+    assert gHt_small.tobytes() == gHt.tobytes()
+
+
+def working_set_instance(n):
     rng = np.random.default_rng(11)
     Ht = unit_columns(rng, 32, n)
     z0 = graph.knn_adjacency(rng.standard_normal((4, n)), 10)
-    params = unfold.init_params(Ht, 0.5, K, 0.005)
+    params = unfold.init_params(Ht, 0.5, 3, 0.005)
     G = rng.standard_normal((n, n))
     return params, Ht, z0, G
 
 
-def test_forward_working_set():
-    """Peak memory allocated by one forward pass, in n x n arrays.
-
-    Measured at 6.0 for K = 3: the C of the two layers that shrink, the
-    two scratch arrays for V and B V, and the duals mu_1 and mu_2 while the
-    second is formed; mu_1 is not stored, and mu_2 is dropped before the
-    top layer's C takes its place. Storing the top layer's C and dual as
-    well and returning a copy of C peaks at 7.2; allocating V, B V and the
-    shrinkage temporaries afresh per layer on top of that, at 8.1.
-    """
-    params, Ht, z0, _ = working_set_instance()
-    assert peak_nn_arrays(lambda: unfold.forward(params, Ht, z0), Ht.shape[1]) <= 6.5
+def forward_peak(n):
+    params, Ht, z0, _ = working_set_instance(n)
+    return peak_nn_arrays(lambda: unfold.forward(params, Ht, z0), n)
 
 
-def test_forward_and_backward_working_set():
-    """Peak memory allocated by one forward plus backward, in n x n arrays.
-
-    Measured at 7.6 for K = 3: the returned C, the 2K - 4 tape arrays, and
-    a backward on four buffers (gmu, gZ that first holds B gC, the
-    recomputed Z and one scratch) that works in the caller's output
-    gradient, which also holds the recomputed mu_1 between its uses as a
-    gradient. With mu_1 stored in the tape it peaked at 8.6; with a tape of
-    every layer's C and dual, a copied output gradient and fresh per-layer
-    backward temporaries at 11.3; with fresh forward temporaries and the
-    relu-and-sign shrinkage besides at 12.2, with a learned dense B per
-    layer at 13.3, and with a tape that also stores every layer's Z and an
-    n x n mu_0 at 19.4.
-    """
-    params, Ht, z0, G = working_set_instance()
+def forward_and_backward_peak(n):
+    params, Ht, z0, G = working_set_instance(n)
 
     def forward_and_backward():
         _, tape = unfold.forward(params, Ht, z0)
         unfold.backward(params, tape, G)
 
-    assert peak_nn_arrays(forward_and_backward, Ht.shape[1]) <= 8.2
+    return peak_nn_arrays(forward_and_backward, n)
+
+
+def test_forward_working_set():
+    """Peak memory allocated by one forward pass at n = 300, in n x n
+    arrays.
+
+    Measured at 5.47 for K = 3: the C of every layer, V and project(V),
+    and mu_1 until layer 1's pass ends, plus a segment buffer for Z (0.25
+    of an n x n array) and the l x n products. The top layer's dual never
+    exists whole. With mu_1 and mu_2 as separate arrays, a stored top dual
+    and the elementwise chains on whole arrays it peaked at 6.0; storing
+    the top layer's C and dual as well and returning a copy of C, at 7.2;
+    allocating V, B V and the shrinkage temporaries afresh per layer on
+    top of that, at 8.1.
+    """
+    assert forward_peak(300) <= 6.0
+
+
+def test_forward_and_backward_working_set():
+    """Peak memory allocated by one forward plus backward at n = 300, in
+    n x n arrays.
+
+    Measured at 6.44 for K = 3: the returned C, the 2K - 4 tape arrays,
+    and a backward on two buffers, gmu and project(gC), that works in the
+    caller's output gradient, plus three segment buffers for Z, mu_1 and a
+    scratch (0.75 of an n x n array together). With the backward's Z, mu_1
+    and scratch as n x n buffers it peaked at 7.65; with mu_1 stored in the
+    tape, at 8.6; with a tape of every layer's C and dual, a copied output
+    gradient and fresh per-layer backward temporaries, at 11.3; with fresh
+    forward temporaries and the relu-and-sign shrinkage besides at 12.2,
+    with a learned dense B per layer at 13.3, and with a tape that also
+    stores every layer's Z and an n x n mu_0 at 19.4.
+    """
+    assert forward_and_backward_peak(300) <= 6.9
+
+
+def test_working_sets_at_n_1000():
+    """The two working sets above at n = 1000, where the segment buffers
+    are about 0.1 of an n x n array together. Measured at 5.10 for the
+    forward and 5.29 for forward plus backward; with n x n buffers in
+    place of segments they peaked at 6.0 and 7.22."""
+    assert forward_peak(1000) <= 5.6
+    assert forward_and_backward_peak(1000) <= 5.8
 
 
 @pytest.mark.parametrize("K", [1, 3])
