@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse
 
-from unfold_ssc import autoenc, graph, unfold
+from unfold_ssc import autoenc, classic, graph, unfold
 from unfold_ssc.errors import NumericalError
 
 if TYPE_CHECKING:
@@ -49,15 +49,17 @@ class AdamState:
 
 @dataclass
 class TrainState:
-    """Learned arrays, their Adam moments, the frozen graphs, and one
-    gradient buffer per learned array (``grads``, keyed like
-    ``named_arrays``) that every epoch of both phases writes into."""
+    """Learned arrays, their Adam moments, the frozen graphs and the latent
+    codes (n x latent rows) they were built from, and one gradient buffer
+    per learned array (``grads``, keyed like ``named_arrays``) that every
+    epoch of both phases writes into."""
 
     ae: autoenc.AeWeights
     unfold: unfold.UnfoldParams | None = None
     opt: AdamState = field(default_factory=AdamState)
     z0: sparse.csr_array | None = None
     lap: sparse.csr_array | None = None
+    codes: np.ndarray | None = None
     grads: dict = field(default_factory=dict)
 
     def named_arrays(self):
@@ -84,11 +86,12 @@ def _prefixed(grads: dict | None, prefix: str) -> dict | None:
     return {name[len(prefix):]: g for name, g in grads.items() if name.startswith(prefix)}
 
 
-def loss_sr(Htilde: np.ndarray, C: np.ndarray):
+def loss_sr(Htilde: np.ndarray, C: np.ndarray, out=None):
     """Self-representation fit: mean unsquared column norm of H~ - H~ C.
 
-    Returns (value, grad_Htilde, grad_C). Columns with an exactly zero
-    residual contribute a zero subgradient.
+    Returns (value, grad_Htilde, grad_C), grad_C written into ``out`` (a
+    new array when omitted). Columns with an exactly zero residual
+    contribute a zero subgradient.
     """
     n = Htilde.shape[1]
     R = Htilde - Htilde @ C
@@ -96,19 +99,40 @@ def loss_sr(Htilde: np.ndarray, C: np.ndarray):
     value = float(norms.sum()) / n
     safe = np.where(norms > 0, norms, 1.0)
     GR = np.where(norms > 0, R / safe, 0.0) / n
-    grad_C = -Htilde.T @ GR
+    grad_C = np.matmul(-Htilde.T, GR, out=out)
     grad_Ht = GR - GR @ C.T
     return value, grad_Ht, grad_C
 
 
-def loss_sp(C: np.ndarray):
-    """Mean-per-sample L1 mass of the coefficients; subgradient 0 at zeros."""
+def loss_sp(C: np.ndarray, weight: float = 1.0, add_to=None):
+    """Mean-per-sample L1 mass of the coefficients; subgradient 0 at zeros.
+
+    Returns (value, grad) with grad = weight sign(C) / n, formed as
+    sign(C), / n, * weight. Given ``add_to``, a C-contiguous array of C's
+    shape, the gradient is added into it, which is returned as grad; else
+    it is a new array. The work runs one segment of
+    ``classic.pairwise_segments`` at a time, through one segment buffer
+    when adding, and the value has the bits of one ``np.sum`` of |C|.
+    """
+    C = np.ascontiguousarray(C, dtype=np.float64)
     n = C.shape[1]
-    grad = np.abs(C)
-    value = float(grad.sum()) / n
-    np.sign(C, out=grad)
-    grad /= n
-    return value, grad
+    grad = np.empty(C.shape) if add_to is None else add_to
+    if grad.shape != C.shape or not grad.flags.c_contiguous:
+        raise ValueError(f"add_to must be a C-contiguous {C.shape} array")
+    segments = classic.pairwise_segments(C.size)
+    buf = None if add_to is None else np.empty(max(stop - start for start, stop in segments))
+    C_flat, grad_flat = C.reshape(-1), grad.reshape(-1)
+    partials = []
+    for start, stop in segments:
+        c, g = C_flat[start:stop], grad_flat[start:stop]
+        s = g if buf is None else buf[:stop - start]
+        partials.append(np.sum(np.abs(c, out=s)))
+        np.sign(c, out=s)
+        s /= n
+        s *= weight
+        if buf is not None:
+            g += s
+    return classic.tree_sum(partials, C.size) / n, grad
 
 
 def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
@@ -122,6 +146,12 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     differentiated by hand: reconstruction through the decoder, and the
     three coefficient losses back through the unfolded network, the latent
     normalization, and the encoder.
+
+    The decoder's backward runs first, so that its arrays are freed before
+    the unfolded forward allocates its 2 + (2K - 4) n x n arrays for
+    K >= 3. The coefficient losses and the backward work in those same
+    arrays: gC in the tape's ``spare``, the structure gradient over C, and
+    project(gC) over C once gC is formed. None of them outlives the call.
     """
     if state.unfold is None:
         raise ValueError("unfolded network is not initialized; run train_joint")
@@ -136,23 +166,23 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     Ht = autoenc.normalize_latent(tape_ae.H)
     C, tape_u = unfold.forward(state.unfold, Ht, state.z0)
 
-    # gC = alpha gC_sr + beta gC_sp + gamma gC_st, summed in place in that order;
-    # gC_st reuses C once the losses have read it. Only gC and the tape reach the backward.
+    # gC = alpha gC_sr + beta gC_sp + gamma gC_st, summed in place in that
+    # order in the tape's spare array; gC_st is written over C once the
+    # losses have read it, and the backward then works in C's array.
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
-    v_sr, gHt_sr, gC = loss_sr(Ht, C)
+    v_sr, gHt_sr, gC = loss_sr(Ht, C, out=tape_u.spare)
     gC *= alpha
-    v_sp, gC_sp = loss_sp(C)
-    gC += np.multiply(gC_sp, beta, out=gC_sp)
-    del gC_sp
+    v_sp, _ = loss_sp(C, beta, add_to=gC)
     v_st, gC_st = graph.structure_loss(C, state.lap, out=C)
     gC += np.multiply(gC_st, gamma, out=gC_st)
-    del C, gC_st
+    del gC_st
     breakdown = LossBreakdown(
         total=v_ae + alpha * v_sr + beta * v_sp + gamma * v_st,
         ae=v_ae, sr=v_sr, sp=v_sp, st=v_st,
     )
-    ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC, _prefixed(out, "unfold."))
-    del tape_u, gC
+    ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC, _prefixed(out, "unfold."),
+                                         scratch=C)
+    del tape_u, gC, C
     gHt = alpha * gHt_sr + gHt_unfold
     gH = autoenc.normalize_latent_backward(tape_ae.H, gHt)
     ae_grads.update(autoenc.encoder_backward(state.ae, tape_ae, gH.T + gcode, ae_out))
@@ -233,7 +263,9 @@ def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     gradients into ``state.grads``, then builds the ``config.knn_init``-neighbor
     Z seed and the ``config.knn_struct``-neighbor structure Laplacian from
     the resulting latent codes, raising ``NumericalError`` if any of them is
-    non-finite. Returns the per-epoch reconstruction loss history.
+    non-finite; the codes stay in ``state.codes`` until ``train_joint``
+    initializes the unfolded network from them.
+    Returns the per-epoch reconstruction loss history.
     """
     ae_named = list((f"ae.{k}", a) for k, a in state.ae.named_arrays())
     _reset_moments(state.opt, ae_named)
@@ -261,6 +293,7 @@ def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
         )
     state.z0, adj = graph.knn_adjacency(H.T, config.knn_init, config.knn_struct)
     state.lap = graph.laplacian(adj)
+    state.codes = H
     return history
 
 
@@ -268,15 +301,20 @@ def train_joint(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     """Phase two: composite-loss training of autoencoder plus unfolded network.
 
     The ``config.admm_layers``-layer unfolded network is initialized
-    analytically from the current normalized latents, ``config.rho0`` and
-    ``config.threshold0``; Adam moments restart for the new parameter set,
-    and ``state.grads`` gains a buffer for each unfolded parameter.
-    Runs ``config.joint_epochs`` full-batch steps.
-    Returns the loss-breakdown history (list of LossBreakdown).
+    analytically from the normalized latent codes the graphs were built
+    from, ``config.rho0`` and ``config.threshold0``. The codes are read
+    once and dropped from ``state``, so a second call, whose autoencoder
+    has moved on, raises ValueError as one before ``pretrain`` does. Adam
+    moments restart for the new parameter set, and ``state.grads`` gains a
+    buffer for each unfolded parameter. Runs ``config.joint_epochs``
+    full-batch steps, each through ``total_loss``, whose n x n arrays are
+    freed when it returns. Returns the loss-breakdown history (list of
+    LossBreakdown).
     """
-    if state.z0 is None or state.lap is None:
-        raise ValueError("graphs are not frozen yet; run pretrain first")
-    Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
+    if state.z0 is None or state.lap is None or state.codes is None:
+        raise ValueError("no graphs or latent codes from pretrain; run pretrain first")
+    H, state.codes = state.codes, None
+    Ht = autoenc.normalize_latent(H)
     state.unfold = unfold.init_params(Ht, config.rho0, config.admm_layers, config.threshold0)
     state.grads.update((f"unfold.{name}", np.empty_like(arr))
                        for name, arr in state.unfold.named_arrays())

@@ -21,8 +21,11 @@ computation's bits without a dense Z0.
 Gradients are hand-written reverse mode over a forward tape; no autodiff
 framework is involved. The tape keeps only what the backward reads: Z0 and
 the C and dual input mu of the K - 1 layers that shrink, less the first
-two duals (the scalar 0, and mu_1, which the backward recomputes), so
-2K - 4 new n x n arrays for K >= 3, one for K = 2 and none for K = 1.
+two duals (the scalar 0, and mu_1, which both passes recompute), so
+2K - 4 n x n arrays for K >= 3, one for K = 2 and none for K = 1. The
+forward holds two more, V, which becomes the returned C, and project(V),
+kept as the tape's ``spare``: 2 + (2K - 4) n x n arrays for K >= 3, in
+which the losses and the backward then work too.
 
 Every matrix product runs on whole n x n arrays. Everything between two
 products, elementwise chains and the sums that reduce them, runs one flat
@@ -120,6 +123,12 @@ def _scatter(positions: np.ndarray, values: np.ndarray, start: int, out: np.ndar
     return out
 
 
+def _writable_square(arr, n: int) -> bool:
+    """Whether ``arr`` is an n x n float64 array a pass can write into."""
+    return (getattr(arr, "dtype", None) == np.float64 and np.shape(arr) == (n, n)
+            and arr.flags.writeable and arr.flags.c_contiguous)
+
+
 @dataclass
 class ForwardTape:
     """What the backward pass reads from one forward evaluation.
@@ -128,10 +137,15 @@ class ForwardTape:
     it keeps rho_k, theta_k, the pre-shrinkage ``C[k]`` and the dual input
     ``mu_in[k]``, except that ``mu_in[0]`` is the scalar 0 and ``mu_in[1]``
     is None: ``mu(1)`` recomputes it bit for bit from C_0. That is 2K - 4
-    new n x n arrays for K >= 3, one for K = 2 and none for K = 1. ``Z(k)``
+    n x n arrays for K >= 3, one for K = 2 and none for K = 1. ``Z(k)``
     recomputes Z_k bit for bit. Both work on any range of flat entries, so
     the forward and backward passes call them one segment at a time.
-    ``Z0`` is the seed as a CSR array.
+    ``Z0`` is the seed as a CSR array. ``spare`` is an n x n array that
+    nothing reads once the forward returns, for the caller to write over.
+
+    ``backward`` writes over ``C[K - 2]`` and marks the tape ``consumed``:
+    from then on ``mu``, ``Z`` and another ``backward`` raise ValueError
+    rather than read it.
     """
 
     Htilde: np.ndarray
@@ -140,6 +154,8 @@ class ForwardTape:
     theta: list = field(default_factory=list)
     mu_in: list = field(default_factory=list)
     C: list = field(default_factory=list)
+    spare: np.ndarray | None = None
+    consumed: bool = False
 
     def mu(self, k: int, start: int = 0, stop: int | None = None, out=None, scratch=None):
         """Layer k's dual input on the flat entries [start, stop) (to the end
@@ -148,12 +164,8 @@ class ForwardTape:
         ``out`` (a new array when omitted), with Z_0's shrinkage clip in
         ``scratch``. The + 0, the forward's scalar mu_0, turns -0 into +0 as
         the forward's sum did."""
-        mu = self.mu_in[k]
-        if mu is not None:
-            return mu if np.ndim(mu) == 0 else mu.reshape(-1)[start:stop]
-        Z = self.Z(0, start, stop, out=out, scratch=scratch)
-        C = self.C[0].reshape(-1)[start:stop]
-        return np.add(np.multiply(np.subtract(C, Z, out=Z), self.rho[0], out=Z), 0.0, out=Z)
+        self._check()
+        return self._mu(k, start, stop, out, scratch)
 
     def Z(self, k: int, start: int = 0, stop: int | None = None, out=None, scratch=None,
           mu=None) -> np.ndarray:
@@ -164,9 +176,26 @@ class ForwardTape:
         into ``scratch``; both are new arrays when omitted. ``mu`` is the
         dual input on the same entries, ``mu(k, start, stop)`` when omitted.
         """
+        self._check()
+        return self._Z(k, start, stop, out, scratch, mu)
+
+    def _check(self):
+        if self.consumed:
+            raise ValueError("the tape was consumed by backward, which writes over it; "
+                             "run forward again")
+
+    def _mu(self, k, start=0, stop=None, out=None, scratch=None):
+        mu = self.mu_in[k]
+        if mu is not None:
+            return mu if np.ndim(mu) == 0 else mu.reshape(-1)[start:stop]
+        Z = self._Z(0, start, stop, out=out, scratch=scratch)
+        C = self.C[0].reshape(-1)[start:stop]
+        return np.add(np.multiply(np.subtract(C, Z, out=Z), self.rho[0], out=Z), 0.0, out=Z)
+
+    def _Z(self, k, start=0, stop=None, out=None, scratch=None, mu=None):
         C = self.C[k].reshape(-1)[start:stop]
         if mu is None:
-            mu = self.mu(k, start, stop)
+            mu = self._mu(k, start, stop)
         Z = np.divide(mu, self.rho[k], out=np.empty_like(C) if out is None else out)
         np.add(C, Z, out=Z)
         theta = self.theta[k]
@@ -210,14 +239,15 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
 
     Z0, dense or sparse, is converted to a CSR array (canonical, with
     duplicate entries summed), and layer 0's V = 0 - rho_0 Z0 is scattered
-    into a zero-filled buffer. Each layer's C is a new array, and the lower
-    layers' go into the tape. V and project(V) are n x n arrays allocated
-    once per call. After a layer's products, one segment pass finishes its
-    C and, below the top, its Z, the next dual and the next layer's V
-    (written over V), with Z in a segment buffer. The next dual is a new
-    array when the tape stores it; mu_2 is written over mu_1, which the
-    tape does not store, and the top layer's dual exists one segment at a
-    time only.
+    into a zero-filled buffer. The pass allocates 2 + (2K - 4) n x n
+    arrays for K >= 3: the 2K - 4 the tape stores and two working arrays,
+    V and project(V). Below the top, each layer's C goes into the tape,
+    and after the layer's products one segment pass finishes C, Z (in a
+    segment buffer), the next dual (stored from mu_2 up, else a segment at
+    a time) and the next layer's V, written over V. mu_1 is recomputed
+    there a segment at a time, into V's segment once it is read. The top
+    layer finishes B V in project(V), the tape's ``spare``, then writes
+    W H~ over V and subtracts: V is the returned C.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
@@ -229,45 +259,46 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
         Z0.sum_duplicates()
     if np.any(Z0.diagonal() != 0):
         raise ValueError("Z0 must have a zero diagonal")
-    tape = ForwardTape(Htilde=Htilde, Z0=Z0)
-    segments = classic.pairwise_segments(n * n)
-    V, P = np.empty((n, n)), np.empty((n, n))
-    V_flat, P_flat = V.reshape(-1), P.reshape(-1)
-    Z_buf = np.empty(max(stop - start for start, stop in segments))
     top = params.n_layers - 1
+    V, P = np.empty((n, n)), np.empty((n, n))
+    tape = ForwardTape(Htilde, Z0, C=[np.empty((n, n)) for _ in range(top)],
+                       mu_in=[0.0, None][:top] + [np.empty((n, n)) for _ in range(2, top)],
+                       spare=P)
+    V_flat, P_flat = V.reshape(-1), P.reshape(-1)
+    segments = classic.pairwise_segments(n * n)
+    Z_buf = np.empty(max(stop - start for start, stop in segments))
     rho = params.layers[0].rho
     _scatter(_positions(Z0), np.subtract(0.0, np.multiply(Z0.data, rho)), 0, V_flat)
-    mu = 0.0
     for k, layer in enumerate(params.layers):
-        C = layer.W @ Htilde
         params.project(V, out=P)
+        if k == top:
+            for start, stop in segments:  # B V into P
+                p = P_flat[start:stop]
+                np.divide(np.subtract(V_flat[start:stop], p, out=p), params.rho0, out=p)
+            C = np.matmul(layer.W, Htilde, out=V)  # V is read no more
+            C -= P
+            np.fill_diagonal(C, 0.0)
+            return C, tape
+        C = np.matmul(layer.W, Htilde, out=tape.C[k])
+        tape.rho.append(rho)
+        tape.theta.append(layer.theta)
+        rho_next = params.layers[k + 1].rho
+        # The next dual is stored from mu_2 on, but never the top layer's.
+        mu_next = tape.mu_in[k + 1] if k + 1 < top else None
         C_flat = C.reshape(-1)
-        if k < top:
-            tape.rho.append(rho)
-            tape.theta.append(layer.theta)
-            tape.mu_in.append(None if k == 1 else mu)
-            tape.C.append(C)
-            rho_next = params.layers[k + 1].rho
-            # The next dual: never stored at the top, else over mu_1 or new.
-            mu_next = None if k + 1 == top else mu if k == 1 else np.empty((n, n))
         for start, stop in segments:
             v, p, c = V_flat[start:stop], P_flat[start:stop], C_flat[start:stop]
             c -= np.divide(np.subtract(v, p, out=p), params.rho0, out=p)  # C = W H~ - B V
-            if k == top:
-                c[_diagonal(n, start, stop)] = 0.0
-                continue
-            m = mu if k == 0 else mu.reshape(-1)[start:stop]
+            m = tape.mu(k, start, stop, out=v, scratch=p)  # mu_1 over V, read above
             Z = tape.Z(k, start, stop, out=Z_buf[:stop - start], scratch=p, mu=m)
             dual = p if mu_next is None else mu_next.reshape(-1)[start:stop]
             np.add(np.multiply(np.subtract(c, Z, out=p), rho, out=p), m, out=dual)
             np.subtract(dual, np.multiply(Z, rho_next, out=v), out=v)
-        if k < top:
-            # The segment views would keep a dual that is read no more alive.
-            mu, rho, m, dual = mu_next, rho_next, None, None
-    return C, tape
+        rho = rho_next
 
 
-def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=None):
+def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=None,
+             scratch=None):
     """Reverse-mode pass through the whole unfolded network.
 
     ``grad_C``, the loss gradient with respect to the returned (diagonal-
@@ -279,28 +310,37 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
     when given, else into a new array. Subgradients at the shrinkage kinks
     are taken as zero; the top layer, which does not shrink, has no theta.
 
-    The tape is only read. Besides gC the pass holds two n x n buffers:
-    gmu, and project(gC), which a segment at a time becomes B gC and the
-    gradient of the layer below's Z. After each layer's products one
-    segment pass recomputes the layer below's mu and Z, and forms its gC,
-    the next gmu and every sum its rho and theta gradients read; layer 0's
-    rho gradient scatters Z0 one segment at a time.
+    The pass consumes the tape (see ``ForwardTape``): gmu is written over
+    the tape's C_{K-2}, each segment once it is read for the last time.
+    Besides gC and the tape it holds one n x n array, ``scratch`` (new when
+    omitted; it may be the returned C or the tape's ``spare``, but neither
+    grad_C nor an array the tape stores, else ValueError), into which
+    project(gC) goes and a segment at a time becomes B gC and the gradient
+    of the layer below's Z. After each layer's products one segment pass
+    recomputes the layer below's mu (into gC's segment, which it overwrites
+    last) and Z, and forms its gC, the next gmu and every sum its rho and
+    theta gradients read; layer 0's rho gradient scatters Z0 one segment at
+    a time.
     """
     Ht, grads, gC = tape.Htilde, {}, grad_C
     n = Ht.shape[1]
-    if (getattr(gC, "dtype", None) != np.float64 or np.shape(gC) != (n, n)
-            or not gC.flags.writeable or not gC.flags.c_contiguous):
+    if not _writable_square(gC, n):
         raise ValueError(f"grad_C must be a writable C-contiguous float64 {n} x {n} array, "
                          "which it overwrites")
+    if scratch is not None and (not _writable_square(scratch, n) or any(
+            np.may_share_memory(scratch, a) for a in (gC, *tape.C, *tape.mu_in[2:]))):
+        raise ValueError(f"scratch must be a writable C-contiguous float64 {n} x {n} array "
+                         "apart from grad_C and the tape's arrays")
+    tape._check()
+    tape.consumed = True
     np.fill_diagonal(gC, 0.0)  # diag-zeroing is the last op
     top = params.n_layers - 1
     segments = classic.pairwise_segments(n * n)
     size = max(stop - start for start, stop in segments)
-    P = np.empty((n, n))
-    gmu = np.empty(n * n) if top > 0 else None  # flat: no read needs it n x n
+    P = np.empty((n, n)) if scratch is None else scratch
+    gmu = tape.C[top - 1].reshape(-1) if top > 0 else None  # flat: no read needs it n x n
     gC_flat, P_flat = gC.reshape(-1), P.reshape(-1)
-    Z_buf, mu_buf, scratch = np.empty(size), np.empty(size), np.empty(size)
-    zero = np.empty(size, dtype=bool)
+    Z_buf, s_buf, zero = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
 
     def put(name, value):  # a 0-d gradient, into its buffer when one was given
         if out is None:
@@ -321,7 +361,7 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
         if k == 0:
             positions, partials = _positions(tape.Z0), []
             for start, stop in segments:
-                g, b, s = gC_flat[start:stop], P_flat[start:stop], scratch[:stop - start]
+                g, b, s = gC_flat[start:stop], P_flat[start:stop], s_buf[:stop - start]
                 np.divide(np.subtract(g, b, out=b), params.rho0, out=b)  # B gC = -dL/dV
                 _scatter(positions, tape.Z0.data, start, s)
                 partials.append(np.sum(np.multiply(b, s, out=s)))
@@ -337,20 +377,21 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
         sums = {"rho": [], "gmu": [], "theta": [], "mu": []}
         for start, stop in segments:
             g, b, gm = gC_flat[start:stop], P_flat[start:stop], gmu[start:stop]
-            z, s = Z_buf[:stop - start], scratch[:stop - start]
+            z, s = Z_buf[:stop - start], s_buf[:stop - start]
             np.divide(np.subtract(g, b, out=b), params.rho0, out=b)  # B gC = -dL/dV
-            mu = tape.mu(i, start, stop, out=mu_buf[:stop - start], scratch=s)
-            Z = tape.Z(i, start, stop, out=z, scratch=s, mu=mu)
+            mu = tape._mu(i, start, stop, out=g, scratch=s)  # mu_1 over gC, read above
+            Z = tape._Z(i, start, stop, out=z, scratch=s, mu=mu)
             sums["rho"].append(np.sum(np.multiply(b, Z, out=s)))
+            # The last read of C_i's segment, which at the top layer is gmu's
+            np.subtract(C_i[start:stop], Z, out=s)
             # gmu, then gZ in b: gradients of layer k's inputs mu_k and Z_i
             if k == top:
                 np.negative(b, out=gm)
             else:
                 gm -= b
+            sums["gmu"].append(np.sum(np.multiply(gm, s, out=s)))
             b *= rho
             b -= np.multiply(rho_i, gm, out=s)
-            sums["gmu"].append(np.sum(np.multiply(gm, np.subtract(C_i[start:stop], Z, out=s),
-                                                  out=s)))
             np.copyto(b, 0.0, where=np.equal(Z, 0.0, out=zero[:stop - start]))  # gT
             sums["theta"].append(np.sum(np.multiply(b, np.sign(Z, out=s), out=s)))
             if i > 0:

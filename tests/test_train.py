@@ -3,11 +3,12 @@
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from unfold_ssc import autoenc, cli, graph, train, unfold
+from unfold_ssc import autoenc, classic, cli, graph, train, unfold
 
 from _oracles import fd_gradient, peak_arrays, peak_nn_arrays, rel_err
 
@@ -81,6 +82,28 @@ class TestLossSp:
         fd = fd_gradient(lambda: train.loss_sp(C)[0], C)
         assert rel_err(grad, fd) < 1e-6
 
+    @pytest.mark.parametrize("segment", [None, 128])
+    def test_segments_keep_the_whole_array_bits(self, monkeypatch, segment):
+        """At n = 300 the loss runs in four default segments, or in 1024 of
+        at most 128 entries; its value, its gradient and the weighted
+        gradient it adds into another array have the bits of the
+        whole-array expressions."""
+        if segment is not None:
+            monkeypatch.setattr(classic, "SEGMENT", segment)
+        rng = np.random.default_rng(4)
+        n = 300
+        assert len(classic.pairwise_segments(n * n)) == (4 if segment is None else 1024)
+        C = rng.normal(size=(n, n)) * rng.integers(0, 2, size=(n, n))
+        C[0, :3] = [0.0, -0.0, 1e-300]
+        value, grad = train.loss_sp(C)
+        assert value == float(np.abs(C).sum()) / n
+        assert grad.tobytes() == (np.sign(C) / n).tobytes()
+        base = rng.normal(size=(n, n))
+        acc = base.copy()
+        added_value, added = train.loss_sp(C, 0.3, add_to=acc)
+        assert added_value == value and added is acc
+        assert acc.tobytes() == (base + (np.sign(C) / n) * 0.3).tobytes()
+
 
 class TestTotalLoss:
     def test_zero_weights_reduce_to_reconstruction(self):
@@ -125,15 +148,17 @@ class TestTotalLoss:
 
     def test_total_loss_working_set(self):
         """Peak memory allocated by one composite loss and its gradients at
-        n = 300, K = 3, in n x n arrays. Measured at 6.67: the unfolded
-        passes' arrays and segment buffers (``test_unfold``'s working sets),
-        the structure loss's segment buffers, and the autoencoder's arrays.
-        With the backward on four n x n
+        n = 300, K = 3, in n x n arrays. Measured at 5.77: the unfolded
+        forward's 2 + (2K - 4) arrays, in which the losses and the
+        backward work too (``test_unfold``'s working sets), the segment
+        buffers, and the autoencoder's arrays. With the loss gradients and
+        the backward's gmu and project(gC) in arrays of their own and a
+        stored mu_1 it peaked at 6.67; with the backward on four n x n
         buffers, an n x n mu_1 and top dual in the forward and a structure
-        loss on whole arrays it peaked at 7.8; with a dense Z0, a stored
-        mu_1 and the decoder's backward run last, at 9.1; with the full
-        forward tape, a copied output gradient, fresh backward temporaries
-        and a fresh array per loss gradient besides, at 12.1."""
+        loss on whole arrays, at 7.8; with a dense Z0, a stored mu_1 and
+        the decoder's backward run last, at 9.1; with the full forward
+        tape, a copied output gradient, fresh backward temporaries and a
+        fresh array per loss gradient besides, at 12.1."""
         n, d = 300, 40
         rng = np.random.default_rng(11)
         X = rng.standard_normal((d, n))
@@ -142,7 +167,7 @@ class TestTotalLoss:
         state = train.init_state(d, tc)
         train.pretrain(state, X, tc)
         train.train_joint(state, X, tc)
-        assert peak_nn_arrays(lambda: train.total_loss(state, X, tc), n) <= 7.1
+        assert peak_nn_arrays(lambda: train.total_loss(state, X, tc), n) <= 6.1
 
     def test_out_buffers_receive_the_allocating_call_bits(self):
         """On a state a few joint epochs in, ``total_loss(out=...)`` writes
@@ -363,6 +388,53 @@ class TestTrainJoint:
         state = train.init_state(X.shape[0], tc)
         with pytest.raises(ValueError, match="pretrain"):
             train.train_joint(state, X, tc)
+
+    def test_latent_codes_are_computed_once_at_the_phase_boundary(self, monkeypatch):
+        """``pretrain`` encodes the data once, for the graphs, and
+        ``train_joint`` initializes the network from those same codes
+        rather than encoding again."""
+        calls = []
+        original = autoenc.encode
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(autoenc, "encode", counting)
+        X, tc = tiny_problem(seed=15, pretrain_epochs=3, joint_epochs=2, admm_layers=2,
+                             knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
+        train.pretrain(state, X, tc)
+        assert len(calls) == 1
+        assert state.codes.tobytes() == original(state.ae, X).tobytes()
+        train.train_joint(state, X, tc)
+        assert len(calls) == 1
+        # The codes are stale once the joint phase moves the autoencoder.
+        assert state.codes is None
+        with pytest.raises(ValueError, match="pretrain"):
+            train.train_joint(state, X, tc)
+
+    def test_no_epoch_keeps_the_unfolded_arrays(self, monkeypatch):
+        """Each joint epoch's n x n arrays, the forward's tape and its
+        returned C, are freed before the next epoch's forward allocates
+        its own, and nothing keeps them once ``train_joint`` returns."""
+        X, tc = tiny_problem(seed=16, pretrain_epochs=2, joint_epochs=3, admm_layers=4,
+                             knn_init=3, knn_struct=2)
+        state = train.init_state(X.shape[0], tc)
+        train.pretrain(state, X, tc)
+        seen = []  # weak references, which keep nothing alive
+        original = unfold.forward
+
+        def recording(*args):
+            assert all(ref() is None for ref in seen)
+            C, tape = original(*args)
+            seen.extend(weakref.ref(a) for a in (tape, C, tape.spare, *tape.C, *tape.mu_in[2:]))
+            return C, tape
+
+        monkeypatch.setattr(unfold, "forward", recording)
+        train.train_joint(state, X, tc)
+        assert len(seen) == 3 * (1 + 2 + (2 * 4 - 4))
+        assert all(ref() is None for ref in seen)
 
     def test_history_and_descent(self):
         X, tc = tiny_problem(

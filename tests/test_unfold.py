@@ -211,10 +211,9 @@ def test_backward_linear_in_output_grad():
     rng = np.random.default_rng(31)
     Ht = unit_columns(rng, 4, 8)
     params = unfold.init_params(Ht, 0.5, 2, 0.005)
-    C, tape = unfold.forward(params, Ht, np.zeros((8, 8)))
     G = rng.standard_normal((8, 8))
-    g1, h1 = unfold.backward(params, tape, G.copy())
-    g2, h2 = unfold.backward(params, tape, 2.0 * G)
+    g1, h1 = unfold.backward(params, unfold.forward(params, Ht, np.zeros((8, 8)))[1], G.copy())
+    g2, h2 = unfold.backward(params, unfold.forward(params, Ht, np.zeros((8, 8)))[1], 2.0 * G)
     for name in g1:
         assert np.allclose(2.0 * np.asarray(g1[name]), np.asarray(g2[name]), rtol=1e-12)
     assert np.allclose(2.0 * h1, h2, rtol=1e-12)
@@ -226,9 +225,10 @@ def test_grad_ignores_output_diagonal():
     rng = np.random.default_rng(37)
     Ht = unit_columns(rng, 4, 6)
     params = unfold.init_params(Ht, 0.5, 2, 0.005)
-    C, tape = unfold.forward(params, Ht, np.zeros((6, 6)))
     G = rng.standard_normal((6, 6))
+    _, tape = unfold.forward(params, Ht, np.zeros((6, 6)))
     g_off, _ = unfold.backward(params, tape, G * (1 - np.eye(6)))
+    _, tape = unfold.forward(params, Ht, np.zeros((6, 6)))
     g_full, _ = unfold.backward(params, tape, G.copy())
     for name in g_off:
         assert np.allclose(np.asarray(g_off[name]), np.asarray(g_full[name]), atol=1e-15)
@@ -298,7 +298,9 @@ def test_multi_segment_passes_bit_identical_to_reference(K, with_z0):
 
 
 def check_against_reference(K, with_z0, seed, n):
-    """The two tests above; the dense-B half only at n = 20."""
+    """The two tests above; the dense-B half only at n = 20. The backward
+    writes project(gC) over the returned C and gmu over the tape's top
+    stored C, as ``train.total_loss`` runs it."""
     params, Ht, z0, G = perturbed_instance(seed, K, with_z0, n)
     z0_dense = sparse.csr_array(z0).toarray()
     C, tape = unfold.forward(params, Ht, z0)
@@ -332,7 +334,20 @@ def check_against_reference(K, with_z0, seed, n):
         # Both shrinkage sides occur, so the masked branch is exercised.
         assert 0 < np.count_nonzero(tape_ref.Z_out[0]) < n * (n - 1)
 
-    grads, gHt = unfold.backward(params, tape, G.copy())
+    dense = n <= 20
+    if dense:
+        B_dense = dense_B_reference(params)
+        C_dense, tape_dense = unfold_forward_reference(params, B_dense, Ht, z0_dense)
+        assert rel_frobenius(C, C_dense) <= 1e-12
+        for k in range(K - 1):
+            assert rel_frobenius(tape.C[k], tape_dense.C[k]) <= 1e-12, k
+            assert rel_frobenius(as_square(tape.mu(k), n), tape_dense.mu_in[k]) <= 1e-12, k
+        for a, b in zip(shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_dense, K - 1)):
+            assert rel_frobenius(a, b) <= 1e-12
+        for k in range(K - 1):
+            assert rel_frobenius(tape.Z(k).reshape(n, n), tape_dense.Z_out[k]) <= 1e-12, k
+
+    grads, gHt = unfold.backward(params, tape, G.copy(), scratch=C)
     grads_ref, gHt_ref = unfold_backward_reference(params, B_same, tape_ref, G)
     assert grads.keys() == grads_ref.keys()
     for name, want in grads_ref.items():
@@ -340,22 +355,44 @@ def check_against_reference(K, with_z0, seed, n):
         assert np.array_equal(grads[name], want), name
     assert np.array_equal(gHt, gHt_ref)
 
-    if n > 20:
-        return
-    B_dense = dense_B_reference(params)
-    C_dense, tape_dense = unfold_forward_reference(params, B_dense, Ht, z0_dense)
-    assert rel_frobenius(C, C_dense) <= 1e-12
-    for k in range(K - 1):
-        assert rel_frobenius(tape.C[k], tape_dense.C[k]) <= 1e-12, k
-        assert rel_frobenius(as_square(tape.mu(k), n), tape_dense.mu_in[k]) <= 1e-12, k
-    for a, b in zip(shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_dense, K - 1)):
-        assert rel_frobenius(a, b) <= 1e-12
-    for k in range(K - 1):
-        assert rel_frobenius(tape.Z(k).reshape(n, n), tape_dense.Z_out[k]) <= 1e-12, k
-    grads_dense, gHt_dense = unfold_backward_reference(params, B_dense, tape_dense, G)
-    for name, want in grads_dense.items():
-        assert rel_frobenius(grads[name], want) <= 1e-12, name
-    assert rel_frobenius(gHt, gHt_dense) <= 1e-12
+    if dense:
+        grads_dense, gHt_dense = unfold_backward_reference(params, B_dense, tape_dense, G)
+        for name, want in grads_dense.items():
+            assert rel_frobenius(grads[name], want) <= 1e-12, name
+        assert rel_frobenius(gHt, gHt_dense) <= 1e-12
+
+
+def test_a_consumed_tape_refuses_to_be_read():
+    """The backward writes gmu over the tape's top stored C, so afterwards
+    ``mu``, ``Z`` and a second backward raise instead of reading it; a new
+    forward pass gives a tape with the first one's bits."""
+    params, Ht, z0, G = perturbed_instance(2, 3, True)
+    C, tape = unfold.forward(params, Ht, z0)
+    Z1 = tape.Z(1).copy()
+    unfold.backward(params, tape, G.copy())
+    assert tape.consumed
+    for read in (lambda: tape.mu(1), lambda: tape.Z(0), lambda: tape.Z(1),
+                 lambda: unfold.backward(params, tape, G.copy())):
+        with pytest.raises(ValueError, match="consumed"):
+            read()
+    _, tape = unfold.forward(params, Ht, z0)
+    assert not tape.consumed
+    assert tape.Z(1).tobytes() == Z1.tobytes()
+
+
+def test_backward_scratch_must_not_alias_what_it_reads():
+    """project(gC) may go over the returned C or the tape's spare, but not
+    over grad_C or any array the tape stores, which the backward still
+    reads; nor into an array of another shape or dtype. A refused scratch
+    leaves the tape unconsumed."""
+    params, Ht, z0, G = perturbed_instance(2, 4, True)
+    C, tape = unfold.forward(params, Ht, z0)
+    assert len(tape.C) == 3 and np.ndim(tape.mu_in[2]) == 2
+    for bad in (G, G[:, :], *tape.C, tape.mu_in[2], C[:, :-1], C.astype(np.float32)):
+        with pytest.raises(ValueError, match="scratch"):
+            unfold.backward(params, tape, G, scratch=bad)
+    assert not tape.consumed
+    unfold.backward(params, tape, G, scratch=tape.spare)
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -364,10 +401,9 @@ def test_backward_out_buffers_receive_the_allocating_call_bits(K):
     the buffer of its name, overwriting whatever it held, with the
     allocating call's bits."""
     params, Ht, z0, G = perturbed_instance(5, K, True)
-    _, tape = unfold.forward(params, Ht, z0)
-    fresh, gHt_fresh = unfold.backward(params, tape, G.copy())
+    fresh, gHt_fresh = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy())
     bufs = {name: np.full_like(arr, np.nan) for name, arr in params.named_arrays()}
-    grads, gHt = unfold.backward(params, tape, G.copy(), bufs)
+    grads, gHt = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy(), bufs)
     assert grads.keys() == fresh.keys() == bufs.keys()
     for name, g in grads.items():
         assert g is bufs[name], name
@@ -383,14 +419,15 @@ def test_segment_size_does_not_change_a_bit(monkeypatch, K):
     and gradient keeps the bits of the default segment size."""
     params, Ht, z0, G = perturbed_instance(3, K, True, n=45)
     C, tape = unfold.forward(params, Ht, z0)
-    grads, gHt = unfold.backward(params, tape, G.copy())
     monkeypatch.setattr(classic, "SEGMENT", 128)
     assert len(classic.pairwise_segments(45 * 45)) >= 16
     C_small, tape_small = unfold.forward(params, Ht, z0)
-    grads_small, gHt_small = unfold.backward(params, tape_small, G.copy())
     assert C_small.tobytes() == C.tobytes()
     for a, b in zip(tape_small.C + tape_small.mu_in, tape.C + tape.mu_in, strict=True):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    grads_small, gHt_small = unfold.backward(params, tape_small, G.copy())
+    monkeypatch.undo()
+    grads, gHt = unfold.backward(params, tape, G.copy())
     for name, g in grads.items():
         assert grads_small[name].tobytes() == g.tobytes(), name
     assert gHt_small.tobytes() == gHt.tobytes()
@@ -414,8 +451,8 @@ def forward_and_backward_peak(n):
     params, Ht, z0, G = working_set_instance(n)
 
     def forward_and_backward():
-        _, tape = unfold.forward(params, Ht, z0)
-        unfold.backward(params, tape, G)
+        C, tape = unfold.forward(params, Ht, z0)
+        unfold.backward(params, tape, G, scratch=C)
 
     return peak_nn_arrays(forward_and_backward, n)
 
@@ -424,43 +461,51 @@ def test_forward_working_set():
     """Peak memory allocated by one forward pass at n = 300, in n x n
     arrays.
 
-    Measured at 5.47 for K = 3: the C of every layer, V and project(V),
-    and mu_1 until layer 1's pass ends, plus a segment buffer for Z (0.25
-    of an n x n array) and the l x n products. The top layer's dual never
-    exists whole. With mu_1 and mu_2 as separate arrays, a stored top dual
-    and the elementwise chains on whole arrays it peaked at 6.0; storing
-    the top layer's C and dual as well and returning a copy of C, at 7.2;
-    allocating V, B V and the shrinkage temporaries afresh per layer on
-    top of that, at 8.1.
+    Measured at 4.48 for K = 3: the 2K - 4 tape arrays C_0 and C_1, V,
+    which becomes the returned C, and project(V), plus a segment buffer for
+    Z (0.25 of an n x n array) and the l x n products. mu_1 exists one
+    segment at a time, in V, and the top layer's dual never exists whole.
+    With mu_1 stored until layer 1's pass ended and the returned C an array
+    of its own it peaked at 5.47; with mu_1 and mu_2 as separate arrays, a
+    stored top dual and the elementwise chains on whole arrays, at 6.0;
+    storing the top layer's C and dual as well and returning a copy of C,
+    at 7.2; allocating V, B V and the shrinkage temporaries afresh per
+    layer on top of that, at 8.1.
     """
-    assert forward_peak(300) <= 6.0
+    assert forward_peak(300) <= 4.7
 
 
 def test_forward_and_backward_working_set():
     """Peak memory allocated by one forward plus backward at n = 300, in
-    n x n arrays.
+    n x n arrays, with the returned C as the backward's scratch, as
+    ``train.total_loss`` runs them.
 
-    Measured at 6.44 for K = 3: the returned C, the 2K - 4 tape arrays,
-    and a backward on two buffers, gmu and project(gC), that works in the
-    caller's output gradient, plus three segment buffers for Z, mu_1 and a
-    scratch (0.75 of an n x n array together). With the backward's Z, mu_1
-    and scratch as n x n buffers it peaked at 7.65; with mu_1 stored in the
-    tape, at 8.6; with a tape of every layer's C and dual, a copied output
-    gradient and fresh per-layer backward temporaries, at 11.3; with fresh
-    forward temporaries and the relu-and-sign shrinkage besides at 12.2,
-    with a learned dense B per layer at 13.3, and with a tape that also
-    stores every layer's Z and an n x n mu_0 at 19.4.
+    Measured at 5.19 for K = 3: the forward's four arrays and a backward
+    that works in them and in the caller's output gradient, writing
+    project(gC) over C and gmu over the tape's C_1, plus segment buffers
+    for Z, a scratch and a mask (0.53 of an n x n array together). With
+    gmu and project(gC) as n x n buffers of the backward's own it peaked at
+    6.44; with the backward's Z, mu_1 and scratch as n x n buffers too, at
+    7.65; with mu_1 stored in the tape, at 8.6; with a tape of every
+    layer's C and dual, a copied output gradient and fresh per-layer
+    backward temporaries, at 11.3; with fresh forward temporaries and the
+    relu-and-sign shrinkage besides at 12.2, with a learned dense B per
+    layer at 13.3, and with a tape that also stores every layer's Z and an
+    n x n mu_0 at 19.4.
     """
-    assert forward_and_backward_peak(300) <= 6.9
+    assert forward_and_backward_peak(300) <= 5.4
 
 
 def test_working_sets_at_n_1000():
     """The two working sets above at n = 1000, where the segment buffers
-    are about 0.1 of an n x n array together. Measured at 5.10 for the
-    forward and 5.29 for forward plus backward; with n x n buffers in
-    place of segments they peaked at 6.0 and 7.22."""
-    assert forward_peak(1000) <= 5.6
-    assert forward_and_backward_peak(1000) <= 5.8
+    are about 0.07 of an n x n array together. Measured at 4.10 for the
+    forward and 4.26 for forward plus backward: 2 + (2K - 4) n x n arrays
+    and little else. With the backward's gmu and project(gC) and the
+    forward's mu_1 and returned C as arrays of their own they peaked at
+    5.10 and 5.29; with n x n buffers in place of segments, at 6.0 and
+    7.22."""
+    assert forward_peak(1000) <= 4.4
+    assert forward_and_backward_peak(1000) <= 4.5
 
 
 @pytest.mark.parametrize("K", [1, 3])
