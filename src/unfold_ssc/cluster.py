@@ -1,6 +1,9 @@
 """Similarity construction, spectral embedding, and seeded k-means.
 
 ``spectral_cluster`` is ``kmeans`` on the rows of ``spectral_embedding``.
+The embedding's k eigenvectors come from a Lanczos solve (ARPACK) that
+touches the similarity only through matrix-vector products, so the
+spectral stage holds no n x n array besides the similarity itself.
 k-means++ restart r draws from numpy's PCG64 bit generator seeded with the
 run seed and jumped r times, so restarts get reproducible, disjoint
 substreams.
@@ -10,20 +13,27 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from unfold_ssc.errors import NumericalError
 
 DEGREE_GUARD = 1e-12
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
+# Entries per row block of the similarity checks; their temporaries are
+# this size, not n x n.
+CHECK_BLOCK = 1 << 16
 
 
 def similarity(C: np.ndarray) -> np.ndarray:
-    """Symmetric nonnegative affinity (|C| + |C^T|) / 2 with zero diagonal."""
+    """Symmetric nonnegative affinity (|C| + |C^T|) / 2 with zero diagonal,
+    formed in the result with one n x n temporary, |C^T|."""
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("coefficient matrix must be square")
-    S = 0.5 * (np.abs(C) + np.abs(C.T))
+    S = np.abs(C)
+    S += np.abs(C.T)
+    S *= 0.5
     np.fill_diagonal(S, 0.0)
     return S
 
@@ -106,14 +116,47 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return best_labels
 
 
+def _check_similarity(S: np.ndarray) -> None:
+    """NumericalError if any entry of S is not finite, else ValueError if S
+    is not exactly symmetric. Runs in row blocks of about ``CHECK_BLOCK``
+    entries: each block is checked for finiteness, then compared with the
+    transpose of the blocks above and on the diagonal, all of which are
+    finite by then."""
+    n = S.shape[0]
+    step = max(1, CHECK_BLOCK // n)
+    symmetric = True
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        if not np.all(np.isfinite(S[start:stop])):
+            raise NumericalError("similarity matrix has non-finite entries")
+        symmetric = symmetric and np.array_equal(S[start:stop, :stop], S[:stop, start:stop].T)
+    if not symmetric:
+        raise ValueError("similarity must be symmetric")
+
+
 def spectral_embedding(S: np.ndarray, k: int) -> np.ndarray:
     """Normalized-cut embedding of a similarity matrix, one row per sample.
 
     Takes the k eigenvectors of the smallest eigenvalues of
-    L_sym = I - D^(-1/2) S D^(-1/2) (isolated nodes get a tiny degree guard),
-    asking the symmetric eigensolver for those k eigenpairs only (the other
-    n - k are never computed) on two n x n buffers, and scales each row to
-    unit norm (zero rows stay zero).
+    L_sym = I - D^(-1/2) S D^(-1/2) (isolated nodes get a tiny degree guard)
+    and scales each row to unit norm (zero rows stay zero). S must be
+    finite (NumericalError otherwise) and exactly symmetric, as
+    ``similarity`` returns it (ValueError otherwise).
+
+    The eigenvectors are the k largest of 2I - L_sym, found by implicitly
+    restarted Lanczos (``eigsh``) on x -> x + D^(-1/2) S D^(-1/2) x, which
+    forms no n x n array. The shift by I keeps the operator nonzero, so
+    S = 0 still solves. The start vector is all ones and the generator for
+    ARPACK's breakdown restarts, which exact block similarities take, is
+    seeded, so the result is deterministic. A solve that does not converge
+    raises NumericalError.
+
+    An isolated node i is an eigenvector e_i of its own, eigenvalue 1, and
+    every other eigenvector is zero there; Lanczos leaves rounding there,
+    which the row scaling would blow up, so those entries are set to zero.
+    Where one of the k eigenvalues might be an isolated node's (the k-th
+    largest of 2I - L_sym is not above 1), and where ARPACK cannot run
+    (k >= n - 1), the dense symmetric eigensolver takes L_sym instead.
     """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
@@ -121,18 +164,31 @@ def spectral_embedding(S: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("similarity must be square")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    if not np.all(np.isfinite(S)):
-        raise NumericalError("similarity matrix has non-finite entries")
+    _check_similarity(S)
     degrees = S.sum(axis=1)
-    degrees = np.where(degrees > 0, degrees, DEGREE_GUARD)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    # I - X in one buffer: 1 - x on the diagonal, 0 - x off it, so zeros keep I - X's sign.
-    lap = inv_sqrt[:, np.newaxis] * S * inv_sqrt[np.newaxis, :]
-    diagonal = 1.0 - np.diagonal(lap)
-    np.fill_diagonal(np.subtract(0.0, lap, out=lap), diagonal)
-    lap_sym = 0.5 * (lap + lap.T)
-    # Exactly symmetric: its transpose is it in Fortran order, solved in place.
-    _, embedding = scipy.linalg.eigh(lap_sym.T, subset_by_index=[0, k - 1], overwrite_a=True)
+    connected = degrees > 0
+    inv_sqrt = 1.0 / np.sqrt(np.where(connected, degrees, DEGREE_GUARD))
+    embedding = None
+    if k < n - 1:
+        shifted = LinearOperator((n, n), dtype=np.float64,
+                                 matvec=lambda x: x + inv_sqrt * (S @ (inv_sqrt * x)))
+        try:
+            values, vectors = eigsh(shifted, k, which="LA", tol=0, v0=np.ones(n),
+                                    rng=np.random.default_rng(0))
+        except ArpackError as exc:
+            raise NumericalError(f"spectral eigensolve failed: {exc}") from exc
+        if connected.all() or values[0] > 1.0:
+            # Largest of 2I - L_sym first is smallest of L_sym first.
+            embedding = vectors[:, ::-1]
+            embedding[~connected] = 0.0
+    if embedding is None:
+        # I - X in one buffer: 1 - x on the diagonal, 0 - x off it, so zeros keep I - X's sign.
+        lap = inv_sqrt[:, np.newaxis] * S * inv_sqrt[np.newaxis, :]
+        diagonal = 1.0 - np.diagonal(lap)
+        np.fill_diagonal(np.subtract(0.0, lap, out=lap), diagonal)
+        lap_sym = 0.5 * (lap + lap.T)
+        # Exactly symmetric: its transpose is it in Fortran order, solved in place.
+        _, embedding = scipy.linalg.eigh(lap_sym.T, subset_by_index=[0, k - 1], overwrite_a=True)
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     return embedding / np.where(norms > 0, norms, 1.0)
 

@@ -131,10 +131,11 @@ def structure_loss(C: np.ndarray, lap: sparse.csr_array, out=None):
     array that may be C itself, or into a new array when it is omitted.
     The work runs one flat segment of ``classic.pairwise_segments`` at a
     time: the sparse product C[rows] L for the rows the segment covers,
-    whose rows equal those of C L bit for bit, then the segment's share of
-    the value and the gradient. The C L of the row where a segment ends is
-    kept for the next segment, since by then that row's head in ``out`` may
-    be written over C. No n x n temporary is made."""
+    whose rows equal those of C L bit for bit, copied piece by piece into
+    one segment-sized buffer; then (C L) * C for the segment, summed, and
+    4 C L, both written into ``out``. A copy of the C L of the row where a
+    segment ends is kept for the next segment, since by then that row's
+    head in ``out`` may be written over C. No n x n temporary is made."""
     C = np.asarray(C, dtype=np.float64)
     if C.shape[1] != lap.shape[0] or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"shape mismatch: C {C.shape} vs laplacian {lap.shape}")
@@ -150,11 +151,23 @@ def structure_loss(C: np.ndarray, lap: sparse.csr_array, out=None):
     row, row_CL = -1, None  # the last segment's final row and its C L
     for start, stop in segments:
         first, end = start // n, (stop + n - 1) // n  # the rows it covers
-        CL = C[first + (first == row):end] @ lap
-        if first == row:
-            CL = np.concatenate((row_CL[np.newaxis], CL))
-        seg = CL.reshape(-1)[start - first * n:stop - first * n]
-        partials.append(np.sum(np.multiply(seg, C_flat[start:stop], out=product[:stop - start])))
-        np.multiply(seg, 4.0, out=out_flat[start:stop])
-        row, row_CL = end - 1, CL[-1]
+        carried = first == row
+        CL = C[first + carried:end] @ lap
+        # The segment's C L: the tail of its first row, whole rows, then
+        # the head of its last row.
+        seg = product[:stop - start]
+        offset = start - first * n
+        head = min(n - offset, len(seg))
+        seg[:head] = (row_CL if carried else CL[0])[offset:offset + head]
+        rest = CL[1 - carried:]
+        whole, part = divmod(len(seg) - head, n)
+        seg[head:head + whole * n].reshape(whole, n)[...] = rest[:whole]
+        if part:
+            seg[len(seg) - part:] = rest[whole, :part]
+        seg_out = out_flat[start:stop]
+        partials.append(np.sum(np.multiply(seg, C_flat[start:stop], out=seg_out)))
+        np.multiply(seg, 4.0, out=seg_out)
+        if end - 1 != row:
+            row, row_CL = end - 1, CL[-1].copy()
+        del CL, rest  # freed before the next segment's product is formed
     return 2.0 * classic.tree_sum(partials, C.size), out

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from unfold_ssc import autoenc, cli, container, train
+from unfold_ssc import autoenc, cli, cluster, container, train
 from unfold_ssc.errors import ConfigError
 
 
@@ -549,6 +550,22 @@ class TestRunCommand:
             capsys.readouterr().err)
         assert os.listdir(out) == ["labels.csv"]
         assert (out / "labels.csv").read_text() == "earlier\n"
+
+    def test_eigensolver_non_convergence_exits_four(self, tmp_path, subspace_data, capsys,
+                                                   monkeypatch):
+        def stalls(A, k, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                      np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(cluster, "eigsh", stalls)
+        out = str(tmp_path / "never")
+        cfg = write_config(tmp_path, {
+            "values_path": os.path.join(subspace_data, "values.sscm"),
+            "k_clusters": 3, "mode": "classic", "classic_iterations": 5, "out_dir": out,
+        })
+        assert cli.main(["run", "--config", cfg]) == 4
+        assert "numerical failure: spectral eigensolve failed" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_missing_values_file_exits_three(self, tmp_path, capsys):
         out = str(tmp_path / "never")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from unfold_ssc import cluster
 from unfold_ssc.errors import NumericalError
@@ -40,6 +42,23 @@ class TestSimilarity:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             cluster.similarity(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_bit_identical_to_the_whole_array_expression(self, n):
+        """Sum, then halve: the same two roundings per entry as
+        0.5 (|C| + |C^T|), signed zeros and subnormals included."""
+        rng = np.random.default_rng(n)
+        C = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-310, 300, (n, n))
+        C[rng.random((n, n)) < 0.2] = -0.0
+        expected = 0.5 * (np.abs(C) + np.abs(C.T))
+        np.fill_diagonal(expected, 0.0)
+        assert cluster.similarity(C).tobytes() == expected.tobytes()
+
+    def test_working_set(self):
+        """Peak memory allocated by one call, in n x n arrays. Measured at
+        2.05: the result and the one temporary |C^T|."""
+        C = np.random.default_rng(6).standard_normal((300, 300))
+        assert peak_nn_arrays(lambda: cluster.similarity(C), 300) <= 2.2
 
 
 class TestKmeans:
@@ -146,26 +165,130 @@ class TestSpectral:
         assert cluster.spectral_embedding(S, k).shape == (S.shape[0], k)
         assert np.array_equal(labels, expected)
 
-    @pytest.mark.parametrize("n, k, isolated", [(12, 3, 0), (200, 4, 0), (200, 4, 3)])
-    def test_embedding_bit_identical_to_plain_expression(self, n, k, isolated):
-        """L_sym built in one buffer and solved in place gives the embedding
-        of the whole-array expression bit for bit, isolated nodes included.
-        Zero similarities make zero entries, whose sign must match too."""
+    @staticmethod
+    def random_similarity(n, isolated=0):
         rng = np.random.default_rng(n + isolated)
         S = cluster.similarity(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
         S[:isolated] = 0.0
         S[:, :isolated] = 0.0
+        return S
+
+    @pytest.mark.parametrize("n, k, isolated", [(12, 3, 0), (200, 4, 0), (200, 4, 3)])
+    def test_embedding_matches_the_dense_oracle(self, n, k, isolated):
+        """The Lanczos embedding spans the dense solver's eigenvectors to
+        within 1e-10 rad; an isolated node's row is exactly zero, as the
+        dense solver leaves it."""
+        S = self.random_similarity(n, isolated)
         embedding = cluster.spectral_embedding(S, k)
-        assert np.array_equal(embedding, spectral_embedding_plain(S, k))
+        oracle = spectral_embedding_plain(S, k)
+        assert embedding.shape == (n, k)
+        assert scipy.linalg.subspace_angles(embedding, oracle).max() <= 1e-10
+        assert not embedding[:isolated].any()
+
+    @pytest.mark.parametrize("isolated", [0, 3])
+    @pytest.mark.parametrize("noise", [0.05, 0.2])
+    def test_labels_match_the_dense_oracle(self, isolated, noise):
+        """On a similarity with clusters (four sparse noisy blocks, n =
+        200), k-means gives the Lanczos embedding the dense oracle's
+        partition. Its numbering is that of the restart with the lowest
+        within-cluster sum of squares, and restarts that reach the same
+        partition differ there only by rounding, so the numbering is not
+        compared. On the structureless random similarities above k-means is
+        a chaotic local search: with isolated nodes, rounding alone makes a
+        restart with another partition win there."""
+        rng = np.random.default_rng(isolated + int(100 * noise))
+        S = self.block_similarity([40, 60, 50, 50], noise=noise)
+        S = cluster.similarity(S * (rng.random(S.shape) < 0.5))
+        S[:isolated] = 0.0
+        S[:, :isolated] = 0.0
+        labels = cluster.spectral_cluster(S, 4, seed=0)
+        expected = cluster.kmeans(spectral_embedding_plain(S, 4), 4, 0)
+        assert np.array_equal(canonical(labels), canonical(expected))
+
+    def test_two_calls_give_the_same_bits(self):
+        S = self.random_similarity(200)
+        assert cluster.spectral_embedding(S, 4).tobytes() == (
+            cluster.spectral_embedding(S, 4).tobytes())
+
+    @pytest.mark.parametrize("sizes", [[20, 20, 20], [30, 30, 30, 30], [10, 50]])
+    def test_exact_blocks_are_deterministic(self, sizes):
+        """Exact blocks repeat eigenvalue 0 of L_sym once per block and
+        make ARPACK restart after a breakdown; the seeded restarts give the
+        same bits on each call, and the oracle's subspace."""
+        S = self.block_similarity(sizes)
+        k = len(sizes)
+        first = cluster.spectral_embedding(S, k)
+        assert first.tobytes() == cluster.spectral_embedding(S, k).tobytes()
+        assert scipy.linalg.subspace_angles(first, spectral_embedding_plain(S, k)).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_zero_similarity_is_deterministic(self, k):
+        """No node is connected: each is its own eigenvector with eigenvalue
+        1, so Lanczos cannot tell which k belong, and the dense solver, bit
+        for bit as the oracle, picks them."""
+        S = np.zeros((60, 60))
+        first = cluster.spectral_embedding(S, k)
+        assert first.tobytes() == cluster.spectral_embedding(S, k).tobytes()
+        assert np.array_equal(first, spectral_embedding_plain(S, k))
+
+    def test_isolated_eigenvalue_among_the_k_goes_dense(self):
+        """Three exact blocks and two isolated nodes: L_sym's four smallest
+        eigenvalues are 0, 0, 0 and an isolated node's 1, whose eigenvector
+        the zeroed entries would destroy; the dense solver takes over, bit
+        for bit as the oracle."""
+        S = np.zeros((62, 62))
+        S[2:, 2:] = self.block_similarity([20, 20, 20])
+        embedding = cluster.spectral_embedding(S, 4)
+        assert np.array_equal(embedding, spectral_embedding_plain(S, 4))
+        assert np.count_nonzero(embedding[:2]) == 1
+
+    @pytest.mark.parametrize("n, isolated", [(12, 0), (30, 2)])
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_dense_fallback_bit_identical_to_oracle(self, n, isolated, short):
+        """At k = n - 1 and k = n, where ARPACK cannot run, L_sym is built
+        in one buffer and solved in place by the dense solver, and gives
+        the whole-array expression's embedding bit for bit. Zero
+        similarities make zero entries, whose sign must match too."""
+        S = self.random_similarity(n, isolated)
+        k = n - short
+        assert np.array_equal(cluster.spectral_embedding(S, k), spectral_embedding_plain(S, k))
+
+    def test_non_convergence_is_a_numerical_error(self, monkeypatch):
+        def stalls(A, k, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                      np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(cluster, "eigsh", stalls)
+        with pytest.raises(NumericalError, match="No convergence"):
+            cluster.spectral_cluster(self.random_similarity(40), 3, seed=0)
+
+    @pytest.mark.parametrize("block", [1 << 16, 1000, 1])
+    def test_non_symmetric_rejected(self, monkeypatch, block):
+        """Checked whole, in blocks of 6 rows and row by row."""
+        monkeypatch.setattr(cluster, "CHECK_BLOCK", block)
+        S = self.random_similarity(150)
+        S[140, 3] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            cluster.spectral_embedding(S, 3)
+
+    @pytest.mark.parametrize("block", [1 << 16, 1000, 1])
+    def test_non_finite_is_reported_before_asymmetry(self, monkeypatch, block):
+        """The asymmetry sits in the first rows, the infinity in the last."""
+        monkeypatch.setattr(cluster, "CHECK_BLOCK", block)
+        S = self.random_similarity(150)
+        S[0, 1] += 1.0
+        S[149, 149] = np.inf
+        with pytest.raises(NumericalError):
+            cluster.spectral_embedding(S, 3)
 
     def test_working_set(self):
         """Peak memory allocated by one call, in n x n arrays. Measured at
-        2.1: L_sym and its symmetrized copy, which the eigensolver
-        overwrites, and the solver's n x n finiteness mask. The whole-array
-        expression, solved from a copy, peaks at 3.0."""
+        0.14: the Lanczos basis, n x 20, and the checks' row blocks; no
+        n x n array is formed. The dense solve of L_sym, in one buffer and
+        its symmetrized copy, peaked at 2.1."""
         n = 400
         S = cluster.similarity(np.random.default_rng(5).standard_normal((n, n)))
-        assert peak_nn_arrays(lambda: cluster.spectral_cluster(S, 4, seed=0), n) <= 2.5
+        assert peak_nn_arrays(lambda: cluster.spectral_cluster(S, 4, seed=0), n) <= 0.35
 
     def test_zero_similarity_still_returns_labels(self):
         labels = cluster.spectral_cluster(np.zeros((6, 6)), 2, seed=0)

@@ -313,12 +313,22 @@ def test_segments_within_one_row_bit_identical(monkeypatch):
 
 def test_structure_loss_working_set():
     """Peak memory allocated by one structure loss written over C at
-    n = 1000, in n x n arrays. Measured at 0.16: one segment's product
-    buffer, its rows of C L (also as a copy with the carried row in front)
-    and scipy's copies of those rows for the dense-by-sparse product. As
-    one whole product C L, with (C L) * C in ``out``, it peaked at 2.0."""
+    n = 1000, in n x n arrays. Measured at 0.10: one segment's buffer, and
+    its rows of C L with scipy's copy of those rows of C for the
+    dense-by-sparse product. As one whole product C L, with (C L) * C in
+    ``out``, it peaked at 2.0."""
     C, lap = structure_instance(1000)
     assert peak_nn_arrays(lambda: graph.structure_loss(C, lap, out=C), 1000) <= 0.6
+
+
+def test_structure_loss_working_set_at_four_segments():
+    """At n = 300 the four segments are each a quarter of C. Measured at
+    0.76: the segment buffer, one segment's rows of C L and scipy's copy of
+    those rows of C, each 0.25; the previous segment's rows are freed
+    first. With the rows of C L kept in F order, copied to a flat run and
+    held over to the next segment, it allocated 1.26."""
+    C, lap = structure_instance(300)
+    assert peak_nn_arrays(lambda: graph.structure_loss(C, lap, out=C), 300) <= 0.9
 
 
 def test_out_must_be_a_c_contiguous_array_of_the_shape():
