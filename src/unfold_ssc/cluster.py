@@ -38,19 +38,20 @@ def similarity(C: np.ndarray) -> np.ndarray:
     return S
 
 
-def _pairwise_sq_dists_rows(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances between row-sample sets, clipped at zero."""
-    p2 = np.einsum("ij,ij->i", points, points)
+def _pairwise_sq_dists_rows(points: np.ndarray, p2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances between row-sample sets, clipped at zero; ``p2``
+    holds the points' squared norms."""
     c2 = np.einsum("ij,ij->i", centers, centers)
     d2 = p2[:, np.newaxis] + c2[np.newaxis, :] - 2.0 * points @ centers.T
     return np.maximum(d2, 0.0)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(points: np.ndarray, p2: np.ndarray, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """Distance-squared-weighted seeding; degenerate mass falls back by index."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _pairwise_sq_dists_rows(points, points[chosen[-1]][np.newaxis, :]).ravel()
+    d2 = _pairwise_sq_dists_rows(points, p2, points[chosen[-1]][np.newaxis, :]).ravel()
     while len(chosen) < k:
         total = float(d2.sum())
         if total <= 0.0:
@@ -61,11 +62,11 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
             idx = min(idx, n - 1)
         chosen.append(idx)
-        d2 = np.minimum(d2, _pairwise_sq_dists_rows(points, points[idx][np.newaxis, :]).ravel())
+        d2 = np.minimum(d2, _pairwise_sq_dists_rows(points, p2, points[idx][np.newaxis, :]).ravel())
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray):
+def _lloyd(points: np.ndarray, p2: np.ndarray, centers: np.ndarray):
     """Lloyd iterations with farthest-point repair for emptied clusters.
 
     Returns (labels, wcss_trace); the trace records the assignment cost
@@ -75,19 +76,21 @@ def _lloyd(points: np.ndarray, centers: np.ndarray):
     labels = np.full(n, -1, dtype=np.int64)
     trace = []
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _pairwise_sq_dists_rows(points, centers)
+        d2 = _pairwise_sq_dists_rows(points, p2, centers)
         new_labels = np.argmin(d2, axis=1)
-        trace.append(float(d2[np.arange(n), new_labels].sum()))
+        dist_to_own = d2[np.arange(n), new_labels]
+        trace.append(float(dist_to_own.sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        dist_to_own = d2[np.arange(n), labels]
-        farthest = iter(np.argsort(-dist_to_own, kind="stable"))
+        farthest = None  # sorted only once a cluster empties
         for c in range(k):
             members = labels == c
             if members.any():
                 centers[c] = points[members].mean(axis=0)
             else:
+                if farthest is None:
+                    farthest = iter(np.argsort(-dist_to_own, kind="stable"))
                 centers[c] = points[int(next(farthest))]
     return labels, trace
 
@@ -97,7 +100,10 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
 
     ``points`` holds one sample per row. Restart r draws from the r-th
     jump substream of ``seed``; the restart with the lowest final
-    within-cluster sum of squares wins, earliest restart on ties.
+    within-cluster sum of squares wins, earliest restart on ties. Clusters
+    are numbered 0, 1, ... in order of first appearance, so restarts that
+    reach the same partition give the same labels, whichever of them wins
+    on rounding.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -105,15 +111,19 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    p2 = np.einsum("ij,ij->i", points, points)
     best_labels = None
     best_wcss = np.inf
     for r in range(KMEANS_RESTARTS):
         rng = np.random.Generator(np.random.PCG64(seed).jumped(r))
-        labels, trace = _lloyd(points, _kmeanspp_init(points, k, rng))
+        labels, trace = _lloyd(points, p2, _kmeanspp_init(points, p2, k, rng))
         if trace[-1] < best_wcss:
             best_wcss = trace[-1]
             best_labels = labels
-    return best_labels
+    present, first = np.unique(best_labels, return_index=True)
+    number = np.zeros(k, dtype=np.int64)
+    number[present[np.argsort(first)]] = np.arange(len(present))
+    return number[best_labels]
 
 
 def _check_similarity(S: np.ndarray) -> None:

@@ -1,8 +1,11 @@
 """K-nearest-neighbor graphs and the structure-preservation loss.
 
 Adjacencies and the Laplacian come back as sparse CSR arrays: a k-neighbor
-graph has O(k) entries per row, so only the pairwise distances are n x n,
-and the structure loss costs O(n^2 k), not O(n^3).
+graph has O(k) entries per row, so the structure loss costs O(n^2 k), not
+O(n^3). No n x n distance matrix is formed either: ``knn_adjacency`` screens
+one row block at a time with a BLAS Gram product and a rounding-error bound,
+and computes explicit-difference distances only for the few candidates per
+row that the screen keeps.
 """
 
 from __future__ import annotations
@@ -12,30 +15,24 @@ from scipy import sparse
 
 from unfold_ssc import classic
 
-# Distance entries per row block of the candidate selection in
-# ``knn_adjacency``; its temporaries are this size, not n x n.
+# Entries per row block of the screen in ``knn_adjacency``, and per chunk of
+# its candidates' differences; its temporaries are this size, not n x n.
 KNN_BLOCK = 1 << 16
 
 
-def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between columns of ``points``.
-
-    Computed from explicit differences (in row blocks) rather than the
-    gram-matrix identity, so duplicate columns get an exact zero. Only the
-    blocks on and right of the diagonal are computed; each is mirrored
-    below it, so the result is exactly symmetric. That keeps tie-breaking
-    well defined.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[1]
-    out = np.empty((n, n))
-    step = max(1, min(n, 1_000_000 // max(1, points.shape[0] * n)))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        diff = points[:, np.newaxis, start:] - points[:, start:stop, np.newaxis]
-        block = np.einsum("fij,fij->ij", diff, diff)
-        out[start:stop, start:] = block
-        out[start:, start:stop] = block.T
+def _sq_dists(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_f (x_fj - x_fi)^2 for each pair (i, j) of ``rows`` and ``cols``,
+    added in feature order, in chunks of about ``KNN_BLOCK`` differences."""
+    out = np.empty(len(rows))
+    chunk = max(1, KNN_BLOCK // points.shape[0])
+    for at in range(0, len(rows), chunk):
+        # C-ordered d x m differences: a running sum down the features adds
+        # them in feature order whatever m is, where a reduction over them
+        # would add pairwise at m = 1.
+        diff = points.take(cols[at:at + chunk], axis=1)
+        diff -= points.take(rows[at:at + chunk], axis=1)
+        diff *= diff
+        out[at:at + chunk] = np.add.accumulate(diff, axis=0, out=diff)[-1]
     return out
 
 
@@ -49,51 +46,98 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
     built straight from the neighbor lists.
 
     Given more neighbor counts, returns a tuple with one adjacency per
-    count, all from one distance matrix. Each row keeps kmax = max(counts)
-    candidates without a full sort: every distance below the row's kmax-th
-    smallest value t, then the lowest-index distances equal to t. A stable
-    sort of those candidates orders each row exactly as a stable sort of
-    the whole row would, so every count takes a prefix of it and each
-    adjacency equals its single-count call. Rows are selected in blocks of
-    about ``KNN_BLOCK`` distances, so only the distance matrix is n x n.
+    count, all from one screened pass: each row's neighbors are ordered
+    once, for kmax = max(counts), and every count takes a prefix.
+
+    Distances are sums of squared explicit differences, sum_f (x_fj -
+    x_fi)^2 added in feature order, so duplicate columns get an exact zero
+    and ties are exact. They are computed only for candidates, chosen one
+    row block of about ``KNN_BLOCK`` screen entries at a time, so no n x n
+    array is formed:
+
+    - Screen. a_ij = |x_j|^2 - 2 x_i^T x_j from one BLAS product per block,
+      with a_ii = inf; the row's |x_i|^2 is left out, as it would shift
+      the whole row. T_i is the row's kmax-th smallest a, and the
+      candidates are every j != i with a_ij <= T_i + tau_i, where
+      tau_i = 2 gamma (|x_i| + max_j |x_j|)^2 + 8 d eta. Here gamma =
+      8 (d + 4) u is a generous multiple of gamma_{d+2}, the bound on a
+      dot product's relative rounding error (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2002, sec. 3.1), with u the unit
+      roundoff and d the feature count; eta is the smallest subnormal, and
+      d eta bounds what the products lose to underflow, which a relative
+      bound alone misses on tiny points.
+    - Proof sketch. With s_ij the exact squared distance, a_ij lies within
+      tau_i / 4 of s_ij - |x_i|^2 and e_ij within tau_i / 4 of s_ij. The
+      kmax columns with a <= T_i have e <= T_i + |x_i|^2 + tau_i / 2, so
+      the row's kmax-th smallest e, t*, is at most that. Every column with
+      e_ij <= t*, every true neighbor among them, then has a_ij <=
+      t* - |x_i|^2 + tau_i / 2 <= T_i + tau_i: it is a candidate.
+    - Select. Each row's candidates are stably sorted by (e, index). The
+      first kmax are the first kmax of a stable sort of the whole distance
+      row, so each adjacency equals that of a full distance matrix.
+
+    A row whose screen values or bound are not finite takes every column.
+    The bound's doubled square overflows before any squared distance can,
+    so an overflowing distance is always a candidate, and it raises
+    ``ValueError``: it could otherwise tie with the diagonal.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be 2-D, got {points.ndim}-D")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    n = points.shape[1]
+    d, n = points.shape
     counts = (k, *more_k)
     for count in counts:
         if not 1 <= count < n:
             raise ValueError(f"k must satisfy 1 <= k < n, got k={count}, n={n}")
+    if d == 0:
+        # Every distance is zero, as over one zero feature.
+        points, d = np.zeros((1, n)), 1
     kmax = max(counts)
-    d2 = pairwise_sq_dists(points)
-    # An infinite distance could tie with the diagonal's and make a sample
-    # its own neighbor.
-    if d2.max() == np.inf:
-        raise ValueError("squared distances between points overflow")
-    np.fill_diagonal(d2, np.inf)
     order = np.empty((n, kmax), dtype=np.intp)
     step = max(1, KNN_BLOCK // n)
-    for start in range(0, n, step):
-        rows = d2[start:start + step]
-        t = np.partition(rows, kmax - 1, axis=1)[:, kmax - 1:kmax]
-        below = rows < t
-        at_t = rows == t
-        room = kmax - below.sum(axis=1, keepdims=True)
-        keep = below | (at_t & (np.cumsum(at_t, axis=1) <= room))
-        cand = np.nonzero(keep)[1].reshape(len(rows), kmax)
-        dist = np.take_along_axis(rows, cand, axis=1)
-        order[start:start + step] = np.take_along_axis(
-            cand, np.argsort(dist, axis=1, kind="stable"), axis=1)
+    # Overflow and inf - inf in the screen mark a row to take every column.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("fi,fi->i", points, points)
+        norms = np.sqrt(sq)
+        gamma = 8 * (d + 4) * (np.finfo(np.float64).eps / 2)
+        # Doubled before gamma scales it, so that it overflows before any
+        # squared distance can.
+        tau = gamma * (2.0 * (norms + norms.max()) ** 2)
+        tau += 8 * d * np.finfo(np.float64).smallest_subnormal
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            block = np.arange(stop - start)
+            # Scaling by -2 is exact, so this is -2 x_i^T x_j as rounded.
+            screen = (-2.0 * points[:, start:stop]).T @ points
+            screen += sq
+            open_rows = ~(np.isfinite(screen).all(axis=1) & np.isfinite(tau[start:stop]))
+            screen[block, block + start] = np.inf
+            bound = np.partition(screen, kmax - 1, axis=1)[:, kmax - 1] + tau[start:stop]
+            keep = screen <= bound[:, np.newaxis]
+            keep[open_rows] = True
+            keep[block, block + start] = False
+            del screen
+            row, col = np.divmod(np.flatnonzero(keep), n)
+            dist = _sq_dists(points, row + start, col)
+            if np.isinf(dist).any():
+                raise ValueError("squared distances between points overflow")
+            # Row by row, then distance, then index: lexsort is stable and
+            # np.flatnonzero lists each row's columns in ascending order.
+            ranked = col[np.lexsort((dist, row))]
+            first = np.searchsorted(row, block)
+            order[start:stop] = ranked[first[:, np.newaxis] + np.arange(kmax)]
     adjs = []
     for count in counts:
         # Link i -> j and j -> i as the row-major key i n + j; the sorted
         # unique keys are the union's entries in canonical CSR order.
         sample = np.repeat(np.arange(n), count)
         neighbor = order[:, :count].reshape(-1)
-        keys = np.unique(np.concatenate((sample * n + neighbor, neighbor * n + sample)))
+        keys = np.sort(np.concatenate((sample * n + neighbor, neighbor * n + sample)))
+        # Unique by hand: np.unique hashes integer keys, which took about
+        # 35 times as long as this sort on n = 7,138's 428k keys.
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         # 32-bit indices where they fit, as scipy's own conversions choose.
         idx = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(n + 1, dtype=idx)

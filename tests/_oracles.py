@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from unfold_ssc import autoenc, classic
+from unfold_ssc import autoenc, classic, cluster
 from unfold_ssc.classic import AdmmState
 
 
@@ -140,8 +140,9 @@ def knn_adjacency_brute(points: np.ndarray, k: int) -> np.ndarray:
 
 def pairwise_sq_dists_reference(points: np.ndarray) -> np.ndarray:
     """Full-block squared distances: every column chunk against every
-    sample, both triangles computed. ``graph.pairwise_sq_dists`` must match
-    it bit for bit."""
+    sample, both triangles computed. The candidate distances of
+    ``graph.knn_adjacency`` (``graph._sq_dists``) must match it bit for
+    bit."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[1]
     out = np.empty((n, n))
@@ -169,6 +170,87 @@ def knn_adjacency_reference(points: np.ndarray, *counts: int):
         np.fill_diagonal(adj, 0.0)
         adjs.append(adj)
     return adjs
+
+
+def _kmeans_sq_dists_reference(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances between row-sample sets, clipped at zero, with
+    both sets' squared norms formed on each call."""
+    p2 = np.einsum("ij,ij->i", points, points)
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    d2 = p2[:, np.newaxis] + c2[np.newaxis, :] - 2.0 * points @ centers.T
+    return np.maximum(d2, 0.0)
+
+
+def _kmeanspp_reference(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = _kmeans_sq_dists_reference(points, points[chosen[-1]][np.newaxis, :]).ravel()
+    while len(chosen) < k:
+        total = float(d2.sum())
+        if total <= 0.0:
+            taken = set(chosen)
+            idx = next(i for i in range(n) if i not in taken)
+        else:
+            u = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
+            idx = min(idx, n - 1)
+        chosen.append(idx)
+        d2 = np.minimum(d2, _kmeans_sq_dists_reference(points, points[idx][np.newaxis, :]).ravel())
+    return points[chosen].copy()
+
+
+def _lloyd_reference(points: np.ndarray, centers: np.ndarray, repairs=None):
+    """Lloyd as first written; appends to ``repairs``, when given, one entry
+    per emptied cluster it repairs."""
+    n, k = points.shape[0], centers.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    trace = []
+    for _ in range(cluster.KMEANS_MAX_ITER):
+        d2 = _kmeans_sq_dists_reference(points, centers)
+        new_labels = np.argmin(d2, axis=1)
+        trace.append(float(d2[np.arange(n), new_labels].sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        dist_to_own = d2[np.arange(n), labels]
+        farthest = iter(np.argsort(-dist_to_own, kind="stable"))
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                centers[c] = points[members].mean(axis=0)
+            else:
+                centers[c] = points[int(next(farthest))]
+                if repairs is not None:
+                    repairs.append(c)
+    return labels, trace
+
+
+def kmeans_reference(points: np.ndarray, k: int, seed: int, repairs=None):
+    """Best-of-``KMEANS_RESTARTS`` k-means++ and Lloyd as first written:
+    squared norms formed on every distance call, the WCSS and each point's
+    own-cluster distance gathered separately, the farthest-point order
+    sorted every iteration. Returns the winning restart's labels, numbered
+    as its centers are; ``cluster.kmeans`` must give the
+    same partition, numbered by first appearance. ``repairs``, when given,
+    collects every restart's emptied-cluster repairs."""
+    points = np.asarray(points, dtype=np.float64)
+    best_labels, best_wcss = None, np.inf
+    for r in range(cluster.KMEANS_RESTARTS):
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(r))
+        labels, trace = _lloyd_reference(points, _kmeanspp_reference(points, k, rng), repairs)
+        if trace[-1] < best_wcss:
+            best_wcss, best_labels = trace[-1], labels
+    return best_labels
+
+
+def first_appearance(labels) -> np.ndarray:
+    """Relabel by order of first appearance so partitions compare directly."""
+    labels = np.asarray(labels)
+    seen: dict = {}
+    out = np.empty(len(labels), dtype=np.int64)
+    for i, v in enumerate(labels):
+        out[i] = seen.setdefault(int(v), len(seen))
+    return out
 
 
 def precompute_reference(Y: np.ndarray, rho: float):

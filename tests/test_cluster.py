@@ -7,23 +7,15 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from unfold_ssc import cluster
 from unfold_ssc.errors import NumericalError
-from _oracles import peak_nn_arrays, spectral_embedding_plain, spectral_embedding_reference
+from _oracles import (_kmeanspp_reference, _lloyd_reference, first_appearance,
+                      kmeans_reference, peak_nn_arrays, spectral_embedding_plain,
+                      spectral_embedding_reference)
 
 
 def wcss(points, labels):
     """Within-cluster sum of squares of a labeling, about its cluster means."""
     return sum(float(np.sum((points[labels == c] - points[labels == c].mean(axis=0)) ** 2))
                for c in np.unique(labels))
-
-
-def canonical(labels):
-    """Relabel by order of first appearance so partitions compare directly."""
-    labels = np.asarray(labels)
-    seen: dict = {}
-    out = np.empty(len(labels), dtype=int)
-    for i, v in enumerate(labels):
-        out[i] = seen.setdefault(int(v), len(seen))
-    return out
 
 
 class TestSimilarity:
@@ -71,12 +63,12 @@ class TestKmeans:
     def test_separated_line_clusters(self):
         pts = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [20.0]])
         labels = cluster.kmeans(pts, 3, seed=0)
-        assert np.array_equal(canonical(labels), [0, 0, 0, 1, 1, 2])
+        assert np.array_equal(labels, [0, 0, 0, 1, 1, 2])
 
     def test_duplicates_fill_all_clusters(self):
         pts = np.array([[0.0], [0.0], [5.0], [5.0], [9.0]])
         labels = cluster.kmeans(pts, 3, seed=1)
-        assert np.array_equal(canonical(labels), [0, 0, 1, 1, 2])
+        assert np.array_equal(labels, [0, 0, 1, 1, 2])
 
     def test_k_one(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -87,7 +79,8 @@ class TestKmeans:
     def test_trace_monotone_nonincreasing(self):
         pts = np.random.default_rng(3).normal(size=(40, 2))
         rng = np.random.Generator(np.random.PCG64(3))
-        _, trace = cluster._lloyd(pts, cluster._kmeanspp_init(pts, 4, rng))
+        p2 = np.einsum("ij,ij->i", pts, pts)
+        _, trace = cluster._lloyd(pts, p2, cluster._kmeanspp_init(pts, p2, 4, rng))
         assert len(trace) > 1
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -104,6 +97,61 @@ class TestKmeans:
         monkeypatch.setattr(cluster, "KMEANS_RESTARTS", 10)
         ten = wcss(pts, cluster.kmeans(pts, 5, seed=2))
         assert ten <= one + 1e-12
+
+    @staticmethod
+    def blobs(n, k, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(k, 4))[rng.integers(0, k, n)] + 0.3 * rng.normal(size=(n, 4))
+
+    @pytest.mark.parametrize("n, k, seed", [(50, 3, 0), (400, 4, 1), (1600, 4, 2), (300, 8, 3)])
+    def test_same_partition_as_the_reference(self, n, k, seed):
+        """Norms formed once, the trace's and the repair's distances shared
+        and the farthest-point order sorted only when a cluster empties:
+        the winning partition is the reference's, renumbered."""
+        pts = self.blobs(n, k, seed)
+        want = kmeans_reference(pts, k, seed)
+        assert np.array_equal(cluster.kmeans(pts, k, seed), first_appearance(want))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_emptied_clusters_repaired_as_the_reference(self, seed):
+        """Five distinct points, each repeated, with k = 8: seeding falls
+        back to points equal to chosen centers, which tie, so clusters empty
+        and the farthest-point repair runs (the reference counts it). The
+        labels, five of the eight numbers, equal the reference's."""
+        rng = np.random.default_rng(seed)
+        pts = np.repeat(rng.normal(size=(5, 2)), rng.integers(2, 8, 5), axis=0)
+        repairs = []
+        want = kmeans_reference(pts, 8, seed, repairs)
+        assert repairs
+        assert np.array_equal(cluster.kmeans(pts, 8, seed), first_appearance(want))
+
+    def test_repair_takes_the_farthest_point(self):
+        """The center at 100 gets no point: it moves to 3, the point
+        farthest from its own center, and takes it from the cluster at 1."""
+        pts = np.array([[0.0], [1.0], [3.0], [10.0], [11.0]])
+        p2 = np.einsum("ij,ij->i", pts, pts)
+        centers = np.array([[1.0], [100.0], [10.5]])
+        labels, trace = cluster._lloyd(pts, p2, centers.copy())
+        assert np.array_equal(labels, [0, 0, 1, 2, 2])
+        want_labels, want_trace = _lloyd_reference(pts, centers.copy())
+        assert np.array_equal(labels, want_labels) and trace == want_trace
+
+    def test_trace_equals_the_reference(self):
+        """The seeding and the WCSS trace, summed from the distances the
+        repair reuses, have the reference's bits at every step."""
+        pts = self.blobs(300, 5, 7)
+        p2 = np.einsum("ij,ij->i", pts, pts)
+        start = cluster._kmeanspp_init(pts, p2, 5, np.random.default_rng(7))
+        assert np.array_equal(start, _kmeanspp_reference(pts, 5, np.random.default_rng(7)))
+        _, trace = cluster._lloyd(pts, p2, start.copy())
+        _, want = _lloyd_reference(pts, start.copy())
+        assert trace == want
+
+    def test_clusters_numbered_by_first_appearance(self):
+        for seed in range(5):
+            labels = cluster.kmeans(self.blobs(200, 6, seed), 6, seed)
+            assert np.array_equal(labels, first_appearance(labels))
+            assert labels.dtype == np.int64
 
     def test_bad_k_rejected(self):
         pts = np.zeros((4, 2))
@@ -129,7 +177,7 @@ class TestSpectral:
     def test_two_blocks_split_perfectly(self):
         S = self.block_similarity([4, 6])
         labels = cluster.spectral_cluster(S, 2, seed=0)
-        assert np.array_equal(canonical(labels), [0] * 4 + [1] * 6)
+        assert np.array_equal(first_appearance(labels), [0] * 4 + [1] * 6)
         embedding = cluster.spectral_embedding(S, 2)
         assert embedding.shape == (10, 2)
         assert np.allclose(np.linalg.norm(embedding, axis=1), 1.0)
@@ -137,16 +185,16 @@ class TestSpectral:
     def test_three_blocks_with_weak_offblock_noise(self):
         S = self.block_similarity([5, 5, 5], noise=0.01)
         labels = cluster.spectral_cluster(S, 3, seed=1)
-        assert np.array_equal(canonical(labels), [0] * 5 + [1] * 5 + [2] * 5)
+        assert np.array_equal(first_appearance(labels), [0] * 5 + [1] * 5 + [2] * 5)
 
     def test_permutation_equivariance(self):
         S = self.block_similarity([4, 5, 3], noise=0.02)
-        base = canonical(cluster.spectral_cluster(S, 3, seed=4))
+        base = first_appearance(cluster.spectral_cluster(S, 3, seed=4))
         rng = np.random.default_rng(8)
         perm = rng.permutation(S.shape[0])
         Sp = S[np.ix_(perm, perm)]
-        permuted = canonical(cluster.spectral_cluster(Sp, 3, seed=4))
-        assert np.array_equal(canonical(base[perm]), permuted)
+        permuted = first_appearance(cluster.spectral_cluster(Sp, 3, seed=4))
+        assert np.array_equal(first_appearance(base[perm]), permuted)
 
     @pytest.mark.parametrize("sizes, noise, k", [
         ([4, 6], 0.0, 2),
@@ -190,12 +238,13 @@ class TestSpectral:
     def test_labels_match_the_dense_oracle(self, isolated, noise):
         """On a similarity with clusters (four sparse noisy blocks, n =
         200), k-means gives the Lanczos embedding the dense oracle's
-        partition. Its numbering is that of the restart with the lowest
-        within-cluster sum of squares, and restarts that reach the same
-        partition differ there only by rounding, so the numbering is not
-        compared. On the structureless random similarities above k-means is
-        a chaotic local search: with isolated nodes, rounding alone makes a
-        restart with another partition win there."""
+        partition, and the same labels: restarts that reach one partition
+        differ in their sum of squares only by rounding, so which of them
+        wins can change with the embedding's last bits, and k-means numbers
+        clusters by first appearance to keep the labels from following it.
+        On the structureless random similarities above k-means is a chaotic
+        local search: with isolated nodes, rounding alone makes a restart
+        with another partition win there."""
         rng = np.random.default_rng(isolated + int(100 * noise))
         S = self.block_similarity([40, 60, 50, 50], noise=noise)
         S = cluster.similarity(S * (rng.random(S.shape) < 0.5))
@@ -203,7 +252,7 @@ class TestSpectral:
         S[:, :isolated] = 0.0
         labels = cluster.spectral_cluster(S, 4, seed=0)
         expected = cluster.kmeans(spectral_embedding_plain(S, 4), 4, 0)
-        assert np.array_equal(canonical(labels), canonical(expected))
+        assert np.array_equal(labels, expected)
 
     def test_two_calls_give_the_same_bits(self):
         S = self.random_similarity(200)

@@ -131,26 +131,96 @@ def test_row_blocks_match_full_sort_reference():
 
 def test_knn_working_set():
     """Peak memory allocated by the pipeline's two-count call at n = 1000,
-    in n x n arrays. Measured at 3.0, all of it ``pairwise_sq_dists``: the
-    distances and the temporaries of one row block; the selection and the
-    sparse adjacencies stay below that. Dense adjacencies and one symmetrizing copy peaked at 4.1, and
-    selecting candidates for all rows at once at 5.5."""
+    in n x n arrays. Measured at 0.23: one row block's screen, its
+    partitioned copy and candidate mask, and the neighbor lists and sparse
+    adjacencies. With a full n x n distance matrix from explicit
+    differences it peaked at 3.0, with dense adjacencies and one
+    symmetrizing copy at 4.1, and selecting candidates for all rows at
+    once at 5.5."""
     n = 1000
     points = np.random.default_rng(1).standard_normal((8, n))
-    assert peak_nn_arrays(lambda: graph.knn_adjacency(points, 30, 10), n) <= 3.5
+    assert peak_nn_arrays(lambda: graph.knn_adjacency(points, 30, 10), n) <= 1.0
+
+
+def test_knn_working_set_holds_no_distance_matrix():
+    """At n = 4096 the same call allocates 0.05 n x n arrays at its peak;
+    an n x n distance matrix alone is 1.0 of them, and with one the call
+    peaked at 1.11."""
+    n = 4096
+    points = np.random.default_rng(1).standard_normal((8, n))
+    assert peak_nn_arrays(lambda: graph.knn_adjacency(points, 30, 10), n) <= 0.25
 
 
 @pytest.mark.parametrize("shape", [(600, 300), (3, 2000)])
-def test_distances_bit_identical_and_symmetric(shape):
-    """Both shapes span many row blocks of the mirrored computation and
-    several chunks of the full-block reference; integer values add exact
-    ties and duplicate columns."""
+def test_distances_bit_identical_and_symmetric(shape, monkeypatch):
+    """The candidates' explicit-difference distances, here for every pair
+    in chunks of many pairs, then for the first 2n pairs one at a time,
+    where a reduction over the features would add them pairwise. Both
+    shapes span several chunks of the full-block reference; integer values
+    add exact ties and duplicate columns."""
     rng = np.random.default_rng(5)
     points = rng.standard_normal(shape)
     points[:, ::7] = rng.integers(-2, 3, size=(shape[0], 1))
-    d2 = graph.pairwise_sq_dists(points)
+    n = shape[1]
+    rows, cols = np.divmod(np.arange(n * n), n)
+    d2 = graph._sq_dists(points, rows, cols).reshape(n, n)
     assert np.array_equal(d2, d2.T)
     assert np.array_equal(d2, pairwise_sq_dists_reference(points))
+    monkeypatch.setattr(graph, "KNN_BLOCK", shape[0])
+    assert np.array_equal(graph._sq_dists(points, rows[:2 * n], cols[:2 * n]),
+                          d2.reshape(-1)[:2 * n])
+
+
+@st.composite
+def adversarial_points(draw):
+    """Points where a Gram-form screen is at its weakest: a common offset
+    of 1e6 to 1e8, which cancels in |x_j|^2 - 2 x_i^T x_j; columns scaled
+    by 1e-160, whose squared distances are subnormal; by 1e150, near
+    overflow; mixed scales per column; and an integer grid with duplicate
+    columns."""
+    kind = draw(st.sampled_from(["offset", "tiny", "huge", "mixed", "grid"]))
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        points = rng.integers(-2, 3, size=(d, n)).astype(float)
+        points[:, rng.integers(0, n, n // 2)] = points[:, rng.integers(0, n, n // 2)]
+    else:
+        points = rng.standard_normal((d, n))
+    if kind == "offset":
+        points += 10.0 ** draw(st.floats(6, 8))
+    elif kind == "tiny":
+        points *= 1e-160
+    elif kind == "huge":
+        points *= 1e150
+    elif kind == "mixed":
+        points *= 10.0 ** rng.integers(-160, 150, size=(1, n))
+    counts = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))
+    return points, counts
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(adversarial_points())
+def test_screen_keeps_every_neighbor_on_adversarial_scales(case):
+    """The screened selection equals the full-sort reference bit for bit
+    where rounding and underflow make the screen least accurate."""
+    points, counts = case
+    got = graph.knn_adjacency(points, *counts)
+    got = got if len(counts) > 1 else (got,)
+    for adj, ref in zip(got, knn_adjacency_reference(points, *counts), strict=True):
+        assert np.array_equal(adj.toarray(), ref)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170])
+def test_subnormal_distances_need_the_absolute_bound(scale):
+    """At 1e-160 squared distances are subnormal, so the screen's error is
+    absolute, not relative to the norms: with a bound relative to the
+    norms alone the screen drops true neighbors. At 1e-170 every squared
+    distance is zero and index order alone decides."""
+    points = np.random.default_rng(3).standard_normal((8, 400)) * scale
+    for adj, ref in zip(graph.knn_adjacency(points, 30, 10),
+                        knn_adjacency_reference(points, 30, 10), strict=True):
+        assert np.array_equal(adj.toarray(), ref)
 
 
 def test_non_finite_points_rejected():
@@ -158,6 +228,17 @@ def test_non_finite_points_rejected():
     pts[1, 3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         graph.knn_adjacency(pts, 2)
+
+
+def test_screen_that_overflows_takes_every_column():
+    """Near 1.5e154 the squared norms overflow and the screen is inf - inf,
+    while the distances, spread over 1e144, are finite: every column is a
+    candidate and the graph is exact."""
+    rng = np.random.default_rng(4)
+    points = 1.5e154 + 1e144 * rng.integers(-50, 50, size=(2, 40))
+    for adj, ref in zip(graph.knn_adjacency(points, 5, 1),
+                        knn_adjacency_reference(points, 5, 1), strict=True):
+        assert np.array_equal(adj.toarray(), ref)
 
 
 def test_overflowing_distances_rejected():

@@ -347,18 +347,20 @@ class TestPretrain:
         assert live[0] < 0.5 * X.nbytes, live[0] / X.nbytes
 
     def test_both_graphs_come_from_one_distance_pass(self, monkeypatch):
+        """One screened pass: a single ``knn_adjacency`` call carries both
+        neighbor counts."""
         calls = []
-        original = graph.pairwise_sq_dists
+        original = graph.knn_adjacency
 
-        def counting(points):
-            calls.append(points.shape)
-            return original(points)
+        def counting(points, *counts):
+            calls.append(counts)
+            return original(points, *counts)
 
-        monkeypatch.setattr(graph, "pairwise_sq_dists", counting)
+        monkeypatch.setattr(graph, "knn_adjacency", counting)
         X, tc = tiny_problem(seed=8, pretrain_epochs=0, knn_init=3, knn_struct=2)
         state = train.init_state(X.shape[0], tc)
         train.pretrain(state, X, tc)
-        assert len(calls) == 1
+        assert calls == [(3, 2)]
         assert state.z0 is not None and state.lap is not None
 
 
