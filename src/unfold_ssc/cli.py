@@ -422,31 +422,20 @@ def _write_ppm(out_dir: str, name: str, shape, coords, labels) -> None:
 
 def save_checkpoint(path: str, state) -> None:
     """Write AE weights and unfold parameters into the new directory ``path``:
-    one SSCM file per tensor plus a JSON manifest with layer counts and
-    scalars."""
+    one SSCM file per autoencoder tensor plus a JSON manifest with layer
+    counts and the unfolded layers' scalars."""
     from unfold_ssc import autoenc, container
 
     os.makedirs(path)
     manifest: dict = {"format": 1, "slope": autoenc.LEAKY_SLOPE, "tensors": {}}
-
-    def put(tag, arr):
-        import numpy as np
-
-        fname = tag.replace(".", "_") + ".sscm"
-        a = np.asarray(arr, dtype=float)
-        container.write_array(os.path.join(path, fname), a if a.ndim == 2 else a.reshape(1, -1))
-        manifest["tensors"][tag] = {"file": fname, "shape": list(a.shape)}
-
     manifest["ae"] = {"enc_layers": len(state.ae.enc), "dec_layers": len(state.ae.dec)}
     for name, arr in state.ae.named_arrays():
-        put(f"ae.{name}", arr)
+        fname = f"ae_{name.replace('.', '_')}.sscm"
+        container.write_array(os.path.join(path, fname), arr.reshape(-1, arr.shape[-1]))
+        manifest["tensors"][f"ae.{name}"] = {"file": fname, "shape": list(arr.shape)}
     if state.unfold is not None:
-        manifest["unfold"] = {"n_layers": state.unfold.n_layers, "scalars": {}}
-        for name, arr in state.unfold.named_arrays():
-            if name.endswith(("rho_raw", "theta_raw")):
-                manifest["unfold"]["scalars"][name] = float(arr)
-            else:
-                put(f"unfold.{name}", arr)
+        manifest["unfold"] = {"n_layers": state.unfold.n_layers, "scalars": {
+            name: float(arr) for name, arr in state.unfold.named_arrays()}}
     with open(os.path.join(path, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,6 +7,8 @@ two labelings with an optimal assignment on the contingency table first.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -61,13 +63,15 @@ def nmi(pred, truth) -> float:
 
     Natural log, 0 * log 0 = 0. If either labeling has zero entropy the
     value is 1.0 when the two partitions are identical and 0.0 otherwise.
+    Each sum is correctly rounded (``math.fsum``), so renumbering either
+    labeling, which reorders the terms, leaves every bit of the value.
     """
     table, _, _ = contingency(pred, truth)
     n = table.sum()
     pi = table.sum(axis=1) / n
     pj = table.sum(axis=0) / n
-    hu = -float(np.sum(pi[pi > 0] * np.log(pi[pi > 0])))
-    hv = -float(np.sum(pj[pj > 0] * np.log(pj[pj > 0])))
+    hu = -math.fsum(pi[pi > 0] * np.log(pi[pi > 0]))
+    hv = -math.fsum(pj[pj > 0] * np.log(pj[pj > 0]))
     if hu == 0.0 or hv == 0.0:
         one_per_row = np.all((table > 0).sum(axis=1) == 1)
         one_per_col = np.all((table > 0).sum(axis=0) == 1)
@@ -76,7 +80,7 @@ def nmi(pred, truth) -> float:
     pij = table / n
     mask = pij > 0
     outer = np.outer(pi, pj)
-    info = float(np.sum(pij[mask] * np.log(pij[mask] / outer[mask])))
+    info = math.fsum(pij[mask] * np.log(pij[mask] / outer[mask]))
     return float(min(1.0, max(0.0, info / np.sqrt(hu * hv))))
 
 

@@ -151,7 +151,7 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     the unfolded forward allocates its 2 + (2K - 4) n x n arrays for
     K >= 3. The coefficient losses and the backward work in those same
     arrays: gC in the tape's ``spare``, the structure gradient over C, and
-    project(gC) over C once gC is formed. None of them outlives the call.
+    W H0 gC over C once gC is formed. None of them outlives the call.
     """
     if state.unfold is None:
         raise ValueError("unfolded network is not initialized; run train_joint")

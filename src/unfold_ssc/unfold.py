@@ -1,18 +1,19 @@
 """Layer-unfolded ADMM network for learnable self-representation.
 
-Each layer replays one ADMM iteration with its own learnable map W
-(initialized from the analytic solver matrix, then free), penalty rho and
-shrinkage threshold theta, the last two stored as softplus preimages so
-gradient steps can never push them out of range (rho > 0, theta >= 0). The
-network returns the top layer's C, before that layer's shrinkage, so the
-top layer has no threshold: K layers learn K maps, K penalties and K - 1
-thresholds. All layers share the solver's fixed B = (2 H0^T H0 + rho0 I)^-1
-for the normalized latent H0 at initialization, never formed but applied in
-Woodbury form through the l x l matrix M = (rho0 / 2 I + H0 H0^T)^-1, at
-O(n^2 l) per n x n operand. With theta = lambda / rho the forward pass
-reproduces the classic solver to rounding: the two compute the same
-iteration in a different order, and rho and theta round-trip through
-softplus (acceptance test A2 bounds the relative difference by 1e-10).
+Each layer replays one ADMM iteration with its own learnable penalty rho
+and shrinkage threshold theta, stored as softplus preimages so gradient
+steps can never push them out of range (rho > 0, theta >= 0). The network
+returns the top layer's C, before that layer's shrinkage, so the top layer
+has no threshold: K layers learn 2K - 1 scalars. Everything else is the
+classic solver's, fixed at the normalized latent H0 of initialization and
+shared by every layer: the input map W = H0^T M and the iterate map
+B = (2 H0^T H0 + rho0 I)^-1, where M = (rho0 / 2 I + H0 H0^T)^-1 is l x l.
+B is never formed. Since W H~ - B V = W (H~ + H0 V / rho0) - V / rho0, a
+layer costs two O(n^2 l) products forward, H0 V and W U, and two backward.
+With theta = lambda / rho the forward pass reproduces the classic solver
+to rounding: the two compute the same iteration in a different order, and
+rho and theta round-trip through softplus (acceptance test A2 bounds the
+relative difference by 1e-10).
 
 The Z seed Z0, a k-neighbor graph, is a sparse CSR array: layer 0 reads it
 by scattering its entries into a zero-filled buffer, which gives the dense
@@ -23,11 +24,11 @@ framework is involved. The tape keeps only what the backward reads: Z0 and
 the C and dual input mu of the K - 1 layers that shrink, less the first
 two duals (the scalar 0, and mu_1, which both passes recompute), so
 2K - 4 n x n arrays for K >= 3, one for K = 2 and none for K = 1. The
-forward holds two more, V, which becomes the returned C, and project(V),
-kept as the tape's ``spare``: 2 + (2K - 4) n x n arrays for K >= 3, in
-which the losses and the backward then work too.
+forward holds two more, V, which becomes the returned C, and a scratch
+array kept as the tape's ``spare``: 2 + (2K - 4) n x n arrays for K >= 3,
+in which the losses and the backward then work too.
 
-Every matrix product runs on whole n x n arrays. Everything between two
+Every matrix product runs on whole arrays. Everything between two
 products, elementwise chains and the sums that reduce them, runs one flat
 segment of ``classic.pairwise_segments`` at a time through buffers of
 ``classic.SEGMENT`` entries: a segment's Z and mu are recomputed from the
@@ -61,7 +62,7 @@ def softplus_inv(y):
 
 @dataclass
 class UnfoldLayer:
-    W: np.ndarray          # (n, l)
+    W: np.ndarray          # (n, l) fixed H0^T M, the same array in every layer
     rho_raw: np.ndarray    # 0-d softplus preimage of the penalty
     theta_raw: np.ndarray | None  # same for the threshold; None on the top layer
 
@@ -76,7 +77,8 @@ class UnfoldLayer:
 
 @dataclass
 class UnfoldParams:
-    """The learnable layers, and the fixed B they share as H0, M and rho0."""
+    """The learnable layers, and the fixed W and B they share as H0, M and
+    rho0."""
 
     layers: list[UnfoldLayer]
     H0: np.ndarray
@@ -88,17 +90,12 @@ class UnfoldParams:
         return len(self.layers)
 
     def named_arrays(self):
-        """Deterministic (name, array) walk over every learnable tensor."""
+        """Deterministic (name, array) walk over every learnable tensor: the
+        0-d preimages of each layer's rho and, below the top, theta."""
         for idx, layer in enumerate(self.layers):
-            yield f"layer{idx}.W", layer.W
             yield f"layer{idx}.rho_raw", layer.rho_raw
             if layer.theta_raw is not None:
                 yield f"layer{idx}.theta_raw", layer.theta_raw
-
-    def project(self, V: np.ndarray, out=None) -> np.ndarray:
-        """H0^T (M (H0 V)), written into ``out`` (a new array when omitted),
-        so that B V = (V - project(V)) / rho0; B is symmetric."""
-        return np.matmul(self.H0.T, self.M @ (self.H0 @ V), out=out)
 
 
 def _diagonal(n: int, start: int, stop: int) -> slice:
@@ -148,7 +145,6 @@ class ForwardTape:
     rather than read it.
     """
 
-    Htilde: np.ndarray
     Z0: sparse.csr_array
     rho: list = field(default_factory=list)
     theta: list = field(default_factory=list)
@@ -207,8 +203,8 @@ class ForwardTape:
 def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -> UnfoldParams:
     """Analytic initialization from the normalized latent H0 = Htilde.
 
-    Every layer starts from its own copy of W = H0^T M, which equals the
-    classic solver's (2 H0^T H0 + rho0 I)^-1 2 H0^T, with penalty rho0;
+    Every layer holds the same fixed W = H0^T M, which equals the classic
+    solver's (2 H0^T H0 + rho0 I)^-1 2 H0^T, and starts from penalty rho0;
     every layer but the top starts from threshold theta0.
     """
     if n_layers < 1:
@@ -222,7 +218,7 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -
     W = H0.T @ M
     rho_raw = softplus_inv(rho0)
     theta_raw = softplus_inv(theta0)
-    return UnfoldParams([UnfoldLayer(W.copy(), np.array(rho_raw),
+    return UnfoldParams([UnfoldLayer(W, np.array(rho_raw),
                                      np.array(theta_raw) if k + 1 < n_layers else None)
                          for k in range(n_layers)], H0, M, float(rho0))
 
@@ -230,7 +226,8 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -
 def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
     """Run the unfolded network from Z = Z0 and mu = 0.
 
-    Per layer k:  V = mu - rho_k Z;  C = W_k H~ - B V;
+    Per layer k:  V = mu - rho_k Z;  C = W H~ - B V = W U - V / rho0,
+                  U = H~ + H0 V / rho0;
                   Z = shrink(C + mu / rho_k, theta_k) with zero diagonal;
                   mu = mu + rho_k (C - Z).
     The last layer stops at C: nothing reads its Z or dual.
@@ -241,13 +238,13 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
     duplicate entries summed), and layer 0's V = 0 - rho_0 Z0 is scattered
     into a zero-filled buffer. The pass allocates 2 + (2K - 4) n x n
     arrays for K >= 3: the 2K - 4 the tape stores and two working arrays,
-    V and project(V). Below the top, each layer's C goes into the tape,
-    and after the layer's products one segment pass finishes C, Z (in a
-    segment buffer), the next dual (stored from mu_2 up, else a segment at
-    a time) and the next layer's V, written over V. mu_1 is recomputed
-    there a segment at a time, into V's segment once it is read. The top
-    layer finishes B V in project(V), the tape's ``spare``, then writes
-    W H~ over V and subtracts: V is the returned C.
+    V and a scratch P. Below the top, W U goes into the layer's tape C,
+    and one segment pass then finishes C, Z (in a segment buffer), the
+    next dual (stored from mu_2 up, else a segment at a time) and the next
+    layer's V, written over V, with P's segment as scratch. mu_1 is
+    recomputed there a segment at a time, into V's segment once it is
+    read. The top layer writes V / rho0 into P, the tape's ``spare``, then
+    W U over V and subtracts: V is the returned C.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
@@ -261,7 +258,7 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
         raise ValueError("Z0 must have a zero diagonal")
     top = params.n_layers - 1
     V, P = np.empty((n, n)), np.empty((n, n))
-    tape = ForwardTape(Htilde, Z0, C=[np.empty((n, n)) for _ in range(top)],
+    tape = ForwardTape(Z0, C=[np.empty((n, n)) for _ in range(top)],
                        mu_in=[0.0, None][:top] + [np.empty((n, n)) for _ in range(2, top)],
                        spare=P)
     V_flat, P_flat = V.reshape(-1), P.reshape(-1)
@@ -270,16 +267,16 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
     rho = params.layers[0].rho
     _scatter(_positions(Z0), np.subtract(0.0, np.multiply(Z0.data, rho)), 0, V_flat)
     for k, layer in enumerate(params.layers):
-        params.project(V, out=P)
+        U = params.H0 @ V  # U = H~ + H0 V / rho0, in one l x n array
+        U /= params.rho0
+        U += Htilde
         if k == top:
-            for start, stop in segments:  # B V into P
-                p = P_flat[start:stop]
-                np.divide(np.subtract(V_flat[start:stop], p, out=p), params.rho0, out=p)
-            C = np.matmul(layer.W, Htilde, out=V)  # V is read no more
+            np.divide(V, params.rho0, out=P)
+            C = np.matmul(layer.W, U, out=V)  # V is read no more
             C -= P
             np.fill_diagonal(C, 0.0)
             return C, tape
-        C = np.matmul(layer.W, Htilde, out=tape.C[k])
+        C = np.matmul(layer.W, U, out=tape.C[k])
         tape.rho.append(rho)
         tape.theta.append(layer.theta)
         rho_next = params.layers[k + 1].rho
@@ -288,7 +285,7 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
         C_flat = C.reshape(-1)
         for start, stop in segments:
             v, p, c = V_flat[start:stop], P_flat[start:stop], C_flat[start:stop]
-            c -= np.divide(np.subtract(v, p, out=p), params.rho0, out=p)  # C = W H~ - B V
+            c -= np.divide(v, params.rho0, out=p)  # C = W U - V / rho0
             m = tape.mu(k, start, stop, out=v, scratch=p)  # mu_1 over V, read above
             Z = tape.Z(k, start, stop, out=Z_buf[:stop - start], scratch=p, mu=m)
             dual = p if mu_next is None else mu_next.reshape(-1)[start:stop]
@@ -315,15 +312,15 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
     Besides gC and the tape it holds one n x n array, ``scratch`` (new when
     omitted; it may be the returned C or the tape's ``spare``, but neither
     grad_C nor an array the tape stores, else ValueError), into which
-    project(gC) goes and a segment at a time becomes B gC and the gradient
-    of the layer below's Z. After each layer's products one segment pass
+    W H0 gC goes and a segment at a time becomes B gC and the gradient of
+    the layer below's Z. After each layer's products one segment pass
     recomputes the layer below's mu (into gC's segment, which it overwrites
     last) and Z, and forms its gC, the next gmu and every sum its rho and
     theta gradients read; layer 0's rho gradient scatters Z0 one segment at
     a time.
     """
-    Ht, grads, gC = tape.Htilde, {}, grad_C
-    n = Ht.shape[1]
+    grads, gC = {}, grad_C
+    n = tape.Z0.shape[0]
     if not _writable_square(gC, n):
         raise ValueError(f"grad_C must be a writable C-contiguous float64 {n} x {n} array, "
                          "which it overwrites")
@@ -352,11 +349,12 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
     grho = 0.0  # layer k's rho gradient, less its B V term
     for k in range(top, -1, -1):
         layer = params.layers[k]
-        # C = W H~ - B V,  V = mu_in - rho Z_in, with B fixed and symmetric
-        gW = None if out is None else out[f"layer{k}.W"]
-        grads[f"layer{k}.W"] = np.matmul(gC, Ht.T, out=gW)
-        gHt = layer.W.T @ gC if k == top else gHt + layer.W.T @ gC
-        params.project(gC, out=P)
+        # C = W (H~ + H0 V / rho0) - V / rho0,  V = mu_in - rho Z_in, with W = H0^T M
+        # fixed and M symmetric: gH~ gains W^T gC = M Y and B gC = (gC - W Y) / rho0
+        # for Y = H0 gC.
+        Y = params.H0 @ gC
+        gHt = params.M @ Y if k == top else gHt + params.M @ Y
+        np.matmul(layer.W, Y, out=P)
         rho = layer.rho
         if k == 0:
             positions, partials = _positions(tape.Z0), []

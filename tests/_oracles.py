@@ -394,7 +394,6 @@ class ReferenceTape:
     """Every intermediate of the reference forward pass, stored: 3K n x n
     arrays for K layers."""
 
-    Htilde: np.ndarray
     Z0: np.ndarray
     rho: list = field(default_factory=list)
     mu_in: list = field(default_factory=list)
@@ -415,10 +414,10 @@ def shrinkage_inputs(tape, count: int) -> list:
 
 
 def apply_B(params, V: np.ndarray) -> np.ndarray:
-    """B V = (V - H0^T (M (H0 V))) / rho0 as one whole-array expression; the
-    unfolded passes form it a segment at a time from ``params.project``
-    and must match it bit for bit."""
-    BV = params.project(V)
+    """B V = (V - W (H0 V)) / rho0 for the layers' shared W = H0^T M, as one
+    whole-array expression; the unfolded backward forms B gC this way a
+    segment at a time and must match it bit for bit."""
+    BV = params.layers[0].W @ (params.H0 @ V)
     np.subtract(V, BV, out=BV)
     BV /= params.rho0
     return BV
@@ -432,21 +431,6 @@ def structure_loss_reference(C: np.ndarray, lap):
     return 2.0 * float(np.sum(np.multiply(CL, C))), np.multiply(CL, 4.0)
 
 
-class SymmetricOperator:
-    """A symmetric linear map known by its action, usable where the
-    reference passes write ``B @ V`` and ``B.T @ V``."""
-
-    def __init__(self, apply):
-        self.apply = apply
-
-    def __matmul__(self, V):
-        return self.apply(V)
-
-    @property
-    def T(self):
-        return self
-
-
 def dense_B_reference(params) -> np.ndarray:
     """The unfolded layers' fixed B = (2 H0^T H0 + rho0 I)^-1 as an n x n
     matrix, from its own dense solve."""
@@ -455,24 +439,28 @@ def dense_B_reference(params) -> np.ndarray:
     return scipy.linalg.solve(2.0 * (H0.T @ H0) + rho0 * np.eye(n), np.eye(n), assume_a="pos")
 
 
-def unfold_forward_reference(params, B, Htilde, Z0):
+def unfold_forward_reference(params, Htilde, Z0, B=None):
     """The unfolded forward pass written plainly: every layer but the top,
     whose C is the output, computes its shrinkage and dual update, and the
-    tape keeps them all. ``B`` is the layers' fixed operator: the dense
-    matrix from ``dense_B_reference``, or the package's own closed form
-    wrapped in ``SymmetricOperator``, with which package results must match
-    bit for bit.
+    tape keeps them all. Each layer forms C = W (H~ + H0 V / rho0) - V / rho0
+    from the shared W = H0^T M, with which package results must match bit
+    for bit. Given the dense ``B`` of ``dense_B_reference`` it forms
+    C = W H~ - B V instead, the solver's own algebra, which package results
+    must match to rounding.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
     Z = np.asarray(Z0, dtype=np.float64)
     mu = np.zeros((n, n))
-    tape = ReferenceTape(Htilde=Htilde, Z0=Z)
+    tape = ReferenceTape(Z0=Z)
     C = None
     for k, layer in enumerate(params.layers):
         rho = layer.rho
         V = mu - rho * Z
-        C = layer.W @ Htilde - B @ V
+        if B is None:
+            C = layer.W @ (Htilde + (params.H0 @ V) / params.rho0) - V / params.rho0
+        else:
+            C = layer.W @ Htilde - B @ V
         tape.rho.append(rho)
         tape.mu_in.append(mu)
         tape.C.append(C)
@@ -489,15 +477,16 @@ def unfold_forward_reference(params, B, Htilde, Z0):
     return C_out, tape
 
 
-def unfold_backward_reference(params, B, tape, grad_C):
+def unfold_backward_reference(params, tape, grad_C, B=None):
     """Reverse mode through every branch of every layer (the top has no
     shrinkage), from zero-filled accumulators and with masks built from full
-    n x n arrays; ``B`` as in ``unfold_forward_reference``.
+    n x n arrays; ``B`` as in ``unfold_forward_reference``: without it the
+    layer's H~ gradient is M (H0 gC) and its B gC is ``apply_B``'s, with it
+    W^T gC and B gC.
     """
-    Ht = tape.Htilde
-    n = Ht.shape[1]
+    n = tape.Z0.shape[0]
     grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-    gHt = np.zeros_like(Ht)
+    gHt = np.zeros((params.H0.shape[0], n))
 
     off_diag = 1.0 - np.eye(n)
     gC_ext = np.asarray(grad_C, dtype=np.float64) * off_diag
@@ -531,9 +520,12 @@ def unfold_backward_reference(params, B, tape, grad_C):
             grho += float(np.sum(gT * (-mu_in / rho**2)))
             grads[f"{name}.theta_raw"] += gtheta * expit(layer.theta_raw)
 
-        grads[f"{name}.W"] += gC @ Ht.T
-        gHt += layer.W.T @ gC
-        gV = -(B.T @ gC)
+        if B is None:
+            gHt += params.M @ (params.H0 @ gC)
+            gV = -apply_B(params, gC)
+        else:
+            gHt += layer.W.T @ gC
+            gV = -(B.T @ gC)
         gmu_in += gV
         gZ_in = -rho * gV
         grho += float(np.sum(gV * (-Z_in)))

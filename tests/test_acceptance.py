@@ -113,7 +113,7 @@ def _gradient_check_instance(seed: int):
         return b.total
 
     _, grads = train.total_loss(state, X, w)
-    classes = {"ae.W": 0.0, "ae.b": 0.0, "W": 0.0, "rho": 0.0, "theta": 0.0}
+    classes = {"ae.W": 0.0, "ae.b": 0.0, "rho": 0.0, "theta": 0.0}
     for name, arr in state.named_arrays():
         fd = fd_gradient(objective, arr, step=1e-5)
         err = rel_err(grads[name], fd)
@@ -121,10 +121,8 @@ def _gradient_check_instance(seed: int):
             key = "ae.b" if name.endswith(".b") else "ae.W"
         elif name.endswith("rho_raw"):
             key = "rho"
-        elif name.endswith("theta_raw"):
-            key = "theta"
         else:
-            key = "W"
+            key = "theta"
         classes[key] = max(classes[key], err)
     return classes
 
@@ -133,7 +131,7 @@ def test_a3_gradient_correctness():
     started = time.time()
     checked = 0
     skipped = 0
-    worst = {"ae.W": 0.0, "ae.b": 0.0, "W": 0.0, "rho": 0.0, "theta": 0.0}
+    worst = {"ae.W": 0.0, "ae.b": 0.0, "rho": 0.0, "theta": 0.0}
     seed = 0
     while checked < 20 and seed < 60:
         result = _gradient_check_instance(seed)

@@ -381,9 +381,9 @@ class TestRunCommand:
         assert manifest["slope"] == autoenc.LEAKY_SLOPE == 0.01
         ae = autoenc.init_weights(36, (16, 8), 6, 0)
         shapes = {f"ae.{name}": arr.shape for name, arr in ae.named_arrays()}
-        for k in range(2):
-            shapes[f"unfold.layer{k}.W"] = (64, 6)
         assert set(manifest["tensors"]) == set(shapes)
+        assert sorted(manifest["unfold"]["scalars"]) == [
+            "layer0.rho_raw", "layer0.theta_raw", "layer1.rho_raw"]
         for tag, entry in manifest["tensors"].items():
             arr = container.read_array(os.path.join(ckpt, entry["file"]))
             assert tuple(entry["shape"]) == shapes[tag]
@@ -393,7 +393,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("K", [1, 3])
     def test_checkpoint_lists_exactly_the_learned_arrays(self, tmp_path, monkeypatch, K):
         """The manifest's tensors and unfold scalars are the trained state's
-        ``named_arrays``: the ae and W tensors plus K penalties and K - 1
+        ``named_arrays``: the ae tensors plus K penalties and K - 1
         thresholds."""
         states = []
         joint = train.train_joint

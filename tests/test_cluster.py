@@ -1,5 +1,7 @@
 """Tests for similarity, seeded k-means, and spectral clustering."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -135,6 +137,26 @@ class TestKmeans:
         assert np.array_equal(labels, [0, 0, 1, 2, 2])
         want_labels, want_trace = _lloyd_reference(pts, centers.copy())
         assert np.array_equal(labels, want_labels) and trace == want_trace
+
+    def test_repair_takes_the_first_of_tied_farthest_points(self, monkeypatch):
+        """The 384 signed permutations of (1, 2, 3, 4), all at squared
+        distance exactly 30 from the origin, and their halves, shuffled: with
+        centers at the origin and far off, the far center empties and the
+        repair must take the lowest-index point at 30, as a stable sort
+        orders them.
+        numpy's default argsort puts another of the 384 first here. Two
+        Lloyd steps, so the labels show the repair's pick."""
+        signs = itertools.product((1.0, -1.0), repeat=4)
+        far = np.array([np.multiply(s, p)
+                        for s, p in itertools.product(signs, itertools.permutations((1, 2, 3, 4)))])
+        pts = np.concatenate([far, 0.5 * far])[np.random.default_rng(0).permutation(768)]
+        p2 = np.einsum("ij,ij->i", pts, pts)
+        centers = np.array([[0.0] * 4, [1000.0] * 4])
+        monkeypatch.setattr(cluster, "KMEANS_MAX_ITER", 2)
+        labels, _ = cluster._lloyd(pts, p2, centers.copy())
+        assert labels[np.flatnonzero(p2 == 30.0)[0]] == 1
+        want, _ = _lloyd_reference(pts, centers.copy())
+        assert np.array_equal(labels, want)
 
     def test_trace_equals_the_reference(self):
         """The seeding and the WCSS trace, summed from the distances the

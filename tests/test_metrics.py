@@ -101,6 +101,20 @@ class TestNmi:
                 nmi_plain(pred, truth), abs=1e-12
             )
 
+    def test_renumbering_keeps_every_bit(self):
+        """Renumbering the clusters reorders the entropy and information
+        terms; on this case a plain left-to-right sum of them moves by an
+        ulp, and the value must not."""
+        pred = np.array([0, 2, 2, 1, 2, 1, 0, 0, 0, 2])
+        truth = np.array([0, 0, 0, 1, 0, 0, 1, 1, 1, 1])
+        renumbered = np.array([2, 0, 1])[pred]
+        tables = [metrics.contingency(p, truth)[0] / len(truth) for p in (pred, renumbered)]
+        sums = [np.sum(t[t > 0] * np.log(t[t > 0] / np.outer(t.sum(1), t.sum(0))[t > 0]))
+                for t in tables]
+        assert sums[0] != sums[1]
+        assert metrics.nmi(renumbered, truth) == metrics.nmi(pred, truth)
+        assert metrics.nmi(truth, renumbered) == metrics.nmi(truth, pred)
+
     def test_zero_entropy_identical(self):
         assert metrics.nmi([3, 3, 3], [0, 0, 0]) == 1.0
 
