@@ -212,11 +212,9 @@ def encoder_backward(weights: AeWeights, tape: AeTape, grad_code: np.ndarray, ou
     return grads
 
 
-def ae_backward(weights: AeWeights, tape: AeTape,
-                grad_H: np.ndarray | None, grad_Xhat: np.ndarray, out=None):
-    """Reverse pass for both heads: reconstruction and, when ``grad_H`` is
-    given, latent consumers: ``decoder_backward``, then ``encoder_backward``
-    from the sum of the two latent gradients.
+def ae_backward(weights: AeWeights, tape: AeTape, grad_Xhat: np.ndarray, out=None):
+    """Reverse pass for the reconstruction alone: ``decoder_backward``,
+    then ``encoder_backward`` from its latent gradient.
 
     Returns a dict keyed like ``AeWeights.named_arrays``. Each gradient is
     written into the array of the same name in the dict ``out`` when given,
@@ -224,8 +222,6 @@ def ae_backward(weights: AeWeights, tape: AeTape,
     formed.
     """
     grads, g = decoder_backward(weights, tape, grad_Xhat, out)
-    if grad_H is not None:
-        g = np.asarray(grad_H, dtype=np.float64).T + g
     grads.update(encoder_backward(weights, tape, g, out))
     return grads
 

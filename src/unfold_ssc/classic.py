@@ -64,52 +64,20 @@ def soft_threshold(x, tau: float, out=None, scratch=None):
     return np.subtract(x, clipped, out=out)
 
 
-# Most entries in one segment of ``pairwise_segments``: elementwise passes
-# over n x n arrays run one segment at a time through buffers of this size.
-# At least 128, the largest block ``np.sum`` adds without splitting.
-SEGMENT = 1 << 15
+# Most entries in one row block: passes over the rows of an array, n x n
+# ones above all, run one block of whole rows at a time, through buffers of
+# at most this many entries.
+ROW_BLOCK = 1 << 15
 
 
-def _halves(size: int):
-    """Where ``np.sum`` splits ``size`` contiguous float64 entries in its
-    pairwise summation: the first half rounded down to a multiple of 8."""
-    half = size // 2
-    half -= half % 8
-    return half, size - half
-
-
-def pairwise_segments(size: int) -> list:
-    """(start, stop) ranges of at most ``SEGMENT`` entries that tile
-    ``range(size)``, cut where ``np.sum`` splits a contiguous float64 array
-    of that many entries, so that ``tree_sum`` of the ranges' ``np.sum``
-    gives the whole array's ``np.sum`` bit for bit."""
-    segments = []
-
-    def cut(start, size):
-        if size <= SEGMENT:
-            segments.append((start, start + size))
-        else:
-            head, tail = _halves(size)
-            cut(start, head)
-            cut(start + head, tail)
-
-    cut(0, size)
-    return segments
-
-
-def tree_sum(partials, size: int) -> float:
-    """Combine the ``np.sum`` of each of the ``pairwise_segments(size)``,
-    in their order, as ``np.sum`` combines the same entries: the whole
-    array's sum, bit for bit."""
-    partials = iter(partials)
-
-    def combine(size):
-        if size <= SEGMENT:
-            return next(partials)
-        head, tail = _halves(size)
-        return combine(head) + combine(tail)
-
-    return float(combine(size))
+def row_blocks(rows: int, width: int) -> list:
+    """(start, stop) ranges that tile ``range(rows)`` in near-equal blocks
+    of at most ``ROW_BLOCK // width`` rows, and at least one: the row
+    blocks of a rows x width array, each of at most ``ROW_BLOCK`` entries
+    unless a single row holds more."""
+    step = max(1, ROW_BLOCK // max(1, width))
+    count = -(-rows // step)
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
 def step_C(Vt: np.ndarray, w: np.ndarray, Z: np.ndarray, u: np.ndarray,

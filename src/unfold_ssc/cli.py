@@ -436,9 +436,7 @@ def save_checkpoint(path: str, state) -> None:
     if state.unfold is not None:
         manifest["unfold"] = {"n_layers": state.unfold.n_layers, "scalars": {
             name: float(arr) for name, arr in state.unfold.named_arrays()}}
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------- commands

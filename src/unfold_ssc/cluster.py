@@ -15,14 +15,12 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+from unfold_ssc import classic
 from unfold_ssc.errors import NumericalError
 
 DEGREE_GUARD = 1e-12
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
-# Entries per row block of the similarity checks; their temporaries are
-# this size, not n x n.
-CHECK_BLOCK = 1 << 16
 
 
 def similarity(C: np.ndarray) -> np.ndarray:
@@ -128,15 +126,12 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 def _check_similarity(S: np.ndarray) -> None:
     """NumericalError if any entry of S is not finite, else ValueError if S
-    is not exactly symmetric. Runs in row blocks of about ``CHECK_BLOCK``
-    entries: each block is checked for finiteness, then compared with the
-    transpose of the blocks above and on the diagonal, all of which are
-    finite by then."""
-    n = S.shape[0]
-    step = max(1, CHECK_BLOCK // n)
+    is not exactly symmetric. Runs in the row blocks of
+    ``classic.row_blocks``: each block is checked for finiteness, then
+    compared with the transpose of the blocks above and on the diagonal,
+    all of which are finite by then."""
     symmetric = True
-    for start in range(0, n, step):
-        stop = min(n, start + step)
+    for start, stop in classic.row_blocks(*S.shape):
         if not np.all(np.isfinite(S[start:stop])):
             raise NumericalError("similarity matrix has non-finite entries")
         symmetric = symmetric and np.array_equal(S[start:stop, :stop], S[:stop, start:stop].T)

@@ -15,24 +15,20 @@ from scipy import sparse
 
 from unfold_ssc import classic
 
-# Entries per row block of the screen in ``knn_adjacency``, and per chunk of
-# its candidates' differences; its temporaries are this size, not n x n.
-KNN_BLOCK = 1 << 16
-
 
 def _sq_dists(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """sum_f (x_fj - x_fi)^2 for each pair (i, j) of ``rows`` and ``cols``,
-    added in feature order, in chunks of about ``KNN_BLOCK`` differences."""
+    added in feature order, in blocks of ``classic.row_blocks`` over the
+    pairs, d differences each, so its temporaries are block-sized."""
     out = np.empty(len(rows))
-    chunk = max(1, KNN_BLOCK // points.shape[0])
-    for at in range(0, len(rows), chunk):
+    for r0, r1 in classic.row_blocks(len(rows), points.shape[0]):
         # C-ordered d x m differences: a running sum down the features adds
         # them in feature order whatever m is, where a reduction over them
         # would add pairwise at m = 1.
-        diff = points.take(cols[at:at + chunk], axis=1)
-        diff -= points.take(rows[at:at + chunk], axis=1)
+        diff = points.take(cols[r0:r1], axis=1)
+        diff -= points.take(rows[r0:r1], axis=1)
         diff *= diff
-        out[at:at + chunk] = np.add.accumulate(diff, axis=0, out=diff)[-1]
+        out[r0:r1] = np.add.accumulate(diff, axis=0, out=diff)[-1]
     return out
 
 
@@ -52,8 +48,8 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
     Distances are sums of squared explicit differences, sum_f (x_fj -
     x_fi)^2 added in feature order, so duplicate columns get an exact zero
     and ties are exact. They are computed only for candidates, chosen one
-    row block of about ``KNN_BLOCK`` screen entries at a time, so no n x n
-    array is formed:
+    screen block of ``classic.row_blocks`` at a time, so no n x n array is
+    formed:
 
     - Screen. a_ij = |x_j|^2 - 2 x_i^T x_j from one BLAS product per block,
       with a_ii = inf; the row's |x_i|^2 is left out, as it would shift
@@ -96,7 +92,6 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
         points, d = np.zeros((1, n)), 1
     kmax = max(counts)
     order = np.empty((n, kmax), dtype=np.intp)
-    step = max(1, KNN_BLOCK // n)
     # Overflow and inf - inf in the screen mark a row to take every column.
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("fi,fi->i", points, points)
@@ -106,8 +101,7 @@ def knn_adjacency(points: np.ndarray, k: int, *more_k: int):
         # squared distance can.
         tau = gamma * (2.0 * (norms + norms.max()) ** 2)
         tau += 8 * d * np.finfo(np.float64).smallest_subnormal
-        for start in range(0, n, step):
-            stop = min(n, start + step)
+        for start, stop in classic.row_blocks(n, n):
             block = np.arange(stop - start)
             # Scaling by -2 is exact, so this is -2 x_i^T x_j as rounded.
             screen = (-2.0 * points[:, start:stop]).T @ points
@@ -173,13 +167,11 @@ def structure_loss(C: np.ndarray, lap: sparse.csr_array, out=None):
 
     Returns (value, grad). The gradient goes into ``out``, a C-contiguous
     array that may be C itself, or into a new array when it is omitted.
-    The work runs one flat segment of ``classic.pairwise_segments`` at a
-    time: the sparse product C[rows] L for the rows the segment covers,
-    whose rows equal those of C L bit for bit, copied piece by piece into
-    one segment-sized buffer; then (C L) * C for the segment, summed, and
-    4 C L, both written into ``out``. A copy of the C L of the row where a
-    segment ends is kept for the next segment, since by then that row's
-    head in ``out`` may be written over C. No n x n temporary is made."""
+    The work runs one block of ``classic.row_blocks`` at a time: the sparse
+    product C[rows] L, whose rows equal those of C L bit for bit and read
+    only the same rows of C, then (C L) * C, summed row by row, and 4 C L,
+    both written into the block's rows of ``out``. The value adds the row
+    sums. No n x n temporary is made."""
     C = np.asarray(C, dtype=np.float64)
     if C.shape[1] != lap.shape[0] or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"shape mismatch: C {C.shape} vs laplacian {lap.shape}")
@@ -187,31 +179,10 @@ def structure_loss(C: np.ndarray, lap: sparse.csr_array, out=None):
         out = np.empty(C.shape)
     elif out.shape != C.shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous {C.shape} array")
-    n = C.shape[1]
-    C_flat, out_flat = C.reshape(-1), out.reshape(-1)
-    segments = classic.pairwise_segments(C.size)
-    product = np.empty(max(stop - start for start, stop in segments))
-    partials = []
-    row, row_CL = -1, None  # the last segment's final row and its C L
-    for start, stop in segments:
-        first, end = start // n, (stop + n - 1) // n  # the rows it covers
-        carried = first == row
-        CL = C[first + carried:end] @ lap
-        # The segment's C L: the tail of its first row, whole rows, then
-        # the head of its last row.
-        seg = product[:stop - start]
-        offset = start - first * n
-        head = min(n - offset, len(seg))
-        seg[:head] = (row_CL if carried else CL[0])[offset:offset + head]
-        rest = CL[1 - carried:]
-        whole, part = divmod(len(seg) - head, n)
-        seg[head:head + whole * n].reshape(whole, n)[...] = rest[:whole]
-        if part:
-            seg[len(seg) - part:] = rest[whole, :part]
-        seg_out = out_flat[start:stop]
-        partials.append(np.sum(np.multiply(seg, C_flat[start:stop], out=seg_out)))
-        np.multiply(seg, 4.0, out=seg_out)
-        if end - 1 != row:
-            row, row_CL = end - 1, CL[-1].copy()
-        del CL, rest  # freed before the next segment's product is formed
-    return 2.0 * classic.tree_sum(partials, C.size), out
+    row_sums = np.empty(C.shape[0])
+    for r0, r1 in classic.row_blocks(*C.shape):
+        CL = C[r0:r1] @ lap
+        np.sum(np.multiply(CL, C[r0:r1], out=out[r0:r1]), axis=1, out=row_sums[r0:r1])
+        np.multiply(CL, 4.0, out=out[r0:r1])
+        del CL  # freed before the next block's product is formed
+    return 2.0 * float(np.sum(row_sums)), out

@@ -51,8 +51,8 @@ class AdamState:
 class TrainState:
     """Learned arrays, their Adam moments, the frozen graphs and the latent
     codes (n x latent rows) they were built from, and one gradient buffer
-    per learned array (``grads``, keyed like ``named_arrays``) that every
-    epoch of both phases writes into."""
+    per autoencoder array (``grads``, keyed like ``named_arrays``) that
+    every epoch of both phases writes into."""
 
     ae: autoenc.AeWeights
     unfold: unfold.UnfoldParams | None = None
@@ -110,29 +110,28 @@ def loss_sp(C: np.ndarray, weight: float = 1.0, add_to=None):
     Returns (value, grad) with grad = weight sign(C) / n, formed as
     sign(C), / n, * weight. Given ``add_to``, a C-contiguous array of C's
     shape, the gradient is added into it, which is returned as grad; else
-    it is a new array. The work runs one segment of
-    ``classic.pairwise_segments`` at a time, through one segment buffer
-    when adding, and the value has the bits of one ``np.sum`` of |C|.
+    it is a new array. The work runs one block of ``classic.row_blocks``
+    at a time, through one block buffer when adding, and the value sums
+    |C| row by row, then the row sums.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     n = C.shape[1]
     grad = np.empty(C.shape) if add_to is None else add_to
     if grad.shape != C.shape or not grad.flags.c_contiguous:
         raise ValueError(f"add_to must be a C-contiguous {C.shape} array")
-    segments = classic.pairwise_segments(C.size)
-    buf = None if add_to is None else np.empty(max(stop - start for start, stop in segments))
-    C_flat, grad_flat = C.reshape(-1), grad.reshape(-1)
-    partials = []
-    for start, stop in segments:
-        c, g = C_flat[start:stop], grad_flat[start:stop]
-        s = g if buf is None else buf[:stop - start]
-        partials.append(np.sum(np.abs(c, out=s)))
+    blocks = classic.row_blocks(*C.shape)
+    buf = None if add_to is None else np.empty((max(r1 - r0 for r0, r1 in blocks), n))
+    row_sums = np.empty(C.shape[0])
+    for r0, r1 in blocks:
+        c, g = C[r0:r1], grad[r0:r1]
+        s = g if buf is None else buf[:r1 - r0]
+        np.sum(np.abs(c, out=s), axis=1, out=row_sums[r0:r1])
         np.sign(c, out=s)
         s /= n
         s *= weight
         if buf is not None:
             g += s
-    return classic.tree_sum(partials, C.size) / n, grad
+    return float(np.sum(row_sums)) / n, grad
 
 
 def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
@@ -140,9 +139,10 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
 
     The three coefficient terms are weighted by ``config.alpha``,
     ``config.beta`` and ``config.gamma``. Returns (breakdown, grads) with ``grads`` keyed like
-    ``TrainState.named_arrays``. Each gradient is written into the array of
-    the same name in ``out`` when given (``train_joint`` passes
-    ``state.grads``), else into a new array. The whole chain is
+    ``TrainState.named_arrays``. Each autoencoder gradient is written into
+    the array of the same name in ``out`` when given (``train_joint``
+    passes ``state.grads``), else into a new array; each unfolded gradient
+    is a new 0-d array. The whole chain is
     differentiated by hand: reconstruction through the decoder, and the
     three coefficient losses back through the unfolded network, the latent
     normalization, and the encoder.
@@ -180,8 +180,7 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
         total=v_ae + alpha * v_sr + beta * v_sp + gamma * v_st,
         ae=v_ae, sr=v_sr, sp=v_sp, st=v_st,
     )
-    ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC, _prefixed(out, "unfold."),
-                                         scratch=C)
+    ugrads, gHt_unfold = unfold.backward(state.unfold, tape_u, gC, scratch=C)
     del tape_u, gC, C
     gHt = alpha * gHt_sr + gHt_unfold
     gH = autoenc.normalize_latent_backward(tape_ae.H, gHt)
@@ -279,7 +278,7 @@ def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
         value = autoenc.ae_loss(X, tape.Xhat, out=tape.Xhat)[0]
         if not np.isfinite(value):
             raise NumericalError(f"non-finite reconstruction loss at pretrain epoch {epoch + 1}")
-        autoenc.ae_backward(state.ae, tape, None, tape.Xhat, ae_grads)
+        autoenc.ae_backward(state.ae, tape, tape.Xhat, ae_grads)
         adam_step(state.opt, ae_named, state.grads, config)
         history.append(value)
     del tape  # no d x n array of the loop outlives it
@@ -305,8 +304,7 @@ def train_joint(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     from, ``config.rho0`` and ``config.threshold0``. The codes are read
     once and dropped from ``state``, so a second call, whose autoencoder
     has moved on, raises ValueError as one before ``pretrain`` does. Adam
-    moments restart for the new parameter set, and ``state.grads`` gains a
-    buffer for each unfolded parameter. Runs ``config.joint_epochs``
+    moments restart for the new parameter set. Runs ``config.joint_epochs``
     full-batch steps, each through ``total_loss``, whose n x n arrays are
     freed when it returns. Returns the loss-breakdown history (list of
     LossBreakdown).
@@ -316,8 +314,6 @@ def train_joint(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
     H, state.codes = state.codes, None
     Ht = autoenc.normalize_latent(H)
     state.unfold = unfold.init_params(Ht, config.rho0, config.admm_layers, config.threshold0)
-    state.grads.update((f"unfold.{name}", np.empty_like(arr))
-                       for name, arr in state.unfold.named_arrays())
     named = list(state.named_arrays())
     _reset_moments(state.opt, named)
     history = []

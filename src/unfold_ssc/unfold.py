@@ -16,8 +16,9 @@ rho and theta round-trip through softplus (acceptance test A2 bounds the
 relative difference by 1e-10).
 
 The Z seed Z0, a k-neighbor graph, is a sparse CSR array: layer 0 reads it
-by scattering its entries into a zero-filled buffer, which gives the dense
-computation's bits without a dense Z0.
+through ``toarray`` into a zero-filled array, the forward's V or one row
+block of a buffer in the backward, which gives the dense computation's bits
+without a dense Z0 of its own.
 
 Gradients are hand-written reverse mode over a forward tape; no autodiff
 framework is involved. The tape keeps only what the backward reads: Z0 and
@@ -29,11 +30,13 @@ array kept as the tape's ``spare``: 2 + (2K - 4) n x n arrays for K >= 3,
 in which the losses and the backward then work too.
 
 Every matrix product runs on whole arrays. Everything between two
-products, elementwise chains and the sums that reduce them, runs one flat
-segment of ``classic.pairwise_segments`` at a time through buffers of
-``classic.SEGMENT`` entries: a segment's Z and mu are recomputed from the
-tape where they are read, and ``classic.tree_sum`` combines the segments'
-sums into the whole array's ``np.sum`` bits.
+products, elementwise chains and the sums that reduce them, runs one block
+of ``classic.row_blocks`` at a time, through buffers of at most
+``classic.ROW_BLOCK`` entries: a block's Z and mu are recomputed from the
+tape where they are read. A scalar sum adds each row with one
+``np.sum(block, axis=1)`` per block, then the n row sums with one
+``np.sum``; a row's sum does not depend on the rows that share its block,
+so no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -98,28 +101,6 @@ class UnfoldParams:
                 yield f"layer{idx}.theta_raw", layer.theta_raw
 
 
-def _diagonal(n: int, start: int, stop: int) -> slice:
-    """The diagonal entries of an n x n array among its flat entries
-    [start, stop), as a slice of that range."""
-    return slice(-start % (n + 1), stop - start, n + 1)
-
-
-def _positions(Z0: sparse.csr_array) -> np.ndarray:
-    """Flat positions of Z0's stored entries, ascending for a canonical CSR
-    array."""
-    n = Z0.shape[0]
-    return n * np.repeat(np.arange(n), np.diff(Z0.indptr)) + Z0.indices
-
-
-def _scatter(positions: np.ndarray, values: np.ndarray, start: int, out: np.ndarray):
-    """Zero ``out``, the flat entries from ``start`` on, and write there the
-    ``values`` whose ``positions`` (ascending) fall in it."""
-    lo, hi = np.searchsorted(positions, (start, start + len(out)))
-    out.fill(0.0)
-    out[positions[lo:hi] - start] = values[lo:hi]
-    return out
-
-
 def _writable_square(arr, n: int) -> bool:
     """Whether ``arr`` is an n x n float64 array a pass can write into."""
     return (getattr(arr, "dtype", None) == np.float64 and np.shape(arr) == (n, n)
@@ -135,8 +116,8 @@ class ForwardTape:
     ``mu_in[k]``, except that ``mu_in[0]`` is the scalar 0 and ``mu_in[1]``
     is None: ``mu(1)`` recomputes it bit for bit from C_0. That is 2K - 4
     n x n arrays for K >= 3, one for K = 2 and none for K = 1. ``Z(k)``
-    recomputes Z_k bit for bit. Both work on any range of flat entries, so
-    the forward and backward passes call them one segment at a time.
+    recomputes Z_k bit for bit. Both work on any range of rows, so the
+    forward and backward passes call them one row block at a time.
     ``Z0`` is the seed as a CSR array. ``spare`` is an n x n array that
     nothing reads once the forward returns, for the caller to write over.
 
@@ -153,50 +134,51 @@ class ForwardTape:
     spare: np.ndarray | None = None
     consumed: bool = False
 
-    def mu(self, k: int, start: int = 0, stop: int | None = None, out=None, scratch=None):
-        """Layer k's dual input on the flat entries [start, stop) (to the end
-        when ``stop`` is None): the scalar 0 for k = 0, a view of the stored
-        array from k = 2 on. mu_1 = (C_0 - Z_0) rho_0 + 0 is recomputed into
-        ``out`` (a new array when omitted), with Z_0's shrinkage clip in
-        ``scratch``. The + 0, the forward's scalar mu_0, turns -0 into +0 as
-        the forward's sum did."""
+    def mu(self, k: int, r0: int = 0, r1: int | None = None, out=None, scratch=None):
+        """Layer k's dual input on rows [r0, r1) (to the end when ``r1`` is
+        None): the scalar 0 for k = 0, a view of the stored array from k = 2
+        on. mu_1 = (C_0 - Z_0) rho_0 + 0 is recomputed into ``out`` (a new
+        array when omitted), with Z_0's shrinkage clip in ``scratch``. The
+        + 0, the forward's scalar mu_0, turns -0 into +0 as the forward's
+        sum did."""
         self._check()
-        return self._mu(k, start, stop, out, scratch)
+        return self._mu(k, r0, r1, out, scratch)
 
-    def Z(self, k: int, start: int = 0, stop: int | None = None, out=None, scratch=None,
+    def Z(self, k: int, r0: int = 0, r1: int | None = None, out=None, scratch=None,
           mu=None) -> np.ndarray:
         """Layer k's output zero_diag(shrink(C_k + mu_k / rho_k, theta_k)) on
-        the flat entries [start, stop), as a flat array.
+        rows [r0, r1).
 
         The shrinkage input and then Z go into ``out``, the shrinkage's clip
-        into ``scratch``; both are new arrays when omitted. ``mu`` is the
-        dual input on the same entries, ``mu(k, start, stop)`` when omitted.
+        into ``scratch``; both are new arrays when omitted, and C-contiguous
+        when given. ``mu`` is the dual input on the same rows,
+        ``mu(k, r0, r1)`` when omitted.
         """
         self._check()
-        return self._Z(k, start, stop, out, scratch, mu)
+        return self._Z(k, r0, r1, out, scratch, mu)
 
     def _check(self):
         if self.consumed:
             raise ValueError("the tape was consumed by backward, which writes over it; "
                              "run forward again")
 
-    def _mu(self, k, start=0, stop=None, out=None, scratch=None):
+    def _mu(self, k, r0=0, r1=None, out=None, scratch=None):
         mu = self.mu_in[k]
         if mu is not None:
-            return mu if np.ndim(mu) == 0 else mu.reshape(-1)[start:stop]
-        Z = self._Z(0, start, stop, out=out, scratch=scratch)
-        C = self.C[0].reshape(-1)[start:stop]
-        return np.add(np.multiply(np.subtract(C, Z, out=Z), self.rho[0], out=Z), 0.0, out=Z)
+            return mu if np.ndim(mu) == 0 else mu[r0:r1]
+        Z = self._Z(0, r0, r1, out=out, scratch=scratch)
+        return np.add(np.multiply(np.subtract(self.C[0][r0:r1], Z, out=Z), self.rho[0], out=Z),
+                      0.0, out=Z)
 
-    def _Z(self, k, start=0, stop=None, out=None, scratch=None, mu=None):
-        C = self.C[k].reshape(-1)[start:stop]
+    def _Z(self, k, r0=0, r1=None, out=None, scratch=None, mu=None):
+        C = self.C[k][r0:r1]
         if mu is None:
-            mu = self._mu(k, start, stop)
+            mu = self._mu(k, r0, r1)
         Z = np.divide(mu, self.rho[k], out=np.empty_like(C) if out is None else out)
         np.add(C, Z, out=Z)
         theta = self.theta[k]
         np.subtract(Z, np.clip(Z, -theta, theta, out=scratch), out=Z)
-        Z[_diagonal(self.C[k].shape[0], start, start + len(Z))] = 0.0
+        Z.reshape(-1)[r0::C.shape[1] + 1] = 0.0  # the diagonal entries of rows r0 on
         return Z
 
 
@@ -235,14 +217,14 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
     its diagonal zeroed.
 
     Z0, dense or sparse, is converted to a CSR array (canonical, with
-    duplicate entries summed), and layer 0's V = 0 - rho_0 Z0 is scattered
-    into a zero-filled buffer. The pass allocates 2 + (2K - 4) n x n
-    arrays for K >= 3: the 2K - 4 the tape stores and two working arrays,
-    V and a scratch P. Below the top, W U goes into the layer's tape C,
-    and one segment pass then finishes C, Z (in a segment buffer), the
-    next dual (stored from mu_2 up, else a segment at a time) and the next
-    layer's V, written over V, with P's segment as scratch. mu_1 is
-    recomputed there a segment at a time, into V's segment once it is
+    duplicate entries summed), and layer 0's V = 0 - rho_0 Z0 is formed
+    in place from its ``toarray`` into V. The pass allocates 2 + (2K - 4)
+    n x n arrays for K >= 3: the 2K - 4 the tape stores and two working
+    arrays, V and a scratch P. Below the top, W U goes into the layer's
+    tape C, and one pass over row blocks then finishes C, Z (in a block
+    buffer), the next dual (stored from mu_2 up, else a block at a time)
+    and the next layer's V, written over V, with P's block as scratch.
+    mu_1 is recomputed there a block at a time, into V's block once it is
     read. The top layer writes V / rho0 into P, the tape's ``spare``, then
     W U over V and subtracts: V is the returned C.
     """
@@ -261,11 +243,10 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
     tape = ForwardTape(Z0, C=[np.empty((n, n)) for _ in range(top)],
                        mu_in=[0.0, None][:top] + [np.empty((n, n)) for _ in range(2, top)],
                        spare=P)
-    V_flat, P_flat = V.reshape(-1), P.reshape(-1)
-    segments = classic.pairwise_segments(n * n)
-    Z_buf = np.empty(max(stop - start for start, stop in segments))
+    blocks = classic.row_blocks(n, n)
+    Z_buf = np.empty((max(r1 - r0 for r0, r1 in blocks), n))
     rho = params.layers[0].rho
-    _scatter(_positions(Z0), np.subtract(0.0, np.multiply(Z0.data, rho)), 0, V_flat)
+    np.subtract(0.0, np.multiply(Z0.toarray(out=V), rho, out=V), out=V)
     for k, layer in enumerate(params.layers):
         U = params.H0 @ V  # U = H~ + H0 V / rho0, in one l x n array
         U /= params.rho0
@@ -282,44 +263,41 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
         rho_next = params.layers[k + 1].rho
         # The next dual is stored from mu_2 on, but never the top layer's.
         mu_next = tape.mu_in[k + 1] if k + 1 < top else None
-        C_flat = C.reshape(-1)
-        for start, stop in segments:
-            v, p, c = V_flat[start:stop], P_flat[start:stop], C_flat[start:stop]
+        for r0, r1 in blocks:
+            v, p, c = V[r0:r1], P[r0:r1], C[r0:r1]
             c -= np.divide(v, params.rho0, out=p)  # C = W U - V / rho0
-            m = tape.mu(k, start, stop, out=v, scratch=p)  # mu_1 over V, read above
-            Z = tape.Z(k, start, stop, out=Z_buf[:stop - start], scratch=p, mu=m)
-            dual = p if mu_next is None else mu_next.reshape(-1)[start:stop]
+            m = tape.mu(k, r0, r1, out=v, scratch=p)  # mu_1 over V, read above
+            Z = tape.Z(k, r0, r1, out=Z_buf[:r1 - r0], scratch=p, mu=m)
+            dual = p if mu_next is None else mu_next[r0:r1]
             np.add(np.multiply(np.subtract(c, Z, out=p), rho, out=p), m, out=dual)
             np.subtract(dual, np.multiply(Z, rho_next, out=v), out=v)
         rho = rho_next
 
 
-def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=None,
-             scratch=None):
+def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, scratch=None):
     """Reverse-mode pass through the whole unfolded network.
 
     ``grad_C``, the loss gradient with respect to the returned (diagonal-
     zeroed) C, must be a writable C-contiguous float64 n x n array (else
     ValueError); it is overwritten, as each layer's gC in turn. Returns
-    (grads, grad_Htilde), ``grads`` keyed like ``params.named_arrays``;
-    rho/theta gradients are with respect to their softplus preimages. Each
-    gradient is written into the array of the same name in the dict ``out``
-    when given, else into a new array. Subgradients at the shrinkage kinks
-    are taken as zero; the top layer, which does not shrink, has no theta.
+    (grads, grad_Htilde), ``grads`` keyed like ``params.named_arrays``, each
+    a new 0-d array; rho/theta gradients are with respect to their softplus
+    preimages. Subgradients at the shrinkage kinks are taken as zero; the
+    top layer, which does not shrink, has no theta.
 
     The pass consumes the tape (see ``ForwardTape``): gmu is written over
-    the tape's C_{K-2}, each segment once it is read for the last time.
+    the tape's C_{K-2}, each block once it is read for the last time.
     Besides gC and the tape it holds one n x n array, ``scratch`` (new when
     omitted; it may be the returned C or the tape's ``spare``, but neither
     grad_C nor an array the tape stores, else ValueError), into which
-    W H0 gC goes and a segment at a time becomes B gC and the gradient of
-    the layer below's Z. After each layer's products one segment pass
-    recomputes the layer below's mu (into gC's segment, which it overwrites
-    last) and Z, and forms its gC, the next gmu and every sum its rho and
-    theta gradients read; layer 0's rho gradient scatters Z0 one segment at
-    a time.
+    W H0 gC goes and a block at a time becomes B gC and the gradient of
+    the layer below's Z. After each layer's products one pass over row
+    blocks recomputes the layer below's mu (into gC's block, which it
+    overwrites last) and Z, and forms its gC, the next gmu and the row sums
+    of every term its rho and theta gradients add; layer 0's rho gradient
+    reads Z0 one block of rows at a time.
     """
-    grads, gC = {}, grad_C
+    gC = grad_C
     n = tape.Z0.shape[0]
     if not _writable_square(gC, n):
         raise ValueError(f"grad_C must be a writable C-contiguous float64 {n} x {n} array, "
@@ -332,20 +310,14 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
     tape.consumed = True
     np.fill_diagonal(gC, 0.0)  # diag-zeroing is the last op
     top = params.n_layers - 1
-    segments = classic.pairwise_segments(n * n)
-    size = max(stop - start for start, stop in segments)
+    blocks = classic.row_blocks(n, n)
+    rows = max(r1 - r0 for r0, r1 in blocks)
     P = np.empty((n, n)) if scratch is None else scratch
-    gmu = tape.C[top - 1].reshape(-1) if top > 0 else None  # flat: no read needs it n x n
-    gC_flat, P_flat = gC.reshape(-1), P.reshape(-1)
-    Z_buf, s_buf, zero = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-
-    def put(name, value):  # a 0-d gradient, into its buffer when one was given
-        if out is None:
-            grads[name] = np.array(value)
-        else:
-            out[name][...] = value
-            grads[name] = out[name]
-
+    gmu = tape.C[top - 1] if top > 0 else None
+    Z_buf, s_buf, zero = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=bool)
+    # Per row, the sums of the terms of the rho and theta gradients
+    sum_rho, sum_gmu, sum_theta, sum_mu = np.empty((4, n))
+    grads = {}
     grho = 0.0  # layer k's rho gradient, less its B V term
     for k in range(top, -1, -1):
         layer = params.layers[k]
@@ -357,53 +329,51 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, out=No
         np.matmul(layer.W, Y, out=P)
         rho = layer.rho
         if k == 0:
-            positions, partials = _positions(tape.Z0), []
-            for start, stop in segments:
-                g, b, s = gC_flat[start:stop], P_flat[start:stop], s_buf[:stop - start]
+            for r0, r1 in blocks:
+                g, b, s = gC[r0:r1], P[r0:r1], tape.Z0[r0:r1].toarray(out=s_buf[:r1 - r0])
                 np.divide(np.subtract(g, b, out=b), params.rho0, out=b)  # B gC = -dL/dV
-                _scatter(positions, tape.Z0.data, start, s)
-                partials.append(np.sum(np.multiply(b, s, out=s)))
-            grho += classic.tree_sum(partials, n * n)
-            put("layer0.rho_raw", grho * expit(layer.rho_raw))
+                np.sum(np.multiply(b, s, out=s), axis=1, out=sum_rho[r0:r1])
+            grho += np.sum(sum_rho)
+            grads["layer0.rho_raw"] = np.array(grho * expit(layer.rho_raw))
             break
 
         # Layer i = k - 1 below made Z_i and mu_k = mu_i + rho_i (C_i - Z_i);
         # Z_i = zero_diag(shrink(T, theta_i)), T = C_i + mu_i / rho_i, is
         # nonzero exactly where |T| > theta_i off the diagonal, with T's sign.
         i = k - 1
-        rho_i, C_i = tape.rho[i], tape.C[i].reshape(-1)
-        sums = {"rho": [], "gmu": [], "theta": [], "mu": []}
-        for start, stop in segments:
-            g, b, gm = gC_flat[start:stop], P_flat[start:stop], gmu[start:stop]
-            z, s = Z_buf[:stop - start], s_buf[:stop - start]
+        rho_i = tape.rho[i]
+        for r0, r1 in blocks:
+            g, b, gm, C_i = gC[r0:r1], P[r0:r1], gmu[r0:r1], tape.C[i][r0:r1]
+            z, s = Z_buf[:r1 - r0], s_buf[:r1 - r0]
             np.divide(np.subtract(g, b, out=b), params.rho0, out=b)  # B gC = -dL/dV
-            mu = tape._mu(i, start, stop, out=g, scratch=s)  # mu_1 over gC, read above
-            Z = tape._Z(i, start, stop, out=z, scratch=s, mu=mu)
-            sums["rho"].append(np.sum(np.multiply(b, Z, out=s)))
-            # The last read of C_i's segment, which at the top layer is gmu's
-            np.subtract(C_i[start:stop], Z, out=s)
+            mu = tape._mu(i, r0, r1, out=g, scratch=s)  # mu_1 over gC, read above
+            Z = tape._Z(i, r0, r1, out=z, scratch=s, mu=mu)
+            np.sum(np.multiply(b, Z, out=s), axis=1, out=sum_rho[r0:r1])
+            # The last read of C_i's block, which at the top layer is gmu's
+            np.subtract(C_i, Z, out=s)
             # gmu, then gZ in b: gradients of layer k's inputs mu_k and Z_i
             if k == top:
                 np.negative(b, out=gm)
             else:
                 gm -= b
-            sums["gmu"].append(np.sum(np.multiply(gm, s, out=s)))
+            np.sum(np.multiply(gm, s, out=s), axis=1, out=sum_gmu[r0:r1])
             b *= rho
             b -= np.multiply(rho_i, gm, out=s)
-            np.copyto(b, 0.0, where=np.equal(Z, 0.0, out=zero[:stop - start]))  # gT
-            sums["theta"].append(np.sum(np.multiply(b, np.sign(Z, out=s), out=s)))
+            np.copyto(b, 0.0, where=np.equal(Z, 0.0, out=zero[:r1 - r0]))  # gT
+            np.sum(np.multiply(b, np.sign(Z, out=s), out=s), axis=1, out=sum_theta[r0:r1])
             if i > 0:
-                sums["mu"].append(np.sum(np.multiply(b, np.divide(mu, rho_i**2, out=s), out=s)))
+                np.sum(np.multiply(b, np.divide(mu, rho_i**2, out=s), out=s), axis=1,
+                       out=sum_mu[r0:r1])
             np.multiply(rho_i, gm, out=g)
             g += b
             if i > 0:
                 gm += np.divide(b, rho_i, out=s)
-        grho += classic.tree_sum(sums["rho"], n * n)
-        put(f"layer{k}.rho_raw", grho * expit(layer.rho_raw))
-        gtheta = -classic.tree_sum(sums["theta"], n * n)
-        put(f"layer{i}.theta_raw", gtheta * expit(params.layers[i].theta_raw))
-        grho = classic.tree_sum(sums["gmu"], n * n)
+        grho += np.sum(sum_rho)
+        grads[f"layer{k}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
+        gtheta = -np.sum(sum_theta)
+        grads[f"layer{i}.theta_raw"] = np.array(gtheta * expit(params.layers[i].theta_raw))
+        grho = np.sum(sum_gmu)
         if i > 0:
-            grho -= classic.tree_sum(sums["mu"], n * n)
+            grho -= np.sum(sum_mu)
 
     return grads, gHt

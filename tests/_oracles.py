@@ -66,6 +66,13 @@ def peak_nn_arrays(fn, n: int) -> float:
     return peak_arrays(fn, n, n)
 
 
+def row_sum(A) -> np.float64:
+    """Sum of a 2-D array row by row: each row's ``np.sum``, then the sum of
+    those. The package's scalar sums over n x n arrays add in this order,
+    whatever its row blocks."""
+    return np.sum(np.sum(A, axis=1))
+
+
 def rel_err(analytic, numeric, floor: float = 1e-6) -> float:
     """Per-entry relative disagreement with an absolute floor for tiny values."""
     a = np.asarray(analytic, dtype=np.float64)
@@ -408,15 +415,14 @@ class ReferenceTape:
 def shrinkage_inputs(tape, count: int) -> list:
     """T_k = C_k + mu_k / rho_k of the first ``count`` layers of a package or
     a reference tape; the K - 1 layers that shrink for count = K - 1. The
-    package tape's mu is flat, or the scalar 0."""
-    return [(C.reshape(-1) + np.reshape(tape.mu(k), -1) / tape.rho[k]).reshape(C.shape)
-            for k, C in enumerate(tape.C[:count])]
+    package tape's mu_0 is the scalar 0."""
+    return [C + tape.mu(k) / tape.rho[k] for k, C in enumerate(tape.C[:count])]
 
 
 def apply_B(params, V: np.ndarray) -> np.ndarray:
     """B V = (V - W (H0 V)) / rho0 for the layers' shared W = H0^T M, as one
     whole-array expression; the unfolded backward forms B gC this way a
-    segment at a time and must match it bit for bit."""
+    row block at a time and must match it bit for bit."""
     BV = params.layers[0].W @ (params.H0 @ V)
     np.subtract(V, BV, out=BV)
     BV /= params.rho0
@@ -425,10 +431,11 @@ def apply_B(params, V: np.ndarray) -> np.ndarray:
 
 def structure_loss_reference(C: np.ndarray, lap):
     """The structure loss from one whole sparse product C L: value
-    2 sum((C L) * C) and gradient 4 C L. ``graph.structure_loss``, which
-    works one segment at a time, must match it bit for bit."""
+    2 sum((C L) * C), summed by ``row_sum``, and gradient 4 C L.
+    ``graph.structure_loss``, which works one row block at a time, must
+    match it bit for bit."""
     CL = C @ lap
-    return 2.0 * float(np.sum(np.multiply(CL, C))), np.multiply(CL, 4.0)
+    return 2.0 * float(row_sum(np.multiply(CL, C))), np.multiply(CL, 4.0)
 
 
 def dense_B_reference(params) -> np.ndarray:
@@ -482,7 +489,7 @@ def unfold_backward_reference(params, tape, grad_C, B=None):
     shrinkage), from zero-filled accumulators and with masks built from full
     n x n arrays; ``B`` as in ``unfold_forward_reference``: without it the
     layer's H~ gradient is M (H0 gC) and its B gC is ``apply_B``'s, with it
-    W^T gC and B gC.
+    W^T gC and B gC. Each scalar sum is a ``row_sum``.
     """
     n = tape.Z0.shape[0]
     grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
@@ -508,16 +515,16 @@ def unfold_backward_reference(params, tape, grad_C, B=None):
             Z_out, theta = tape.Z_out[k], layer.theta
             T = C + mu_in / rho
             gZ_out = gZ_next - rho * gmu_next
-            grho += float(np.sum(gmu_next * (C - Z_out)))
+            grho += float(row_sum(gmu_next * (C - Z_out)))
 
             gZraw = gZ_out * off_diag
             active = np.abs(T) > theta
             gT = np.where(active, gZraw, 0.0)
-            gtheta = -float(np.sum(np.where(active, gZraw * np.sign(T), 0.0)))
+            gtheta = -float(row_sum(np.where(active, gZraw * np.sign(T), 0.0)))
 
             gC = gC + gT
             gmu_in += gT / rho
-            grho += float(np.sum(gT * (-mu_in / rho**2)))
+            grho += float(row_sum(gT * (-mu_in / rho**2)))
             grads[f"{name}.theta_raw"] += gtheta * expit(layer.theta_raw)
 
         if B is None:
@@ -528,7 +535,7 @@ def unfold_backward_reference(params, tape, grad_C, B=None):
             gV = -(B.T @ gC)
         gmu_in += gV
         gZ_in = -rho * gV
-        grho += float(np.sum(gV * (-Z_in)))
+        grho += float(row_sum(gV * (-Z_in)))
 
         grads[f"{name}.rho_raw"] += grho * expit(layer.rho_raw)
 

@@ -231,6 +231,9 @@ class TestNormalizeLatent:
 
 class TestAeBackward:
     def test_all_weight_gradients_match_finite_differences(self):
+        """Through both heads, as ``train.total_loss`` runs them: the decoder
+        half, then the encoder half from the latent gradient plus the
+        decoder's."""
         w = small_weights(6)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(6, 8))
@@ -242,7 +245,8 @@ class TestAeBackward:
             return float(np.sum(GH * tape.H) + np.sum(GX * tape.Xhat))
 
         tape = autoenc.ae_forward(w, X)
-        grads = autoenc.ae_backward(w, tape, GH, GX)
+        grads, gcode = autoenc.decoder_backward(w, tape, GX)
+        grads.update(autoenc.encoder_backward(w, tape, GH.T + gcode))
         worst = 0.0
         for name, arr in w.named_arrays():
             fd = fd_gradient(objective, arr)
@@ -254,26 +258,26 @@ class TestAeBackward:
         name, overwriting whatever it held, with the allocating call's bits."""
         w = small_weights(6)
         rng = np.random.default_rng(7)
-        X, GH, GX = rng.normal(size=(6, 8)), rng.normal(size=(8, 3)), rng.normal(size=(6, 8))
+        X, GX = rng.normal(size=(6, 8)), rng.normal(size=(6, 8))
         tape = autoenc.ae_forward(w, X)
-        fresh = autoenc.ae_backward(w, tape, GH, GX)
+        fresh = autoenc.ae_backward(w, tape, GX)
         bufs = {name: np.full_like(arr, np.nan) for name, arr in w.named_arrays()}
-        grads = autoenc.ae_backward(w, tape, GH, GX, bufs)
+        grads = autoenc.ae_backward(w, tape, GX, bufs)
         assert grads.keys() == fresh.keys() == bufs.keys()
         for name, g in grads.items():
             assert g is bufs[name], name
             assert g.tobytes() == fresh[name].tobytes(), name
 
     def test_halves_compose_to_the_whole(self):
-        """The decoder half, then the encoder half from the latent gradient
-        plus the decoder's, give ``ae_backward``'s gradients bit for bit."""
+        """The decoder half, then the encoder half from the decoder's latent
+        gradient, give ``ae_backward``'s gradients bit for bit."""
         w = small_weights(6)
         rng = np.random.default_rng(9)
-        X, GH, GX = rng.normal(size=(6, 8)), rng.normal(size=(8, 3)), rng.normal(size=(6, 8))
+        X, GX = rng.normal(size=(6, 8)), rng.normal(size=(6, 8))
         tape = autoenc.ae_forward(w, X)
-        whole = autoenc.ae_backward(w, tape, GH, GX)
+        whole = autoenc.ae_backward(w, tape, GX)
         dec, gcode = autoenc.decoder_backward(w, tape, GX)
-        enc = autoenc.encoder_backward(w, tape, GH.T + gcode)
+        enc = autoenc.encoder_backward(w, tape, gcode)
         assert dec.keys() | enc.keys() == whole.keys() and not dec.keys() & enc.keys()
         for name, g in {**dec, **enc}.items():
             assert g.tobytes() == whole[name].tobytes(), name
@@ -282,6 +286,6 @@ class TestAeBackward:
         w = small_weights(6)
         X = np.random.default_rng(8).normal(size=(6, 8))
         tape = autoenc.ae_forward(w, X)
-        grads = autoenc.ae_backward(w, tape, np.zeros((8, 3)), np.zeros((6, 8)))
+        grads = autoenc.ae_backward(w, tape, np.zeros((6, 8)))
         for name, _ in w.named_arrays():
             assert np.all(grads[name] == 0.0)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from unfold_ssc import cluster
+from unfold_ssc import classic, cluster
 from unfold_ssc.errors import NumericalError
 from _oracles import (_kmeanspp_reference, _lloyd_reference, first_appearance,
                       kmeans_reference, peak_nn_arrays, spectral_embedding_plain,
@@ -336,7 +336,7 @@ class TestSpectral:
     @pytest.mark.parametrize("block", [1 << 16, 1000, 1])
     def test_non_symmetric_rejected(self, monkeypatch, block):
         """Checked whole, in blocks of 6 rows and row by row."""
-        monkeypatch.setattr(cluster, "CHECK_BLOCK", block)
+        monkeypatch.setattr(classic, "ROW_BLOCK", block)
         S = self.random_similarity(150)
         S[140, 3] += 1.0
         with pytest.raises(ValueError, match="symmetric"):
@@ -345,7 +345,7 @@ class TestSpectral:
     @pytest.mark.parametrize("block", [1 << 16, 1000, 1])
     def test_non_finite_is_reported_before_asymmetry(self, monkeypatch, block):
         """The asymmetry sits in the first rows, the infinity in the last."""
-        monkeypatch.setattr(cluster, "CHECK_BLOCK", block)
+        monkeypatch.setattr(classic, "ROW_BLOCK", block)
         S = self.random_similarity(150)
         S[0, 1] += 1.0
         S[149, 149] = np.inf

@@ -119,10 +119,10 @@ def test_partial_selection_matches_full_sort_reference(case):
 
 
 def test_row_blocks_match_full_sort_reference():
-    """At n = 700 the selection runs in several row blocks and a shorter
-    last one; integer points give ties and duplicates in every block."""
+    """At n = 700 the selection runs in 16 row blocks of 43 or 44 rows;
+    integer points give ties and duplicates in every block."""
     n = 700
-    assert n < graph.KNN_BLOCK < n * n and n % (graph.KNN_BLOCK // n) != 0
+    assert {r1 - r0 for r0, r1 in classic.row_blocks(n, n)} == {43, 44}
     points = np.random.default_rng(13).integers(-2, 3, size=(3, n)).astype(float)
     got = graph.knn_adjacency(points, 30, 10, 1)
     for adj, ref in zip(got, knn_adjacency_reference(points, 30, 10, 1), strict=True):
@@ -166,7 +166,7 @@ def test_distances_bit_identical_and_symmetric(shape, monkeypatch):
     d2 = graph._sq_dists(points, rows, cols).reshape(n, n)
     assert np.array_equal(d2, d2.T)
     assert np.array_equal(d2, pairwise_sq_dists_reference(points))
-    monkeypatch.setattr(graph, "KNN_BLOCK", shape[0])
+    monkeypatch.setattr(classic, "ROW_BLOCK", shape[0])
     assert np.array_equal(graph._sq_dists(points, rows[:2 * n], cols[:2 * n]),
                           d2.reshape(-1)[:2 * n])
 
@@ -367,10 +367,10 @@ def structure_instance(n, seed=0):
 @pytest.mark.parametrize("n", [181, 400, 1000])
 @pytest.mark.parametrize("over_C", [False, True])
 def test_bit_identical_to_the_whole_product_reference(n, over_C):
-    """Against one whole sparse product C L, the value and the gradient,
-    into a new array or over C, are bit-identical: the segments are one
-    (n = 181), eight that end at row ends (n = 400) and 32, most ending
-    mid-row (n = 1000)."""
+    """Against one whole sparse product C L and the row-sum reference, the
+    value and the gradient, into a new array or over C, are bit-identical:
+    in one row block (n = 181), five (n = 400) and 32 (n = 1000)."""
+    assert len(classic.row_blocks(n, n)) == {181: 1, 400: 5, 1000: 32}[n]
     C, lap = structure_instance(n)
     want_value, want_grad = structure_loss_reference(C, lap)
     value, grad = graph.structure_loss(C, lap, out=C if over_C else None)
@@ -380,34 +380,37 @@ def test_bit_identical_to_the_whole_product_reference(n, over_C):
 
 
 def test_segments_within_one_row_bit_identical(monkeypatch):
-    """With segments of at most 128 entries, rows of 200 span two or
-    more segments, so a row's C L is carried across several seams while its
-    head in ``out`` is already written over C; the value and gradient keep
-    the reference bits."""
-    monkeypatch.setattr(classic, "SEGMENT", 128)
-    C, lap = structure_instance(200, seed=3)
-    want_value, want_grad = structure_loss_reference(C, lap)
-    value, grad = graph.structure_loss(C, lap, out=C)
-    assert value == want_value
-    assert grad.tobytes() == want_grad.tobytes()
+    """With ``classic.ROW_BLOCK`` at three rows' length, and below one
+    row's, rows of 200 run in blocks of three rows, or one; written over
+    C, the value and gradient keep the reference bits."""
+    C0, lap = structure_instance(200, seed=3)
+    want_value, want_grad = structure_loss_reference(C0, lap)
+    for block, count in ((600, 67), (128, 200)):
+        monkeypatch.setattr(classic, "ROW_BLOCK", block)
+        assert len(classic.row_blocks(200, 200)) == count
+        C = C0.copy()
+        value, grad = graph.structure_loss(C, lap, out=C)
+        assert value == want_value
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_structure_loss_working_set():
     """Peak memory allocated by one structure loss written over C at
-    n = 1000, in n x n arrays. Measured at 0.10: one segment's buffer, and
-    its rows of C L with scipy's copy of those rows of C for the
-    dense-by-sparse product. As one whole product C L, with (C L) * C in
-    ``out``, it peaked at 2.0."""
+    n = 1000, in n x n arrays. Measured at 0.066: one row block's C L with
+    scipy's copy of those rows of C for the dense-by-sparse product. With
+    flat segments copied into a buffer of their own it peaked at 0.10; as
+    one whole product C L, with (C L) * C in ``out``, at 2.0."""
     C, lap = structure_instance(1000)
     assert peak_nn_arrays(lambda: graph.structure_loss(C, lap, out=C), 1000) <= 0.6
 
 
 def test_structure_loss_working_set_at_four_segments():
-    """At n = 300 the four segments are each a quarter of C. Measured at
-    0.76: the segment buffer, one segment's rows of C L and scipy's copy of
-    those rows of C, each 0.25; the previous segment's rows are freed
-    first. With the rows of C L kept in F order, copied to a flat run and
-    held over to the next segment, it allocated 1.26."""
+    """At n = 300 the three row blocks are each a third of C. Measured at
+    0.67: one block's rows of C L and scipy's copy of those rows of C; the
+    previous block's rows are freed first. With four flat segments, each
+    copied into a buffer of its own, it peaked at 0.76, and with the rows
+    of C L kept in F order, copied to a flat run and held over to the next
+    segment, it allocated 1.26."""
     C, lap = structure_instance(300)
     assert peak_nn_arrays(lambda: graph.structure_loss(C, lap, out=C), 300) <= 0.9
 

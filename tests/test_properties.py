@@ -1,6 +1,6 @@
 """Property tests: container round-trip and malformed headers, metric
-invariance under relabeling, the shape of the spectral affinity, and the
-segment sums that reproduce ``np.sum`` bit for bit.
+invariance under relabeling, the shape of the spectral affinity, and row
+sums that do not depend on the row blocks they are taken in.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 deterministic and fast.
@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from unfold_ssc import classic, cluster, container, metrics
@@ -101,49 +101,28 @@ def test_similarity_symmetric_nonnegative_zero_diagonal(C):
     assert not np.diag(S).any()
 
 
-# Sizes at np.sum's split points: the unrolled loop of 8, its last block of
-# 128, a segment's bounds, and n x n arrays of one segment (181), of eight
-# ending at row ends (400) and of 128 ending mid-row (1600); at 300 and 1000
-# a split point is rounded down to a multiple of 8.
-SPLIT_SIZES = [1, 7, 8, 127, 128, 129, classic.SEGMENT - 1, classic.SEGMENT,
-               classic.SEGMENT + 1, 181**2, 300**2, 400**2, 1000**2, 1600**2]
-
-
-def assert_tree_sum_is_np_sum(a):
-    """The segments' sums, combined by ``tree_sum``, against ``np.sum`` of
-    the whole C-contiguous array ``a``, compared as bytes."""
-    flat = a.reshape(-1)
-    parts = [np.sum(flat[start:stop]) for start, stop in classic.pairwise_segments(a.size)]
-    got, want = np.float64(classic.tree_sum(parts, a.size)), np.sum(a)
-    assert got.tobytes() == want.tobytes(), (
-        f"numpy {np.__version__} no longer sums a contiguous float64 array of {a.size} "
-        f"entries as classic.pairwise_segments assumes: the segment tree gives {got!r}, "
-        f"np.sum {want!r}")
-
-
-@pytest.mark.parametrize("size", SPLIT_SIZES)
-@settings(derandomize=True, max_examples=6, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), spread=st.integers(0, 150),
-       zeros=st.floats(0.0, 1.0))
-def test_tree_sum_of_segment_sums_is_np_sum(size, seed, spread, zeros):
-    """Mixed magnitudes (up to 10^spread apart) and a share of zeros of
-    either sign, flat and as a 2-D C-contiguous array."""
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(n=st.integers(1, 1700), rows=st.integers(1, 40), block=st.integers(1, 1 << 16),
+       seed=st.integers(0, 2**32 - 1), spread=st.integers(0, 150), zeros=st.floats(0.0, 1.0))
+@example(n=1, rows=7, block=1, seed=0, spread=0, zeros=0.0)
+@example(n=1, rows=40, block=1 << 16, seed=1, spread=150, zeros=0.5)
+@example(n=300, rows=9, block=299, seed=2, spread=20, zeros=0.1)
+@example(n=1600, rows=40, block=1 << 15, seed=3, spread=150, zeros=0.3)
+def test_row_sums_do_not_depend_on_the_row_block(n, rows, block, seed, spread, zeros):
+    """Each row of a block's ``np.sum(block, axis=1)`` is that row's own
+    ``np.sum``, bit for bit, whatever the blocks of ``classic.row_blocks``:
+    one row each when ``ROW_BLOCK`` is below one row's length, a few rows,
+    or the whole array. Magnitudes up to 10^spread apart and a share of
+    zeros of either sign."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(size) * 10.0 ** rng.integers(-spread, spread + 1, size)
-    hit = rng.random(size) < zeros
-    a[hit] = np.copysign(0.0, rng.standard_normal(int(hit.sum())))
-    assert_tree_sum_is_np_sum(a)
-    rows = next(d for d in (1600, 400, 181, 128, 8, 7, 1) if size % d == 0)
-    assert_tree_sum_is_np_sum(a.reshape(rows, -1))
-
-
-@FIXED
-@given(hnp.arrays(np.float64, st.integers(129, 700),
-                  elements=st.floats(-1e200, 1e200, allow_subnormal=True, width=64)))
-def test_tree_sum_with_the_smallest_segments(a):
-    """With 128-entry segments, the smallest block ``np.sum`` splits, any
-    drawn values, signed zeros and subnormals among them, sum alike."""
+    A = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-spread, spread + 1, (rows, n))
+    hit = rng.random((rows, n)) < zeros
+    A[hit] = np.copysign(0.0, rng.standard_normal(int(hit.sum())))
+    want = np.array([np.sum(row) for row in A])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classic, "SEGMENT", 128)
-        assert len(classic.pairwise_segments(a.size)) > 1
-        assert_tree_sum_is_np_sum(a)
+        patch.setattr(classic, "ROW_BLOCK", block)
+        blocks = classic.row_blocks(rows, n)
+    assert [0] + [r1 for _, r1 in blocks] == [r0 for r0, _ in blocks] + [rows]
+    assert all(r1 - r0 == 1 or r0 < r1 and (r1 - r0) * n <= block for r0, r1 in blocks)
+    got = np.concatenate([np.sum(A[r0:r1], axis=1) for r0, r1 in blocks])
+    assert got.tobytes() == want.tobytes()

@@ -280,8 +280,8 @@ def perturbed_instance(seed, K, with_z0, n=20, l=6):
 
 
 def as_square(x, n):
-    """A flat n x n array, or the scalar 0, from the package tape as n x n."""
-    return np.broadcast_to(x, n * n).reshape(n, n)
+    """An n x n array, or the scalar 0, from the package tape as n x n."""
+    return np.broadcast_to(x, (n, n))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
@@ -291,19 +291,17 @@ def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
     """Against the plain reference passes in the package's algebra, C =
     W (H~ + H0 V / rho0) - V / rho0 on the dense form of Z0, every value is
     bit-identical. From K = 4 on, a stored dual mu_2 sits next to the
-    recomputed mu_1. At n = 20 every elementwise pass is one segment."""
-    assert len(classic.pairwise_segments(20 * 20)) == 1
+    recomputed mu_1. At n = 20 every elementwise pass is one row block."""
+    assert classic.row_blocks(20, 20) == [(0, 20)]
     check_against_reference(K, with_z0, seed, 20)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("with_z0", [False, True])
 def test_multi_segment_passes_bit_identical_to_reference(K, with_z0):
-    """As above at n = 300, where every elementwise pass runs in four
-    segments, two of whose seams fall mid-row, between diagonal entries,
-    and the gradients combine four partial sums."""
-    segments = classic.pairwise_segments(300 * 300)
-    assert len(segments) == 4 and any(stop % 300 for _, stop in segments[:-1])
+    """As above at n = 300, where every elementwise pass runs in three row
+    blocks of 100 rows, and each gradient adds row sums from all three."""
+    assert classic.row_blocks(300, 300) == [(0, 100), (100, 200), (200, 300)]
     check_against_reference(K, with_z0, 0, 300)
 
 
@@ -417,41 +415,47 @@ def test_backward_scratch_must_not_alias_what_it_reads():
 
 
 @pytest.mark.parametrize("K", [1, 3])
-def test_backward_out_buffers_receive_the_allocating_call_bits(K):
-    """With ``out``, every gradient, the 0-d ones included, is written into
-    the buffer of its name, overwriting whatever it held, with the
-    allocating call's bits."""
+def test_backward_returns_new_0d_gradients(K):
+    """Every gradient is a new 0-d array, apart from the parameters and from
+    the last call's gradients, with the bits of that call."""
     params, Ht, z0, G = perturbed_instance(5, K, True)
-    fresh, gHt_fresh = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy())
-    bufs = {name: np.full_like(arr, np.nan) for name, arr in params.named_arrays()}
-    grads, gHt = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy(), bufs)
-    assert grads.keys() == fresh.keys() == bufs.keys()
+    first, gHt_first = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy())
+    grads, gHt = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy())
+    learned = dict(params.named_arrays())
+    assert grads.keys() == first.keys() == learned.keys()
     for name, g in grads.items():
-        assert g is bufs[name], name
-        assert g.tobytes() == fresh[name].tobytes(), name
-    assert gHt.tobytes() == gHt_fresh.tobytes()
+        assert g.shape == () and g is not first[name], name
+        assert not np.may_share_memory(g, learned[name]), name
+        assert g.tobytes() == first[name].tobytes(), name
+    assert gHt.tobytes() == gHt_first.tobytes()
 
 
 @pytest.mark.parametrize("K", [1, 2, 4])
 def test_segment_size_does_not_change_a_bit(monkeypatch, K):
-    """With segments of at most 128 entries, the smallest block np.sum
-    splits, the 45 x 45 passes run in segments shorter than three rows, so
-    seams fall at every offset from the diagonal; every output, tape array
-    and gradient keeps the bits of the default segment size."""
+    """The 45 x 45 passes run as one row block by default, and in blocks of
+    three rows, or of one row, with ``classic.ROW_BLOCK`` at three rows'
+    length or below one row's; every output, tape array and gradient keeps
+    the bits of the default, and each scalar gradient is that of the
+    row-sum reference."""
     params, Ht, z0, G = perturbed_instance(3, K, True, n=45)
+    assert classic.row_blocks(45, 45) == [(0, 45)]
     C, tape = unfold.forward(params, Ht, z0)
-    monkeypatch.setattr(classic, "SEGMENT", 128)
-    assert len(classic.pairwise_segments(45 * 45)) >= 16
-    C_small, tape_small = unfold.forward(params, Ht, z0)
-    assert C_small.tobytes() == C.tobytes()
-    for a, b in zip(tape_small.C + tape_small.mu_in, tape.C + tape.mu_in, strict=True):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    grads_small, gHt_small = unfold.backward(params, tape_small, G.copy())
-    monkeypatch.undo()
-    grads, gHt = unfold.backward(params, tape, G.copy())
+    grads, gHt = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy())
+    grads_ref, _ = unfold_backward_reference(
+        params, unfold_forward_reference(params, Ht, sparse.csr_array(z0).toarray())[1], G)
     for name, g in grads.items():
-        assert grads_small[name].tobytes() == g.tobytes(), name
-    assert gHt_small.tobytes() == gHt.tobytes()
+        assert g.tobytes() == grads_ref[name].tobytes(), name
+    for block, count in ((3 * 45, 15), (44, 45)):
+        monkeypatch.setattr(classic, "ROW_BLOCK", block)
+        assert len(classic.row_blocks(45, 45)) == count
+        C_small, tape_small = unfold.forward(params, Ht, z0)
+        assert C_small.tobytes() == C.tobytes()
+        for a, b in zip(tape_small.C + tape_small.mu_in, tape.C + tape.mu_in, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        grads_small, gHt_small = unfold.backward(params, tape_small, G.copy())
+        for name, g in grads.items():
+            assert grads_small[name].tobytes() == g.tobytes(), name
+        assert gHt_small.tobytes() == gHt.tobytes()
 
 
 def working_set_instance(n):
@@ -482,10 +486,12 @@ def test_forward_working_set():
     """Peak memory allocated by one forward pass at n = 300, in n x n
     arrays.
 
-    Measured at 4.48 for K = 3: the 2K - 4 tape arrays C_0 and C_1, V,
-    which becomes the returned C, and a scratch array, plus a segment buffer
-    for Z (0.25 of an n x n array) and the l x n products. mu_1 exists one
-    segment at a time, in V, and the top layer's dual never exists whole.
+    Measured at 4.56 for K = 3: the 2K - 4 tape arrays C_0 and C_1, V,
+    which becomes the returned C, and a scratch array, plus a row-block
+    buffer for Z (100 rows, a third of an n x n array) and the l x n
+    products. With buffers of a quarter, from flat segments, it was 4.48. mu_1
+    exists one block at a time, in V, and the top layer's dual never exists
+    whole.
     With mu_1 stored until layer 1's pass ended and the returned C an array
     of its own it peaked at 5.47; with mu_1 and mu_2 as separate arrays, a
     stored top dual and the elementwise chains on whole arrays, at 6.0;
@@ -501,10 +507,11 @@ def test_forward_and_backward_working_set():
     n x n arrays, with the returned C as the backward's scratch, as
     ``train.total_loss`` runs them.
 
-    Measured at 4.98 for K = 3: the forward's four arrays and a backward
+    Measured at 5.16 for K = 3: the forward's four arrays and a backward
     that works in them and in the caller's output gradient, writing
-    W H0 gC over C and gmu over the tape's C_1, plus segment buffers for
-    Z, a scratch and a mask (0.53 of an n x n array together). With a
+    W H0 gC over C and gmu over the tape's C_1, plus row-block buffers for
+    Z, a scratch and a mask (0.71 of an n x n array together; 0.53, and
+    4.98 in all, with flat segments of a quarter of the array). With a
     learned n x l W per layer and its gradient it peaked at 5.19; with gmu
     and the product of gC as n x n buffers of the backward's own, at 6.44;
     with the backward's Z, mu_1 and scratch as n x n buffers too, at 7.65;
@@ -519,13 +526,13 @@ def test_forward_and_backward_working_set():
 
 
 def test_working_sets_at_n_1000():
-    """The two working sets above at n = 1000, where the segment buffers
+    """The two working sets above at n = 1000, where the row-block buffers
     are about 0.07 of an n x n array together. Measured at 4.10 for the
     forward and 4.20 for forward plus backward: 2 + (2K - 4) n x n arrays
     and little else (4.26 for the latter with a learned W per layer). With
     the backward's gmu and product of gC and the forward's mu_1 and
     returned C as arrays of their own they peaked at 5.10 and 5.29; with
-    n x n buffers in place of segments, at 6.0 and 7.22."""
+    n x n buffers in place of row blocks, at 6.0 and 7.22."""
     assert forward_peak(1000) <= 4.4
     assert forward_and_backward_peak(1000) <= 4.5
 
