@@ -126,3 +126,61 @@ def test_row_sums_do_not_depend_on_the_row_block(n, rows, block, seed, spread, z
     assert all(r1 - r0 == 1 or r0 < r1 and (r1 - r0) * n <= block for r0, r1 in blocks)
     got = np.concatenate([np.sum(A[r0:r1], axis=1) for r0, r1 in blocks])
     assert got.tobytes() == want.tobytes()
+
+
+# Sizes at np.sum's split points (its unrolled loop of 8, its last block of
+# 128) and around ROW_BLOCK, and n x n arrays in one row block (181) and in
+# several (300, 400, 1000, 1600).
+SPLIT_SIZES = [1, 7, 8, 127, 128, 129, classic.ROW_BLOCK - 1, classic.ROW_BLOCK,
+               classic.ROW_BLOCK + 1, 181**2, 300**2, 400**2, 1000**2, 1600**2]
+
+
+def assert_block_sums_are_np_sum(a, block):
+    """The row sums of the 2-D C-contiguous array ``a``, taken one block of
+    ``classic.row_blocks`` at a time (with ``ROW_BLOCK = block``) into an
+    n-vector as the package does, then summed with one ``np.sum``, against
+    each row's own ``np.sum`` and ``np.sum`` of those, compared as bytes."""
+    rows, width = a.shape
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classic, "ROW_BLOCK", block)
+        blocks = classic.row_blocks(rows, width)
+    row_sums = np.empty(rows)
+    for r0, r1 in blocks:
+        np.sum(a[r0:r1], axis=1, out=row_sums[r0:r1])
+    want_rows = np.array([np.sum(row) for row in a])
+    got, want = np.sum(row_sums), np.sum(want_rows)
+    assert row_sums.tobytes() == want_rows.tobytes() and got.tobytes() == want.tobytes(), (
+        f"numpy {np.__version__} sums the rows of a {rows} x {width} float64 array "
+        f"differently in blocks of {block} entries: {got!r} against {want!r}")
+
+
+@pytest.mark.parametrize("size", SPLIT_SIZES)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spread=st.integers(0, 150),
+       zeros=st.floats(0.0, 1.0))
+def test_tree_sum_of_segment_sums_is_np_sum(size, seed, spread, zeros):
+    """The sum of an array's row sums, taken in row blocks of one row, of
+    128 entries and of ``ROW_BLOCK``, is the same bits as from whole rows:
+    one row of ``size`` entries, and the same entries as a 2-D array of
+    several rows. Mixed magnitudes (up to 10^spread apart) and a share of
+    zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(size) * 10.0 ** rng.integers(-spread, spread + 1, size)
+    hit = rng.random(size) < zeros
+    a[hit] = np.copysign(0.0, rng.standard_normal(int(hit.sum())))
+    rows = next(d for d in (1600, 400, 181, 128, 8, 7, 1) if size % d == 0)
+    for block in (1, 128, classic.ROW_BLOCK):
+        assert_block_sums_are_np_sum(a.reshape(1, -1), block)
+        assert_block_sums_are_np_sum(a.reshape(rows, -1), block)
+
+
+@FIXED
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=40),
+                  elements=st.floats(-1e200, 1e200, allow_subnormal=True, width=64)))
+def test_tree_sum_with_the_smallest_segments(a):
+    """With one row per block, the smallest blocks ``row_blocks`` makes,
+    any drawn values, signed zeros and subnormals among them, sum alike."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classic, "ROW_BLOCK", 1)
+        assert len(classic.row_blocks(*a.shape)) == a.shape[0] > 1
+    assert_block_sums_are_np_sum(a, 1)
