@@ -80,36 +80,22 @@ def row_blocks(rows: int, width: int) -> list:
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def step_C(Vt: np.ndarray, w: np.ndarray, Z: np.ndarray, u: np.ndarray,
-           out=None, scratch=None) -> np.ndarray:
-    """Exact minimizer of the augmented Lagrangian in C, in the scaled dual,
-    with the data as its own dictionary (so 2 B X^T X = P):
+def step_C(Vt: np.ndarray, w: np.ndarray, D: np.ndarray, out=None) -> np.ndarray:
+    """The matrix-product half of the exact minimizer of the augmented
+    Lagrangian in C, in the scaled dual, with the data as its own dictionary
+    (so 2 B X^T X = P):
 
-        C = 2 B X^T X - rho B (u - Z) = P (I + D) - D,   D = u - Z,
+        C = 2 B X^T X - rho B (u - Z) = P (I + D) - D,   D = u - Z.
 
-    applying P = Vt^T diag(w) Vt as two thin products: 4 n^2 r flops per
-    iteration, r = min(d, n), against 2 n^3 for a dense n x n B.
-    C is written into ``out`` and D into ``scratch``, n x n arrays that are
-    allocated when omitted; only the r x n product Vt D is new.
+    Returns P (I + D), written into ``out`` (an n x n array, allocated when
+    omitted); the caller subtracts D. P = Vt^T diag(w) Vt is applied as two
+    thin products: 4 n^2 r flops per iteration, r = min(d, n), against
+    2 n^3 for a dense n x n B; only the r x n product Vt D is new.
     """
-    D = np.subtract(u, Z, out=scratch)
     T = Vt @ D
     T += Vt
     T *= w[:, np.newaxis]
-    C = np.matmul(Vt.T, T, out=out)
-    C -= D
-    return C
-
-
-def step_Z(C: np.ndarray, u: np.ndarray, tau: float, out=None, scratch=None) -> np.ndarray:
-    """Shrinkage of C + u at tau = lambda / rho, with the diagonal zeroed.
-
-    C + u and then Z are written into ``out``, the clip into ``scratch``.
-    """
-    Z = np.add(C, u, out=out)
-    soft_threshold(Z, tau, out=Z, scratch=scratch)
-    np.fill_diagonal(Z, 0.0)
-    return Z
+    return np.matmul(Vt.T, T, out=out)
 
 
 def solve(X: np.ndarray, lam: float, rho: float, iterations: int) -> AdmmState:
@@ -117,11 +103,15 @@ def solve(X: np.ndarray, lam: float, rho: float, iterations: int) -> AdmmState:
     the data as its own dictionary, from Z = u = 0.
 
     Each iteration costs O(n^2 r), r = min(d, n) (see ``step_C``). The loop
-    runs on four n x n arrays allocated once: Z, u and C, and a scratch D
-    that holds u - Z in ``step_C``, the clip in ``step_Z`` and the residual
-    C - Z. Returns the final state with mu = rho u (u scaled in place);
+    runs on three n x n arrays allocated once: u, C and one that holds
+    D = u - Z between iterations and Z within one (the old Z is read only
+    through D). After ``step_C`` one pass over ``row_blocks`` finishes the
+    iteration a block at a time: C -= D, Z = soft_threshold(C + u) with the
+    diagonal zeroed, R = C - Z (into a block buffer), u += R, R's row sums
+    of squares and, but after the last iteration, the next D over Z.
+    Returns the final state with mu = rho u (u scaled in place);
     ``state.residuals`` holds the primal residual ||C - Z||_F after every
-    iteration.
+    iteration, the square root of the sum of its n row sums of squares.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -131,17 +121,25 @@ def solve(X: np.ndarray, lam: float, rho: float, iterations: int) -> AdmmState:
         raise NumericalError("non-finite input data, refusing to iterate")
     Vt, w = precompute(X, rho)
     tau = lam / rho
-    Z = np.zeros((n, n))
+    Z = np.zeros((n, n))  # D = u - Z = 0 before the first iteration
     u = np.zeros_like(Z)
     C = np.empty_like(Z)
-    D = np.empty_like(Z)
+    blocks = row_blocks(n, n)
+    R_buf = np.empty((max(r1 - r0 for r0, r1 in blocks), n))
+    row_sq = np.empty(n)
     residuals = np.empty(iterations)
     for it in range(iterations):
-        step_C(Vt, w, Z, u, out=C, scratch=D)
-        step_Z(C, u, tau, out=Z, scratch=D)
-        R = np.subtract(C, Z, out=D)
-        u += R
-        residuals[it] = np.linalg.norm(R)
+        step_C(Vt, w, Z, out=C)
+        for r0, r1 in blocks:
+            c, z, ub, r = C[r0:r1], Z[r0:r1], u[r0:r1], R_buf[:r1 - r0]
+            c -= z  # z holds D
+            soft_threshold(np.add(c, ub, out=z), tau, out=z, scratch=r)
+            z.reshape(-1)[r0::n + 1] = 0.0
+            ub += np.subtract(c, z, out=r)
+            np.sum(np.multiply(r, r, out=r), axis=1, out=row_sq[r0:r1])
+            if it + 1 < iterations:
+                np.subtract(ub, z, out=z)
+        residuals[it] = np.sqrt(np.sum(row_sq))
         if not np.isfinite(residuals[it]):
             raise NumericalError(f"non-finite iterate at ADMM iteration {it + 1}")
     u *= rho

@@ -297,8 +297,9 @@ def classic_solve_reference(X: np.ndarray, lam: float, rho: float, iterations: i
 def classic_solve_plain(X: np.ndarray, lam: float, rho: float, iterations: int):
     """``classic.solve`` as a loop that allocates fresh arrays every step:
     D = u - Z, C = P (I + D) - D, Z = x - clip(x) of x = C + u with a zero
-    diagonal, u += C - Z, and mu = rho u at the end. ``classic.solve``, on
-    its fixed buffers, must match it bit for bit."""
+    diagonal, u += C - Z, the residual from R = C - Z's row sums of
+    squares, and mu = rho u at the end. ``classic.solve``, on its fixed
+    buffers and row blocks, must match it bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
     Vt, w = classic.precompute(X, rho)
@@ -315,7 +316,7 @@ def classic_solve_plain(X: np.ndarray, lam: float, rho: float, iterations: int):
         np.fill_diagonal(Z, 0.0)
         R = C - Z
         u = u + R
-        residuals[it] = np.linalg.norm(R)
+        residuals[it] = np.sqrt(np.sum(np.sum(R * R, axis=1)))
     return AdmmState(C=C, Z=Z, mu=rho * u, residuals=residuals)
 
 

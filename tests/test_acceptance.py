@@ -5,13 +5,10 @@ capture) so a full run reads as a checklist. Thresholds and instance
 sizes are fixed; the seeds are frozen.
 """
 
-import json
-import os
 import sys
 import time
 
 import numpy as np
-import pytest
 
 from unfold_ssc import autoenc, classic, cli, cluster, data, graph, metrics, train, unfold
 
