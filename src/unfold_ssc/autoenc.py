@@ -5,11 +5,15 @@ sample); ``normalize_latent`` transposes back to columns and scales each to
 unit length, which is the representation the unfolded network consumes.
 Leaky ReLU, of fixed slope ``LEAKY_SLOPE``, everywhere except the final
 decoder layer, which stays linear so reconstructions are unbounded.
+
+Each layer's forward pass is one array, its affine output activated in
+place; the tape keeps only those. Encoder and decoder share one layer loop
+(``_forward``) and one reverse loop (``_reverse``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +44,21 @@ class AeWeights:
 
 @dataclass
 class AeTape:
-    """Cached activations from one forward pass."""
+    """Every layer's output from one forward pass, one array per layer:
+    ``enc`` runs from X to the codes as columns, ``dec`` from those codes
+    to X-hat. No pre-activation is kept: the backward reads each leaky
+    layer's slope from its output, which is > 0 exactly where its input is."""
 
-    X: np.ndarray
-    enc_pre: list = field(default_factory=list)
-    enc_act: list = field(default_factory=list)   # enc_act[0] is X itself
-    dec_pre: list = field(default_factory=list)
-    dec_act: list = field(default_factory=list)   # dec_act[0] is H^T
-    H: np.ndarray | None = None
-    Xhat: np.ndarray | None = None
+    enc: list
+    dec: list
+
+    @property
+    def H(self) -> np.ndarray:  # the codes as rows, as ``encode`` returns them
+        return self.enc[-1].T
+
+    @property
+    def Xhat(self) -> np.ndarray:
+        return self.dec[-1]
 
 
 def init_weights(input_dim: int, hidden_dims, latent_dim: int, seed: int) -> AeWeights:
@@ -74,18 +84,39 @@ def leaky_relu(x, out=None):
     return np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=out), out=out)
 
 
-def _leaky_grad(pre):
-    return np.where(pre > 0, 1.0, LEAKY_SLOPE)
+def _leaky_relu_in_place(Y: np.ndarray) -> np.ndarray:
+    """``leaky_relu(Y)`` bit for bit, written over Y by scaling only its
+    negative entries; the result is > 0 exactly where Y was."""
+    return np.multiply(Y, LEAKY_SLOPE, out=Y, where=Y < 0)
+
+
+def _slot(arrays: list | None, i: int):
+    """``arrays[i]`` when the list has it, else None: an ``out=`` buffer."""
+    return arrays[i] if arrays is not None and i < len(arrays) else None
+
+
+def _forward(layers: list[Affine], A: np.ndarray, out: list | None = None,
+             linear_top: bool = False) -> list:
+    """Run ``layers`` from the columns A; returns [A, each layer's output].
+
+    Each output W A + b is formed in one array, ``out[i + 1]`` when the
+    list has it, and activated in place there; the top layer stays linear
+    when ``linear_top``.
+    """
+    acts = [A]
+    top = len(layers) - 1
+    for i, layer in enumerate(layers):
+        Y = np.matmul(layer.W, acts[-1], out=_slot(out, i + 1))
+        Y += layer.b[:, np.newaxis]
+        if not (linear_top and i == top):
+            _leaky_relu_in_place(Y)
+        acts.append(Y)
+    return acts
 
 
 def encode(weights: AeWeights, X: np.ndarray) -> np.ndarray:
     """Map column samples (d, n) to latent rows (n, latent)."""
-    A = np.asarray(X, dtype=np.float64)
-    for layer in weights.enc:
-        pre = layer.W @ A
-        pre += layer.b[:, np.newaxis]
-        A = leaky_relu(pre)
-    return A.T
+    return _forward(weights.enc, np.asarray(X, dtype=np.float64))[-1].T
 
 
 # Entries per block of the squared error in ``ae_loss``: its squares are
@@ -140,41 +171,37 @@ def normalize_latent_backward(H: np.ndarray, grad_Htilde: np.ndarray) -> np.ndar
     return ((g - U * np.sum(U * g, axis=0, keepdims=True)) / norms).T
 
 
-def _slot(arrays: list, i: int):
-    """``arrays[i]`` when the list has it, else None: an ``out=`` buffer."""
-    return arrays[i] if i < len(arrays) else None
-
-
 def ae_forward(weights: AeWeights, X: np.ndarray, out: AeTape | None = None) -> AeTape:
-    """Forward pass that keeps every intermediate for the backward pass.
+    """Forward pass that keeps every layer's output for the backward pass.
 
     Given ``out``, the tape of an earlier pass of the same shapes, every
-    intermediate is written into that tape's arrays, so a loop that passes
-    its last tape holds one tape's arrays, not two, while the pass runs.
+    output is written into that tape's arrays, so a loop that passes its
+    last tape holds one tape's arrays, not two, while the pass runs.
     """
-    X = np.asarray(X, dtype=np.float64)
-    prev = out if out is not None else AeTape(X=X)
-    tape = AeTape(X=X)
-    A = X
-    tape.enc_act.append(A)
-    for i, layer in enumerate(weights.enc):
-        pre = np.matmul(layer.W, A, out=_slot(prev.enc_pre, i))
-        pre += layer.b[:, np.newaxis]
-        A = leaky_relu(pre, out=_slot(prev.enc_act, i + 1))
-        tape.enc_pre.append(pre)
-        tape.enc_act.append(A)
-    tape.H = A.T
-    D = A
-    tape.dec_act.append(D)
-    last = len(weights.dec) - 1
-    for i, layer in enumerate(weights.dec):
-        pre = np.matmul(layer.W, D, out=_slot(prev.dec_pre, i))
-        pre += layer.b[:, np.newaxis]
-        D = leaky_relu(pre, out=_slot(prev.dec_act, i + 1)) if i != last else pre
-        tape.dec_pre.append(pre)
-        tape.dec_act.append(D)
-    tape.Xhat = D
-    return tape
+    enc = _forward(weights.enc, np.asarray(X, dtype=np.float64),
+                   None if out is None else out.enc)
+    dec = _forward(weights.dec, enc[-1], None if out is None else out.dec, linear_top=True)
+    return AeTape(enc, dec)
+
+
+def _reverse(layers: list[Affine], acts: list, g: np.ndarray, name: str, out,
+             linear_top: bool = False, input_grad: bool = True):
+    """Reverse pass through ``layers`` from ``g``, the gradient with respect
+    to their output as columns, given their ``_forward`` list ``acts``; each
+    leaky layer's slope is read from its output. Returns (grads, the
+    gradient with respect to their input, or None unless ``input_grad``),
+    grads keyed ``{name}{i}.W`` and ``.b`` and written into ``out``'s
+    arrays of those names when given."""
+    grads: dict[str, np.ndarray] = {}
+    top = len(layers) - 1
+    for i in range(top, -1, -1):
+        if not (linear_top and i == top):
+            g = g * np.where(acts[i + 1] > 0, 1.0, LEAKY_SLOPE)
+        W, b = f"{name}{i}.W", f"{name}{i}.b"
+        grads[W] = np.matmul(g, acts[i].T, out=None if out is None else out[W])
+        grads[b] = g.sum(axis=1, out=None if out is None else out[b])
+        g = layers[i].W.T @ g if i > 0 or input_grad else None
+    return grads, g
 
 
 def decoder_backward(weights: AeWeights, tape: AeTape, grad_Xhat: np.ndarray, out=None):
@@ -185,15 +212,8 @@ def decoder_backward(weights: AeWeights, tape: AeTape, grad_Xhat: np.ndarray, ou
     name when given, and the gradient with respect to the encoder output,
     as columns. Once it returns, nothing reads the tape's decoder arrays.
     """
-    grads: dict[str, np.ndarray] = {}
-    n_dec = len(weights.dec)
-    g = np.asarray(grad_Xhat, dtype=np.float64)
-    for i in range(n_dec - 1, -1, -1):
-        layer = weights.dec[i]
-        gPre = g if i == n_dec - 1 else g * _leaky_grad(tape.dec_pre[i])
-        _weight_grads(grads, f"dec{i}", gPre, tape.dec_act[i], out)
-        g = layer.W.T @ gPre
-    return grads, g
+    return _reverse(weights.dec, tape.dec, np.asarray(grad_Xhat, dtype=np.float64), "dec",
+                    out, linear_top=True)
 
 
 def encoder_backward(weights: AeWeights, tape: AeTape, grad_code: np.ndarray, out=None):
@@ -201,15 +221,7 @@ def encoder_backward(weights: AeWeights, tape: AeTape, grad_code: np.ndarray, ou
     with respect to its output as columns. Returns the encoder's weight
     gradients, keyed and written as in ``decoder_backward``; the gradient
     with respect to the input X is not formed."""
-    grads: dict[str, np.ndarray] = {}
-    g = grad_code
-    for i in range(len(weights.enc) - 1, -1, -1):
-        layer = weights.enc[i]
-        gPre = g * _leaky_grad(tape.enc_pre[i])
-        _weight_grads(grads, f"enc{i}", gPre, tape.enc_act[i], out)
-        if i > 0:
-            g = layer.W.T @ gPre
-    return grads
+    return _reverse(weights.enc, tape.enc, grad_code, "enc", out, input_grad=False)[0]
 
 
 def ae_backward(weights: AeWeights, tape: AeTape, grad_Xhat: np.ndarray, out=None):
@@ -225,9 +237,3 @@ def ae_backward(weights: AeWeights, tape: AeTape, grad_Xhat: np.ndarray, out=Non
     grads.update(encoder_backward(weights, tape, g, out))
     return grads
 
-
-def _weight_grads(grads: dict, name: str, gPre: np.ndarray, act: np.ndarray, out) -> None:
-    """One affine layer's W and b gradients, into ``out``'s arrays when given."""
-    W, b = f"{name}.W", f"{name}.b"
-    grads[W] = np.matmul(gPre, act.T, out=None if out is None else out[W])
-    grads[b] = gPre.sum(axis=1, out=None if out is None else out[b])

@@ -239,8 +239,7 @@ def _load_inputs(cfg: RunConfig):
         if cube.labels is None:
             raise DataError("cube inputs need a label map to pick patch centers")
         patches = data.extract_patches(cube, cfg.patch)
-        X = data.flatten_to_matrix(patches)
-        return X, np.asarray(patches.center_labels), patches.coords, cube.labels.shape
+        return patches.X, np.asarray(patches.center_labels), patches.coords, cube.labels.shape
     X, truth = data.load_matrix(values, labels)
     return X, truth, None, None
 
@@ -487,19 +486,16 @@ def cmd_cluster(args) -> int:
 
 
 def _read_label_vector(path):
-    import numpy as np
-
-    from unfold_ssc import container
+    """The labels in ``path`` as an int64 vector, checked as label maps are."""
+    from unfold_ssc import container, data
 
     flat = container.load_any(path).reshape(-1)
     if flat.size == 0:
         raise DataError(f"{path}: no labels")
-    rounded = np.rint(flat)
-    if not np.array_equal(flat, rounded):
-        raise DataError(f"{path}: labels must be integers")
-    if (rounded < 0).any():
-        raise DataError(f"{path}: labels must be non-negative")
-    return rounded.astype(np.int64)
+    try:
+        return data._as_label_map(flat)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_eval(args) -> int:

@@ -43,12 +43,13 @@ class HsiCube:
 class PatchSet:
     """Patches around every labeled pixel, in raster-scan order.
 
-    tensors        (n, patch, patch, bands) float64
+    X              (patch * patch * bands, n) float64, one C-contiguous
+                   patch per column, entries in (row, col, band) order
     center_labels  (n,) class id of each patch center
     coords         (n, 2) row/col of each center in the source cube
     """
 
-    tensors: np.ndarray
+    X: np.ndarray
     center_labels: np.ndarray
     coords: np.ndarray
 
@@ -128,7 +129,7 @@ def extract_patches(cube: HsiCube, patch: int) -> PatchSet:
     Bands are min-max normalized globally first. Borders are handled by
     mirror reflection without duplicating the edge row/column, so the
     corner patch at (0, 0) sees cube[1, 1] at its own (0, 0) position.
-    Patches are emitted in raster-scan order of their centers.
+    Patches are emitted as columns, in raster-scan order of their centers.
     """
     if patch < 1 or patch % 2 == 0:
         raise DataError(f"patch size must be odd and positive, got {patch}")
@@ -143,18 +144,12 @@ def extract_patches(cube: HsiCube, patch: int) -> PatchSet:
     coords = np.argwhere(cube.labels > 0)
     if coords.shape[0] == 0:
         raise DataError("label map has no labeled pixels")
-    n = coords.shape[0]
-    tensors = np.empty((n, patch, patch, cube.bands))
-    for i, (row, col) in enumerate(coords):
-        tensors[i] = padded[row : row + patch, col : col + patch, :]
-    center_labels = cube.labels[coords[:, 0], coords[:, 1]]
-    return PatchSet(tensors, center_labels, coords)
-
-
-def flatten_to_matrix(patches: PatchSet) -> np.ndarray:
-    """Stack patches as columns: entry order inside a column is (row, col, band)."""
-    n = patches.tensors.shape[0]
-    return patches.tensors.reshape(n, -1).T.copy()
+    rows, cols = coords[:, 0], coords[:, 1]
+    # windows[i, j, band, dr, dc] is padded[i + dr, j + dc, band]; the gather
+    # is stored patch by patch, so one copy makes X C-contiguous.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (patch, patch), axis=(0, 1))
+    X = np.ascontiguousarray(windows.transpose(3, 4, 2, 0, 1)[..., rows, cols])
+    return PatchSet(X.reshape(-1, len(coords)), cube.labels[rows, cols], coords)
 
 
 def gen_subspaces(seed: int, k: int, ambient_dim: int, sub_dim: int,

@@ -147,11 +147,13 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     three coefficient losses back through the unfolded network, the latent
     normalization, and the encoder.
 
-    The decoder's backward runs first, so that its arrays are freed before
-    the unfolded forward allocates its 2 + (2K - 4) n x n arrays for
-    K >= 3. The coefficient losses and the backward work in those same
-    arrays: gC in the tape's ``spare``, the structure gradient over C, and
-    W H0 gC over C once gC is formed. None of them outlives the call.
+    The autoencoder tape holds each layer's output only. The decoder's
+    backward runs first, and clearing the tape's ``dec`` list frees the
+    decoder's outputs and X-hat before the unfolded forward allocates its
+    2 + (2K - 4) n x n arrays for K >= 3. The coefficient losses and the
+    backward work in those same arrays: gC in the tape's ``spare``, the
+    structure gradient over C, and W H0 gC over C once gC is formed. None
+    of them outlives the call.
     """
     if state.unfold is None:
         raise ValueError("unfolded network is not initialized; run train_joint")
@@ -161,7 +163,7 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     # The decoder's backward runs first, so its tape and the d x n gXhat are
     # freed before the unfolded network's n x n arrays exist.
     ae_grads, gcode = autoenc.decoder_backward(state.ae, tape_ae, gXhat, ae_out)
-    tape_ae.dec_pre, tape_ae.dec_act, tape_ae.Xhat = [], [], None
+    tape_ae.dec.clear()
     del gXhat
     Ht = autoenc.normalize_latent(tape_ae.H)
     C, tape_u = unfold.forward(state.unfold, Ht, state.z0)

@@ -1,5 +1,7 @@
 """Tests for the patch autoencoder: shapes, losses, and hand gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,11 @@ class TestEncodeDecode:
         assert np.allclose(lhs.Xhat, 2.0 * rhs1.Xhat - 0.5 * rhs2.Xhat, atol=1e-12)
 
     def test_forward_tape_matches_plain_calls(self):
-        """The tape's codes equal ``encode``, and its decoder, which adds
-        each bias in place, replays the reference's W @ D + b bit for bit:
-        leaky ReLU on all but the last layer, which stays linear and gives
-        Xhat. Checked on a narrow and a 300-wide input, with nonzero biases."""
+        """The tape's codes equal ``encode``, and its decoder outputs, each
+        bias added in place and each leaky ReLU applied in place, replay
+        the reference's W @ D + b bit for bit: leaky ReLU on all but the
+        last layer, which stays linear and gives Xhat. Checked on a narrow
+        and a 300-wide input, with nonzero biases."""
         rng = np.random.default_rng(5)
         for input_dim, n in ((6, 7), (300, 50)):
             w = small_weights(4, input_dim=input_dim)
@@ -104,33 +107,53 @@ class TestEncodeDecode:
             X = rng.normal(size=(input_dim, n))
             tape = autoenc.ae_forward(w, X)
             assert np.array_equal(tape.H, autoenc.encode(w, X))
-            pres, acts = decoder_reference(w, tape.H)
-            assert (len(tape.dec_pre), len(tape.dec_act)) == (len(pres), len(acts))
-            for got, want in zip(tape.dec_pre + tape.dec_act, pres + acts):
+            _, acts = decoder_reference(w, tape.H)
+            assert len(tape.dec) == len(acts)
+            for got, want in zip(tape.dec, acts):
                 assert got.tobytes() == want.tobytes()
+            assert tape.Xhat is tape.dec[-1]
             assert tape.Xhat.tobytes() == acts[-1].tobytes()
 
     def test_out_tape_is_written_over_with_the_fresh_pass_bits(self):
         """Given the last pass's tape, a pass with moved weights writes
-        every intermediate into that tape's arrays, overwriting what they
+        every layer output into that tape's arrays, overwriting what they
         held (X-hat, say, holding a gradient), with a fresh pass's bits."""
         rng = np.random.default_rng(6)
         w = small_weights(5, input_dim=300)
         X = rng.normal(size=(300, 40))
         old = autoenc.ae_forward(w, X)
-        arrays = old.enc_pre + old.enc_act[1:] + old.dec_pre + old.dec_act[1:]
+        arrays = old.enc[1:] + old.dec[1:]
         old.Xhat.fill(np.nan)
         for _, arr in w.named_arrays():
             arr += 0.1 * rng.normal(size=arr.shape)
         fresh = autoenc.ae_forward(w, X)
         tape = autoenc.ae_forward(w, X, out=old)
-        got = tape.enc_pre + tape.enc_act[1:] + tape.dec_pre + tape.dec_act[1:]
-        want = fresh.enc_pre + fresh.enc_act[1:] + fresh.dec_pre + fresh.dec_act[1:]
+        got = tape.enc[1:] + tape.dec[1:]
+        want = fresh.enc[1:] + fresh.dec[1:]
         assert len(got) == len(want) == len(arrays)
         for g, was, f in zip(got, arrays, want):
             assert g is was
             assert g.tobytes() == f.tobytes()
-        assert tape.Xhat is tape.dec_pre[-1] and tape.H.tobytes() == fresh.H.tobytes()
+        assert tape.dec[0] is tape.enc[-1] and tape.H.tobytes() == fresh.H.tobytes()
+
+    def test_forward_keeps_one_array_per_layer(self):
+        """One pass keeps each layer's output and nothing else: at d = 64,
+        hidden (256, 64), latent 32, the sum of the layer widths, 736
+        n-column rows (a pre-activation and an output per layer kept 1,409).
+        The peak adds only the activation's sign mask."""
+        n = 300
+        w = autoenc.init_weights(64, (256, 64), 32, seed=0)
+        X = np.random.default_rng(14).normal(size=(64, n))
+        tracemalloc.start()
+        try:
+            tape = autoenc.ae_forward(w, X)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        widths = sum(a.shape[0] for a in tape.enc[1:] + tape.dec[1:])
+        assert widths == 736
+        assert widths <= kept / (n * 8) < widths + 2
+        assert peak / (n * 8) <= 800
 
 
 class TestAeLoss:

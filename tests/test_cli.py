@@ -718,14 +718,17 @@ class TestEvalCommand:
         assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
         assert "mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pred_text", ["0\n-1\n", ""], ids=["negative", "empty"])
+    @pytest.mark.parametrize("pred_text", ["0\n-1\n", "", "0\n0.5\n"],
+                             ids=["negative", "empty", "fractional"])
     def test_eval_negative_label_exits_three(self, tmp_path, capsys, pred_text):
+        """A bad label file exits with 3 and an error that names the file."""
         pred = tmp_path / "pred.csv"
         truth = tmp_path / "truth.csv"
         pred.write_text(pred_text)
         truth.write_text("0\n1\n")
         assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err and str(pred) in err
 
 
 @pytest.mark.parametrize("under_file", [False, True])

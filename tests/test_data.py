@@ -106,7 +106,7 @@ def test_patch_center_equals_pixel():
     ps = data.extract_patches(cube, 3)
     norm = data.normalize_bands(cube.values)
     for i, (r, c) in enumerate(ps.coords):
-        assert np.array_equal(ps.tensors[i, 1, 1, :], norm[r, c, :])
+        assert np.array_equal(ps.X[:, i].reshape(3, 3, -1)[1, 1], norm[r, c, :])
 
 
 def test_mirror_reflection_at_corner():
@@ -115,9 +115,10 @@ def test_mirror_reflection_at_corner():
     ps = data.extract_patches(cube, 3)
     norm = data.normalize_bands(cube.values)
     assert (ps.coords[0] == [0, 0]).all()
-    assert np.array_equal(ps.tensors[0, 0, 0, :], norm[1, 1, :])
-    assert np.array_equal(ps.tensors[0, 0, 1, :], norm[1, 0, :])
-    assert np.array_equal(ps.tensors[0, 1, 0, :], norm[0, 1, :])
+    corner = ps.X[:, 0].reshape(3, 3, -1)
+    assert np.array_equal(corner[0, 0], norm[1, 1, :])
+    assert np.array_equal(corner[0, 1], norm[1, 0, :])
+    assert np.array_equal(corner[1, 0], norm[0, 1, :])
 
 
 def test_only_labeled_pixels_kept_in_raster_order():
@@ -140,7 +141,7 @@ def test_patch_count_matches_label_count():
     labels = labels.reshape(100, 200)
     cube = data.HsiCube(rng.uniform(size=(100, 200, 4)), labels)
     ps = data.extract_patches(cube, 13)
-    assert ps.tensors.shape == (6445, 13, 13, 4)
+    assert ps.X.shape == (13 * 13 * 4, 6445)
 
 
 def test_even_patch_rejected():
@@ -154,24 +155,26 @@ def test_unlabeled_cube_rejected():
         data.extract_patches(cube, 3)
 
 
-def test_flatten_column_order():
-    """Columns are (row, col, band)-ordered patch entries."""
+def test_patch_column_order():
+    """Each column is its patch's entries in (row, col, band) order, read
+    from the mirror-padded normalized cube, and the matrix is C-contiguous."""
     cube = make_cube(labels=np.ones((6, 5), dtype=int))
     ps = data.extract_patches(cube, 3)
-    X = data.flatten_to_matrix(ps)
+    padded = np.pad(data.normalize_bands(cube.values), ((1, 1), (1, 1), (0, 0)),
+                    mode="reflect")
     p, b = 3, cube.bands
-    assert X.shape == (p * p * b, ps.tensors.shape[0])
-    i = 4
-    for r in range(p):
-        for c in range(p):
-            for band in range(b):
-                assert X[(r * p + c) * b + band, i] == ps.tensors[i, r, c, band]
+    assert ps.X.shape == (p * p * b, len(ps.coords)) and ps.X.flags.c_contiguous
+    for i, (r0, c0) in enumerate(ps.coords):
+        for r in range(p):
+            for c in range(p):
+                for band in range(b):
+                    assert ps.X[(r * p + c) * b + band, i] == padded[r0 + r, c0 + c, band]
 
 
 def test_single_band_patches():
     cube = data.HsiCube(np.arange(30.0).reshape(5, 6, 1), np.ones((5, 6), dtype=int))
     ps = data.extract_patches(cube, 3)
-    assert ps.tensors.shape == (30, 3, 3, 1)
+    assert ps.X.shape == (3 * 3 * 1, 30)
 
 
 # -------------------------------------------------------------- generators

@@ -1,6 +1,7 @@
 """Property tests: container round-trip and malformed headers, metric
-invariance under relabeling, the shape of the spectral affinity, and row
-sums that do not depend on the row blocks they are taken in.
+invariance under relabeling, the shape of the spectral affinity, row
+sums that do not depend on the row blocks they are taken in, and the
+autoencoder's in-place activation.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 deterministic and fast.
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from unfold_ssc import classic, cluster, container, metrics
+from unfold_ssc import autoenc, classic, cluster, container, metrics
 from unfold_ssc.errors import DataError
 
 FIXED = settings(derandomize=True, max_examples=40, deadline=None)
@@ -184,3 +185,25 @@ def test_tree_sum_with_the_smallest_segments(a):
         patch.setattr(classic, "ROW_BLOCK", 1)
         assert len(classic.row_blocks(*a.shape)) == a.shape[0] > 1
     assert_block_sums_are_np_sum(a, 1)
+
+
+# Where writing leaky ReLU over its input could part from max(x, slope x):
+# signed zeros, negative subnormals whose scaled value underflows to -0, the
+# largest magnitudes, infinities and NaN.
+ACTIVATION_EDGES = [0.0, -0.0, -5e-324, -1e-322, -1e-310, 5e-324, 1e308, -1e308,
+                    np.inf, -np.inf, np.nan]
+
+
+@FIXED
+@given(hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.one_of(st.sampled_from(ACTIVATION_EDGES), st.floats(width=64))))
+@example(np.array(ACTIVATION_EDGES))
+def test_in_place_leaky_relu_is_the_max_form(x):
+    """Written over its input, the activation is ``np.maximum(x, LEAKY_SLOPE
+    * x)`` byte for byte, and it is > 0 exactly where x is, which is what
+    lets the backward read each layer's slope from its output."""
+    want = np.maximum(x, autoenc.LEAKY_SLOPE * x)
+    got = x.copy()
+    assert autoenc._leaky_relu_in_place(got) is got
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got > 0, x > 0)
