@@ -43,13 +43,20 @@ def write_array(path: str | os.PathLike, array: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
-def read_array(path: str | os.PathLike) -> np.ndarray:
-    """Read an array written by :func:`write_array`."""
+def _read(path: str | os.PathLike) -> bytes:
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_array(path: str | os.PathLike) -> np.ndarray:
+    """Read an array written by :func:`write_array`."""
+    return _parse_array(_read(path), path)
+
+
+def _parse_array(raw: bytes, path) -> np.ndarray:
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
     magic, version, ndims = _HEADER.unpack_from(raw)
@@ -79,13 +86,15 @@ def read_array(path: str | os.PathLike) -> np.ndarray:
 
 def read_csv_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a 2-D matrix from a comma-separated text file."""
-    try:
+    return _parse_csv(_read(path), path)
+
+
+def _parse_csv(raw: bytes, path) -> np.ndarray:
+    try:  # a UnicodeDecodeError is a ValueError too
         with warnings.catch_warnings():
             # An empty file is reported below as a data error instead.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+            arr = np.loadtxt(raw.decode().splitlines(), delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: not a rectangular CSV matrix ({exc})") from exc
     if arr.size == 0:
@@ -96,14 +105,8 @@ def read_csv_matrix(path: str | os.PathLike) -> np.ndarray:
 def load_any(path: str | os.PathLike) -> np.ndarray:
     """Load an array from either the binary container or CSV.
 
-    The format is sniffed from the first four bytes rather than the file
-    extension, so renamed files still load.
+    The file is read once. The format is sniffed from its first four bytes
+    rather than its extension, so renamed files still load.
     """
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if head == MAGIC:
-        return read_array(path)
-    return read_csv_matrix(path)
+    raw = _read(path)
+    return (_parse_array if raw[:4] == MAGIC else _parse_csv)(raw, path)

@@ -203,6 +203,8 @@ def _reset_moments(opt: AdamState, named) -> None:
 # buffers hold this many, whatever the largest parameter's size.
 ADAM_CHUNK = 1 << 16
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # textbook moment decays and guard
+
 
 def _flat_view(arr: np.ndarray) -> np.ndarray:
     """A 1-D view through which in-place updates reach ``arr``."""
@@ -214,7 +216,7 @@ def _flat_view(arr: np.ndarray) -> np.ndarray:
 def adam_step(opt: AdamState, named, grads: dict, config: RunConfig) -> None:
     """One Adam update, in place, over a sequence of (name, array) pairs.
 
-    Moments use ``config.adam_beta1``, ``adam_beta2`` and ``adam_eps``. The
+    Moments use the fixed ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. The
     learnable penalty and threshold preimages step at ``learning_rate``
     times ``rho_theta_lr_mult``; everything else at ``learning_rate``. Each
     array is walked in slices of ``ADAM_CHUNK`` entries through two scratch
@@ -222,7 +224,7 @@ def adam_step(opt: AdamState, named, grads: dict, config: RunConfig) -> None:
     textbook order.
     """
     opt.step += 1
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     corr1 = 1.0 - b1**opt.step
     corr2 = 1.0 - b2**opt.step
     size = min(ADAM_CHUNK, max((arr.size for _, arr in named), default=0))

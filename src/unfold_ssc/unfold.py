@@ -176,8 +176,7 @@ class ForwardTape:
             mu = self._mu(k, r0, r1)
         Z = np.divide(mu, self.rho[k], out=np.empty_like(C) if out is None else out)
         np.add(C, Z, out=Z)
-        theta = self.theta[k]
-        np.subtract(Z, np.clip(Z, -theta, theta, out=scratch), out=Z)
+        classic.soft_threshold(Z, self.theta[k], out=Z, scratch=scratch)
         Z.reshape(-1)[r0::C.shape[1] + 1] = 0.0  # the diagonal entries of rows r0 on
         return Z
 

@@ -87,9 +87,17 @@ class TestValidateConfig:
         assert exc.value.errors[0].startswith("gamma:")
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigError, match="unknown preset"):
+        with pytest.raises(ConfigError) as exc:
             cli.validate_config(preset="botswana", overrides={"values_path": "x",
                                                               "k_clusters": 2})
+        assert exc.value.errors == ["dataset: must be one of ['indian_pines', 'paviau', "
+                                    "'salinas'] (got 'botswana')"]
+
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps"])
+    def test_retired_adam_key_is_unknown(self, key):
+        with pytest.raises(ConfigError) as exc:
+            cli.validate_config(overrides={"values_path": "x", "k_clusters": 2, key: 0.5})
+        assert exc.value.errors == [f"{key}: unknown configuration key"]
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -118,7 +126,7 @@ class TestValidateConfig:
     def test_every_key_is_checked_and_documented(self):
         fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
         assert fields == set(cli._CHECKS)
-        assert len(fields) == len(cli._CHECKS) == 28
+        assert len(fields) == len(cli._CHECKS) == 25
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         text = Path(readme).read_text()
         table = text[text.index("### Configuration"):text.index("### Artifacts")]
@@ -127,6 +135,22 @@ class TestValidateConfig:
             if row.startswith("| `"):
                 documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
         assert sorted(fields - documented) == []
+        assert sorted(documented - fields) == []
+
+
+@pytest.mark.parametrize("value", [[1], {}, 5, "nope"], ids=["list", "dict", "int", "name"])
+def test_bad_dataset_is_reported_once(tmp_path, capsys, value):
+    """A dataset value that names no preset, of any JSON type, is one
+    config error, not a TypeError from the preset lookup."""
+    cfg = write_config(tmp_path, {"values_path": "x.sscm", "k_clusters": 2,
+                                  "out_dir": str(tmp_path / "never"), "dataset": value})
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "dataset:" in line] == [
+        f"config error: dataset: must be one of ['indian_pines', 'paviau', 'salinas'] "
+        f"(got {value!r})"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "never").exists()
 
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig) if isinstance(f.default, float)]
@@ -760,13 +784,3 @@ class TestEntryBasics:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert "unfold-ssc" in capsys.readouterr().out
-
-    def test_thread_env_propagates(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("UNFOLD_SSC_THREADS", "1")
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.setenv("MKL_NUM_THREADS", "7")
-        pred = tmp_path / "p.csv"
-        pred.write_text("0\n1\n")
-        cli.main(["eval", "--pred", str(pred), "--truth", str(pred)])
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-        assert os.environ["MKL_NUM_THREADS"] == "7"   # existing values survive

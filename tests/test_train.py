@@ -284,11 +284,12 @@ class TestAdamStep:
             train.adam_step(opt, list(params.items()), grads, cfg)
             for k, g in grads.items():
                 lr = cfg.learning_rate * (7.0 if k.endswith("rho_raw") else 1.0)
-                ref_m[k] = cfg.adam_beta1 * ref_m[k] + (1.0 - cfg.adam_beta1) * g
-                ref_v[k] = cfg.adam_beta2 * ref_v[k] + (1.0 - cfg.adam_beta2) * (g * g)
-                m_hat = ref_m[k] / (1.0 - cfg.adam_beta1**step)
-                v_hat = ref_v[k] / (1.0 - cfg.adam_beta2**step)
-                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                b1, b2 = train.ADAM_BETA1, train.ADAM_BETA2
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * (g * g)
+                m_hat = ref_m[k] / (1.0 - b1**step)
+                v_hat = ref_v[k] / (1.0 - b2**step)
+                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + train.ADAM_EPS)
                 assert np.array_equal(params[k], ref[k]), (step, k)
                 assert params[k].shape == shapes[k]
 
