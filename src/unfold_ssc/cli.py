@@ -257,7 +257,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         pretrain_history = train.pretrain(state, X, cfg)
         history = train.train_joint(state, X, cfg)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-        S = cluster.similarity(unfold.forward(state.unfold, Ht, state.z0)[0])
+        S = cluster.similarity(unfold.forward(state.unfold, Ht)[0])
         labels = cluster.spectral_cluster(S, cfg.k_clusters, cfg.seed)
     elif cfg.mode == "classic":
         S = cluster.similarity(classic.solve(X, cfg.classic_lambda, cfg.classic_rho,
@@ -292,7 +292,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         if coords is not None and scene_shape is not None:
             _write_ppm(stage, "label_map.ppm", scene_shape, coords, labels)
         _write_json(stage, "run_manifest.json",
-                    {"config": _config_dict(cfg), "version": __version__})
+                    {"config": asdict(cfg), "version": __version__})
         artifacts = sorted(os.listdir(stage))
 
     return {
@@ -302,12 +302,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "metrics": scores,
         "artifacts": artifacts,
     }
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    out = asdict(cfg)
-    out["hidden_dims"] = list(cfg.hidden_dims)
-    return out
 
 
 # ---------------------------------------------------------------- artifacts
@@ -518,8 +512,11 @@ def cmd_gen(args) -> int:
         values, labels = data.gen_subspaces(args.seed, args.clusters, args.ambient_dim,
                                             args.sub_dim, args.per_cluster, args.sigma)
     else:
-        cube = data.gen_synthetic_cube(args.seed, args.clusters,
-                                       (args.height, args.width), args.bands, args.sigma)
+        try:  # the scene's layout comes from the flags alone
+            cube = data.gen_synthetic_cube(args.seed, args.clusters,
+                                           (args.height, args.width), args.bands, args.sigma)
+        except DataError as exc:
+            raise ConfigError([f"--clusters: {exc}"]) from None
         values, labels = cube.values, cube.labels.astype(np.float64)
     with _publishing(args.out, ("values.sscm", "labels.csv", "labels.sscm"), ()) as stage:
         container.write_array(os.path.join(stage, "values.sscm"), values)

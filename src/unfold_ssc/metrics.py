@@ -55,7 +55,7 @@ def accuracy(pred, truth) -> float:
     (every optimal bijection matches the same count, so any one will do)."""
     padded = _padded_contingency(pred, truth)
     rows, cols = linear_sum_assignment(padded, maximize=True)
-    return float(padded[rows, cols].sum()) / padded.sum()
+    return float(padded[rows, cols].sum()) / int(padded.sum())
 
 
 def nmi(pred, truth) -> float:

@@ -3,8 +3,9 @@
 Phase one fits the autoencoder alone. Its latent codes then freeze two
 sparse nearest-neighbor graphs: a 30-neighbor adjacency that seeds the
 unfolded network's Z state, and a 10-neighbor graph, kept only as its
-Laplacian, that drives the structure loss. Phase two trains autoencoder
-and unfolded network together under the composite objective
+Laplacian, that drives the structure loss. The unfolded network is built
+then, from the same codes, with the seed inside it. Phase two trains
+autoencoder and network together under the composite objective
 
     L = L_rec + alpha * L_selfrep + beta * L_sparse + gamma * L_structure.
 
@@ -49,25 +50,22 @@ class AdamState:
 
 @dataclass
 class TrainState:
-    """Learned arrays, their Adam moments, the frozen graphs and the latent
-    codes (n x latent rows) they were built from, and one gradient buffer
-    per autoencoder array (``grads``, keyed like ``named_arrays``) that
-    every epoch of both phases writes into."""
+    """The autoencoder, the unfolded network ``pretrain`` builds, their Adam
+    moments, the structure Laplacian, and one gradient buffer per
+    autoencoder array (``grads``) that every epoch of both phases writes
+    into. Moments and gradients go by each array's own name in
+    ``named_arrays`` (``enc0.W``, ``layer1.theta_raw``)."""
 
     ae: autoenc.AeWeights
     unfold: unfold.UnfoldParams | None = None
     opt: AdamState = field(default_factory=AdamState)
-    z0: sparse.csr_array | None = None
     lap: sparse.csr_array | None = None
-    codes: np.ndarray | None = None
     grads: dict = field(default_factory=dict)
 
     def named_arrays(self):
-        for name, arr in self.ae.named_arrays():
-            yield f"ae.{name}", arr
+        yield from self.ae.named_arrays()
         if self.unfold is not None:
-            for name, arr in self.unfold.named_arrays():
-                yield f"unfold.{name}", arr
+            yield from self.unfold.named_arrays()
 
 
 def init_state(input_dim: int, config: RunConfig) -> TrainState:
@@ -77,13 +75,6 @@ def init_state(input_dim: int, config: RunConfig) -> TrainState:
                                                config.latent_dim, config.seed))
     state.grads = {name: np.empty_like(arr) for name, arr in state.named_arrays()}
     return state
-
-
-def _prefixed(grads: dict | None, prefix: str) -> dict | None:
-    """The ``prefix``-named entries of ``grads`` under their unprefixed names."""
-    if grads is None:
-        return None
-    return {name[len(prefix):]: g for name, g in grads.items() if name.startswith(prefix)}
 
 
 def loss_sr(Htilde: np.ndarray, C: np.ndarray, out=None):
@@ -156,17 +147,16 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     of them outlives the call.
     """
     if state.unfold is None:
-        raise ValueError("unfolded network is not initialized; run train_joint")
-    ae_out = _prefixed(out, "ae.")
+        raise ValueError("unfolded network is not initialized; run pretrain")
     tape_ae = autoenc.ae_forward(state.ae, X)
     v_ae, gXhat = autoenc.ae_loss(X, tape_ae.Xhat, out=tape_ae.Xhat)
     # The decoder's backward runs first, so its tape and the d x n gXhat are
     # freed before the unfolded network's n x n arrays exist.
-    ae_grads, gcode = autoenc.decoder_backward(state.ae, tape_ae, gXhat, ae_out)
+    grads, gcode = autoenc.decoder_backward(state.ae, tape_ae, gXhat, out)
     tape_ae.dec.clear()
     del gXhat
     Ht = autoenc.normalize_latent(tape_ae.H)
-    C, tape_u = unfold.forward(state.unfold, Ht, state.z0)
+    C, tape_u = unfold.forward(state.unfold, Ht)
 
     # gC = alpha gC_sr + beta gC_sp + gamma gC_st, summed in place in that
     # order in the tape's spare array; gC_st is written over C once the
@@ -186,10 +176,8 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     del tape_u, gC, C
     gHt = alpha * gHt_sr + gHt_unfold
     gH = autoenc.normalize_latent_backward(tape_ae.H, gHt)
-    ae_grads.update(autoenc.encoder_backward(state.ae, tape_ae, gH.T + gcode, ae_out))
-
-    grads = {f"ae.{k}": g for k, g in ae_grads.items()}
-    grads.update({f"unfold.{k}": g for k, g in ugrads.items()})
+    grads.update(autoenc.encoder_backward(state.ae, tape_ae, gH.T + gcode, out))
+    grads.update(ugrads)
     return breakdown, grads
 
 
@@ -259,20 +247,20 @@ def adam_step(opt: AdamState, named, grads: dict, config: RunConfig) -> None:
 
 
 def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
-    """Phase one: reconstruction-only training, then freeze the two graphs.
+    """Phase one: reconstruction-only training, then freeze the two graphs
+    and build the network.
 
     Runs ``config.pretrain_epochs`` full-batch Adam steps on the
     autoencoder (zero epochs leave the weights untouched), each writing its
-    gradients into ``state.grads``, then builds the ``config.knn_init``-neighbor
-    Z seed and the ``config.knn_struct``-neighbor structure Laplacian from
-    the resulting latent codes, raising ``NumericalError`` if any of them is
-    non-finite; the codes stay in ``state.codes`` until ``train_joint``
-    initializes the unfolded network from them.
+    gradients into ``state.grads``, then encodes the data once (raising
+    ``NumericalError`` on a non-finite code). From the codes come the
+    ``config.knn_init``-neighbor Z seed and the ``config.knn_struct``-neighbor
+    ``state.lap``; from the codes normalized, that seed, ``config.rho0`` and
+    ``config.threshold0``, the ``config.admm_layers``-layer ``state.unfold``.
     Returns the per-epoch reconstruction loss history.
     """
-    ae_named = list((f"ae.{k}", a) for k, a in state.ae.named_arrays())
+    ae_named = list(state.ae.named_arrays())
     _reset_moments(state.opt, ae_named)
-    ae_grads = _prefixed(state.grads, "ae.")
     history = []
     tape = None
     for epoch in range(config.pretrain_epochs):
@@ -282,7 +270,7 @@ def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
         value = autoenc.ae_loss(X, tape.Xhat, out=tape.Xhat)[0]
         if not np.isfinite(value):
             raise NumericalError(f"non-finite reconstruction loss at pretrain epoch {epoch + 1}")
-        autoenc.ae_backward(state.ae, tape, tape.Xhat, ae_grads)
+        autoenc.ae_backward(state.ae, tape, tape.Xhat, state.grads)
         adam_step(state.opt, ae_named, state.grads, config)
         history.append(value)
     del tape  # no d x n array of the loop outlives it
@@ -294,30 +282,26 @@ def pretrain(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
             f"non-finite latent code for sample {int(np.argmax(bad))} after pretraining; "
             "cannot build the kNN graphs"
         )
-    state.z0, adj = graph.knn_adjacency(H.T, config.knn_init, config.knn_struct)
+    z0, adj = graph.knn_adjacency(H.T, config.knn_init, config.knn_struct)
     state.lap = graph.laplacian(adj)
-    state.codes = H
+    state.unfold = unfold.init_params(autoenc.normalize_latent(H), z0, config.rho0,
+                                      config.admm_layers, config.threshold0)
     return history
 
 
 def train_joint(state: TrainState, X: np.ndarray, config: RunConfig) -> list:
-    """Phase two: composite-loss training of autoencoder plus unfolded network.
+    """Phase two: composite-loss training of autoencoder plus the unfolded
+    network ``pretrain`` built.
 
-    The ``config.admm_layers``-layer unfolded network is initialized
-    analytically from the normalized latent codes the graphs were built
-    from, ``config.rho0`` and ``config.threshold0``. The codes are read
-    once and dropped from ``state``, so a second call, whose autoencoder
-    has moved on, raises ValueError as one before ``pretrain`` does. Adam
-    moments restart for the new parameter set. Runs ``config.joint_epochs``
-    full-batch steps, each through ``total_loss``, whose n x n arrays are
-    freed when it returns. Returns the loss-breakdown history (list of
-    LossBreakdown).
+    Without that network and the structure Laplacian, raises ValueError.
+    Adam moments restart for the whole parameter set, so a second call
+    trains on from where the first left the arrays. Runs
+    ``config.joint_epochs`` full-batch steps, each through ``total_loss``,
+    whose n x n arrays are freed when it returns. Returns the
+    loss-breakdown history (list of LossBreakdown).
     """
-    if state.z0 is None or state.lap is None or state.codes is None:
-        raise ValueError("no graphs or latent codes from pretrain; run pretrain first")
-    H, state.codes = state.codes, None
-    Ht = autoenc.normalize_latent(H)
-    state.unfold = unfold.init_params(Ht, config.rho0, config.admm_layers, config.threshold0)
+    if state.unfold is None or state.lap is None:
+        raise ValueError("no network or structure graph from pretrain; run pretrain first")
     named = list(state.named_arrays())
     _reset_moments(state.opt, named)
     history = []

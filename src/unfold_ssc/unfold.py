@@ -5,9 +5,9 @@ and shrinkage threshold theta, stored as softplus preimages so gradient
 steps can never push them out of range (rho > 0, theta >= 0). The network
 returns the top layer's C, before that layer's shrinkage, so the top layer
 has no threshold: K layers learn 2K - 1 scalars. Everything else is the
-classic solver's, fixed at the normalized latent H0 of initialization and
-shared by every layer: the input map W = H0^T M and the iterate map
-B = (2 H0^T H0 + rho0 I)^-1, where M = (rho0 / 2 I + H0 H0^T)^-1 is l x l.
+classic solver's, fixed at the normalized latent H0 the network is built
+from and shared by every layer: the input map W = H0^T M and the iterate
+map (2 H0^T H0 + rho0 I)^-1, where M = (rho0 / 2 I + H0 H0^T)^-1 is l x l.
 B is never formed. Since W H~ - B V = W (H~ + H0 V / rho0) - V / rho0, a
 layer costs two O(n^2 l) products forward, H0 V and W U, and two backward.
 With theta = lambda / rho the forward pass reproduces the classic solver
@@ -15,19 +15,20 @@ to rounding: the two compute the same iteration in a different order, and
 rho and theta round-trip through softplus (acceptance test A2 bounds the
 relative difference by 1e-10).
 
-The Z seed Z0, a k-neighbor graph, is a sparse CSR array: layer 0 reads it
+The network also keeps its Z seed Z0, a k-neighbor graph that
+``init_params`` checks once, as a sparse CSR array: layer 0 reads it
 through ``toarray`` into a zero-filled array, the forward's V or one row
 block of a buffer in the backward, which gives the dense computation's bits
 without a dense Z0 of its own.
 
 Gradients are hand-written reverse mode over a forward tape; no autodiff
-framework is involved. The tape keeps only what the backward reads: Z0 and
-the C and dual input mu of the K - 1 layers that shrink, less the first
-two duals (the scalar 0, and mu_1, which both passes recompute), so
-2K - 4 n x n arrays for K >= 3, one for K = 2 and none for K = 1. The
-forward holds two more, V, which becomes the returned C, and a scratch
-array kept as the tape's ``spare``: 2 + (2K - 4) n x n arrays for K >= 3,
-in which the losses and the backward then work too.
+framework is involved. Besides the network's own arrays, the tape keeps
+only what the backward reads: the C and dual input mu of the K - 1 layers
+that shrink, less the first two duals (the scalar 0, and mu_1, which both
+passes recompute), so 2K - 4 n x n arrays for K >= 3, one for K = 2 and
+none for K = 1. The forward holds two more, V, which becomes the returned
+C, and a scratch array kept as the tape's ``spare``: 2 + (2K - 4) n x n
+arrays for K >= 3, in which the losses and the backward then work too.
 
 Every matrix product runs on whole arrays. Everything between two
 products, elementwise chains and the sums that reduce them, runs one block
@@ -80,13 +81,14 @@ class UnfoldLayer:
 
 @dataclass
 class UnfoldParams:
-    """The learnable layers, and the fixed W and B they share as H0, M and
-    rho0."""
+    """The learnable layers, the fixed W and B they share as H0, M and rho0,
+    and the Z seed Z0, an n x n CSR array with a zero diagonal."""
 
     layers: list[UnfoldLayer]
     H0: np.ndarray
     M: np.ndarray
     rho0: float
+    Z0: sparse.csr_array
 
     @property
     def n_layers(self) -> int:
@@ -118,15 +120,14 @@ class ForwardTape:
     n x n arrays for K >= 3, one for K = 2 and none for K = 1. ``Z(k)``
     recomputes Z_k bit for bit. Both work on any range of rows, so the
     forward and backward passes call them one row block at a time.
-    ``Z0`` is the seed as a CSR array. ``spare`` is an n x n array that
-    nothing reads once the forward returns, for the caller to write over.
+    ``spare`` is an n x n array that nothing reads once the forward
+    returns, for the caller to write over.
 
     ``backward`` writes over ``C[K - 2]`` and marks the tape ``consumed``:
     from then on ``mu``, ``Z`` and another ``backward`` raise ValueError
     rather than read it.
     """
 
-    Z0: sparse.csr_array
     rho: list = field(default_factory=list)
     theta: list = field(default_factory=list)
     mu_in: list = field(default_factory=list)
@@ -181,12 +182,16 @@ class ForwardTape:
         return Z
 
 
-def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -> UnfoldParams:
-    """Analytic initialization from the normalized latent H0 = Htilde.
+def init_params(Htilde: np.ndarray, Z0, rho0: float, n_layers: int,
+                theta0: float) -> UnfoldParams:
+    """Analytic initialization from the normalized latent H0 = Htilde and
+    the Z seed Z0.
 
     Every layer holds the same fixed W = H0^T M, which equals the classic
     solver's (2 H0^T H0 + rho0 I)^-1 2 H0^T, and starts from penalty rho0;
-    every layer but the top starts from threshold theta0.
+    every layer but the top starts from threshold theta0. Z0, dense or
+    sparse, is kept as a canonical CSR array (duplicates summed); it must
+    be n x n for H0's n samples, with a zero diagonal, else ValueError.
     """
     if n_layers < 1:
         raise ValueError("the network needs at least one layer")
@@ -195,40 +200,7 @@ def init_params(Htilde: np.ndarray, rho0: float, n_layers: int, theta0: float) -
     if theta0 <= 0:
         raise ValueError(f"theta0 must be positive, got {theta0}")
     H0 = np.array(Htilde, dtype=np.float64)
-    M = np.linalg.inv(0.5 * rho0 * np.eye(H0.shape[0]) + H0 @ H0.T)
-    W = H0.T @ M
-    rho_raw = softplus_inv(rho0)
-    theta_raw = softplus_inv(theta0)
-    return UnfoldParams([UnfoldLayer(W, np.array(rho_raw),
-                                     np.array(theta_raw) if k + 1 < n_layers else None)
-                         for k in range(n_layers)], H0, M, float(rho0))
-
-
-def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
-    """Run the unfolded network from Z = Z0 and mu = 0.
-
-    Per layer k:  V = mu - rho_k Z;  C = W H~ - B V = W U - V / rho0,
-                  U = H~ + H0 V / rho0;
-                  Z = shrink(C + mu / rho_k, theta_k) with zero diagonal;
-                  mu = mu + rho_k (C - Z).
-    The last layer stops at C: nothing reads its Z or dual.
-    Returns (C, tape) where C is the final-layer coefficient matrix with
-    its diagonal zeroed.
-
-    Z0, dense or sparse, is converted to a CSR array (canonical, with
-    duplicate entries summed), and layer 0's V = 0 - rho_0 Z0 is formed
-    in place from its ``toarray`` into V. The pass allocates 2 + (2K - 4)
-    n x n arrays for K >= 3: the 2K - 4 the tape stores and two working
-    arrays, V and a scratch P. Below the top, W U goes into the layer's
-    tape C, and one pass over row blocks then finishes C, Z (in a block
-    buffer), the next dual (stored from mu_2 up, else a block at a time)
-    and the next layer's V, written over V, with P's block as scratch.
-    mu_1 is recomputed there a block at a time, into V's block once it is
-    read. The top layer writes V / rho0 into P, the tape's ``spare``, then
-    W U over V and subtracts: V is the returned C.
-    """
-    Htilde = np.asarray(Htilde, dtype=np.float64)
-    n = Htilde.shape[1]
+    n = H0.shape[1]
     Z0 = sparse.csr_array(Z0, dtype=np.float64)
     if Z0.shape != (n, n):
         raise ValueError("Z0 must be n x n for n samples")
@@ -237,15 +209,50 @@ def forward(params: UnfoldParams, Htilde: np.ndarray, Z0):
         Z0.sum_duplicates()
     if np.any(Z0.diagonal() != 0):
         raise ValueError("Z0 must have a zero diagonal")
+    M = np.linalg.inv(0.5 * rho0 * np.eye(H0.shape[0]) + H0 @ H0.T)
+    W = H0.T @ M
+    rho_raw = softplus_inv(rho0)
+    theta_raw = softplus_inv(theta0)
+    return UnfoldParams([UnfoldLayer(W, np.array(rho_raw),
+                                     np.array(theta_raw) if k + 1 < n_layers else None)
+                         for k in range(n_layers)], H0, M, float(rho0), Z0)
+
+
+def forward(params: UnfoldParams, Htilde: np.ndarray):
+    """Run the unfolded network on H~ from its seed Z = Z0 and mu = 0.
+
+    Per layer k:  V = mu - rho_k Z;  C = W H~ - B V = W U - V / rho0,
+                  U = H~ + H0 V / rho0;
+                  Z = shrink(C + mu / rho_k, theta_k) with zero diagonal;
+                  mu = mu + rho_k (C - Z).
+    The last layer stops at C: nothing reads its Z or dual.
+    Returns (C, tape) where C is the final-layer coefficient matrix with
+    its diagonal zeroed. An H~ of another shape than H0 raises ValueError.
+
+    Layer 0's V = 0 - rho_0 Z0 is formed in place from Z0's ``toarray``
+    into V. The pass allocates 2 + (2K - 4) n x n arrays for K >= 3: the
+    2K - 4 the tape stores and two working arrays, V and a scratch P.
+    Below the top, W U goes into the layer's tape C, and one pass over row
+    blocks then finishes C, Z (in a block buffer), the next dual (stored
+    from mu_2 up, else a block at a time) and the next layer's V, written
+    over V, with P's block as scratch. mu_1 is recomputed there a block at
+    a time, into V's block once it is read. The top layer writes V / rho0
+    into P, the tape's ``spare``, then W U over V and subtracts: V is the
+    returned C.
+    """
+    Htilde = np.asarray(Htilde, dtype=np.float64)
+    if Htilde.shape != params.H0.shape:
+        raise ValueError(f"Htilde must have H0's shape {params.H0.shape}, got {Htilde.shape}")
+    n = Htilde.shape[1]
     top = params.n_layers - 1
     V, P = np.empty((n, n)), np.empty((n, n))
-    tape = ForwardTape(Z0, C=[np.empty((n, n)) for _ in range(top)],
+    tape = ForwardTape(C=[np.empty((n, n)) for _ in range(top)],
                        mu_in=[0.0, None][:top] + [np.empty((n, n)) for _ in range(2, top)],
                        spare=P)
     blocks = classic.row_blocks(n, n)
     Z_buf = np.empty((max(r1 - r0 for r0, r1 in blocks), n))
     rho = params.layers[0].rho
-    np.subtract(0.0, np.multiply(Z0.toarray(out=V), rho, out=V), out=V)
+    np.subtract(0.0, np.multiply(params.Z0.toarray(out=V), rho, out=V), out=V)
     for k, layer in enumerate(params.layers):
         U = params.H0 @ V  # U = H~ + H0 V / rho0, in one l x n array
         U /= params.rho0
@@ -297,7 +304,7 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, scratc
     reads Z0 one block of rows at a time.
     """
     gC = grad_C
-    n = tape.Z0.shape[0]
+    n = params.H0.shape[1]
     if not _writable_square(gC, n):
         raise ValueError(f"grad_C must be a writable C-contiguous float64 {n} x {n} array, "
                          "which it overwrites")
@@ -329,7 +336,7 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, scratc
         rho = layer.rho
         if k == 0:
             for r0, r1 in blocks:
-                g, b, s = gC[r0:r1], P[r0:r1], tape.Z0[r0:r1].toarray(out=s_buf[:r1 - r0])
+                g, b, s = gC[r0:r1], P[r0:r1], params.Z0[r0:r1].toarray(out=s_buf[:r1 - r0])
                 np.divide(np.subtract(g, b, out=b), params.rho0, out=b)  # B gC = -dL/dV
                 np.sum(np.multiply(b, s, out=s), axis=1, out=sum_rho[r0:r1])
             grho += np.sum(sum_rho)

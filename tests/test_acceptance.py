@@ -66,8 +66,8 @@ def test_a2_unfolding_matches_classic_solver():
         Ht = rng.normal(size=(l, n))
         Ht /= np.linalg.norm(Ht, axis=0)
 
-        params = unfold.init_params(Ht, rho0, K, lam / rho0)
-        C_net, _ = unfold.forward(params, Ht, np.zeros((n, n)))
+        params = unfold.init_params(Ht, np.zeros((n, n)), rho0, K, lam / rho0)
+        C_net, _ = unfold.forward(params, Ht)
 
         state = classic.solve(Ht, lam, rho0, K)
         C_ref = state.C.copy()
@@ -95,7 +95,7 @@ def _gradient_check_instance(seed: int):
         arr += 0.01 * rng.normal(size=arr.shape)
 
     Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-    _, tape = unfold.forward(state.unfold, Ht, state.z0)
+    _, tape = unfold.forward(state.unfold, Ht)
     margin = min(
         float(np.min(np.abs(np.abs(T) - theta)))
         for T, theta in zip(shrinkage_inputs(tape, state.unfold.n_layers - 1), tape.theta)
@@ -114,8 +114,10 @@ def _gradient_check_instance(seed: int):
     for name, arr in state.named_arrays():
         fd = fd_gradient(objective, arr, step=1e-5)
         err = rel_err(grads[name], fd)
-        if name.startswith("ae."):
-            key = "ae.b" if name.endswith(".b") else "ae.W"
+        if name.endswith(".W"):
+            key = "ae.W"
+        elif name.endswith(".b"):
+            key = "ae.b"
         elif name.endswith("rho_raw"):
             key = "rho"
         else:

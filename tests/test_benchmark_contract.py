@@ -153,6 +153,6 @@ def test_traced_child_reports_unfold_shape_and_param_count(tmp_path):
     n, latent, layers = 64, 6, 2
     assert tuple(counters["unfold_shape"]) == (n, latent, layers)
     ae = autoenc.init_weights(36, (16, 8), latent, 0)
-    net = unfold.init_params(np.ones((latent, n)), 0.5, layers, 0.005)
+    net = unfold.init_params(np.ones((latent, n)), np.zeros((n, n)), 0.5, layers, 0.005)
     expected = sum(a.size for _, a in ae.named_arrays()) + sum(a.size for _, a in net.named_arrays())
     assert counters["param_count"] == expected

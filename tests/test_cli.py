@@ -1,6 +1,7 @@
 """Tests for configuration validation, the command-line entry, and artifacts."""
 
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -305,6 +306,19 @@ class TestGenCommands:
         assert max(len(line) for line in err.splitlines()) < 120
         assert not out.exists()
 
+    @pytest.mark.parametrize("clusters, height, width", [(5, 2, 2), (3, 1, 2)])
+    def test_gen_impossible_layout_is_a_flag_error(self, tmp_path, capsys, clusters, height,
+                                                   width):
+        """``gen`` reads no data, so a scene that cannot hold --clusters
+        regions is a bad flag: exit 2, one line naming --clusters, no
+        output directory."""
+        out = tmp_path / "never"
+        assert cli.main(["gen", "cube", "--clusters", str(clusters), "--height", str(height),
+                         "--width", str(width), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: --clusters: ")
+        assert not out.exists()
+
 
 @pytest.fixture()
 def subspace_data(tmp_path):
@@ -443,7 +457,7 @@ class TestRunCommand:
         manifest = json.loads(Path(out, "checkpoint", "manifest.json").read_text())
         scalars = manifest["unfold"]["scalars"]
         assert len(scalars) == 2 * K - 1
-        listed = [*manifest["tensors"], *(f"unfold.{name}" for name in scalars)]
+        listed = [*(tag.removeprefix("ae.") for tag in manifest["tensors"]), *scalars]
         (state,) = states
         names = [name for name, _ in state.named_arrays()]
         assert sorted(listed) == sorted(names)
@@ -784,3 +798,20 @@ class TestEntryBasics:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert "unfold-ssc" in capsys.readouterr().out
+
+
+def test_readme_python_api_block_runs(monkeypatch, capsys):
+    """README's Python API example runs as written against the package, on
+    2 pretrain and 1 joint epoch, and prints two metric reports of plain
+    numbers."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    start = text.index("```python\n", text.index("## Python API")) + len("```python\n")
+    # Padded so that a traceback gives README's own line numbers
+    block = "\n" * text.count("\n", 0, start) + text[start:text.index("```", start)]
+    monkeypatch.setattr(cli, "RunConfig",
+                        functools.partial(cli.RunConfig, pretrain_epochs=2, joint_epochs=1))
+    exec(compile(block, str(readme), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.startswith("{'acc': ") for line in lines)
+    assert "np." not in "".join(lines)

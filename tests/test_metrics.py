@@ -180,3 +180,10 @@ class TestReport:
         assert rep["k_pred"] == 3
         assert rep["k_true"] == 2
         assert rep["acc"] == metrics.accuracy([0, 0, 1, 2], [1, 1, 2, 2])
+
+    def test_values_are_python_numbers(self):
+        """Every value is a plain float or int, as ``json`` and ``print``
+        show it, not a numpy scalar."""
+        rep = metrics.report([0, 0, 1, 2], [1, 1, 2, 2])
+        assert {k: type(v) for k, v in rep.items()} == {
+            "acc": float, "nmi": float, "kappa": float, "n": int, "k_pred": int, "k_true": int}

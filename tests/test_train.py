@@ -117,7 +117,7 @@ class TestTotalLoss:
     def test_requires_initialized_network(self):
         X, tc = tiny_problem()
         state = train.init_state(X.shape[0], tc)
-        with pytest.raises(ValueError, match="train_joint"):
+        with pytest.raises(ValueError, match="run pretrain"):
             train.total_loss(state, X, tc)
 
     def test_breakdown_composition(self):
@@ -137,7 +137,7 @@ class TestTotalLoss:
         w = cli.RunConfig(alpha=1.5, beta=0.2, gamma=0.1)
         breakdown, grads = train.total_loss(state, X, w)
         Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-        C, tape = unfold.forward(state.unfold, Ht, state.z0)
+        C, tape = unfold.forward(state.unfold, Ht)
         v_sr, _, g_sr = train.loss_sr(Ht, C)
         v_sp, g_sp = train.loss_sp(C)
         v_st, g_st = graph.structure_loss(C, state.lap)
@@ -145,7 +145,7 @@ class TestTotalLoss:
         gC = w.alpha * g_sr + w.beta * g_sp + w.gamma * g_st
         ugrads, _ = unfold.backward(state.unfold, tape, gC)
         for name, g in ugrads.items():
-            assert np.array_equal(grads[f"unfold.{name}"], g), name
+            assert np.array_equal(grads[name], g), name
 
     def test_total_loss_working_set(self):
         """Peak memory allocated by one composite loss and its gradients at
@@ -182,7 +182,7 @@ class TestTotalLoss:
         train.pretrain(state, X, tc)
         train.train_joint(state, X, tc)
         b_fresh, fresh = train.total_loss(state, X, tc)
-        bufs = {f"ae.{name}": np.full_like(arr, np.nan) for name, arr in state.ae.named_arrays()}
+        bufs = {name: np.full_like(arr, np.nan) for name, arr in state.ae.named_arrays()}
         breakdown, grads = train.total_loss(state, X, tc, out=bufs)
         assert breakdown == b_fresh
         assert grads.keys() == fresh.keys() == {name for name, _ in state.named_arrays()}
@@ -250,12 +250,12 @@ class TestAdamStep:
         p = np.array(0.0)
         q = np.array(0.0)
         opt = train.AdamState(
-            m={"unfold.layer0.theta_raw": np.zeros(()), "ae.enc0.W": np.zeros(())},
-            v={"unfold.layer0.theta_raw": np.zeros(()), "ae.enc0.W": np.zeros(())},
+            m={"layer0.theta_raw": np.zeros(()), "enc0.W": np.zeros(())},
+            v={"layer0.theta_raw": np.zeros(()), "enc0.W": np.zeros(())},
         )
         cfg = cli.RunConfig(learning_rate=0.001, rho_theta_lr_mult=10.0)
-        named = [("unfold.layer0.theta_raw", p), ("ae.enc0.W", q)]
-        grads = {"unfold.layer0.theta_raw": np.array(1.0), "ae.enc0.W": np.array(1.0)}
+        named = [("layer0.theta_raw", p), ("enc0.W", q)]
+        grads = {"layer0.theta_raw": np.array(1.0), "enc0.W": np.array(1.0)}
         train.adam_step(opt, named, grads, cfg)
         assert np.isclose(p / q, 10.0, atol=1e-6)
 
@@ -270,8 +270,8 @@ class TestAdamStep:
     def test_in_place_update_is_bit_identical_to_textbook_adam(self):
         rng = np.random.default_rng(12)
         # dec0.W spans one full ADAM_CHUNK slice and a remainder of 246.
-        shapes = {"ae.enc0.W": (4, 5), "ae.enc0.b": (5,), "unfold.layer0.rho_raw": (),
-                  "ae.dec0.W": (2, train.ADAM_CHUNK // 2 + 123)}
+        shapes = {"enc0.W": (4, 5), "enc0.b": (5,), "layer0.rho_raw": (),
+                  "dec0.W": (2, train.ADAM_CHUNK // 2 + 123)}
         params = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
         ref = {k: a.copy() for k, a in params.items()}
         ref_m = {k: np.zeros_like(a) for k, a in params.items()}
@@ -304,7 +304,7 @@ class TestPretrain:
         for k, a in state.ae.named_arrays():
             assert np.array_equal(before[k], a)
         n = X.shape[1]
-        assert state.z0.shape == (n, n)
+        assert state.unfold.Z0.shape == (n, n)
         assert state.lap.shape == (n, n)
 
     def test_loss_decreases(self):
@@ -319,8 +319,8 @@ class TestPretrain:
         state = train.init_state(X.shape[0], tc)
         train.pretrain(state, X, tc)
         H = autoenc.encode(state.ae, X)
-        assert state.z0.format == "csr"
-        assert np.array_equal(state.z0.toarray(), graph.knn_adjacency(H.T, 3).toarray())
+        assert state.unfold.Z0.format == "csr"
+        assert np.array_equal(state.unfold.Z0.toarray(), graph.knn_adjacency(H.T, 3).toarray())
         lap = graph.laplacian(graph.knn_adjacency(H.T, 2))
         assert (state.lap != lap).nnz == 0
 
@@ -365,7 +365,7 @@ class TestPretrain:
         state = train.init_state(X.shape[0], tc)
         train.pretrain(state, X, tc)
         assert calls == [(3, 2)]
-        assert state.z0 is not None and state.lap is not None
+        assert state.unfold is not None and state.lap is not None
 
 
 class TestTrainJoint:
@@ -394,29 +394,33 @@ class TestTrainJoint:
             train.train_joint(state, X, tc)
 
     def test_latent_codes_are_computed_once_at_the_phase_boundary(self, monkeypatch):
-        """``pretrain`` encodes the data once, for the graphs, and
-        ``train_joint`` initializes the network from those same codes
-        rather than encoding again."""
-        calls = []
+        """``pretrain`` encodes the data once, and builds the network from
+        that one call's codes: its H0 is them normalized and its Z0 their
+        ``knn_init``-neighbor graph, bit for bit. ``train_joint`` encodes
+        nothing, and a second call trains on from where the first left off."""
+        codes = []
         original = autoenc.encode
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def recording(*args):
+            codes.append(original(*args))
+            return codes[-1]
 
-        monkeypatch.setattr(autoenc, "encode", counting)
+        monkeypatch.setattr(autoenc, "encode", recording)
         X, tc = tiny_problem(seed=15, pretrain_epochs=3, joint_epochs=2, admm_layers=2,
                              knn_init=3, knn_struct=2)
         state = train.init_state(X.shape[0], tc)
         train.pretrain(state, X, tc)
-        assert len(calls) == 1
-        assert state.codes.tobytes() == original(state.ae, X).tobytes()
-        train.train_joint(state, X, tc)
-        assert len(calls) == 1
-        # The codes are stale once the joint phase moves the autoencoder.
-        assert state.codes is None
-        with pytest.raises(ValueError, match="pretrain"):
-            train.train_joint(state, X, tc)
+        (H,) = codes
+        assert state.unfold.H0.tobytes() == autoenc.normalize_latent(H).tobytes()
+        Z0 = graph.knn_adjacency(H.T, tc.knn_init)
+        for a, b in zip((state.unfold.Z0.data, state.unfold.Z0.indices, state.unfold.Z0.indptr),
+                        (Z0.data, Z0.indices, Z0.indptr)):
+            assert a.tobytes() == b.tobytes()
+        network = state.unfold
+        first = train.train_joint(state, X, tc)
+        second = train.train_joint(state, X, tc)
+        assert len(codes) == 1 and state.unfold is network
+        assert len(first) == len(second) == 2 and second[0].total != first[0].total
 
     def test_no_epoch_keeps_the_unfolded_arrays(self, monkeypatch):
         """Each joint epoch's n x n arrays, the forward's tape and its
@@ -485,10 +489,12 @@ class TestTrainJoint:
         # train_joint with zero epochs must leave the network exactly at
         # its analytic initialization for the current latents.
         state, X, tc = prepared_state(seed=10, admm_layers=3)
-        Ht = autoenc.normalize_latent(autoenc.encode(state.ae, X))
-        fresh = unfold.init_params(Ht, tc.rho0, 3, tc.threshold0)
+        H = autoenc.encode(state.ae, X)
+        fresh = unfold.init_params(autoenc.normalize_latent(H), graph.knn_adjacency(H.T, 3),
+                                   tc.rho0, 3, tc.threshold0)
         for (_, a), (_, b) in zip(state.unfold.named_arrays(), fresh.named_arrays()):
             assert np.array_equal(a, b)
         assert np.array_equal(state.unfold.H0, fresh.H0)
         assert np.array_equal(state.unfold.M, fresh.M)
         assert state.unfold.rho0 == fresh.rho0
+        assert (state.unfold.Z0 != fresh.Z0).nnz == 0

@@ -54,7 +54,7 @@ def test_init_identity_example():
     """H~ = I2, rho0 = 1: W = (2/3) I on every layer and B V = V / 3; every
     layer but the top starts from threshold 0.005, and the top has none.
     Only the 2K - 1 scalars are learned."""
-    params = unfold.init_params(np.eye(2), 1.0, 3, 0.005)
+    params = unfold.init_params(np.eye(2), np.zeros((2, 2)), 1.0, 3, 0.005)
     V = np.random.default_rng(3).standard_normal((2, 2))
     assert np.allclose(apply_B(params, V), V / 3.0, atol=1e-14)
     for k in range(3):
@@ -77,7 +77,7 @@ def test_init_matches_classic_solver_matrices(l, n, duplicates):
     Ht = unit_columns(rng, l, n)
     Ht[:, n - duplicates:] = Ht[:, :duplicates]
     for rho0 in (0.37, 1.0, 4.0):
-        params = unfold.init_params(Ht, rho0, 2, 0.005)
+        params = unfold.init_params(Ht, np.zeros((n, n)), rho0, 2, 0.005)
         W_ref, B_ref = precompute_reference(Ht, rho0)
         B = apply_B(params, np.eye(n))
         for layer in params.layers:
@@ -88,7 +88,8 @@ def test_init_matches_classic_solver_matrices(l, n, duplicates):
 def test_init_layers_share_one_fixed_w(tmp_path):
     """Every layer holds the same W array, which is neither learned nor
     written to a checkpoint."""
-    params = unfold.init_params(unit_columns(np.random.default_rng(2), 3, 7), 0.5, 3, 0.005)
+    params = unfold.init_params(unit_columns(np.random.default_rng(2), 3, 7), np.zeros((7, 7)),
+                                0.5, 3, 0.005)
     assert all(layer.W is params.layers[0].W for layer in params.layers)
     assert not any(np.shares_memory(arr, params.layers[0].W)
                    for _, arr in params.named_arrays())
@@ -101,7 +102,37 @@ def test_init_layers_share_one_fixed_w(tmp_path):
 
 def test_init_rejects_zero_layers():
     with pytest.raises(ValueError):
-        unfold.init_params(np.eye(2), 0.5, 0, 0.005)
+        unfold.init_params(np.eye(2), np.zeros((2, 2)), 0.5, 0, 0.005)
+
+
+def test_init_rejects_nonzero_z_diagonal():
+    with pytest.raises(ValueError, match="zero diagonal"):
+        unfold.init_params(np.eye(3), np.eye(3), 0.5, 1, 0.005)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 3)])
+def test_init_rejects_a_z_seed_that_is_not_n_by_n(shape):
+    """Z0 must be n x n for the n samples of H0, here 4."""
+    with pytest.raises(ValueError, match="n x n"):
+        unfold.init_params(np.ones((2, 4)), np.zeros(shape), 0.5, 1, 0.005)
+
+
+def test_init_keeps_the_z_seed_as_a_canonical_csr_array():
+    """A dense Z0 is converted, and a non-canonical one is summed into a
+    canonical copy, leaving the caller's array as it was; both become
+    float64 CSR arrays with the given entries."""
+    dense = np.array([[0, 2, 0], [2, 0, 0], [0, 1, 0]])
+    raw = sparse.csr_array((np.array([1.5, 0.5, 2.0, 1.0]), np.array([1, 1, 0, 1]),
+                            np.array([0, 2, 3, 4])), shape=(3, 3))
+    assert not raw.has_canonical_format
+    raw_parts = [a.copy() for a in (raw.data, raw.indices, raw.indptr)]
+    for Z0 in (dense, raw):
+        params = unfold.init_params(np.eye(3), Z0, 0.5, 2, 0.005)
+        assert params.Z0.format == "csr" and params.Z0.dtype == np.float64
+        assert params.Z0.has_canonical_format
+        assert np.array_equal(params.Z0.toarray(), dense)
+    for a, b in zip((raw.data, raw.indices, raw.indptr), raw_parts):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- forward
@@ -111,11 +142,12 @@ def test_forward_single_layer_identity_trace():
     """H~ = I2, rho0 = 1: the layer computes C = W H~ - B (0 - Z0) =
     (2/3) I + Z0 / 3, whose diagonal the output loses to zeroing, so a zero
     Z0 gives a zero output. No layer shrinks, so the tape stores nothing."""
-    params = unfold.init_params(np.eye(2), 1.0, 1, 0.25)
-    C, tape = unfold.forward(params, np.eye(2), np.zeros((2, 2)))
+    params = unfold.init_params(np.eye(2), np.zeros((2, 2)), 1.0, 1, 0.25)
+    C, tape = unfold.forward(params, np.eye(2))
     assert np.array_equal(C, np.zeros((2, 2)))
     z0 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    C, tape = unfold.forward(params, np.eye(2), z0)
+    params = unfold.init_params(np.eye(2), z0, 1.0, 1, 0.25)
+    C, tape = unfold.forward(params, np.eye(2))
     assert np.allclose(C, z0 / 3.0, atol=1e-14)
     assert tape.rho == tape.theta == tape.mu_in == tape.C == []
 
@@ -126,8 +158,8 @@ def test_forward_matches_classic_solver():
     for K in (1, 2, 3, 5):
         Ht = unit_columns(rng, 6, 14)
         lam, rho0 = 0.15, 0.6
-        params = unfold.init_params(Ht, rho0, K, lam / rho0)
-        C_net, _ = unfold.forward(params, Ht, np.zeros((14, 14)))
+        params = unfold.init_params(Ht, np.zeros((14, 14)), rho0, K, lam / rho0)
+        C_net, _ = unfold.forward(params, Ht)
         st = classic.solve(Ht, lam, rho0, K)
         C_ref = st.C.copy()
         np.fill_diagonal(C_ref, 0.0)
@@ -140,35 +172,38 @@ def test_forward_accepts_knn_z_init():
     n = 12
     Ht = unit_columns(rng, 5, n)
     z0 = graph.knn_adjacency(rng.standard_normal((4, n)), 3)
-    params = unfold.init_params(Ht, 0.7, 3, 0.005)
-    C, tape = unfold.forward(params, Ht, z0)
+    params = unfold.init_params(Ht, z0, 0.7, 3, 0.005)
+    C, tape = unfold.forward(params, Ht)
     assert np.all(np.diagonal(C) == 0.0)
     for k in range(2):
         assert np.all(np.diagonal(tape.Z(k).reshape(n, n)) == 0.0)
 
 
-def test_forward_rejects_nonzero_z_diagonal():
-    Ht = np.eye(3)
-    params = unfold.init_params(Ht, 0.5, 1, 0.005)
-    with pytest.raises(ValueError, match="diagonal"):
-        unfold.forward(params, Ht, np.eye(3))
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3, 3)])
+def test_forward_rejects_a_latent_not_of_h0_shape(shape):
+    """The network runs on latents of the shape it was built from, 2 x 3
+    here: n x n arrays for another n, or another latent width, are
+    refused before anything is allocated."""
+    params = unfold.init_params(np.eye(2, 3), np.zeros((3, 3)), 0.5, 2, 0.005)
+    with pytest.raises(ValueError, match="H0's shape"):
+        unfold.forward(params, np.ones(shape))
 
 
 # --------------------------------------------------------------- backward
 
 
-def loss_and_grads(params, Ht, z0, weights):
+def loss_and_grads(params, Ht, weights):
     """Quadratic probe loss 0.5 * sum(G * C)^2-free: use fixed random G."""
-    C, tape = unfold.forward(params, Ht, z0)
+    C, tape = unfold.forward(params, Ht)
     value = float(np.sum(weights * C))
     grads, gHt = unfold.backward(params, tape, weights.copy())
     return value, grads, gHt
 
 
-def kink_margin(params, Ht, z0):
+def kink_margin(params, Ht):
     """Smallest |.|T| - theta| margin across the layers that shrink; FD
     needs it > step."""
-    _, tape = unfold.forward(params, Ht, z0)
+    _, tape = unfold.forward(params, Ht)
     margin = np.inf
     for T, theta in zip(shrinkage_inputs(tape, params.n_layers - 1), tape.theta):
         margin = min(margin, float(np.min(np.abs(np.abs(T) - theta))))
@@ -185,16 +220,16 @@ def test_backward_matches_finite_differences():
         n, l, K = 8, 5, 2
         Ht = unit_columns(local, l, n)
         z0 = graph.knn_adjacency(local.standard_normal((3, n)), 3)
-        params = unfold.init_params(Ht, 0.7, K, 0.08)
+        params = unfold.init_params(Ht, z0, 0.7, K, 0.08)
         for name, arr in params.named_arrays():
             arr += 0.02 * local.standard_normal(arr.shape)
-        if kink_margin(params, Ht, z0) < 1e-3:
+        if kink_margin(params, Ht) < 1e-3:
             continue
         G = local.standard_normal((n, n))
-        _, grads, gHt = loss_and_grads(params, Ht, z0, G)
+        _, grads, gHt = loss_and_grads(params, Ht, G)
 
         def value():
-            C, _ = unfold.forward(params, Ht, z0)
+            C, _ = unfold.forward(params, Ht)
             return float(np.sum(G * C))
 
         for name, arr in params.named_arrays():
@@ -208,8 +243,8 @@ def test_backward_matches_finite_differences():
 def test_backward_zero_grad_gives_zero():
     rng = np.random.default_rng(29)
     Ht = unit_columns(rng, 4, 8)
-    params = unfold.init_params(Ht, 0.5, 2, 0.005)
-    C, tape = unfold.forward(params, Ht, np.zeros((8, 8)))
+    params = unfold.init_params(Ht, np.zeros((8, 8)), 0.5, 2, 0.005)
+    C, tape = unfold.forward(params, Ht)
     grads, gHt = unfold.backward(params, tape, np.zeros((8, 8)))
     for name, g in grads.items():
         assert np.all(np.asarray(g) == 0.0), name
@@ -219,10 +254,10 @@ def test_backward_zero_grad_gives_zero():
 def test_backward_linear_in_output_grad():
     rng = np.random.default_rng(31)
     Ht = unit_columns(rng, 4, 8)
-    params = unfold.init_params(Ht, 0.5, 2, 0.005)
+    params = unfold.init_params(Ht, np.zeros((8, 8)), 0.5, 2, 0.005)
     G = rng.standard_normal((8, 8))
-    g1, h1 = unfold.backward(params, unfold.forward(params, Ht, np.zeros((8, 8)))[1], G.copy())
-    g2, h2 = unfold.backward(params, unfold.forward(params, Ht, np.zeros((8, 8)))[1], 2.0 * G)
+    g1, h1 = unfold.backward(params, unfold.forward(params, Ht)[1], G.copy())
+    g2, h2 = unfold.backward(params, unfold.forward(params, Ht)[1], 2.0 * G)
     for name in g1:
         assert np.allclose(2.0 * np.asarray(g1[name]), np.asarray(g2[name]), rtol=1e-12)
     assert np.allclose(2.0 * h1, h2, rtol=1e-12)
@@ -233,11 +268,11 @@ def test_grad_ignores_output_diagonal():
     must not leak into the parameters."""
     rng = np.random.default_rng(37)
     Ht = unit_columns(rng, 4, 6)
-    params = unfold.init_params(Ht, 0.5, 2, 0.005)
+    params = unfold.init_params(Ht, np.zeros((6, 6)), 0.5, 2, 0.005)
     G = rng.standard_normal((6, 6))
-    _, tape = unfold.forward(params, Ht, np.zeros((6, 6)))
+    _, tape = unfold.forward(params, Ht)
     g_off, _ = unfold.backward(params, tape, G * (1 - np.eye(6)))
-    _, tape = unfold.forward(params, Ht, np.zeros((6, 6)))
+    _, tape = unfold.forward(params, Ht)
     g_full, _ = unfold.backward(params, tape, G.copy())
     for name in g_off:
         assert np.allclose(np.asarray(g_off[name]), np.asarray(g_full[name]), atol=1e-15)
@@ -249,8 +284,8 @@ def test_backward_overwrites_grad_and_rejects_what_it_cannot():
     silently copied."""
     rng = np.random.default_rng(41)
     Ht = unit_columns(rng, 4, 6)
-    params = unfold.init_params(Ht, 0.5, 2, 0.005)
-    _, tape = unfold.forward(params, Ht, np.zeros((6, 6)))
+    params = unfold.init_params(Ht, np.zeros((6, 6)), 0.5, 2, 0.005)
+    _, tape = unfold.forward(params, Ht)
     G = rng.standard_normal((6, 6))
     G_in = G.copy()
     unfold.backward(params, tape, G_in)
@@ -262,21 +297,21 @@ def test_backward_overwrites_grad_and_rejects_what_it_cannot():
 
 
 def perturbed_instance(seed, K, with_z0, n=20, l=6):
-    """Parameters moved off the analytic init, a latent moved off the H0 it
-    was taken at (as training moves it), a kNN Z0 (a CSR array) or a dense
-    zero one, and an output gradient with a nonzero diagonal. The threshold
-    starts at 0.8 / n, near the size of the first C's entries, so that some
-    of them shrink to zero and some do not."""
+    """Parameters moved off the analytic init, with a kNN Z0 or a dense zero
+    one, a latent moved off the H0 it was taken at (as training moves it),
+    and an output gradient with a nonzero diagonal. The threshold starts at
+    0.8 / n, near the size of the first C's entries, so that some of them
+    shrink to zero and some do not."""
     rng = np.random.default_rng(seed)
     Ht = unit_columns(rng, l, n)
     z0 = graph.knn_adjacency(rng.standard_normal((3, n)), 4) if with_z0 else np.zeros((n, n))
-    params = unfold.init_params(Ht, 0.6, K, 0.8 / n)
+    params = unfold.init_params(Ht, z0, 0.6, K, 0.8 / n)
     for _, arr in params.named_arrays():
         arr += 0.05 * rng.standard_normal(arr.shape)
     Ht = Ht + 0.05 * rng.standard_normal(Ht.shape)
     G = rng.standard_normal((n, n))
     assert np.all(np.diagonal(G) != 0.0)
-    return params, Ht, z0, G
+    return params, Ht, G
 
 
 def as_square(x, n):
@@ -308,13 +343,11 @@ def test_multi_segment_passes_bit_identical_to_reference(K, with_z0):
 def check_against_reference(K, with_z0, seed, n):
     """The two tests above. The backward writes W H0 gC over the returned C
     and gmu over the tape's top stored C, as ``train.total_loss`` runs it."""
-    params, Ht, z0, G = perturbed_instance(seed, K, with_z0, n)
-    z0_dense = sparse.csr_array(z0).toarray()
-    C, tape = unfold.forward(params, Ht, z0)
-    C_ref, tape_ref = unfold_forward_reference(params, Ht, z0_dense)
+    params, Ht, G = perturbed_instance(seed, K, with_z0, n)
+    C, tape = unfold.forward(params, Ht)
+    C_ref, tape_ref = unfold_forward_reference(params, Ht, params.Z0.toarray())
     assert np.array_equal(C, C_ref)
-    assert tape.Z0.format == "csr"
-    assert np.array_equal(tape.Z0.toarray(), tape_ref.Z0)
+    assert params.Z0.format == "csr"
     # The tape stores the K - 1 layers that shrink; the top layer's C is
     # the output (compared above) and its dual input is read by nothing.
     assert tape.rho == tape_ref.rho[:-1]
@@ -359,11 +392,10 @@ def test_forward_and_backward_match_the_solver_algebra(K, with_z0, n, seed):
     gradients, each a sum of n^2 terms that cancel, within A2's 1e-10.
     Measured worst over these cases: 4.2e-14 for the arrays, 1.9e-12 for
     the scalar gradients."""
-    params, Ht, z0, G = perturbed_instance(seed, K, with_z0, n)
-    z0_dense = sparse.csr_array(z0).toarray()
-    C, tape = unfold.forward(params, Ht, z0)
+    params, Ht, G = perturbed_instance(seed, K, with_z0, n)
+    C, tape = unfold.forward(params, Ht)
     B_dense = dense_B_reference(params)
-    C_dense, tape_dense = unfold_forward_reference(params, Ht, z0_dense, B_dense)
+    C_dense, tape_dense = unfold_forward_reference(params, Ht, params.Z0.toarray(), B_dense)
     assert rel_frobenius(C, C_dense) <= 1e-12
     for k in range(K - 1):
         assert rel_frobenius(tape.C[k], tape_dense.C[k]) <= 1e-12, k
@@ -385,8 +417,8 @@ def test_a_consumed_tape_refuses_to_be_read():
     """The backward writes gmu over the tape's top stored C, so afterwards
     ``mu``, ``Z`` and a second backward raise instead of reading it; a new
     forward pass gives a tape with the first one's bits."""
-    params, Ht, z0, G = perturbed_instance(2, 3, True)
-    C, tape = unfold.forward(params, Ht, z0)
+    params, Ht, G = perturbed_instance(2, 3, True)
+    C, tape = unfold.forward(params, Ht)
     Z1 = tape.Z(1).copy()
     unfold.backward(params, tape, G.copy())
     assert tape.consumed
@@ -394,7 +426,7 @@ def test_a_consumed_tape_refuses_to_be_read():
                  lambda: unfold.backward(params, tape, G.copy())):
         with pytest.raises(ValueError, match="consumed"):
             read()
-    _, tape = unfold.forward(params, Ht, z0)
+    _, tape = unfold.forward(params, Ht)
     assert not tape.consumed
     assert tape.Z(1).tobytes() == Z1.tobytes()
 
@@ -404,8 +436,8 @@ def test_backward_scratch_must_not_alias_what_it_reads():
     over grad_C or any array the tape stores, which the backward still
     reads; nor into an array of another shape or dtype. A refused scratch
     leaves the tape unconsumed."""
-    params, Ht, z0, G = perturbed_instance(2, 4, True)
-    C, tape = unfold.forward(params, Ht, z0)
+    params, Ht, G = perturbed_instance(2, 4, True)
+    C, tape = unfold.forward(params, Ht)
     assert len(tape.C) == 3 and np.ndim(tape.mu_in[2]) == 2
     for bad in (G, G[:, :], *tape.C, tape.mu_in[2], C[:, :-1], C.astype(np.float32)):
         with pytest.raises(ValueError, match="scratch"):
@@ -418,9 +450,9 @@ def test_backward_scratch_must_not_alias_what_it_reads():
 def test_backward_returns_new_0d_gradients(K):
     """Every gradient is a new 0-d array, apart from the parameters and from
     the last call's gradients, with the bits of that call."""
-    params, Ht, z0, G = perturbed_instance(5, K, True)
-    first, gHt_first = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy())
-    grads, gHt = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy())
+    params, Ht, G = perturbed_instance(5, K, True)
+    first, gHt_first = unfold.backward(params, unfold.forward(params, Ht)[1], G.copy())
+    grads, gHt = unfold.backward(params, unfold.forward(params, Ht)[1], G.copy())
     learned = dict(params.named_arrays())
     assert grads.keys() == first.keys() == learned.keys()
     for name, g in grads.items():
@@ -437,18 +469,18 @@ def test_segment_size_does_not_change_a_bit(monkeypatch, K):
     length or below one row's; every output, tape array and gradient keeps
     the bits of the default, and each scalar gradient is that of the
     row-sum reference."""
-    params, Ht, z0, G = perturbed_instance(3, K, True, n=45)
+    params, Ht, G = perturbed_instance(3, K, True, n=45)
     assert classic.row_blocks(45, 45) == [(0, 45)]
-    C, tape = unfold.forward(params, Ht, z0)
-    grads, gHt = unfold.backward(params, unfold.forward(params, Ht, z0)[1], G.copy())
+    C, tape = unfold.forward(params, Ht)
+    grads, gHt = unfold.backward(params, unfold.forward(params, Ht)[1], G.copy())
     grads_ref, _ = unfold_backward_reference(
-        params, unfold_forward_reference(params, Ht, sparse.csr_array(z0).toarray())[1], G)
+        params, unfold_forward_reference(params, Ht, params.Z0.toarray())[1], G)
     for name, g in grads.items():
         assert g.tobytes() == grads_ref[name].tobytes(), name
     for block, count in ((3 * 45, 15), (44, 45)):
         monkeypatch.setattr(classic, "ROW_BLOCK", block)
         assert len(classic.row_blocks(45, 45)) == count
-        C_small, tape_small = unfold.forward(params, Ht, z0)
+        C_small, tape_small = unfold.forward(params, Ht)
         assert C_small.tobytes() == C.tobytes()
         for a, b in zip(tape_small.C + tape_small.mu_in, tape.C + tape.mu_in, strict=True):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -462,21 +494,21 @@ def working_set_instance(n):
     rng = np.random.default_rng(11)
     Ht = unit_columns(rng, 32, n)
     z0 = graph.knn_adjacency(rng.standard_normal((4, n)), 10)
-    params = unfold.init_params(Ht, 0.5, 3, 0.005)
+    params = unfold.init_params(Ht, z0, 0.5, 3, 0.005)
     G = rng.standard_normal((n, n))
-    return params, Ht, z0, G
+    return params, Ht, G
 
 
 def forward_peak(n):
-    params, Ht, z0, _ = working_set_instance(n)
-    return peak_nn_arrays(lambda: unfold.forward(params, Ht, z0), n)
+    params, Ht, _ = working_set_instance(n)
+    return peak_nn_arrays(lambda: unfold.forward(params, Ht), n)
 
 
 def forward_and_backward_peak(n):
-    params, Ht, z0, G = working_set_instance(n)
+    params, Ht, G = working_set_instance(n)
 
     def forward_and_backward():
-        C, tape = unfold.forward(params, Ht, z0)
+        C, tape = unfold.forward(params, Ht)
         unfold.backward(params, tape, G, scratch=C)
 
     return peak_nn_arrays(forward_and_backward, n)
@@ -565,7 +597,7 @@ def test_every_learned_array_gets_a_gradient(K):
 def test_positivity_preserved_under_updates():
     """However far the raw parameters move, rho stays positive and theta
     non-negative."""
-    params = unfold.init_params(np.eye(4), 0.5, 2, 0.005)
+    params = unfold.init_params(np.eye(4), np.zeros((4, 4)), 0.5, 2, 0.005)
     layer = params.layers[0]
     layer.rho_raw -= 100.0
     layer.theta_raw -= 100.0
