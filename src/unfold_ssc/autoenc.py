@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from unfold_ssc import classic
 from unfold_ssc.errors import NumericalError
 
 LEAKY_SLOPE = 0.01
@@ -119,21 +120,15 @@ def encode(weights: AeWeights, X: np.ndarray) -> np.ndarray:
     return _forward(weights.enc, np.asarray(X, dtype=np.float64))[-1].T
 
 
-# Entries per block of the squared error in ``ae_loss``: its squares are
-# formed one row block at a time in a buffer of at most this many.
-SQUARE_CHUNK = 1 << 16
-
-
 def ae_loss(X: np.ndarray, Xhat: np.ndarray, out=None):
     """Mean per-sample squared reconstruction error and its Xhat gradient.
 
     The difference Xhat - X goes into ``out`` (a new array when omitted;
     it may be ``Xhat`` itself, which the training loops pass since nothing
     reads it after the loss) and is then scaled in place into the gradient.
-    The squares are summed over row blocks of at most ``SQUARE_CHUNK``
-    entries (one row where a row holds more), one ``np.sum`` each, so an
-    input of that size or less gets exactly the value of one ``np.sum``
-    over the whole difference.
+    The squares are formed one block of ``classic.row_blocks`` at a time in
+    a block buffer and summed row by row, then the row sums are summed, so
+    the value does not depend on the block size.
     """
     X = np.asarray(X, dtype=np.float64)
     Xhat = np.asarray(Xhat, dtype=np.float64)
@@ -141,14 +136,14 @@ def ae_loss(X: np.ndarray, Xhat: np.ndarray, out=None):
         raise ValueError(f"shape mismatch: {X.shape} vs {Xhat.shape}")
     d, n = X.shape
     diff = np.subtract(Xhat, X, out=out)
-    rows = max(1, SQUARE_CHUNK // n)
-    square = np.empty_like(diff[:rows])
-    total = 0.0
-    for start in range(0, d, rows):
-        block = diff[start:start + rows]
-        total += float(np.sum(np.multiply(block, block, out=square[:len(block)])))
+    blocks = classic.row_blocks(d, n)
+    square = np.empty((max(r1 - r0 for r0, r1 in blocks), n))
+    row_sums = np.empty(d)
+    for r0, r1 in blocks:
+        block = diff[r0:r1]
+        np.sum(np.multiply(block, block, out=square[:r1 - r0]), axis=1, out=row_sums[r0:r1])
     diff *= 2.0 / n
-    return total / n, diff
+    return float(np.sum(row_sums)) / n, diff
 
 
 def normalize_latent(H: np.ndarray) -> np.ndarray:

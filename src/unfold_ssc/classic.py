@@ -74,7 +74,11 @@ def row_blocks(rows: int, width: int) -> list:
     """(start, stop) ranges that tile ``range(rows)`` in near-equal blocks
     of at most ``ROW_BLOCK // width`` rows, and at least one: the row
     blocks of a rows x width array, each of at most ``ROW_BLOCK`` entries
-    unless a single row holds more."""
+    unless a single row holds more.
+
+    The package's only block rule: every pass that walks an array in
+    pieces walks these (a flat array as ``row_blocks(size, 1)``), and every
+    blocked sum adds row sums, so no result depends on ``ROW_BLOCK``."""
     step = max(1, ROW_BLOCK // max(1, width))
     count = -(-rows // step)
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]

@@ -219,8 +219,6 @@ def _load_inputs(cfg: RunConfig):
               and labels.shape == values.shape and 1 not in labels.shape)
     if values.ndim == 3 or is_map:
         cube = data.load_cube(values, labels)
-        if cube.labels is None:
-            raise DataError("cube inputs need a label map to pick patch centers")
         patches = data.extract_patches(cube, cfg.patch)
         return patches.X, np.asarray(patches.center_labels), patches.coords, cube.labels.shape
     X, truth = data.load_matrix(values, labels)

@@ -99,29 +99,26 @@ def loss_sp(C: np.ndarray, weight: float = 1.0, add_to=None):
     """Mean-per-sample L1 mass of the coefficients; subgradient 0 at zeros.
 
     Returns (value, grad) with grad = weight sign(C) / n, formed as
-    sign(C), / n, * weight. Given ``add_to``, a C-contiguous array of C's
-    shape, the gradient is added into it, which is returned as grad; else
-    it is a new array. The work runs one block of ``classic.row_blocks``
-    at a time, through one block buffer when adding, and the value sums
-    |C| row by row, then the row sums.
+    sign(C), / n, * weight in a block buffer and added into ``add_to`` (a
+    C-contiguous array of C's shape, returned as grad), or into zeros when
+    it is omitted. The work runs one block of ``classic.row_blocks`` at a
+    time, and the value sums |C| row by row, then the row sums.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     n = C.shape[1]
-    grad = np.empty(C.shape) if add_to is None else add_to
+    grad = np.zeros(C.shape) if add_to is None else add_to
     if grad.shape != C.shape or not grad.flags.c_contiguous:
         raise ValueError(f"add_to must be a C-contiguous {C.shape} array")
     blocks = classic.row_blocks(*C.shape)
-    buf = None if add_to is None else np.empty((max(r1 - r0 for r0, r1 in blocks), n))
+    buf = np.empty((max(r1 - r0 for r0, r1 in blocks), n))
     row_sums = np.empty(C.shape[0])
     for r0, r1 in blocks:
-        c, g = C[r0:r1], grad[r0:r1]
-        s = g if buf is None else buf[:r1 - r0]
+        c, s = C[r0:r1], buf[:r1 - r0]
         np.sum(np.abs(c, out=s), axis=1, out=row_sums[r0:r1])
         np.sign(c, out=s)
         s /= n
         s *= weight
-        if buf is not None:
-            g += s
+        grad[r0:r1] += s
     return float(np.sum(row_sums)) / n, grad
 
 
@@ -187,18 +184,7 @@ def _reset_moments(opt: AdamState, named) -> None:
     opt.step = 0
 
 
-# Entries per slice of one parameter in ``adam_step``: its two scratch
-# buffers hold this many, whatever the largest parameter's size.
-ADAM_CHUNK = 1 << 16
-
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # textbook moment decays and guard
-
-
-def _flat_view(arr: np.ndarray) -> np.ndarray:
-    """A 1-D view through which in-place updates reach ``arr``."""
-    if not arr.flags.c_contiguous:
-        raise ValueError("Adam updates C-contiguous arrays only")
-    return arr.reshape(-1)
 
 
 def adam_step(opt: AdamState, named, grads: dict, config: RunConfig) -> None:
@@ -207,24 +193,25 @@ def adam_step(opt: AdamState, named, grads: dict, config: RunConfig) -> None:
     Moments use the fixed ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. The
     learnable penalty and threshold preimages step at ``learning_rate``
     times ``rho_theta_lr_mult``; everything else at ``learning_rate``. Each
-    array is walked in slices of ``ADAM_CHUNK`` entries through two scratch
-    buffers of that size, with the textbook per-element operations in the
-    textbook order.
+    array and its moments, C-contiguous, are walked flat, one block of
+    ``classic.row_blocks`` at a time, through two block buffers, with the
+    textbook per-element operations in the textbook order.
     """
     opt.step += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     corr1 = 1.0 - b1**opt.step
     corr2 = 1.0 - b2**opt.step
-    size = min(ADAM_CHUNK, max((arr.size for _, arr in named), default=0))
-    buf_a, buf_b = np.empty(size), np.empty(size)
+    buf_a, buf_b = np.empty(classic.ROW_BLOCK), np.empty(classic.ROW_BLOCK)
     for name, arr in named:
         lr = config.learning_rate
         if name.endswith(("rho_raw", "theta_raw")):
             lr *= config.rho_theta_lr_mult
-        flat_arr, flat_m, flat_v = (_flat_view(x) for x in (arr, opt.m[name], opt.v[name]))
+        arrays = (arr, opt.m[name], opt.v[name])
+        if not all(x.flags.c_contiguous for x in arrays):
+            raise ValueError("Adam updates C-contiguous arrays only")
+        flat_arr, flat_m, flat_v = (x.reshape(-1) for x in arrays)
         flat_g = np.reshape(grads[name], -1)
-        for start in range(0, arr.size, ADAM_CHUNK):
-            stop = min(arr.size, start + ADAM_CHUNK)
+        for start, stop in classic.row_blocks(arr.size, 1):
             p, g = flat_arr[start:stop], flat_g[start:stop]
             m, v = flat_m[start:stop], flat_v[start:stop]
             a, b = buf_a[:stop - start], buf_b[:stop - start]

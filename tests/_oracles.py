@@ -88,10 +88,11 @@ def rel_frobenius(a, b) -> float:
 
 def ae_loss_reference(X: np.ndarray, Xhat: np.ndarray):
     """Mean per-sample squared reconstruction error from one full-size
-    square, and its gradient (2 / n)(Xhat - X) as a new array."""
+    square, summed by ``row_sum``, and its gradient (2 / n)(Xhat - X) as a
+    new array."""
     n = X.shape[1]
     diff = Xhat - X
-    return float(np.sum(diff * diff)) / n, (2.0 / n) * diff
+    return float(row_sum(diff * diff)) / n, (2.0 / n) * diff
 
 
 def decoder_reference(weights, H: np.ndarray):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unfold_ssc import autoenc
+from unfold_ssc import autoenc, classic
 from unfold_ssc.errors import NumericalError
 
 from _oracles import ae_loss_reference, decoder_reference, fd_gradient, rel_err
@@ -185,22 +185,34 @@ class TestAeLoss:
     @pytest.mark.parametrize("shape", [(64, 1024), (300, 400)], ids=["2**16", "300x400"])
     def test_written_over_xhat_matches_the_reference(self, shape):
         """Written over Xhat, the gradient is the reference's (2 / n)(Xhat - X)
-        bit for bit, as is the allocating call's. The loss is the reference's
-        one full-size sum exactly up to 2**16 entries, and past that, where it
-        is summed in row blocks, within 1e-15 relative."""
+        bit for bit, as is the allocating call's, and the loss is the
+        reference's row-by-row sum exactly, in two row blocks or four."""
         rng = np.random.default_rng(12)
         X, Xhat = rng.normal(size=shape), rng.normal(size=shape)
+        assert len(classic.row_blocks(*shape)) == {(64, 1024): 2, (300, 400): 4}[shape]
         v_ref, g_ref = ae_loss_reference(X, Xhat)
         v_alloc, g_alloc = autoenc.ae_loss(X, Xhat)
         buf = Xhat.copy()
         value, grad = autoenc.ae_loss(X, buf, out=buf)
         assert grad is buf
         assert grad.tobytes() == g_alloc.tobytes() == g_ref.tobytes()
-        assert value == v_alloc
-        if X.size <= autoenc.SQUARE_CHUNK:
-            assert value == v_ref
-        else:
-            assert abs(value - v_ref) <= 1e-15 * v_ref
+        assert value == v_alloc == v_ref
+
+    @pytest.mark.parametrize("shape", [(64, 1024), (300, 400), (9800, 7), (3, 5)])
+    def test_row_block_size_does_not_change_a_bit(self, monkeypatch, shape):
+        """With ``classic.ROW_BLOCK`` at one row's length, three rows' or 128
+        entries (one row a block where a row holds more), the loss and the
+        gradient keep the default blocks' bits."""
+        rng = np.random.default_rng(14)
+        X, Xhat = rng.normal(size=shape), rng.normal(size=shape)
+        want_value, want_grad = autoenc.ae_loss(X, Xhat)
+        d, n = shape
+        for block in (n, 3 * n, 128):
+            monkeypatch.setattr(classic, "ROW_BLOCK", block)
+            assert len(classic.row_blocks(d, n)) == -(-d // max(1, block // n))
+            value, grad = autoenc.ae_loss(X, Xhat)
+            assert value == want_value, block
+            assert grad.tobytes() == want_grad.tobytes(), block
 
     def test_without_out_leaves_xhat_untouched(self):
         rng = np.random.default_rng(13)

@@ -616,6 +616,22 @@ class TestRunCommand:
         assert "data error" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_cube_without_label_map_exits_three(self, tmp_path, capsys):
+        """Patch centers come from the label map, so a cube run without
+        ``labels_path`` is a data error that writes nothing."""
+        data_dir, out = str(tmp_path / "data"), str(tmp_path / "never")
+        assert cli.main(["gen", "cube", "--height", "6", "--width", "6", "--bands", "3",
+                         "--out", data_dir]) == 0
+        cfg = write_config(tmp_path, {
+            "values_path": os.path.join(data_dir, "values.sscm"), "k_clusters": 2,
+            "patch": 3, "out_dir": out,
+        })
+        capsys.readouterr()
+        assert cli.main(["run", "--config", cfg]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: ")
+        assert not os.path.exists(out)
+
     def test_empty_values_csv_exits_three(self, tmp_path, capsys):
         values = tmp_path / "values.csv"
         values.write_text("")

@@ -226,6 +226,20 @@ def test_gen_cube_regions_are_rectangles():
         assert height * width == len(rows)
 
 
+def test_gen_cube_places_every_layout_that_fits():
+    """Every k <= h w fits an h x w scene up to 8 x 8: labels are exactly
+    1..k, each region one filled rectangle."""
+    for h in range(1, 9):
+        for w in range(1, 9):
+            for k in range(1, h * w + 1):
+                labels = data.gen_synthetic_cube(0, k, (h, w), 1, 0.0).labels
+                assert np.array_equal(np.unique(labels), np.arange(1, k + 1)), (h, w, k)
+                for c in range(1, k + 1):
+                    rows, cols = np.nonzero(labels == c)
+                    box = labels[rows.min():rows.max() + 1, cols.min():cols.max() + 1]
+                    assert np.all(box == c), (h, w, k, c)
+
+
 def test_gen_cube_zero_noise_constant_within_class():
     cube = data.gen_synthetic_cube(2, k=3, shape=(6, 6), bands=5, sigma=0.0)
     for c in range(1, 4):

@@ -269,9 +269,10 @@ class TestAdamStep:
 
     def test_in_place_update_is_bit_identical_to_textbook_adam(self):
         rng = np.random.default_rng(12)
-        # dec0.W spans one full ADAM_CHUNK slice and a remainder of 246.
+        # dec0.W holds one full ROW_BLOCK and a remainder of 246, two row blocks.
         shapes = {"enc0.W": (4, 5), "enc0.b": (5,), "layer0.rho_raw": (),
-                  "dec0.W": (2, train.ADAM_CHUNK // 2 + 123)}
+                  "dec0.W": (2, classic.ROW_BLOCK // 2 + 123)}
+        assert len(classic.row_blocks(classic.ROW_BLOCK + 246, 1)) == 2
         params = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
         ref = {k: a.copy() for k, a in params.items()}
         ref_m = {k: np.zeros_like(a) for k, a in params.items()}
@@ -292,6 +293,34 @@ class TestAdamStep:
                 ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + train.ADAM_EPS)
                 assert np.array_equal(params[k], ref[k]), (step, k)
                 assert params[k].shape == shapes[k]
+
+    def test_row_block_size_does_not_change_a_bit(self, monkeypatch):
+        """Three steps in blocks of 1000 entries, of 7 or of one keep the
+        default blocks' bits in every parameter and moment."""
+        rng = np.random.default_rng(13)
+        shapes = {"enc0.W": (40, 70), "enc0.b": (70,), "layer0.theta_raw": ()}
+        grads = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in range(3)]
+        start = {k: rng.normal(size=s) for k, s in shapes.items()}
+        cfg = cli.RunConfig(learning_rate=0.003, rho_theta_lr_mult=7.0)
+
+        def run():
+            params = {k: a.copy() for k, a in start.items()}
+            opt = train.AdamState(m={k: np.zeros_like(a) for k, a in params.items()},
+                                  v={k: np.zeros_like(a) for k, a in params.items()})
+            for g in grads:
+                train.adam_step(opt, list(params.items()), g, cfg)
+            return [a.tobytes() for d in (params, opt.m, opt.v) for a in d.values()]
+
+        want = run()
+        for block in (1000, 7, 1):
+            monkeypatch.setattr(classic, "ROW_BLOCK", block)
+            assert run() == want, block
+
+    def test_rejects_a_non_contiguous_array(self):
+        p = np.zeros((4, 3)).T
+        opt = train.AdamState(m={"p": np.zeros_like(p)}, v={"p": np.zeros_like(p)})
+        with pytest.raises(ValueError, match="C-contiguous"):
+            train.adam_step(opt, [("p", p)], {"p": np.ones((3, 4))}, cli.RunConfig())
 
 
 class TestPretrain:
