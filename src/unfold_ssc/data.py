@@ -64,14 +64,12 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 def _as_label_map(labels) -> np.ndarray:
     arr = np.asarray(labels, dtype=np.float64)
     _check_finite(arr, "label map")
-    rounded = np.rint(arr)
-    if not np.array_equal(arr, rounded):
-        idx = tuple(int(i) for i in np.argwhere(arr != rounded)[0])
-        raise DataError(f"label map has a non-integer entry at index {idx}")
-    if (rounded < 0).any():
-        idx = tuple(int(i) for i in np.argwhere(rounded < 0)[0])
-        raise DataError(f"label map has a negative entry at index {idx}")
-    return rounded.astype(np.int64)
+    for bad, what in ((arr != np.rint(arr), "a non-integer"), (arr < 0, "a negative"),
+                      (arr >= 2.0**63, "a too-large (>= 2**63)")):
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise DataError(f"label map has {what} entry at index {idx}")
+    return arr.astype(np.int64)
 
 
 def load_cube(values, labels=None) -> HsiCube:

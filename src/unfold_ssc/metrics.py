@@ -17,9 +17,15 @@ def _as_labels(x, name: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array")
-    out = np.asarray(np.rint(arr), dtype=np.int64)
-    if not np.array_equal(np.asarray(arr, dtype=np.float64), out.astype(np.float64)):
-        raise ValueError(f"{name} must hold integers")
+    if arr.dtype.kind not in "bi":  # checked as floats before the cast
+        arr = np.asarray(arr, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+        if not np.array_equal(arr, np.rint(arr)):
+            raise ValueError(f"{name} must hold integers")
+        if (arr >= 2.0**63).any():
+            raise ValueError(f"{name} must be below 2**63, the int64 range")
+    out = arr.astype(np.int64)
     if (out < 0).any():
         raise ValueError(f"{name} must be non-negative")
     return out

@@ -23,19 +23,19 @@ without a dense Z0 of its own.
 
 Gradients are hand-written reverse mode over a forward tape; no autodiff
 framework is involved. Besides the network's own arrays, the tape keeps
-only what the backward reads: the C and dual input mu of the K - 1 layers
-that shrink, less the first two duals (the scalar 0, and mu_1, which both
-passes recompute), so 2K - 4 n x n arrays for K >= 3, one for K = 2 and
-none for K = 1. The forward holds two more, V, which becomes the returned
-C, and a scratch array kept as the tape's ``spare``: 2 + (2K - 4) n x n
-arrays for K >= 3, in which the losses and the backward then work too.
+only the shrinkage input T_k = C_k + mu_k / rho_k of each of the K - 1
+layers that shrink: Z_k and, in ADMM's scaled form, the dual
+mu_{k+1} = rho_k (T_k - Z_k) both follow from T_k alone. The forward holds
+two more n x n arrays, V, which becomes the returned C, and a scratch
+array kept as the tape's ``spare``: 2 + (K - 1) in all, in which the
+losses and the backward then work too. The backward only reads the tape.
 
 Every matrix product runs on whole arrays. Everything between two
 products, elementwise chains and the sums that reduce them, runs one block
 of ``classic.row_blocks`` at a time, through buffers of at most
-``classic.ROW_BLOCK`` entries: a block's Z and mu are recomputed from the
-tape where they are read. A scalar sum adds each row with one
-``np.sum(block, axis=1)`` per block, then the n row sums with one
+``classic.ROW_BLOCK`` entries: a block's Z is recomputed from the tape
+where it is read. A scalar sum adds each row's terms per block, with
+``np.sum(block, axis=1)`` or a fused row dot, then the n row sums with one
 ``np.sum``; a row's sum does not depend on the rows that share its block,
 so no result depends on the block size.
 """
@@ -114,71 +114,31 @@ class ForwardTape:
     """What the backward pass reads from one forward evaluation.
 
     For each layer k that shrinks (all but the top, whose C is the output)
-    it keeps rho_k, theta_k, the pre-shrinkage ``C[k]`` and the dual input
-    ``mu_in[k]``, except that ``mu_in[0]`` is the scalar 0 and ``mu_in[1]``
-    is None: ``mu(1)`` recomputes it bit for bit from C_0. That is 2K - 4
-    n x n arrays for K >= 3, one for K = 2 and none for K = 1. ``Z(k)``
-    recomputes Z_k bit for bit. Both work on any range of rows, so the
-    forward and backward passes call them one row block at a time.
-    ``spare`` is an n x n array that nothing reads once the forward
-    returns, for the caller to write over.
-
-    ``backward`` writes over ``C[K - 2]`` and marks the tape ``consumed``:
-    from then on ``mu``, ``Z`` and another ``backward`` raise ValueError
-    rather than read it.
+    it keeps rho_k, theta_k and the shrinkage input ``T[k]`` =
+    C_k + mu_k / rho_k: K - 1 n x n arrays. Z_k = zero_diag(shrink(T_k,
+    theta_k)) and the next dual mu_{k+1} = rho_k (T_k - Z_k) follow from
+    T_k alone, so no dual is stored. ``Z(k)`` recomputes Z_k bit for bit on
+    any range of rows, so the forward and backward passes call it one row
+    block at a time. Nothing writes into the tape once the forward returns,
+    so one tape serves any number of backward passes. ``spare`` is an
+    n x n array that nothing reads once the forward returns, for the caller
+    to write over.
     """
 
     rho: list = field(default_factory=list)
     theta: list = field(default_factory=list)
-    mu_in: list = field(default_factory=list)
-    C: list = field(default_factory=list)
+    T: list = field(default_factory=list)
     spare: np.ndarray | None = None
-    consumed: bool = False
 
-    def mu(self, k: int, r0: int = 0, r1: int | None = None, out=None, scratch=None):
-        """Layer k's dual input on rows [r0, r1) (to the end when ``r1`` is
-        None): the scalar 0 for k = 0, a view of the stored array from k = 2
-        on. mu_1 = (C_0 - Z_0) rho_0 + 0 is recomputed into ``out`` (a new
-        array when omitted), with Z_0's shrinkage clip in ``scratch``. The
-        + 0, the forward's scalar mu_0, turns -0 into +0 as the forward's
-        sum did."""
-        self._check()
-        return self._mu(k, r0, r1, out, scratch)
-
-    def Z(self, k: int, r0: int = 0, r1: int | None = None, out=None, scratch=None,
-          mu=None) -> np.ndarray:
-        """Layer k's output zero_diag(shrink(C_k + mu_k / rho_k, theta_k)) on
-        rows [r0, r1).
-
-        The shrinkage input and then Z go into ``out``, the shrinkage's clip
-        into ``scratch``; both are new arrays when omitted, and C-contiguous
-        when given. ``mu`` is the dual input on the same rows,
-        ``mu(k, r0, r1)`` when omitted.
-        """
-        self._check()
-        return self._Z(k, r0, r1, out, scratch, mu)
-
-    def _check(self):
-        if self.consumed:
-            raise ValueError("the tape was consumed by backward, which writes over it; "
-                             "run forward again")
-
-    def _mu(self, k, r0=0, r1=None, out=None, scratch=None):
-        mu = self.mu_in[k]
-        if mu is not None:
-            return mu if np.ndim(mu) == 0 else mu[r0:r1]
-        Z = self._Z(0, r0, r1, out=out, scratch=scratch)
-        return np.add(np.multiply(np.subtract(self.C[0][r0:r1], Z, out=Z), self.rho[0], out=Z),
-                      0.0, out=Z)
-
-    def _Z(self, k, r0=0, r1=None, out=None, scratch=None, mu=None):
-        C = self.C[k][r0:r1]
-        if mu is None:
-            mu = self._mu(k, r0, r1)
-        Z = np.divide(mu, self.rho[k], out=np.empty_like(C) if out is None else out)
-        np.add(C, Z, out=Z)
-        classic.soft_threshold(Z, self.theta[k], out=Z, scratch=scratch)
-        Z.reshape(-1)[r0::C.shape[1] + 1] = 0.0  # the diagonal entries of rows r0 on
+    def Z(self, k: int, r0: int = 0, r1: int | None = None, out=None,
+          scratch=None) -> np.ndarray:
+        """Layer k's output zero_diag(shrink(T_k, theta_k)) on rows
+        [r0, r1) (to the end when ``r1`` is None), into ``out`` with the
+        shrinkage's clip in ``scratch``; both are new arrays when omitted,
+        and C-contiguous when given."""
+        T = self.T[k][r0:r1]
+        Z = classic.soft_threshold(T, self.theta[k], out=out, scratch=scratch)
+        Z.reshape(-1)[r0::T.shape[1] + 1] = 0.0  # the diagonal entries of rows r0 on
         return Z
 
 
@@ -223,22 +183,22 @@ def forward(params: UnfoldParams, Htilde: np.ndarray):
 
     Per layer k:  V = mu - rho_k Z;  C = W H~ - B V = W U - V / rho0,
                   U = H~ + H0 V / rho0;
-                  Z = shrink(C + mu / rho_k, theta_k) with zero diagonal;
-                  mu = mu + rho_k (C - Z).
-    The last layer stops at C: nothing reads its Z or dual.
-    Returns (C, tape) where C is the final-layer coefficient matrix with
-    its diagonal zeroed. An H~ of another shape than H0 raises ValueError.
+                  T = C + mu / rho_k;  Z = shrink(T, theta_k) with zero
+                  diagonal;  mu = rho_k (T - Z),
+    the scaled-form dual update mu + rho_k (C - Z). The last layer stops at
+    C: nothing reads its Z or dual. Returns (C, tape) where C is the
+    final-layer coefficient matrix with its diagonal zeroed. An H~ of
+    another shape than H0 raises ValueError.
 
     Layer 0's V = 0 - rho_0 Z0 is formed in place from Z0's ``toarray``
-    into V. The pass allocates 2 + (2K - 4) n x n arrays for K >= 3: the
-    2K - 4 the tape stores and two working arrays, V and a scratch P.
-    Below the top, W U goes into the layer's tape C, and one pass over row
-    blocks then finishes C, Z (in a block buffer), the next dual (stored
-    from mu_2 up, else a block at a time) and the next layer's V, written
-    over V, with P's block as scratch. mu_1 is recomputed there a block at
-    a time, into V's block once it is read. The top layer writes V / rho0
-    into P, the tape's ``spare``, then W U over V and subtracts: V is the
-    returned C.
+    into V. The pass allocates 2 + (K - 1) n x n arrays: the K - 1 the tape
+    stores and two working arrays, V and a scratch P. Below the top, W U
+    goes into the layer's tape T, and one pass over row blocks then
+    finishes C (V's block takes V / rho0, then serves as the shrinkage's
+    scratch), T (adding mu / rho_k from P's block), Z (in a block buffer),
+    the next layer's mu / rho in P's block and its V over V's. The top
+    layer writes V / rho0 into P, the tape's ``spare``, then W U over V and
+    subtracts: V is the returned C.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     if Htilde.shape != params.H0.shape:
@@ -246,9 +206,7 @@ def forward(params: UnfoldParams, Htilde: np.ndarray):
     n = Htilde.shape[1]
     top = params.n_layers - 1
     V, P = np.empty((n, n)), np.empty((n, n))
-    tape = ForwardTape(C=[np.empty((n, n)) for _ in range(top)],
-                       mu_in=[0.0, None][:top] + [np.empty((n, n)) for _ in range(2, top)],
-                       spare=P)
+    tape = ForwardTape(T=[np.empty((n, n)) for _ in range(top)], spare=P)
     blocks = classic.row_blocks(n, n)
     Z_buf = np.empty((max(r1 - r0 for r0, r1 in blocks), n))
     rho = params.layers[0].rho
@@ -263,20 +221,19 @@ def forward(params: UnfoldParams, Htilde: np.ndarray):
             C -= P
             np.fill_diagonal(C, 0.0)
             return C, tape
-        C = np.matmul(layer.W, U, out=tape.C[k])
+        T = np.matmul(layer.W, U, out=tape.T[k])
         tape.rho.append(rho)
         tape.theta.append(layer.theta)
         rho_next = params.layers[k + 1].rho
-        # The next dual is stored from mu_2 on, but never the top layer's.
-        mu_next = tape.mu_in[k + 1] if k + 1 < top else None
         for r0, r1 in blocks:
-            v, p, c = V[r0:r1], P[r0:r1], C[r0:r1]
-            c -= np.divide(v, params.rho0, out=p)  # C = W U - V / rho0
-            m = tape.mu(k, r0, r1, out=v, scratch=p)  # mu_1 over V, read above
-            Z = tape.Z(k, r0, r1, out=Z_buf[:r1 - r0], scratch=p, mu=m)
-            dual = p if mu_next is None else mu_next[r0:r1]
-            np.add(np.multiply(np.subtract(c, Z, out=p), rho, out=p), m, out=dual)
-            np.subtract(dual, np.multiply(Z, rho_next, out=v), out=v)
+            v, p, t = V[r0:r1], P[r0:r1], T[r0:r1]
+            t -= np.divide(v, params.rho0, out=v)  # C = W U - V / rho0
+            if k > 0:
+                t += p  # T = C + mu / rho, mu_0 = 0
+            Z = tape.Z(k, r0, r1, out=Z_buf[:r1 - r0], scratch=v)
+            # mu_{k+1} / rho_{k+1} = (rho_k / rho_{k+1}) (T - Z), then V_{k+1}
+            np.multiply(np.subtract(t, Z, out=p), rho / rho_next, out=p)
+            np.multiply(np.subtract(p, Z, out=v), rho_next, out=v)
         rho = rho_next
 
 
@@ -291,15 +248,13 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, scratc
     preimages. Subgradients at the shrinkage kinks are taken as zero; the
     top layer, which does not shrink, has no theta.
 
-    The pass consumes the tape (see ``ForwardTape``): gmu is written over
-    the tape's C_{K-2}, each block once it is read for the last time.
-    Besides gC and the tape it holds one n x n array, ``scratch`` (new when
-    omitted; it may be the returned C or the tape's ``spare``, but neither
-    grad_C nor an array the tape stores, else ValueError), into which
-    W H0 gC goes and a block at a time becomes B gC and the gradient of
-    the layer below's Z. After each layer's products one pass over row
-    blocks recomputes the layer below's mu (into gC's block, which it
-    overwrites last) and Z, and forms its gC, the next gmu and the row sums
+    The pass only reads the tape. Besides gC it holds one n x n array,
+    ``scratch`` (new when omitted; it may be the returned C or the tape's
+    ``spare``, but neither grad_C nor a tape T, else ValueError), into
+    which W H0 gC goes and a block at a time becomes B gC and the gradient
+    of the layer below's Z. After each layer's products one pass over row
+    blocks recomputes the layer below's Z from its T, forms the layer's
+    gmu in gC's block and then the layer below's gC there, and the row sums
     of every term its rho and theta gradients add; layer 0's rho gradient
     reads Z0 one block of rows at a time.
     """
@@ -309,25 +264,22 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, scratc
         raise ValueError(f"grad_C must be a writable C-contiguous float64 {n} x {n} array, "
                          "which it overwrites")
     if scratch is not None and (not _writable_square(scratch, n) or any(
-            np.may_share_memory(scratch, a) for a in (gC, *tape.C, *tape.mu_in[2:]))):
+            np.may_share_memory(scratch, a) for a in (gC, *tape.T))):
         raise ValueError(f"scratch must be a writable C-contiguous float64 {n} x {n} array "
                          "apart from grad_C and the tape's arrays")
-    tape._check()
-    tape.consumed = True
     np.fill_diagonal(gC, 0.0)  # diag-zeroing is the last op
     top = params.n_layers - 1
     blocks = classic.row_blocks(n, n)
     rows = max(r1 - r0 for r0, r1 in blocks)
     P = np.empty((n, n)) if scratch is None else scratch
-    gmu = tape.C[top - 1] if top > 0 else None
     Z_buf, s_buf, zero = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=bool)
     # Per row, the sums of the terms of the rho and theta gradients
-    sum_rho, sum_gmu, sum_theta, sum_mu = np.empty((4, n))
+    sum_rho, sum_T, sum_gmu, sum_theta = np.empty((4, n))
     grads = {}
-    grho = 0.0  # layer k's rho gradient, less its B V term
+    grho = 0.0  # layer k's rho gradient through the dual it made
     for k in range(top, -1, -1):
         layer = params.layers[k]
-        # C = W (H~ + H0 V / rho0) - V / rho0,  V = mu_in - rho Z_in, with W = H0^T M
+        # C = W (H~ + H0 V / rho0) - V / rho0,  V = mu_k - rho Z_in, with W = H0^T M
         # fixed and M symmetric: gH~ gains W^T gC = M Y and B gC = (gC - W Y) / rho0
         # for Y = H0 gC.
         Y = params.H0 @ gC
@@ -343,43 +295,38 @@ def backward(params: UnfoldParams, tape: ForwardTape, grad_C: np.ndarray, scratc
             grads["layer0.rho_raw"] = np.array(grho * expit(layer.rho_raw))
             break
 
-        # Layer i = k - 1 below made Z_i and mu_k = mu_i + rho_i (C_i - Z_i);
-        # Z_i = zero_diag(shrink(T, theta_i)), T = C_i + mu_i / rho_i, is
-        # nonzero exactly where |T| > theta_i off the diagonal, with T's sign.
+        # Layer i = k - 1 below made Z_i = zero_diag(shrink(T_i, theta_i)),
+        # nonzero exactly where |T_i| > theta_i off the diagonal, with T_i's
+        # sign, and mu_k = rho_i D, D = T_i - Z_i. Below the top, gC is
+        # layer k's gT, and T_k = C_k + mu_k / rho_k.
         i = k - 1
         rho_i = tape.rho[i]
         for r0, r1 in blocks:
-            g, b, gm, C_i = gC[r0:r1], P[r0:r1], gmu[r0:r1], tape.C[i][r0:r1]
-            z, s = Z_buf[:r1 - r0], s_buf[:r1 - r0]
+            g, b, z, s = gC[r0:r1], P[r0:r1], Z_buf[:r1 - r0], s_buf[:r1 - r0]
             np.divide(np.subtract(g, b, out=b), params.rho0, out=b)  # B gC = -dL/dV
-            mu = tape._mu(i, r0, r1, out=g, scratch=s)  # mu_1 over gC, read above
-            Z = tape._Z(i, r0, r1, out=z, scratch=s, mu=mu)
+            Z = tape.Z(i, r0, r1, out=z, scratch=s)
             np.sum(np.multiply(b, Z, out=s), axis=1, out=sum_rho[r0:r1])
-            # The last read of C_i's block, which at the top layer is gmu's
-            np.subtract(C_i, Z, out=s)
-            # gmu, then gZ in b: gradients of layer k's inputs mu_k and Z_i
+            D = np.subtract(tape.T[i][r0:r1], Z, out=s)
+            # gmu_k over gC; no block buffer is free for the T term's products
             if k == top:
-                np.negative(b, out=gm)
+                np.negative(b, out=g)
             else:
-                gm -= b
-            np.sum(np.multiply(gm, s, out=s), axis=1, out=sum_gmu[r0:r1])
+                np.einsum("ij,ij->i", g, D, out=sum_T[r0:r1])
+                g /= rho
+                g -= b
+            np.sum(np.multiply(g, D, out=s), axis=1, out=sum_gmu[r0:r1])
             b *= rho
-            b -= np.multiply(rho_i, gm, out=s)
-            np.copyto(b, 0.0, where=np.equal(Z, 0.0, out=zero[:r1 - r0]))  # gT
+            b -= np.multiply(rho_i, g, out=s)  # gZ_i, then gT_i's share through Z_i
+            np.copyto(b, 0.0, where=np.equal(Z, 0.0, out=zero[:r1 - r0]))
             np.sum(np.multiply(b, np.sign(Z, out=s), out=s), axis=1, out=sum_theta[r0:r1])
-            if i > 0:
-                np.sum(np.multiply(b, np.divide(mu, rho_i**2, out=s), out=s), axis=1,
-                       out=sum_mu[r0:r1])
-            np.multiply(rho_i, gm, out=g)
-            g += b
-            if i > 0:
-                gm += np.divide(b, rho_i, out=s)
+            g *= rho_i
+            g += b  # gC_i = gT_i = rho_i gmu_k + gZ_i
         grho += np.sum(sum_rho)
+        if k < top:
+            grho -= rho_i / rho**2 * np.sum(sum_T)
         grads[f"layer{k}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
         gtheta = -np.sum(sum_theta)
         grads[f"layer{i}.theta_raw"] = np.array(gtheta * expit(params.layers[i].theta_raw))
         grho = np.sum(sum_gmu)
-        if i > 0:
-            grho -= np.sum(sum_mu)
 
     return grads, gHt

@@ -400,25 +400,19 @@ def nmi_plain(pred: np.ndarray, truth: np.ndarray) -> float:
 
 @dataclass
 class ReferenceTape:
-    """Every intermediate of the reference forward pass, stored: 3K n x n
-    arrays for K layers."""
+    """Every intermediate of a reference forward pass, stored. Per layer:
+    rho, the dual input (``mu_in`` in the textbook recurrence, the scaled
+    ``u_in`` = mu / rho in the package's algebra), V and C; below the top,
+    the shrinkage input T and output Z."""
 
     Z0: np.ndarray
     rho: list = field(default_factory=list)
     mu_in: list = field(default_factory=list)
+    u_in: list = field(default_factory=list)
+    V: list = field(default_factory=list)
     C: list = field(default_factory=list)
+    T: list = field(default_factory=list)
     Z_out: list = field(default_factory=list)
-
-    def mu(self, k: int) -> np.ndarray:
-        """Layer k's dual input, as the package tape's ``mu`` names it."""
-        return self.mu_in[k]
-
-
-def shrinkage_inputs(tape, count: int) -> list:
-    """T_k = C_k + mu_k / rho_k of the first ``count`` layers of a package or
-    a reference tape; the K - 1 layers that shrink for count = K - 1. The
-    package tape's mu_0 is the scalar 0."""
-    return [C + tape.mu(k) / tape.rho[k] for k, C in enumerate(tape.C[:count])]
 
 
 def apply_B(params, V: np.ndarray) -> np.ndarray:
@@ -448,14 +442,97 @@ def dense_B_reference(params) -> np.ndarray:
     return scipy.linalg.solve(2.0 * (H0.T @ H0) + rho0 * np.eye(n), np.eye(n), assume_a="pos")
 
 
-def unfold_forward_reference(params, Htilde, Z0, B=None):
-    """The unfolded forward pass written plainly: every layer but the top,
-    whose C is the output, computes its shrinkage and dual update, and the
-    tape keeps them all. Each layer forms C = W (H~ + H0 V / rho0) - V / rho0
-    from the shared W = H0^T M, with which package results must match bit
-    for bit. Given the dense ``B`` of ``dense_B_reference`` it forms
-    C = W H~ - B V instead, the solver's own algebra, which package results
-    must match to rounding.
+def unfold_forward_reference(params, Htilde, Z0):
+    """The unfolded forward pass in the package's algebra, on whole arrays.
+    Each layer forms C = W (H~ + H0 V / rho0) - V / rho0 from the shared
+    W = H0^T M; every layer but the top, whose C is the output, then forms
+    its shrinkage input T = C + u from the scaled dual u = mu / rho (u_0 = 0
+    is not added), Z = shrink(T) with a zero diagonal, the next layer's
+    u = (rho / rho_next)(T - Z) and V = rho_next (u - Z). The tape keeps
+    every intermediate; package results must match it bit for bit.
+    """
+    Htilde = np.asarray(Htilde, dtype=np.float64)
+    n = Htilde.shape[1]
+    top = params.n_layers - 1
+    Z = np.asarray(Z0, dtype=np.float64)
+    tape = ReferenceTape(Z0=Z)
+    rho = params.layers[0].rho
+    u = np.zeros((n, n))
+    V = 0.0 - rho * Z
+    for k, layer in enumerate(params.layers):
+        C = layer.W @ (Htilde + (params.H0 @ V) / params.rho0) - V / params.rho0
+        tape.rho.append(rho)
+        tape.u_in.append(u)
+        tape.V.append(V)
+        tape.C.append(C)
+        if k == top:
+            break
+        T = C + u if k > 0 else C
+        Z = relu_soft_threshold(T, layer.theta)
+        np.fill_diagonal(Z, 0.0)
+        rho_next = params.layers[k + 1].rho
+        u = (rho / rho_next) * (T - Z)
+        V = rho_next * (u - Z)
+        tape.T.append(T)
+        tape.Z_out.append(Z)
+        rho = rho_next
+    C_out = C.copy()
+    np.fill_diagonal(C_out, 0.0)
+    return C_out, tape
+
+
+def unfold_backward_reference(params, tape, grad_C):
+    """Reverse mode through ``unfold_forward_reference``'s algebra on whole
+    arrays. Per layer k, b = B gC by ``apply_B`` and the H~ gradient gains
+    M (H0 gC); for the layer i = k - 1 below, with D = T_i - Z_i = mu_k / rho_i,
+    gmu_k = gC / rho_k - b (-b at the top), gZ_i = rho_k b - rho_i gmu_k
+    masked where Z_i = 0, and gC_i = rho_i gmu_k + gZ_i. rho_k gains
+    sum(b Z_i) and, below the top, -(rho_i / rho_k^2) sum(gC D); rho_i gains
+    sum(gmu_k D) and theta_i -sum(gZ_i sign(Z_i)). Each scalar sum is a
+    ``row_sum``, but sum(gC D), whose row dots come from ``np.einsum``.
+    """
+    gC = np.array(grad_C, dtype=np.float64)
+    np.fill_diagonal(gC, 0.0)
+    top = params.n_layers - 1
+    grads = {}
+    gHt = None
+    grho = 0.0
+    for k in range(top, -1, -1):
+        layer = params.layers[k]
+        rho = layer.rho
+        MY = params.M @ (params.H0 @ gC)
+        gHt = MY if gHt is None else gHt + MY
+        b = apply_B(params, gC)
+        if k == 0:
+            grho += row_sum(b * tape.Z0)
+            grads["layer0.rho_raw"] = np.array(grho * expit(layer.rho_raw))
+            break
+        i = k - 1
+        rho_i, Z = tape.rho[i], tape.Z_out[i]
+        D = tape.T[i] - Z
+        grho += row_sum(b * Z)
+        if k == top:
+            gmu = -b
+        else:
+            grho -= rho_i / rho**2 * np.sum(np.einsum("ij,ij->i", gC, D))
+            gmu = gC / rho - b
+        gZ = np.where(Z == 0.0, 0.0, rho * b - rho_i * gmu)
+        grads[f"layer{k}.rho_raw"] = np.array(grho * expit(layer.rho_raw))
+        gtheta = -row_sum(gZ * np.sign(Z))
+        grads[f"layer{i}.theta_raw"] = np.array(gtheta * expit(params.layers[i].theta_raw))
+        grho = row_sum(gmu * D)
+        gC = rho_i * gmu + gZ
+    return grads, gHt
+
+
+def unfold_forward_mu_reference(params, Htilde, Z0, B=None):
+    """The unfolded forward pass in the textbook dual recurrence: every
+    layer but the top, whose C is the output, computes its shrinkage of
+    T = C + mu / rho and the dual update mu + rho (C - Z), and the tape
+    keeps them all. Each layer forms C = W (H~ + H0 V / rho0) - V / rho0
+    from the shared W = H0^T M, or, given the dense ``B`` of
+    ``dense_B_reference``, C = W H~ - B V, the solver's own algebra.
+    Package results must match either to rounding.
     """
     Htilde = np.asarray(Htilde, dtype=np.float64)
     n = Htilde.shape[1]
@@ -472,10 +549,12 @@ def unfold_forward_reference(params, Htilde, Z0, B=None):
             C = layer.W @ Htilde - B @ V
         tape.rho.append(rho)
         tape.mu_in.append(mu)
+        tape.V.append(V)
         tape.C.append(C)
         if k == params.n_layers - 1:
             break
         T = C + mu / rho
+        tape.T.append(T)
         Zraw = relu_soft_threshold(T, layer.theta)
         np.fill_diagonal(Zraw, 0.0)
         Z = Zraw
@@ -486,10 +565,10 @@ def unfold_forward_reference(params, Htilde, Z0, B=None):
     return C_out, tape
 
 
-def unfold_backward_reference(params, tape, grad_C, B=None):
+def unfold_backward_mu_reference(params, tape, grad_C, B=None):
     """Reverse mode through every branch of every layer (the top has no
     shrinkage), from zero-filled accumulators and with masks built from full
-    n x n arrays; ``B`` as in ``unfold_forward_reference``: without it the
+    n x n arrays; ``B`` as in ``unfold_forward_mu_reference``: without it the
     layer's H~ gradient is M (H0 gC) and its B gC is ``apply_B``'s, with it
     W^T gC and B gC. Each scalar sum is a ``row_sum``.
     """

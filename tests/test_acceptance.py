@@ -18,7 +18,6 @@ from _oracles import (
     fd_gradient,
     rel_err,
     relu_soft_threshold,
-    shrinkage_inputs,
     soft_threshold_scalar,
     structure_loss_pairwise,
 )
@@ -98,7 +97,7 @@ def _gradient_check_instance(seed: int):
     _, tape = unfold.forward(state.unfold, Ht)
     margin = min(
         float(np.min(np.abs(np.abs(T) - theta)))
-        for T, theta in zip(shrinkage_inputs(tape, state.unfold.n_layers - 1), tape.theta)
+        for T, theta in zip(tape.T, tape.theta)
     )
     if margin < 1e-3:
         return None

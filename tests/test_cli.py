@@ -785,6 +785,44 @@ class TestEvalCommand:
         assert "data error" in err and str(pred) in err
 
 
+@pytest.mark.parametrize("command", ["eval", "cluster", "run cube", "run matrix"])
+def test_label_past_int64_exits_three_and_writes_nothing(tmp_path, small_c, capsys, command):
+    """A label of 1e30, which no int64 holds, is a data error naming its
+    index: in a predicted or true label file, and in a run's label map,
+    where the cast once made it a negative id or dropped its pixel as
+    unlabeled."""
+    c_path, truth = small_c
+    out, big = tmp_path / "never", tmp_path / "big.csv"
+    if command == "run cube":
+        data_dir = tmp_path / "cube"
+        assert cli.main(["gen", "cube", "--height", "6", "--width", "6", "--bands", "3",
+                         "--out", str(data_dir)]) == 0
+        labels = container.load_any(str(data_dir / "labels.sscm"))
+        labels[2, 3] = 1e30
+        big = tmp_path / "big.sscm"
+        container.write_array(str(big), labels)
+        values = data_dir / "values.sscm"
+    else:
+        lines = Path(truth).read_text().splitlines()
+        lines[5] = "1e30"
+        big.write_text("\n".join(lines) + "\n")
+        values = Path(truth).parent / "values.sscm"
+    argv = {
+        "eval": ["eval", "--pred", str(big), "--truth", truth, "--out", str(out)],
+        "cluster": ["cluster", "--from-c", c_path, "--k", "2", "--truth", str(big),
+                    "--out", str(out)],
+    }.get(command) or ["run", "--config", write_config(tmp_path, {
+        "values_path": str(values), "labels_path": str(big), "k_clusters": 2, "patch": 3,
+        "mode": "classic" if command == "run matrix" else "unfold", "out_dir": str(out)})]
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: ") and "2**63" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("under_file", [False, True])
 @pytest.mark.parametrize("command", ["run", "cluster", "eval", "gen"])
 def test_out_on_a_file_exits_two_and_keeps_the_file(tmp_path, small_c, capsys,

@@ -27,6 +27,20 @@ class TestContingency:
         with pytest.raises(ValueError, match="non-negative"):
             metrics.contingency([-1, 0], [0, 1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan, 1.0], "finite"), ([np.inf, 1.0], "finite"), ([1e30, 1.0], r"2\*\*63"),
+        ([2.0**63, 1.0], r"2\*\*63"), (np.array([2**63, 1], dtype=np.uint64), r"2\*\*63")],
+        ids=["nan", "inf", "1e30", "2**63", "uint64"])
+    def test_labels_past_int64_rejected_before_the_cast(self, bad, message):
+        """Non-finite labels and labels no int64 holds are refused by name,
+        before the cast that would warn and wrap them; the largest float
+        below 2**63 is a label."""
+        for args in ((bad, [0, 1]), ([0, 1], bad)):
+            with pytest.raises(ValueError, match=message):
+                metrics.accuracy(*args)
+        assert metrics.accuracy([2.0**63 - 1024, 0.0], [1, 0]) == 1.0
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             metrics.contingency([0, 1], [0, 1, 2])

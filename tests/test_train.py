@@ -149,8 +149,8 @@ class TestTotalLoss:
 
     def test_total_loss_working_set(self):
         """Peak memory allocated by one composite loss and its gradients at
-        n = 300, K = 3, in n x n arrays. Measured at 5.45: the unfolded
-        forward's 2 + (2K - 4) arrays, in which the losses and the
+        n = 300, K = 3, in n x n arrays. Measured at 5.29: the unfolded
+        forward's 2 + (K - 1) arrays, in which the losses and the
         backward work too (``test_unfold``'s working sets), the row-block
         buffers of 100 rows, and the autoencoder's arrays. With flat
         segments of 75 rows' entries it peaked at 5.32, and with a learned
@@ -465,12 +465,12 @@ class TestTrainJoint:
         def recording(*args):
             assert all(ref() is None for ref in seen)
             C, tape = original(*args)
-            seen.extend(weakref.ref(a) for a in (tape, C, tape.spare, *tape.C, *tape.mu_in[2:]))
+            seen.extend(weakref.ref(a) for a in (tape, C, tape.spare, *tape.T))
             return C, tape
 
         monkeypatch.setattr(unfold, "forward", recording)
         train.train_joint(state, X, tc)
-        assert len(seen) == 3 * (1 + 2 + (2 * 4 - 4))
+        assert len(seen) == 3 * (1 + 2 + (4 - 1))
         assert all(ref() is None for ref in seen)
 
     def test_history_and_descent(self):

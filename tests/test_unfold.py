@@ -9,7 +9,8 @@ from scipy import sparse
 from unfold_ssc import autoenc, classic, cli, graph, train, unfold
 from _oracles import (apply_B, dense_B_reference, fd_gradient, peak_nn_arrays,
                       precompute_reference, rel_err, rel_frobenius, relu_soft_threshold,
-                      shrinkage_inputs, unfold_backward_reference, unfold_forward_reference)
+                      unfold_backward_mu_reference, unfold_backward_reference,
+                      unfold_forward_mu_reference, unfold_forward_reference)
 
 
 def unit_columns(rng, l, n):
@@ -149,7 +150,7 @@ def test_forward_single_layer_identity_trace():
     params = unfold.init_params(np.eye(2), z0, 1.0, 1, 0.25)
     C, tape = unfold.forward(params, np.eye(2))
     assert np.allclose(C, z0 / 3.0, atol=1e-14)
-    assert tape.rho == tape.theta == tape.mu_in == tape.C == []
+    assert tape.rho == tape.theta == tape.T == []
 
 
 def test_forward_matches_classic_solver():
@@ -205,7 +206,7 @@ def kink_margin(params, Ht):
     needs it > step."""
     _, tape = unfold.forward(params, Ht)
     margin = np.inf
-    for T, theta in zip(shrinkage_inputs(tape, params.n_layers - 1), tape.theta):
+    for T, theta in zip(tape.T, tape.theta):
         margin = min(margin, float(np.min(np.abs(np.abs(T) - theta))))
     return margin
 
@@ -314,19 +315,19 @@ def perturbed_instance(seed, K, with_z0, n=20, l=6):
     return params, Ht, G
 
 
-def as_square(x, n):
-    """An n x n array, or the scalar 0, from the package tape as n x n."""
-    return np.broadcast_to(x, (n, n))
+def duals(tape):
+    """mu_1 .. mu_{K-1}, read off a package tape as mu_{k+1} = rho_k (T_k - Z_k)."""
+    return [rho * (T - tape.Z(k)) for k, (rho, T) in enumerate(zip(tape.rho, tape.T))]
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("with_z0", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_and_backward_bit_identical_to_reference(K, with_z0, seed):
-    """Against the plain reference passes in the package's algebra, C =
-    W (H~ + H0 V / rho0) - V / rho0 on the dense form of Z0, every value is
-    bit-identical. From K = 4 on, a stored dual mu_2 sits next to the
-    recomputed mu_1. At n = 20 every elementwise pass is one row block."""
+    """Against the plain whole-array reference passes in the package's
+    algebra, C = W (H~ + H0 V / rho0) - V / rho0 on the dense form of Z0 and
+    T = C + mu / rho, every value is bit-identical. At n = 20 every
+    elementwise pass is one row block."""
     assert classic.row_blocks(20, 20) == [(0, 20)]
     check_against_reference(K, with_z0, seed, 20)
 
@@ -341,34 +342,21 @@ def test_multi_segment_passes_bit_identical_to_reference(K, with_z0):
 
 
 def check_against_reference(K, with_z0, seed, n):
-    """The two tests above. The backward writes W H0 gC over the returned C
-    and gmu over the tape's top stored C, as ``train.total_loss`` runs it."""
+    """The two tests above. The backward writes W H0 gC over the returned C,
+    as ``train.total_loss`` runs it."""
     params, Ht, G = perturbed_instance(seed, K, with_z0, n)
     C, tape = unfold.forward(params, Ht)
     C_ref, tape_ref = unfold_forward_reference(params, Ht, params.Z0.toarray())
     assert np.array_equal(C, C_ref)
     assert params.Z0.format == "csr"
-    # The tape stores the K - 1 layers that shrink; the top layer's C is
-    # the output (compared above) and its dual input is read by nothing.
+    # The tape stores the shrinkage inputs of the K - 1 layers that shrink;
+    # the top layer's C is the output (compared above).
     assert tape.rho == tape_ref.rho[:-1]
     assert tape.theta == [layer.theta for layer in params.layers[:-1]]
-    assert len(tape.C) == len(tape.mu_in) == K - 1 and len(tape_ref.C) == len(tape_ref.mu_in) == K
-    if K > 1:
-        # The first dual input is the scalar 0, not an n x n array of zeros.
-        assert tape.mu_in[0] == 0.0 and not np.any(tape_ref.mu_in[0])
-    if K > 2:
-        # mu_1 is recomputed from C_0, not stored; the later duals are stored.
-        assert tape.mu_in[1] is None
-        assert all(isinstance(mu, np.ndarray) for mu in tape.mu_in[2:])
+    assert len(tape.T) == len(tape_ref.T) == len(tape_ref.Z_out) == K - 1
     for k in range(K - 1):
-        assert np.array_equal(tape.C[k], tape_ref.C[k]), k
-        assert np.array_equal(as_square(tape.mu(k), n), tape_ref.mu_in[k]), k
-    T, T_ref = shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_ref, K - 1)
-    assert len(T) == len(T_ref) == len(tape_ref.Z_out) == K - 1
-    for a, b in zip(T, T_ref):
-        assert np.array_equal(a, b)
-    for k in range(K - 1):
-        assert np.array_equal(tape.Z(k).reshape(n, n), tape_ref.Z_out[k]), k
+        assert np.array_equal(tape.T[k], tape_ref.T[k]), k
+        assert np.array_equal(tape.Z(k), tape_ref.Z_out[k]), k
     if K > 1:
         # Both shrinkage sides occur, so the masked branch is exercised.
         assert 0 < np.count_nonzero(tape_ref.Z_out[0]) < n * (n - 1)
@@ -386,63 +374,63 @@ def check_against_reference(K, with_z0, seed, n):
 @pytest.mark.parametrize("with_z0", [False, True])
 @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (20, 2), (300, 0)])
 def test_forward_and_backward_match_the_solver_algebra(K, with_z0, n, seed):
-    """Against the reference passes in the solver's own algebra, C =
-    W H~ - B V with the dense n x n B from its own solve, every value and
-    the H~ gradient are within 1e-12 relative, and the rho and theta
-    gradients, each a sum of n^2 terms that cancel, within A2's 1e-10.
-    Measured worst over these cases: 4.2e-14 for the arrays, 1.9e-12 for
-    the scalar gradients."""
+    """Against the reference passes in the textbook dual recurrence
+    mu_{k+1} = mu_k + rho_k (C_k - Z_k), in the solver's own algebra,
+    C = W H~ - B V with the dense n x n B from its own solve, and in the
+    W form C = W (H~ + H0 V / rho0) - V / rho0: every value, each dual read
+    off the tape and the H~ gradient are within 1e-12 relative, and the rho
+    and theta gradients, each a sum of n^2 terms that cancel, within A2's
+    1e-10. Measured worst over these cases against the dense form: 4.2e-14
+    for C, T, Z and the H~ gradient, 5.9e-13 for the duals (the difference
+    T - Z) and 1.9e-12 for the scalar gradients; against the W form,
+    3.8e-16, 5.5e-15 and 4.2e-13."""
     params, Ht, G = perturbed_instance(seed, K, with_z0, n)
     C, tape = unfold.forward(params, Ht)
-    B_dense = dense_B_reference(params)
-    C_dense, tape_dense = unfold_forward_reference(params, Ht, params.Z0.toarray(), B_dense)
-    assert rel_frobenius(C, C_dense) <= 1e-12
-    for k in range(K - 1):
-        assert rel_frobenius(tape.C[k], tape_dense.C[k]) <= 1e-12, k
-        assert rel_frobenius(as_square(tape.mu(k), n), tape_dense.mu_in[k]) <= 1e-12, k
-    for a, b in zip(shrinkage_inputs(tape, K - 1), shrinkage_inputs(tape_dense, K - 1)):
-        assert rel_frobenius(a, b) <= 1e-12
-    for k in range(K - 1):
-        assert rel_frobenius(tape.Z(k).reshape(n, n), tape_dense.Z_out[k]) <= 1e-12, k
+    grads, gHt = unfold.backward(params, tape, G.copy())
+    for B in (dense_B_reference(params), None):
+        C_ref, tape_ref = unfold_forward_mu_reference(params, Ht, params.Z0.toarray(), B)
+        assert rel_frobenius(C, C_ref) <= 1e-12
+        for k in range(K - 1):
+            assert rel_frobenius(tape.T[k], tape_ref.T[k]) <= 1e-12, k
+            assert rel_frobenius(tape.Z(k), tape_ref.Z_out[k]) <= 1e-12, k
+        for k, mu in enumerate(duals(tape), start=1):
+            assert rel_frobenius(mu, tape_ref.mu_in[k]) <= 1e-12, k
 
-    grads, gHt = unfold.backward(params, tape, G.copy(), scratch=C)
-    grads_dense, gHt_dense = unfold_backward_reference(params, tape_dense, G, B_dense)
-    assert grads.keys() == grads_dense.keys()
-    for name, want in grads_dense.items():
-        assert rel_frobenius(grads[name], want) <= 1e-10, name
-    assert rel_frobenius(gHt, gHt_dense) <= 1e-12
+        grads_ref, gHt_ref = unfold_backward_mu_reference(params, tape_ref, G, B)
+        assert grads.keys() == grads_ref.keys()
+        for name, want in grads_ref.items():
+            assert rel_frobenius(grads[name], want) <= 1e-10, name
+        assert rel_frobenius(gHt, gHt_ref) <= 1e-12
 
 
-def test_a_consumed_tape_refuses_to_be_read():
-    """The backward writes gmu over the tape's top stored C, so afterwards
-    ``mu``, ``Z`` and a second backward raise instead of reading it; a new
-    forward pass gives a tape with the first one's bits."""
-    params, Ht, G = perturbed_instance(2, 3, True)
+def test_one_tape_serves_two_backward_passes():
+    """The backward only reads the tape: two passes on one tape give the
+    same bits, and leave every tape array and scalar as the forward wrote
+    it."""
+    params, Ht, G = perturbed_instance(2, 4, True)
     C, tape = unfold.forward(params, Ht)
-    Z1 = tape.Z(1).copy()
-    unfold.backward(params, tape, G.copy())
-    assert tape.consumed
-    for read in (lambda: tape.mu(1), lambda: tape.Z(0), lambda: tape.Z(1),
-                 lambda: unfold.backward(params, tape, G.copy())):
-        with pytest.raises(ValueError, match="consumed"):
-            read()
-    _, tape = unfold.forward(params, Ht)
-    assert not tape.consumed
-    assert tape.Z(1).tobytes() == Z1.tobytes()
+    before = [T.tobytes() for T in tape.T]
+    scalars = (list(tape.rho), list(tape.theta))
+    first, gHt_first = unfold.backward(params, tape, G.copy(), scratch=C)
+    second, gHt_second = unfold.backward(params, tape, G.copy(), scratch=tape.spare)
+    assert [T.tobytes() for T in tape.T] == before
+    assert (tape.rho, tape.theta) == scalars
+    assert first.keys() == second.keys()
+    for name, g in first.items():
+        assert second[name].tobytes() == g.tobytes(), name
+    assert gHt_second.tobytes() == gHt_first.tobytes()
 
 
 def test_backward_scratch_must_not_alias_what_it_reads():
     """W H0 gC may go over the returned C or the tape's spare, but not
-    over grad_C or any array the tape stores, which the backward still
-    reads; nor into an array of another shape or dtype. A refused scratch
-    leaves the tape unconsumed."""
+    over grad_C or any array the tape stores, which the backward reads;
+    nor into an array of another shape or dtype."""
     params, Ht, G = perturbed_instance(2, 4, True)
     C, tape = unfold.forward(params, Ht)
-    assert len(tape.C) == 3 and np.ndim(tape.mu_in[2]) == 2
-    for bad in (G, G[:, :], *tape.C, tape.mu_in[2], C[:, :-1], C.astype(np.float32)):
+    assert len(tape.T) == 3
+    for bad in (G, G[:, :], *tape.T, C[:, :-1], C.astype(np.float32)):
         with pytest.raises(ValueError, match="scratch"):
             unfold.backward(params, tape, G, scratch=bad)
-    assert not tape.consumed
     unfold.backward(params, tape, G, scratch=tape.spare)
 
 
@@ -482,19 +470,19 @@ def test_segment_size_does_not_change_a_bit(monkeypatch, K):
         assert len(classic.row_blocks(45, 45)) == count
         C_small, tape_small = unfold.forward(params, Ht)
         assert C_small.tobytes() == C.tobytes()
-        for a, b in zip(tape_small.C + tape_small.mu_in, tape.C + tape.mu_in, strict=True):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for a, b in zip(tape_small.T, tape.T, strict=True):
+            assert a.tobytes() == b.tobytes()
         grads_small, gHt_small = unfold.backward(params, tape_small, G.copy())
         for name, g in grads.items():
             assert grads_small[name].tobytes() == g.tobytes(), name
         assert gHt_small.tobytes() == gHt.tobytes()
 
 
-def working_set_instance(n):
+def working_set_instance(n, K=3):
     rng = np.random.default_rng(11)
     Ht = unit_columns(rng, 32, n)
     z0 = graph.knn_adjacency(rng.standard_normal((4, n)), 10)
-    params = unfold.init_params(Ht, z0, 0.5, 3, 0.005)
+    params = unfold.init_params(Ht, z0, 0.5, K, 0.005)
     G = rng.standard_normal((n, n))
     return params, Ht, G
 
@@ -504,8 +492,8 @@ def forward_peak(n):
     return peak_nn_arrays(lambda: unfold.forward(params, Ht), n)
 
 
-def forward_and_backward_peak(n):
-    params, Ht, G = working_set_instance(n)
+def forward_and_backward_peak(n, K=3):
+    params, Ht, G = working_set_instance(n, K)
 
     def forward_and_backward():
         C, tape = unfold.forward(params, Ht)
@@ -518,13 +506,13 @@ def test_forward_working_set():
     """Peak memory allocated by one forward pass at n = 300, in n x n
     arrays.
 
-    Measured at 4.56 for K = 3: the 2K - 4 tape arrays C_0 and C_1, V,
+    Measured at 4.55 for K = 3: the K - 1 tape arrays T_0 and T_1, V,
     which becomes the returned C, and a scratch array, plus a row-block
     buffer for Z (100 rows, a third of an n x n array) and the l x n
-    products. With buffers of a quarter, from flat segments, it was 4.48. mu_1
-    exists one block at a time, in V, and the top layer's dual never exists
-    whole.
-    With mu_1 stored until layer 1's pass ended and the returned C an array
+    products. With buffers of a quarter, from flat segments, it was 4.48.
+    No dual exists whole: each lives one block at a time, in the scratch.
+    With a tape of each layer's C and, from mu_2 on, its dual, 4.56. With
+    mu_1 stored until layer 1's pass ended and the returned C an array
     of its own it peaked at 5.47; with mu_1 and mu_2 as separate arrays, a
     stored top dual and the elementwise chains on whole arrays, at 6.0;
     storing the top layer's C and dual as well and returning a copy of C,
@@ -539,11 +527,12 @@ def test_forward_and_backward_working_set():
     n x n arrays, with the returned C as the backward's scratch, as
     ``train.total_loss`` runs them.
 
-    Measured at 5.16 for K = 3: the forward's four arrays and a backward
+    Measured at 5.15 for K = 3: the forward's four arrays and a backward
     that works in them and in the caller's output gradient, writing
-    W H0 gC over C and gmu over the tape's C_1, plus row-block buffers for
+    W H0 gC over C and each gmu over gC's block, plus row-block buffers for
     Z, a scratch and a mask (0.71 of an n x n array together; 0.53, and
     4.98 in all, with flat segments of a quarter of the array). With a
+    tape of C and dual and gmu written over the tape's C_1, 5.16. With a
     learned n x l W per layer and its gradient it peaked at 5.19; with gmu
     and the product of gC as n x n buffers of the backward's own, at 6.44;
     with the backward's Z, mu_1 and scratch as n x n buffers too, at 7.65;
@@ -560,13 +549,24 @@ def test_forward_and_backward_working_set():
 def test_working_sets_at_n_1000():
     """The two working sets above at n = 1000, where the row-block buffers
     are about 0.07 of an n x n array together. Measured at 4.10 for the
-    forward and 4.20 for forward plus backward: 2 + (2K - 4) n x n arrays
+    forward and 4.20 for forward plus backward: 2 + (K - 1) n x n arrays
     and little else (4.26 for the latter with a learned W per layer). With
     the backward's gmu and product of gC and the forward's mu_1 and
     returned C as arrays of their own they peaked at 5.10 and 5.29; with
     n x n buffers in place of row blocks, at 6.0 and 7.22."""
     assert forward_peak(1000) <= 4.4
     assert forward_and_backward_peak(1000) <= 4.5
+
+
+@pytest.mark.parametrize("K, bound", [(4, 6.3), (5, 7.3)])
+def test_deep_forward_and_backward_working_sets(K, bound):
+    """Forward plus backward at n = 300 as above, with more layers: each
+    layer below the top adds one tape array, T_k, and nothing else.
+    Measured at 6.15 for K = 4 and 7.16 for K = 5, 2 + (K - 1) n x n
+    arrays and the same row-block buffers. With a tape of each shrinking
+    layer's C and, from mu_2 on, its dual, 2K - 4 arrays, they peaked at
+    7.16 and 9.16."""
+    assert forward_and_backward_peak(300, K) <= bound
 
 
 @pytest.mark.parametrize("K", [1, 3])
