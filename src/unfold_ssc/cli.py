@@ -461,16 +461,13 @@ def cmd_cluster(args) -> int:
 
 
 def _read_label_vector(path):
-    """The labels in ``path`` as an int64 vector, checked as label maps are."""
+    """The labels in ``path`` as an int64 vector, checked by ``data.as_labels``."""
     from unfold_ssc import container, data
 
     flat = container.load_any(path).reshape(-1)
     if flat.size == 0:
         raise DataError(f"{path}: no labels")
-    try:
-        return data._as_label_map(flat)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return data.as_labels(flat, path)
 
 
 def cmd_eval(args) -> int:
@@ -478,8 +475,6 @@ def cmd_eval(args) -> int:
 
     pred = _read_label_vector(args.pred)
     truth = _read_label_vector(args.truth)
-    if pred.shape != truth.shape:
-        raise DataError(f"label count mismatch: {pred.shape[0]} vs {truth.shape[0]}")
     scores = metrics_mod.report(pred, truth)
     print(json.dumps(scores, indent=2, sort_keys=True))
     if args.out:

@@ -10,9 +10,9 @@ Container layout, little-endian throughout:
 
 2-D payloads are row-major. 3-D payloads (dims = height, width, bands) are
 stored band plane by band plane, each plane row-major. Label maps reuse the
-2-D form with integer values stored as float64. CSV (comma separated, dot
-decimal, one matrix row per line) is accepted as an alternative input for
-2-D data.
+2-D form with integer values stored as float64. A file without the magic
+is read as CSV (comma separated, dot decimal, one matrix row per line),
+which holds 2-D data.
 """
 
 from __future__ import annotations
@@ -43,25 +43,10 @@ def write_array(path: str | os.PathLike, array: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
-def _read(path: str | os.PathLike) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def read_array(path: str | os.PathLike) -> np.ndarray:
-    """Read an array written by :func:`write_array`."""
-    return _parse_array(_read(path), path)
-
-
 def _parse_array(raw: bytes, path) -> np.ndarray:
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
-    magic, version, ndims = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    _, version, ndims = _HEADER.unpack_from(raw)
     if version != VERSION:
         raise DataError(f"{path}: unsupported version {version}")
     if ndims not in (2, 3):
@@ -84,11 +69,6 @@ def _parse_array(raw: bytes, path) -> np.ndarray:
     return flat.reshape(bands, h, w).transpose(1, 2, 0).copy()
 
 
-def read_csv_matrix(path: str | os.PathLike) -> np.ndarray:
-    """Read a 2-D matrix from a comma-separated text file."""
-    return _parse_csv(_read(path), path)
-
-
 def _parse_csv(raw: bytes, path) -> np.ndarray:
     try:  # a UnicodeDecodeError is a ValueError too
         with warnings.catch_warnings():
@@ -103,10 +83,16 @@ def _parse_csv(raw: bytes, path) -> np.ndarray:
 
 
 def load_any(path: str | os.PathLike) -> np.ndarray:
-    """Load an array from either the binary container or CSV.
+    """Load an array from either the binary container or CSV: the package's
+    one file reader.
 
     The file is read once. The format is sniffed from its first four bytes
-    rather than its extension, so renamed files still load.
+    rather than its extension, so renamed files still load; a file that does
+    not start with the magic is parsed as CSV.
     """
-    raw = _read(path)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     return (_parse_array if raw[:4] == MAGIC else _parse_csv)(raw, path)

@@ -25,9 +25,9 @@ class HsiCube:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 3:
             raise DataError(f"cube values must be 3-D, got {self.values.ndim}-D")
-        _check_finite(self.values, "cube values")
+        _refuse(~np.isfinite(self.values), "cube values", "a non-finite")
         if self.labels is not None:
-            self.labels = _as_label_map(self.labels)
+            self.labels = as_labels(self.labels, "label map")
             if self.labels.shape != self.values.shape[:2]:
                 raise DataError(
                     f"label map shape {self.labels.shape} does not match "
@@ -54,21 +54,32 @@ class PatchSet:
     coords: np.ndarray
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(arr)
+def _refuse(bad: np.ndarray, what: str, problem: str) -> None:
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise DataError(f"{what} contains a non-finite entry at index {idx}")
+        raise DataError(f"{what} has {problem} entry at index {idx}")
 
 
-def _as_label_map(labels) -> np.ndarray:
-    arr = np.asarray(labels, dtype=np.float64)
-    _check_finite(arr, "label map")
-    for bad, what in ((arr != np.rint(arr), "a non-integer"), (arr < 0, "a negative"),
-                      (arr >= 2.0**63, "a too-large (>= 2**63)")):
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise DataError(f"label map has {what} entry at index {idx}")
+def as_labels(values, what: str) -> np.ndarray:
+    """``values`` as int64 class ids: the package's one label check.
+
+    Integer and bool arrays are cast exactly, so distinct int64 ids stay
+    distinct; any other array is read as float64 and must be finite and
+    integer-valued. Every id must be non-negative and below 2**63, the
+    int64 range. A failure is a DataError naming ``what`` and the first bad
+    index.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "bi":
+        _refuse(arr < 0, what, "a negative")
+    elif arr.dtype.kind == "u":
+        _refuse(arr >= np.uint64(2**63), what, "a too-large (>= 2**63)")
+    else:  # checked as floats before the cast, which would warn and wrap
+        arr = arr.astype(np.float64)
+        for bad, problem in ((~np.isfinite(arr), "a non-finite"),
+                             (arr != np.rint(arr), "a non-integer"), (arr < 0, "a negative"),
+                             (arr >= 2.0**63, "a too-large (>= 2**63)")):
+            _refuse(bad, what, problem)
     return arr.astype(np.int64)
 
 
@@ -94,12 +105,12 @@ def load_matrix(X, labels=None):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DataError(f"data matrix must be 2-D, got {X.ndim}-D")
-    _check_finite(X, "data matrix")
+    _refuse(~np.isfinite(X), "data matrix", "a non-finite")
     if labels is not None:
         raw = np.asarray(labels)
         if raw.ndim != 2 or 1 not in raw.shape:
             raise DataError(f"matrix labels must be a vector, got shape {raw.shape}")
-        labels = _as_label_map(raw).reshape(-1)
+        labels = as_labels(raw, "matrix labels").reshape(-1)
         if labels.shape[0] != X.shape[1]:
             raise DataError(
                 f"{labels.shape[0]} labels for {X.shape[1]} samples"

@@ -15,8 +15,9 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-class DataError(Exception):
-    """Unreadable, malformed, or inconsistent input data."""
+class DataError(ValueError):
+    """Unreadable, malformed, or inconsistent input data. A ValueError, so
+    library callers of ``metrics`` catch it as they catch argument errors."""
 
 
 class NumericalError(Exception):

@@ -12,35 +12,23 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-
-def _as_labels(x, name: str) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D array")
-    if arr.dtype.kind not in "bi":  # checked as floats before the cast
-        arr = np.asarray(arr, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite")
-        if not np.array_equal(arr, np.rint(arr)):
-            raise ValueError(f"{name} must hold integers")
-        if (arr >= 2.0**63).any():
-            raise ValueError(f"{name} must be below 2**63, the int64 range")
-    out = arr.astype(np.int64)
-    if (out < 0).any():
-        raise ValueError(f"{name} must be non-negative")
-    return out
+from unfold_ssc import data
+from unfold_ssc.errors import DataError
 
 
 def contingency(pred: np.ndarray, truth: np.ndarray):
     """Count table of (pred cluster, true class) co-occurrences.
 
     Returns (table, pred_values, truth_values) with rows/columns ordered by
-    ascending label value.
+    ascending label value. Bad input is a DataError, which is a ValueError.
     """
-    pred = _as_labels(pred, "pred")
-    truth = _as_labels(truth, "truth")
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    for name, arr in (("pred", pred), ("truth", truth)):
+        if arr.ndim != 1 or arr.shape[0] == 0:
+            raise DataError(f"{name} must be a non-empty 1-D array")
     if pred.shape != truth.shape:
-        raise ValueError(f"length mismatch: {pred.shape[0]} vs {truth.shape[0]}")
+        raise DataError(f"length mismatch: {pred.shape[0]} pred vs {truth.shape[0]} truth labels")
+    pred, truth = data.as_labels(pred, "pred"), data.as_labels(truth, "truth")
     pv, pi = np.unique(pred, return_inverse=True)
     tv, ti = np.unique(truth, return_inverse=True)
     table = np.zeros((len(pv), len(tv)), dtype=np.int64)

@@ -138,8 +138,8 @@ def total_loss(state: TrainState, X: np.ndarray, config: RunConfig, out=None):
     The autoencoder tape holds each layer's output only. The decoder's
     backward runs first, and clearing the tape's ``dec`` list frees the
     decoder's outputs and X-hat before the unfolded forward allocates its
-    2 + (2K - 4) n x n arrays for K >= 3. The coefficient losses and the
-    backward work in those same arrays: gC in the tape's ``spare``, the
+    2 + (K - 1) n x n arrays. The coefficient losses and the backward
+    work in those same arrays: gC in the tape's ``spare``, the
     structure gradient over C, and W H0 gC over C once gC is formed. None
     of them outlives the call.
     """

@@ -423,7 +423,7 @@ class TestRunCommand:
         assert sorted(manifest["unfold"]["scalars"]) == [
             "layer0.rho_raw", "layer0.theta_raw", "layer1.rho_raw"]
         for tag, entry in manifest["tensors"].items():
-            arr = container.read_array(os.path.join(ckpt, entry["file"]))
+            arr = container.load_any(os.path.join(ckpt, entry["file"]))
             assert tuple(entry["shape"]) == shapes[tag]
             assert arr.size == int(np.prod(shapes[tag]))
             assert np.all(np.isfinite(arr))
@@ -771,6 +771,17 @@ class TestEvalCommand:
         truth.write_text("0\n1\n1\n")
         assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
         assert "mismatch" in capsys.readouterr().err
+
+    def test_eval_big_label_names_the_file_not_a_label_map(self, tmp_path, capsys):
+        """A one-column label file is a label vector, and its error says which file."""
+        big = tmp_path / "big.csv"
+        truth = tmp_path / "truth.csv"
+        big.write_text("1e30\n0\n")
+        truth.write_text("0\n1\n")
+        assert cli.main(["eval", "--pred", str(big), "--truth", str(truth)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"data error: {big} ")
+        assert "2**63" in lines[0] and "label map" not in lines[0]
 
     @pytest.mark.parametrize("pred_text", ["0\n-1\n", "", "0\n0.5\n"],
                              ids=["negative", "empty", "fractional"])

@@ -59,6 +59,16 @@ def test_negative_labels_rejected():
         data.HsiCube(np.ones((2, 2, 1)), np.array([[-1, 0], [0, 0]]))
 
 
+def test_int64_ids_past_float_precision_stay_distinct():
+    """2**53 and 2**53 + 1 round to one float64, so an integer label array
+    is cast as it is, never through float64."""
+    ids = np.array([2**53, 2**53 + 1], dtype=np.int64)
+    cube = data.HsiCube(np.ones((1, 2, 1)), ids.reshape(1, 2))
+    assert np.array_equal(cube.labels, [[2**53, 2**53 + 1]])
+    _, labels = data.load_matrix(np.ones((3, 2)), ids.reshape(1, 2))
+    assert np.array_equal(labels, ids)
+
+
 def test_load_matrix_with_vector_labels(tmp_path):
     X = np.arange(12.0).reshape(3, 4)
     vp, lp = tmp_path / "x.sscm", tmp_path / "y.csv"

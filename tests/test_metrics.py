@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from unfold_ssc import metrics
+from unfold_ssc import data, metrics
+from unfold_ssc.errors import DataError
 
 from _oracles import accuracy_brute, nmi_plain
 
@@ -24,7 +25,7 @@ class TestContingency:
             metrics.contingency([0.5, 1.0], [0, 1])
 
     def test_negative_labels_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="negative"):
             metrics.contingency([-1, 0], [0, 1])
 
     @pytest.mark.filterwarnings("error")
@@ -40,6 +41,23 @@ class TestContingency:
             with pytest.raises(ValueError, match=message):
                 metrics.accuracy(*args)
         assert metrics.accuracy([2.0**63 - 1024, 0.0], [1, 0]) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [
+        [np.nan, 1.0], [np.inf, 1.0], [0.5, 1.0], [-1, 1], [1e30, 1.0], [2.0**63, 1.0],
+        np.array([2**63, 1], dtype=np.uint64)],
+        ids=["nan", "inf", "0.5", "-1", "1e30", "2**63", "uint64"])
+    def test_one_label_check_for_data_and_metrics(self, bad):
+        """``data.as_labels`` and the metrics refuse a label with one message,
+        which names the labels and the bad index."""
+        for name, args in (("pred", (bad, [0, 1])), ("truth", ([0, 1], bad))):
+            with pytest.raises(DataError) as direct:
+                data.as_labels(bad, name)
+            with pytest.raises(DataError) as scored:
+                metrics.accuracy(*args)
+            assert str(scored.value) == str(direct.value)
+            assert str(direct.value).startswith(f"{name} has ")
+            assert str(direct.value).endswith("entry at index (0,)")
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -36,7 +36,20 @@ def read_bytes(raw):
         path = os.path.join(tmp, "a.sscm")
         with open(path, "wb") as fh:
             fh.write(raw)
-        return container.read_array(path)
+        return container.load_any(path)
+
+
+def refusal(raw):
+    """The reason ``load_any`` gives for refusing ``raw``: its message after the file's path."""
+    with pytest.raises(DataError) as exc:
+        read_bytes(raw)
+    _, path_end, reason = str(exc.value).partition(f"{os.sep}a.sscm: ")
+    assert path_end, str(exc.value)
+    return reason
+
+
+# Without the magic a file is CSV, so a cut or a flipped magic byte is a CSV error.
+CSV_REASONS = ("not a rectangular CSV matrix", "no data")
 
 
 arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=5),
@@ -56,8 +69,9 @@ def test_container_round_trip(array):
 def test_truncated_container_rejected(array, data):
     raw = container_bytes(array)
     cut = data.draw(st.integers(0, len(raw) - 1))
-    with pytest.raises(DataError):
-        read_bytes(raw[:cut])
+    reason = refusal(raw[:cut])
+    assert any(r in reason for r in ("truncated header", "truncated dimension block",
+                                      "payload is") + CSV_REASONS), reason
 
 
 @FIXED
@@ -69,8 +83,10 @@ def test_corrupted_header_rejected(array, data):
     raw[pos] ^= data.draw(st.integers(1, 255))
     # an ndims byte turned into the other valid rank can describe a real array
     assume(pos != 8 or raw[8] not in (2, 3))
-    with pytest.raises(DataError):
-        read_bytes(bytes(raw))
+    reason = refusal(bytes(raw))
+    assert any(r in reason for r in ("unsupported version", "ndims must be 2 or 3",
+                                      "truncated dimension block", "payload is")
+               + CSV_REASONS), reason
 
 
 @st.composite
